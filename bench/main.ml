@@ -5,7 +5,7 @@
    Usage: dune exec bench/main.exe [experiment ...] [--smoke] [--metrics FILE]
    Experiments: table1 table2 fig3 fig4 fig5 fig6 accuracy tiered throughput
                 setup ablation detect pipeline obs-overhead trace-overhead
-                aes parallel fleet setup-parallel daemon all (default: all)
+                parallel fleet setup-parallel daemon all (default: all)
 
    After the requested experiments run, the full bbx_obs metric registry is
    written to BENCH_obs.json (override with --metrics FILE) so every bench
@@ -25,7 +25,6 @@ let experiments =
     ("setup", "Sec 7.2.2: connection setup scaling with ruleset size", Setup_bench.run);
     ("ablation", "Ablations: tree vs scan, DPIEnc vs deterministic, tokenizers, OT", Ablation.run);
     ("detect", "Detection index: flat open-addressing hash vs AVL tree (2x miss gate)", Detect.run);
-    ("aes", "AES kernel: scalar vs bitsliced, wire equality + 2x sender gate", Aes.run);
     ("pipeline", "Token pipeline: legacy list path vs streaming path", Pipeline.run);
     ("obs-overhead", "Observability: instrumented vs uninstrumented hot path (<=5% gate)", Obs_overhead.run);
     ("trace-overhead", "Flight recorder: tracing on vs off through blindboxd (<=5% gate)", Obs_overhead.run_trace);

@@ -184,24 +184,9 @@ let detect_index_arg =
                open-addressing index, the default) or $(b,avl) (the \
                reference balanced tree).  Both produce identical verdicts.")
 
-(* shared --aes-kernel argument: AES path for the hot loops (sender token
-   encryption, Direct rule prep, tier-3 record decryption).  Bitsliced is
-   the production default; scalar is the single-block differential
-   oracle. *)
-let aes_kernel_arg =
-  Arg.(value
-       & opt (enum [ ("bitsliced", Bbx_crypto.Aes_bs.Bitsliced);
-                     ("scalar", Bbx_crypto.Aes_bs.Scalar) ])
-         Bbx_crypto.Aes_bs.Bitsliced
-       & info [ "aes-kernel" ] ~docv:"KERNEL"
-         ~doc:"AES implementation for the hot paths: $(b,bitsliced) \
-               (batched same-key kernel, the default) or $(b,scalar) \
-               (single-block reference path).  Both produce byte-identical \
-               traffic and verdicts.")
-
 let inspect_cmd =
   let run rules_path probable window domains garbled setup_domains detect_index
-      aes_kernel tier budget_bytes budget_ms metrics =
+      tier budget_bytes budget_ms metrics =
     with_metrics metrics @@ fun () ->
     let rules =
       match Parser.parse_ruleset (read_file rules_path) with
@@ -218,7 +203,6 @@ let inspect_cmd =
         rule_prep = (if garbled then Session.Garbled else Session.Direct);
         setup_domains = max 1 setup_domains;
         detect_index;
-        aes_kernel;
         tier;
         tier_budget = budget_of ~budget_bytes ~budget_ms }
     in
@@ -290,7 +274,7 @@ let inspect_cmd =
   Cmd.v
     (Cmd.info "inspect"
        ~doc:"Run stdin lines through a sender->middlebox->receiver BlindBox connection")
-    Term.(const run $ rules $ probable $ window $ domains $ garbled $ setup_domains $ detect_index_arg $ aes_kernel_arg $ tier_arg $ budget_bytes_arg $ budget_ms_arg $ metrics_arg)
+    Term.(const run $ rules $ probable $ window $ domains $ garbled $ setup_domains $ detect_index_arg $ tier_arg $ budget_bytes_arg $ budget_ms_arg $ metrics_arg)
 
 (* ---- stats ---- *)
 
@@ -307,7 +291,7 @@ let endpoint_conv =
         Format.pp_print_string fmt (Bbx_daemon.Daemon.endpoint_to_string e) )
 
 let stats_cmd =
-  let run socket rules_path probable window sends domains conns garbled setup_domains detect_index aes_kernel format metrics =
+  let run socket rules_path probable window sends domains conns garbled setup_domains detect_index format metrics =
     with_metrics metrics @@ fun () ->
     match socket with
     | Some endpoint ->
@@ -379,8 +363,7 @@ let stats_cmd =
         tokenization = (if window then Session.Window else Session.Delimiter);
         rule_prep = (if garbled then Session.Garbled else Session.Direct);
         setup_domains = max 1 setup_domains;
-        detect_index;
-        aes_kernel }
+        detect_index }
     in
     (* one keyword per rule woven into otherwise benign traffic *)
     let keywords =
@@ -466,14 +449,13 @@ let stats_cmd =
   Cmd.v
     (Cmd.info "stats"
        ~doc:"Drive a sample trace through a BlindBox connection and render the metric registry")
-    Term.(const run $ socket $ rules $ probable $ window $ sends $ domains $ conns $ garbled $ setup_domains $ detect_index_arg $ aes_kernel_arg $ format $ metrics_arg)
+    Term.(const run $ socket $ rules $ probable $ window $ sends $ domains $ conns $ garbled $ setup_domains $ detect_index_arg $ format $ metrics_arg)
 
 (* ---- serve ---- *)
 
 let serve_cmd =
-  let run socket rules_path probable domains detect_index aes_kernel tier
-      budget_bytes budget_ms high_water rebalance metrics_port trace_out
-      metrics =
+  let run socket rules_path probable domains detect_index tier budget_bytes
+      budget_ms high_water rebalance metrics_port trace_out metrics =
     with_metrics metrics @@ fun () ->
     let rules =
       match rules_path with
@@ -493,8 +475,7 @@ let serve_cmd =
       Option.map (fun p -> Bbx_daemon.Daemon.Tcp ("127.0.0.1", p)) metrics_port
     in
     let cfg =
-      Bbx_daemon.Daemon.config ~mode ?domains ~index:detect_index
-        ~kernel:aes_kernel ~tier
+      Bbx_daemon.Daemon.config ~mode ?domains ~index:detect_index ~tier
         ~budget:(budget_of ~budget_bytes ~budget_ms) ~high_water
         ?rebalance_every:rebalance ?metrics:metrics_ep ?trace_out ~endpoint
         ~rules ()
@@ -562,7 +543,7 @@ let serve_cmd =
   Cmd.v
     (Cmd.info "serve"
        ~doc:"Run blindboxd: the BlindBox middlebox as a network daemon")
-    Term.(const run $ socket $ rules $ probable $ domains $ detect_index_arg $ aes_kernel_arg $ tier_arg $ budget_bytes_arg $ budget_ms_arg $ high_water $ rebalance $ metrics_port $ trace_out $ metrics_arg)
+    Term.(const run $ socket $ rules $ probable $ domains $ detect_index_arg $ tier_arg $ budget_bytes_arg $ budget_ms_arg $ high_water $ rebalance $ metrics_port $ trace_out $ metrics_arg)
 
 (* ---- trace ---- *)
 

@@ -41,7 +41,6 @@ type config = {
   detect_index : Bbx_detect.Detect.index_backend;
   tier : Bbx_rules.Classify.protocol_class;
   tier_budget : Bbx_mbox.Engine.budget;
-  aes_kernel : Dpienc.aes_kernel;
 }
 
 let default_config =
@@ -49,8 +48,7 @@ let default_config =
     salt0 = 0; reset_period = 1 lsl 20; setup_domains = 1;
     detect_index = Bbx_detect.Detect.Hash;
     tier = Bbx_rules.Classify.Protocol_III;
-    tier_budget = Bbx_mbox.Engine.default_budget;
-    aes_kernel = Dpienc.Bitsliced }
+    tier_budget = Bbx_mbox.Engine.default_budget }
 
 type setup_stats = {
   chunk_count : int;
@@ -92,24 +90,23 @@ let direction = "sender->receiver"
 let make_session ?rg config keys ~rules ~prep ~label =
   let enc_chunk = Ruleprep.lookup prep in
   let dir = direction ^ label in
-  let kernel = config.aes_kernel in
   let engine =
     Bbx_mbox.Engine.create ~index:config.detect_index ~tier:config.tier
-      ~budget:config.tier_budget ~direction:dir ~kernel ~mode:config.mode
+      ~budget:config.tier_budget ~direction:dir ~mode:config.mode
       ~salt0:config.salt0 ~rules ~enc_chunk ()
   in
   { config;
     keys;
-    writer = Record.create ~kernel ~key:keys.Handshake.k_ssl ~direction:dir ();
+    writer = Record.create ~key:keys.Handshake.k_ssl ~direction:dir ();
     dpi_sender =
-      Dpienc.sender_create ~kernel config.mode
+      Dpienc.sender_create config.mode
         (Dpienc.key_of_secret keys.Handshake.k) ~salt0:config.salt0;
     sender_stream_off = 0;
     bytes_since_reset = 0;
     engine;
-    reader = Record.create ~kernel ~key:keys.Handshake.k_ssl ~direction:dir ();
+    reader = Record.create ~key:keys.Handshake.k_ssl ~direction:dir ();
     dpi_mirror =
-      Dpienc.sender_create ~kernel config.mode
+      Dpienc.sender_create config.mode
         (Dpienc.key_of_secret keys.Handshake.k) ~salt0:config.salt0;
     receiver_stream_off = 0;
     reported = Hashtbl.create 8;
@@ -159,12 +156,7 @@ let prepare_rules config ?rg keys rules =
     match config.rule_prep with
     | Direct ->
       let key = Dpienc.key_of_secret keys.Handshake.k in
-      let encs =
-        match config.aes_kernel with
-        | Dpienc.Scalar -> Array.map (Dpienc.token_enc key) chunks
-        | Dpienc.Bitsliced -> Dpienc.token_enc_batch key chunks
-      in
-      (encs, None)
+      (Array.map (Dpienc.token_enc key) chunks, None)
     | Garbled ->
       let encs, stats =
         match rg with
@@ -530,12 +522,9 @@ module Fleet = struct
     let k_ssl = conn_k_ssl t.fl_keys i in
     { fc_id = i;
       fc_k_ssl = k_ssl;
-      fc_sender =
-        Dpienc.sender_create ~kernel:config.aes_kernel config.mode t.fl_key
-          ~salt0:config.salt0;
+      fc_sender = Dpienc.sender_create config.mode t.fl_key ~salt0:config.salt0;
       fc_writer =
-        (if ship_records then
-           Some (Record.create ~kernel:config.aes_kernel ~key:k_ssl ~direction ())
+        (if ship_records then Some (Record.create ~key:k_ssl ~direction ())
          else None);
       fc_off = 0;
       fc_bytes_since_reset = 0 }
@@ -557,8 +546,7 @@ module Fleet = struct
     Obs.span_enter obs_setup;
     let pool =
       Bbx_mbox.Shardpool.create ?domains ~index:config.detect_index
-        ~tier:config.tier ~budget:config.tier_budget ~kernel:config.aes_kernel
-        ~mode:config.mode ~rules ()
+        ~tier:config.tier ~budget:config.tier_budget ~mode:config.mode ~rules ()
     in
     let t =
       try
@@ -579,6 +567,10 @@ module Fleet = struct
             fl_prefilter = Bbx_mbox.Engine.prepare_prefilter rules }
         in
         for i = 0 to conns - 1 do register_conn t i done;
+        (* registration runs on the owning workers: return only once every
+           connection is installed, so gauges and stats read after
+           [establish] already count the whole fleet *)
+        Bbx_mbox.Shardpool.barrier pool;
         t
       with e ->
         Bbx_mbox.Shardpool.shutdown pool;
@@ -683,11 +675,14 @@ module Fleet = struct
 
   (* Single-connection teardown: sender state and middlebox state both go
      (idempotent, like {!Bbx_mbox.Shardpool.unregister}).  The shared
-     prep/keyset stay — they belong to the fleet, not the connection. *)
+     prep/keyset stay — they belong to the fleet, not the connection.
+     Unregistration runs on the owning worker; the barrier makes it done
+     by the time [remove] returns, like the sender half. *)
   let remove t ~conn =
     if Hashtbl.mem t.fl_conns conn then begin
       Hashtbl.remove t.fl_conns conn;
-      Bbx_mbox.Shardpool.unregister t.fl_pool ~conn_id:conn
+      Bbx_mbox.Shardpool.unregister t.fl_pool ~conn_id:conn;
+      Bbx_mbox.Shardpool.barrier t.fl_pool
     end
 
   let migrate t ~conn ~shard =

@@ -44,12 +44,6 @@ type config = {
   tier_budget : Bbx_mbox.Engine.budget;
   (** per-flow Protocol III escalation budget (default
       {!Bbx_mbox.Engine.default_budget}). *)
-  aes_kernel : Bbx_dpienc.Dpienc.aes_kernel;
-  (** AES path for the hot loops (default [Bitsliced]): sender token
-      encryption, Direct rule prep, and tier-3 record decryption all
-      batch same-key AES through {!Bbx_crypto.Aes_bs}.  [Scalar] is the
-      single-block reference path — both produce byte-identical traffic
-      and events. *)
 }
 
 val default_config : config
@@ -210,7 +204,8 @@ module Fleet : sig
 
   (** [establish ?config ?seed ?domains ~conns ~rules ()] — sets up
       [conns] connections (ids [0..conns-1]) over a pool of [domains]
-      workers (default: {!Bbx_mbox.Shardpool.create}'s default). *)
+      workers (default: {!Bbx_mbox.Shardpool.create}'s default).  Returns
+      once every connection is registered on its shard. *)
   val establish :
     ?config:config ->
     ?seed:string ->
@@ -240,8 +235,8 @@ module Fleet : sig
   val update_rules : fleet -> ?remove_sids:int list -> Bbx_rules.Rule.t list -> unit
 
   (** [remove t ~conn] tears one connection down end to end — sender
-      state and the shard-side engine both go (idempotent).  The shared
-      tenant preparation stays. *)
+      state and the shard-side engine both go (idempotent) before it
+      returns.  The shared tenant preparation stays. *)
   val remove : fleet -> conn:int -> unit
 
   (** [migrate t ~conn ~shard] re-pins a live connection onto another

@@ -44,14 +44,15 @@ val encrypt_u64 : key -> int -> int
 (** [encrypt_u64_into key v ~dst ~dst_off] encrypts the same block as
     {!encrypt_u64} but writes all 16 output bytes into [dst] at
     [dst_off], allocating nothing.  This is DPIEnc's Probable-mode embed
-    mask [AES_tkey(salt+1)] produced straight into the sender's scratch
+    mask [AES_tkey(salt+1)] produced straight into the sender's wire
     buffer.  Raises [Invalid_argument] if the range is out of bounds. *)
 val encrypt_u64_into : key -> int -> dst:Bytes.t -> dst_off:int -> unit
 
 (** The forward S-box, exposed for the AES boolean circuit tests. *)
 val sbox : int array
 
-(** [key_schedule key] — the 176 expanded round-key bytes (11 round keys in
-    byte order) as a fresh array.  The bitsliced kernel ({!Aes_bs}) spreads
-    these into per-bit broadcast masks. *)
-val key_schedule : key -> int array
+(** Kept only for the [e2ebench/] harness, which passes
+    [~kernel:Bitsliced] to [Dpienc.sender_create], [Record.create] and
+    [Engine.create]; all three ignore it.  It goes in the next benchmark
+    change. *)
+type kernel = Bitsliced

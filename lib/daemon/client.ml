@@ -166,13 +166,8 @@ type session = {
   sc_mode : Dpienc.mode;
 }
 
-(* Chunks are encrypted in bitsliced same-key sweeps ([token_enc_batch]
-   produces exactly [Array.map (token_enc key)]) — rule setup is the
-   per-connection cost at fleet scale, so it rides the batch kernel. *)
 let pairs_for ~key rules =
-  let chunks = Engine.distinct_chunks rules in
-  let encs = Dpienc.token_enc_batch key chunks in
-  Array.mapi (fun i c -> (c, encs.(i))) chunks
+  Array.map (fun c -> (c, Dpienc.token_enc key c)) (Engine.distinct_chunks rules)
 
 (* The S/R handshake runs between the two endpoints; the daemon plays
    only the middlebox, so for a synthetic client both ends live here. *)

@@ -79,7 +79,6 @@ type config = {
   index : Bbx_detect.Detect.index_backend;
   tier : Bbx_rules.Classify.protocol_class;
   budget : Engine.budget;
-  kernel : Dpienc.aes_kernel;
   high_water : int;
   metrics : endpoint option;
   trace_out : string option;
@@ -88,9 +87,9 @@ type config = {
 
 let config ?(mode = Dpienc.Exact) ?domains ?(index = Bbx_detect.Detect.Hash)
     ?(tier = Bbx_rules.Classify.Protocol_III) ?(budget = Engine.default_budget)
-    ?(kernel = Dpienc.Bitsliced) ?(high_water = 1 lsl 20) ?rebalance_every
-    ?metrics ?trace_out ~endpoint ~rules () =
-  { endpoint; mode; rules; domains; index; tier; budget; kernel; high_water;
+    ?(high_water = 1 lsl 20) ?rebalance_every ?metrics ?trace_out ~endpoint
+    ~rules () =
+  { endpoint; mode; rules; domains; index; tier; budget; high_water;
     metrics; trace_out; rebalance_every }
 
 (* ---------- per-connection state ---------- *)
@@ -700,7 +699,7 @@ let init cfg =
   if cfg.trace_out <> None then Trace.set_enabled true;
   let pool =
     Shardpool.create ?domains:cfg.domains ~index:cfg.index ~tier:cfg.tier
-      ~budget:cfg.budget ~kernel:cfg.kernel ~mode:cfg.mode ~rules:cfg.rules ()
+      ~budget:cfg.budget ~mode:cfg.mode ~rules:cfg.rules ()
   in
   let listen_fd =
     try listen_socket cfg.endpoint

@@ -70,9 +70,6 @@ type config = {
       [Protocol_III]; see {!Bbx_mbox.Engine.create}) *)
   budget : Bbx_mbox.Engine.budget;
   (** per-flow Protocol III escalation budget *)
-  kernel : Bbx_dpienc.Dpienc.aes_kernel;
-  (** AES path for tier-3 record decryption in every shard (default
-      [Bitsliced]; [Scalar] is the reference path) *)
   high_water : int;               (** per-connection output-buffer bytes
                                       before reads from it pause *)
   metrics : endpoint option;      (** HTTP/1.0 [GET /metrics] listener *)
@@ -93,7 +90,6 @@ val config :
   ?index:Bbx_detect.Detect.index_backend ->
   ?tier:Bbx_rules.Classify.protocol_class ->
   ?budget:Bbx_mbox.Engine.budget ->
-  ?kernel:Bbx_dpienc.Dpienc.aes_kernel ->
   ?high_water:int ->
   ?rebalance_every:float ->
   ?metrics:endpoint ->

@@ -18,7 +18,9 @@ let rs_mask = (1 lsl rs_bits) - 1
 
 type key = Aes.key
 
-type aes_kernel = Aes_bs.kernel = Scalar | Bitsliced
+(* Kept only so the e2ebench harness, which passes [~kernel:Bitsliced], still
+   compiles; nothing reads it.  Goes in the next benchmark change. *)
+type aes_kernel = Aes.kernel = Bitsliced
 
 let raw_key_of_secret s = Kdf.derive ~secret:s ~label:"dpienc-key" 16
 
@@ -45,46 +47,14 @@ let token_enc key t =
   Aes.encrypt_block_into key ~src ~src_off:0 ~dst ~dst_off:0;
   Bytes.to_string dst
 
-(* Same-key batch of [AES_k(t)]: all chunks of a ruleset are encrypted
-   under the one session key, so rule preparation (fleet establish's
-   per-generation cost) sweeps them through the bitsliced kernel
-   [Aes_bs.width] at a time instead of one T-table call each. *)
-let token_enc_batch key toks =
-  let n = Array.length toks in
-  Array.iter
-    (fun t ->
-      if String.length t <> Tokenizer.token_len then
-        invalid_arg "Dpienc: token must be Tokenizer.token_len bytes")
-    toks;
-  let out = Array.make n "" in
-  if n > 0 then begin
-    let bk = Aes_bs.key_of_aes key in
-    let b = Aes_bs.create_batch () in
-    let start = ref 0 in
-    while !start < n do
-      let cnt = min Aes_bs.width (n - !start) in
-      Aes_bs.reset b;
-      for j = 0 to cnt - 1 do
-        Aes_bs.set_token_block b j toks.(!start + j) ~off:0
-          ~len:Tokenizer.token_len
-      done;
-      Aes_bs.encrypt_blocks_into bk b;
-      for j = 0 to cnt - 1 do
-        out.(!start + j) <- Aes_bs.get_block b j
-      done;
-      start := !start + cnt
-    done
-  end;
-  out
-
 type token_key = Aes.key
 
 let token_key_of_enc e = Aes.expand_key e
 let token_key key t = token_key_of_enc (token_enc key t)
 
-(* Placeholder schedule for unresolved packed-table slots; compared with
-   physical equality, so any freshly expanded key is distinct from it. *)
-let dummy_tkey : token_key = Aes.expand_key (String.make 16 '\000')
+(* Placeholder schedule for the empty slots of a sender's counter table;
+   never used to encrypt. *)
+let empty_tkey : token_key = Aes.expand_key (String.make 16 '\000')
 
 let encrypt tk ~salt = Aes.encrypt_u64 tk salt land rs_mask
 
@@ -114,150 +84,62 @@ type enc_token = {
   offset : int;
 }
 
-(* Wire record sizes (defined ahead of the sender, whose scratch buffer is
-   sized by the larger one): per token a flag byte, 5-byte big-endian
-   cipher, 4-byte big-endian stream offset, then the 16-byte embed iff the
-   flag is 1 — 10 bytes in Exact mode, 26 in Probable. *)
+(* Wire record sizes (defined ahead of the sender, whose sweep buffer is
+   sized by them): per token a flag byte, 5-byte big-endian cipher, 4-byte
+   big-endian stream offset, then the 16-byte embed iff the flag is 1 —
+   10 bytes in Exact mode, 26 in Probable. *)
 let exact_record_bytes = 10
 let probable_record_bytes = 26
 
-type counter_entry = { mutable count : int; tkey : token_key }
+(* ---- the counter table ----
 
-(* Counter table keyed by token *value* but consulted with [(src, off, len)]
-   slices: the probe key is a single mutable record reused for every lookup,
-   so the hot path never calls [String.sub].  Stored keys materialise the
-   (padded) token bytes exactly once, on first occurrence.  [len <
-   token_len] slices hash/compare as if zero-padded to [token_len]. *)
-module Slice_key = struct
-  type t = { mutable src : string; mutable off : int; mutable len : int }
-
-  let logical_byte k i = if i < k.len then Char.code k.src.[k.off + i] else 0
-
-  let equal a b =
-    let rec go i =
-      i = Tokenizer.token_len || (logical_byte a i = logical_byte b i && go (i + 1))
-    in
-    go 0
-
-  (* FNV-1a over the logical token bytes, seeded with the FNV offset
-     basis; masked to stay a positive OCaml int. *)
-  let hash k =
-    let h = ref 0x811c9dc5 in
-    for i = 0 to Tokenizer.token_len - 1 do
-      h := (!h lxor logical_byte k i) * 0x01000193 land max_int
-    done;
-    !h
-end
-
-module Counter_tbl = Hashtbl.Make (Slice_key)
-
-(* ---- the packed counter table + sweep state of the batched sender ----
-
-   The bitsliced sender keeps its counters in a flat open-addressing table
-   instead of the functorized [Counter_tbl]: token values are at most 8
-   bytes ([Tokenizer.token_len]) and pack losslessly into two 32-bit ints
-   (big-endian halves of the zero-padded token), so a lookup is an integer
-   hash, a linear probe and two compares — no [logical_byte] loop, no
-   closure dispatch through [Hashtbl.Make], no key string.  The two key
-   words and the counter of a slot are interleaved in ONE int array
-   ([ptab], three words per slot) so the steady-state hit touches a
-   single cache line where parallel arrays would touch three.  Per-token
-   wire output is staged in [wire] and appended with one
-   [Buffer.add_subbytes] per sweep.
-
-   [ptkeys] is resolved lazily: a first-seen token's [AES_k(t)] is NOT
-   computed at insert — the slot is queued on [pending] and all first-seen
-   token blocks of the sweep go through the bitsliced kernel in one
-   [encrypt_blocks_into] call at flush (they all share the session key [k],
-   the one batchable step; per-occurrence [AES_tkey(salt)] ciphers use
-   per-token keys, which a bitsliced batch cannot share — see DESIGN.md).
-
-   Invariant: [sw_n = pending_n = 0] except inside a
-   [sender_encrypt_into] call — every public entry point flushes before
-   returning, so the legacy per-token APIs may interleave freely and the
-   table may grow safely on their path. *)
+   Counters live in a flat open-addressing table keyed by token *value*:
+   token values are at most 8 bytes ([Tokenizer.token_len]) and pack
+   losslessly into two 32-bit ints (big-endian halves of the zero-padded
+   token), so a lookup is an integer hash, a linear probe and two compares
+   — no key string, no closure dispatch through [Hashtbl.Make].  The two
+   key words and the counter of a slot are interleaved in ONE int array
+   ([ptab], three words per slot) so the steady-state hit touches a single
+   cache line where parallel arrays would touch three.  A first-seen
+   token's key [AES_{AES_k(t)}] is expanded when its slot is claimed.
+   Per-token wire output is staged in [wire] and appended with one
+   [Buffer.add_subbytes] per sweep of [sweep_cap] records. *)
 
 let sweep_cap = 256
-let packed_init_slots = 256 (* power of two; grows at load 1/2 *)
-
-type packed = {
-  bs_key : Aes_bs.key;            (* session key, spread for the kernel *)
-  batch : Aes_bs.batch;
-  (* slot i at 3i: token bytes 0-3 big-endian (-1 = empty), bytes 4-7,
-     occurrence count *)
-  mutable ptab : int array;
-  (* physically [dummy_tkey] until resolved — flat array, no option box *)
-  mutable ptkeys : token_key array;
-  mutable pmask : int;            (* slot count - 1 *)
-  mutable poccupied : int;
-  (* sweep state, collected per fold pass over a payload.  Warm tokens
-     (tkey already resolved) write their wire record eagerly into [wire];
-     only tokens whose slot is still pending its kernel sweep are
-     deferred — [sw_*.(d)] records the d-th deferred token's slot, salt,
-     stream offset and wire-record position for back-fill at flush. *)
-  sw_slot : int array;
-  sw_salt : int array;
-  sw_off : int array;
-  sw_pos : int array;
-  mutable sw_defer : int;         (* deferred (unfilled) records in [wire] *)
-  mutable sw_n : int;             (* total records staged in [wire] *)
-  pending : int array;            (* first-seen slots awaiting their tkey *)
-  mutable pending_n : int;
-  wire : Bytes.t;                 (* sweep_cap wire records *)
-  tok16 : Bytes.t;                (* token-block staging; bytes 8.. stay 0 *)
-}
-
-type backend = Tbl of counter_entry Counter_tbl.t | Packed of packed
+let init_slots = 256 (* power of two; grows at load 1/2 *)
 
 type sender = {
   mode : mode;
   key : key;
-  kernel : aes_kernel;
   mutable salt0 : int;
-  backend : backend;
-  probe : Slice_key.t;  (* reused for lookups; never stored *)
-  scratch : Bytes.t;    (* one wire record, rebuilt in place per token *)
   mutable max_count : int;
+  (* slot i at 3i: token bytes 0-3 big-endian (-1 = empty), bytes 4-7,
+     occurrence count *)
+  mutable ptab : int array;
+  mutable ptkeys : token_key array;   (* [empty_tkey] in empty slots *)
+  mutable pmask : int;                (* slot count - 1 *)
+  mutable poccupied : int;
+  wire : Bytes.t;                     (* [sweep_cap] staged wire records *)
+  mutable sw_n : int;                 (* records staged in [wire] *)
 }
 
-let sender_create ?(kernel = Scalar) mode key ~salt0 =
+let sender_create ?kernel:_ mode key ~salt0 =
   if mode = Probable && salt0 land 1 <> 0 then
     invalid_arg "Dpienc.sender_create: salt0 must be even";
-  let backend =
-    match kernel with
-    | Scalar ->
-      (* start small: the table grows with distinct tokens actually sent,
-         so a busy sender reaches its working size within one page while an
-         idle fleet connection stays at ~2 KiB instead of 32 KiB *)
-      Tbl (Counter_tbl.create 256)
-    | Bitsliced ->
-      if Tokenizer.token_len > 8 then
-        invalid_arg "Dpienc.sender_create: packed table needs token_len <= 8";
-      Packed
-        { bs_key = Aes_bs.key_of_aes key;
-          batch = Aes_bs.create_batch ();
-          ptab = Array.make (3 * packed_init_slots) (-1);
-          ptkeys = Array.make packed_init_slots dummy_tkey;
-          pmask = packed_init_slots - 1;
-          poccupied = 0;
-          sw_slot = Array.make sweep_cap 0;
-          sw_salt = Array.make sweep_cap 0;
-          sw_off = Array.make sweep_cap 0;
-          sw_pos = Array.make sweep_cap 0;
-          sw_defer = 0;
-          sw_n = 0;
-          pending = Array.make sweep_cap 0;
-          pending_n = 0;
-          wire = Bytes.create (sweep_cap * probable_record_bytes);
-          tok16 = Bytes.make 16 '\000' }
+  if Tokenizer.token_len > 8 then
+    invalid_arg "Dpienc.sender_create: packed table needs token_len <= 8";
+  let rec_bytes =
+    match mode with Exact -> exact_record_bytes | Probable -> probable_record_bytes
   in
-  { mode; key; kernel; salt0; backend;
-    probe = { Slice_key.src = ""; off = 0; len = 0 };
-    scratch = Bytes.create probable_record_bytes;
-    max_count = 0 }
+  { mode; key; salt0; max_count = 0;
+    ptab = Array.make (3 * init_slots) (-1);
+    ptkeys = Array.make init_slots empty_tkey;
+    pmask = init_slots - 1;
+    poccupied = 0;
+    wire = Bytes.create (sweep_cap * rec_bytes);
+    sw_n = 0 }
 
 let sender_salt0 s = s.salt0
-let sender_kernel s = s.kernel
 
 (* Materialise the (padded) token value of a slice — first occurrence of a
    distinct token value only. *)
@@ -265,35 +147,9 @@ let materialize src off len =
   if len = Tokenizer.token_len then String.sub src off len
   else Tokenizer.pad_short (String.sub src off len)
 
-let entry_for s tbl src off len =
-  s.probe.Slice_key.src <- src;
-  s.probe.Slice_key.off <- off;
-  s.probe.Slice_key.len <- len;
-  (* exception-style lookup: [find_opt] would allocate a [Some] per token *)
-  match Counter_tbl.find tbl s.probe with
-  | e -> e
-  | exception Not_found ->
-    let content = materialize src off len in
-    let stored =
-      { Slice_key.src = content; off = 0; len = Tokenizer.token_len }
-    in
-    let e = { count = 0; tkey = token_key s.key content } in
-    Counter_tbl.add tbl stored e;
-    e
-
-let next_salt s entry =
-  let salt = s.salt0 + (salt_stride s.mode * entry.count) in
-  entry.count <- entry.count + 1;
-  if entry.count > s.max_count then s.max_count <- entry.count;
-  salt
-
-(* ---- packed-table primitives ---- *)
-
-(* The zero-padded token as two big-endian 32-bit words: the same logical
-   bytes [Slice_key] hashes, so both backends agree on token identity.
-   Two scalar results rather than one pair — the tuple would be a
-   per-token minor-heap allocation on the fold path (no flambda to erase
-   it). *)
+(* The zero-padded token as two big-endian 32-bit words.  Two scalar
+   results rather than one pair — the tuple would be a per-token
+   minor-heap allocation on the fold path (no flambda to erase it). *)
 let[@inline] pad_byte src off len i =
   if i < len then Char.code (String.unsafe_get src (off + i)) else 0
 
@@ -321,16 +177,14 @@ let[@inline] slice_lo src off len =
     lor (pad_byte src off len 6 lsl 8)
     lor pad_byte src off len 7
 
-let[@inline] slice_words src off len = (slice_hi src off len, slice_lo src off len)
-
 let[@inline] phash h1 h2 =
   let h = (h1 * 0x9e3779b1) lxor (h2 * 0x85ebca77) in
   (h lxor (h lsr 31)) land max_int
 
 (* Slot holding (h1, h2), or the first empty slot of its probe chain. *)
-let[@inline] pfind p h1 h2 =
-  let mask = p.pmask in
-  let t = p.ptab in
+let[@inline] pfind s h1 h2 =
+  let mask = s.pmask in
+  let t = s.ptab in
   let i = ref (phash h1 h2 land mask) in
   while
     (let b = 3 * !i in
@@ -341,76 +195,58 @@ let[@inline] pfind p h1 h2 =
   done;
   !i
 
-(* Double the table.  Every slot index changes — callers must complete all
-   slot-index-dependent work (sweep flush, pending resolution, the
-   insert's own writes) BEFORE calling this. *)
-let pgrow p =
-  let ncap = 2 * (p.pmask + 1) in
+(* Double the table.  Every slot index changes. *)
+let pgrow s =
+  let ncap = 2 * (s.pmask + 1) in
   let nmask = ncap - 1 in
   let ntab = Array.make (3 * ncap) (-1) in
-  let nt = Array.make ncap dummy_tkey in
-  for i = 0 to p.pmask do
-    let h1 = p.ptab.(3 * i) in
+  let nt = Array.make ncap empty_tkey in
+  for i = 0 to s.pmask do
+    let h1 = s.ptab.(3 * i) in
     if h1 >= 0 then begin
-      let h2 = p.ptab.((3 * i) + 1) in
+      let h2 = s.ptab.((3 * i) + 1) in
       let j = ref (phash h1 h2 land nmask) in
       while ntab.(3 * !j) >= 0 do
         j := (!j + 1) land nmask
       done;
       ntab.(3 * !j) <- h1;
       ntab.((3 * !j) + 1) <- h2;
-      ntab.((3 * !j) + 2) <- p.ptab.((3 * i) + 2);
-      nt.(!j) <- p.ptkeys.(i)
+      ntab.((3 * !j) + 2) <- s.ptab.((3 * i) + 2);
+      nt.(!j) <- s.ptkeys.(i)
     end
   done;
-  p.ptab <- ntab;
-  p.ptkeys <- nt;
-  p.pmask <- nmask
+  s.ptab <- ntab;
+  s.ptkeys <- nt;
+  s.pmask <- nmask
 
-(* Rebuild the padded token bytes of a slot from its packed key words and
-   stage them as kernel lane [j].  [tok16] bytes 8..15 are zero since
-   creation and never written ([token_len <= 8]). *)
-let[@inline] stage_token_block p j slot =
-  let h1 = Array.unsafe_get p.ptab (3 * slot)
-  and h2 = Array.unsafe_get p.ptab ((3 * slot) + 1) in
-  let b = p.tok16 in
-  Bytes.unsafe_set b 0 (Char.unsafe_chr (h1 lsr 24));
-  Bytes.unsafe_set b 1 (Char.unsafe_chr ((h1 lsr 16) land 0xff));
-  Bytes.unsafe_set b 2 (Char.unsafe_chr ((h1 lsr 8) land 0xff));
-  Bytes.unsafe_set b 3 (Char.unsafe_chr (h1 land 0xff));
-  Bytes.unsafe_set b 4 (Char.unsafe_chr (h2 lsr 24));
-  Bytes.unsafe_set b 5 (Char.unsafe_chr ((h2 lsr 16) land 0xff));
-  Bytes.unsafe_set b 6 (Char.unsafe_chr ((h2 lsr 8) land 0xff));
-  Bytes.unsafe_set b 7 (Char.unsafe_chr (h2 land 0xff));
-  Aes_bs.set_block p.batch j (Bytes.unsafe_to_string b) 0
-
-let resolve_pending p =
-  if p.pending_n > 0 then begin
-    let start = ref 0 in
-    while !start < p.pending_n do
-      let cnt = min Aes_bs.width (p.pending_n - !start) in
-      Aes_bs.reset p.batch;
-      for j = 0 to cnt - 1 do
-        stage_token_block p j (Array.unsafe_get p.pending (!start + j))
-      done;
-      Aes_bs.encrypt_blocks_into p.bs_key p.batch;
-      for j = 0 to cnt - 1 do
-        let slot = Array.unsafe_get p.pending (!start + j) in
-        p.ptkeys.(slot) <- token_key_of_enc (Aes_bs.get_block p.batch j)
-      done;
-      start := !start + cnt
-    done;
-    p.pending_n <- 0
+(* Claim empty slot [i] for the token [src.[off..off+len-1]] (packed as
+   [h1], [h2]) with count 0 and its token key.  Returns the token's slot,
+   re-probed if the insert grew the table. *)
+let insert s i h1 h2 src off len =
+  s.ptab.(3 * i) <- h1;
+  s.ptab.((3 * i) + 1) <- h2;
+  s.ptab.((3 * i) + 2) <- 0;
+  s.ptkeys.(i) <- token_key s.key (materialize src off len);
+  s.poccupied <- s.poccupied + 1;
+  if 2 * s.poccupied > s.pmask + 1 then begin
+    pgrow s;
+    pfind s h1 h2
   end
+  else i
+
+(* The slot of a token slice, inserting it on first sight. *)
+let[@inline] slot s src off len =
+  let h1 = slice_hi src off len and h2 = slice_lo src off len in
+  let i = pfind s h1 h2 in
+  if Array.unsafe_get s.ptab (3 * i) >= 0 then i else insert s i h1 h2 src off len
 
 (* ---- wire format ----
 
-   Record sizes are defined above the sender type.  Records are built in a
-   fixed-size scratch [Bytes.t] and appended with one [Buffer.add_subbytes]
-   — the old per-character [Buffer.add_char] loops paid a bounds check and
-   a potential resize per byte.  The writers are unsafe because every call
-   site writes a statically in-range span of its (private, fixed-size)
-   scratch. *)
+   Records are built in place in a private [Bytes.t] and appended with one
+   [Buffer.add_subbytes] — per-character [Buffer.add_char] loops would pay
+   a bounds check and a potential resize per byte.  The writers are unsafe
+   because every call site writes a statically in-range span of its
+   (private, fixed-size) buffer. *)
 
 external set_64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 external bswap_64 : int64 -> int64 = "%bswap_int64"
@@ -418,7 +254,7 @@ external bswap_64 : int64 -> int64 = "%bswap_int64"
 (* Flag byte, top cipher byte, then the low 32 cipher bits and the 32-bit
    stream offset as ONE byte-swapped 64-bit store over pos+2..pos+9 — the
    unboxed-primitive chain replaces eight char stores on the per-token
-   path.  Every caller writes into a private scratch with at least 10
+   path.  Every caller writes into a private buffer with at least 10
    bytes headroom at [pos]. *)
 let[@inline] put_record_at b pos flag cipher stream_off =
   Bytes.unsafe_set b pos flag;
@@ -428,75 +264,6 @@ let[@inline] put_record_at b pos flag cipher stream_off =
        (Int64.logor
           (Int64.shift_left (Int64.of_int (cipher land 0xffffffff)) 32)
           (Int64.of_int (stream_off land 0xffffffff))))
-
-let[@inline] put_record_head b flag cipher stream_off =
-  put_record_at b 0 flag cipher stream_off
-
-(* Flush the collected sweep: resolve first-seen token keys through the
-   kernel, back-fill the deferred records (scalar per-occurrence ciphers —
-   each token has its own key), then append the whole wire block in one
-   piece.  Warm records were already written eagerly by the fold. *)
-let packed_flush p ~k_ssl rec_bytes buf =
-  resolve_pending p;
-  if p.sw_defer > 0 then begin
-    let wire = p.wire in
-    let flag = if k_ssl = None then '\000' else '\001' in
-    for d = 0 to p.sw_defer - 1 do
-      let slot = Array.unsafe_get p.sw_slot d in
-      (* resolve_pending replaced every pending dummy with its real key *)
-      let tkey = Array.unsafe_get p.ptkeys slot in
-      let salt = Array.unsafe_get p.sw_salt d in
-      let cipher = Aes.encrypt_u64 tkey salt land rs_mask in
-      let pos = Array.unsafe_get p.sw_pos d * rec_bytes in
-      put_record_at wire pos flag cipher (Array.unsafe_get p.sw_off d);
-      match k_ssl with
-      | None -> ()
-      | Some k ->
-        embed_into tkey ~salt:(salt + 1) ~k_ssl:k ~dst:wire ~dst_off:(pos + 10)
-    done;
-    p.sw_defer <- 0
-  end;
-  if p.sw_n > 0 then begin
-    Buffer.add_subbytes buf p.wire 0 (p.sw_n * rec_bytes);
-    p.sw_n <- 0
-  end
-
-(* One token on the packed table, resolved immediately (scalar tkey on
-   first sight) — the building block of the legacy per-token APIs, which
-   run with an empty sweep (see the invariant above), so growing here
-   never invalidates sweep state. *)
-let packed_entry_scalar s p src off len =
-  let h1, h2 = slice_words src off len in
-  let i = pfind p h1 h2 in
-  let i =
-    if Array.unsafe_get p.ptab (3 * i) >= 0 then i
-    else begin
-      p.ptab.(3 * i) <- h1;
-      p.ptab.((3 * i) + 1) <- h2;
-      p.ptab.((3 * i) + 2) <- 0;
-      p.ptkeys.(i) <- token_key s.key (materialize src off len);
-      p.poccupied <- p.poccupied + 1;
-      if 2 * p.poccupied > p.pmask + 1 then begin
-        pgrow p;
-        pfind p h1 h2
-      end
-      else i
-    end
-  in
-  let tkey = Array.unsafe_get p.ptkeys i in
-  let count = Array.unsafe_get p.ptab ((3 * i) + 2) in
-  let salt = s.salt0 + (salt_stride s.mode * count) in
-  p.ptab.((3 * i) + 2) <- count + 1;
-  if count + 1 > s.max_count then s.max_count <- count + 1;
-  (tkey, salt)
-
-(* Token key + salt for one slice on either backend, bumping the counter. *)
-let resolve_slice s src off len =
-  match s.backend with
-  | Tbl tbl ->
-    let e = entry_for s tbl src off len in
-    (e.tkey, next_salt s e)
-  | Packed p -> packed_entry_scalar s p src off len
 
 let check_k_ssl s k_ssl =
   match s.mode with
@@ -509,9 +276,21 @@ let check_k_ssl s k_ssl =
          invalid_arg "Dpienc.sender_encrypt: k_ssl must be 16 bytes";
        Some k)
 
+(* This occurrence's salt for slot [i], bumping its counter. *)
+let[@inline] take_salt s i =
+  let b = (3 * i) + 2 in
+  let c = Array.unsafe_get s.ptab b in
+  Array.unsafe_set s.ptab b (c + 1);
+  if c + 1 > s.max_count then s.max_count <- c + 1;
+  s.salt0 + (salt_stride s.mode * c)
+
 let encrypt_one s ~k_ssl (tok : Tokenizer.token) =
   let k_ssl = check_k_ssl s k_ssl in
-  let tkey, salt = resolve_slice s tok.Tokenizer.content 0 Tokenizer.token_len in
+  if String.length tok.Tokenizer.content <> Tokenizer.token_len then
+    invalid_arg "Dpienc: token must be Tokenizer.token_len bytes";
+  let i = slot s tok.Tokenizer.content 0 Tokenizer.token_len in
+  let tkey = s.ptkeys.(i) in
+  let salt = take_salt s i in
   let cipher = encrypt tkey ~salt in
   let embed =
     match k_ssl with
@@ -526,136 +305,64 @@ let sender_reset s =
   let stride = salt_stride s.mode in
   s.salt0 <- s.salt0 + (stride * (s.max_count + 1));
   s.max_count <- 0;
-  (match s.backend with
-   | Tbl tbl -> Counter_tbl.reset tbl
-   | Packed p ->
-     Array.fill p.ptab 0 (3 * (p.pmask + 1)) (-1);
-     (* drop the expanded schedules so a reset returns the memory *)
-     Array.fill p.ptkeys 0 (p.pmask + 1) dummy_tkey;
-     p.poccupied <- 0);
+  Array.fill s.ptab 0 (3 * (s.pmask + 1)) (-1);
+  (* drop the expanded schedules so a reset returns the memory *)
+  Array.fill s.ptkeys 0 (s.pmask + 1) empty_tkey;
+  s.poccupied <- 0;
   Obs.incr obs_resets;
   s.salt0
 
-(* Streaming serialisation of one token slice: counter lookup, DPIEnc,
-   wire bytes — no intermediate token or enc_token records, and (with the
-   embed mask written in place by [embed_into]) no per-token heap
-   allocation at all. *)
-let encrypt_slice_into s ~k_ssl ~src ~off ~len ~stream_off buf =
-  let tkey, salt = resolve_slice s src off len in
-  let cipher = encrypt tkey ~salt in
-  let scratch = s.scratch in
-  match k_ssl with
-  | None ->
-    put_record_head scratch '\000' cipher stream_off;
-    Buffer.add_subbytes buf scratch 0 exact_record_bytes
-  | Some k ->
-    put_record_head scratch '\001' cipher stream_off;
-    embed_into tkey ~salt:(salt + 1) ~k_ssl:k ~dst:scratch ~dst_off:10;
-    Buffer.add_subbytes buf scratch 0 probable_record_bytes
-
 type tokenization = Window | Delimiter of { short_units : bool }
 
-(* The batched fold pass.  Warm tokens (the steady state: tkey already in
-   the table) compute their cipher on the spot and write their wire record
-   straight into the sweep's wire block; first-seen tokens queue their
-   slot for the kernel and defer the record for back-fill at flush.
-   Counter semantics are identical to the scalar path — salts are
-   assigned in token order, and record order is wire-position order. *)
-let packed_encrypt_into s p ~k_ssl ~base ~tokenization payload buf =
+(* The fold pass: each token's cipher (and embed) is written straight into
+   the sweep's wire block at its wire position; the block is appended to
+   [buf] whenever it fills and once at the end.  Salts are assigned in
+   token order. *)
+let sender_encrypt_into s ?k_ssl ?(base = 0) ?(tokenization = Window) payload buf =
+  let k_ssl = check_k_ssl s k_ssl in
+  let wire0 = Buffer.length buf in
   let rec_bytes =
     if k_ssl = None then exact_record_bytes else probable_record_bytes
   in
   let flag = if k_ssl = None then '\000' else '\001' in
-  let stride = salt_stride s.mode in
-  let salt0 = s.salt0 in
-  let wire = p.wire in
-  (* running max of the per-token counts, folded back into [s.max_count]
-     once per call instead of once per token *)
-  let cmax = ref s.max_count in
-  (* Insert (h1, h2) at probe-terminal slot [i]: fill the slot, queue the
-     tkey for the kernel, and only then (maybe) grow — the flush inside
-     the grow branch still sees valid slot indices.  [ptkeys.(i)] is
-     already the dummy sentinel (fresh or reset).  Returns the slot
-     (re-probed if the table was rehashed). *)
-  let insert_at i h1 h2 =
-    p.ptab.(3 * i) <- h1;
-    p.ptab.((3 * i) + 1) <- h2;
-    p.ptab.((3 * i) + 2) <- 0;
-    p.pending.(p.pending_n) <- i;
-    p.pending_n <- p.pending_n + 1;
-    p.poccupied <- p.poccupied + 1;
-    if 2 * p.poccupied > p.pmask + 1 then begin
-      packed_flush p ~k_ssl rec_bytes buf;
-      pgrow p;
-      pfind p h1 h2
-    end
-    else i
+  let wire = s.wire in
+  let flush () =
+    Buffer.add_subbytes buf wire 0 (s.sw_n * rec_bytes);
+    s.sw_n <- 0
   in
-  (* Counter bookkeeping for slot [i]; returns this occurrence's salt. *)
-  let[@inline] take_salt i =
-    let t = p.ptab in
-    let b = (3 * i) + 2 in
-    let c = Array.unsafe_get t b in
-    Array.unsafe_set t b (c + 1);
-    if c + 1 > !cmax then cmax := c + 1;
-    salt0 + (stride * c)
-  in
-  (* Emit one token: warm slots encrypt scalar and write their record at
-     the sweep position now; unresolved slots defer.  [tkey] is the
-     caller's read of [ptkeys.(i)] — possibly a stale dummy if a flush
-     resolved the slot after the read, which only costs a redundant
-     defer (the back-fill reads the resolved key). *)
-  let[@inline] emit i tkey salt off =
-    let j = p.sw_n in
-    (if tkey != dummy_tkey then begin
-       let pos = j * rec_bytes in
-       let cipher = Aes.encrypt_u64 tkey salt land rs_mask in
-       put_record_at wire pos flag cipher off;
-       match k_ssl with
-       | None -> ()
-       | Some k ->
-         embed_into tkey ~salt:(salt + 1) ~k_ssl:k ~dst:wire
-           ~dst_off:(pos + 10)
-     end
-     else begin
-       let d = p.sw_defer in
-       Array.unsafe_set p.sw_slot d i;
-       Array.unsafe_set p.sw_salt d salt;
-       Array.unsafe_set p.sw_off d off;
-       Array.unsafe_set p.sw_pos d j;
-       p.sw_defer <- d + 1
-     end);
-    p.sw_n <- j + 1;
-    if p.sw_n = sweep_cap then packed_flush p ~k_ssl rec_bytes buf
+  let[@inline] emit tkey salt off =
+    let pos = s.sw_n * rec_bytes in
+    put_record_at wire pos flag (Aes.encrypt_u64 tkey salt land rs_mask) off;
+    (match k_ssl with
+     | None -> ()
+     | Some k ->
+       embed_into tkey ~salt:(salt + 1) ~k_ssl:k ~dst:wire ~dst_off:(pos + 10));
+    s.sw_n <- s.sw_n + 1;
+    if s.sw_n = sweep_cap then flush ()
   in
   (* Window tokenization, specialized: windows are always [token_len]
      bytes at stride 1, so the halves ROLL one byte per step instead of
      re-reading eight, and the next window's probe runs before the
      current token's encryption — its cache misses (slot line, tkey
      pointer) resolve under the ~140-lookup T-table chain instead of in
-     front of it.  The look-ahead probe runs after the current
-     token's insert (so it always sees the current table shape, even
-     when the insert occupies the very slot the probe would stop at, or
-     grows the table); flushes never move slots, so a
-     resolved-after-preload tkey is at worst a benign stale dummy that
-     costs one redundant defer. *)
+     front of it.  The look-ahead probe runs after the current token's
+     insert, so it always sees the current table shape, even when the
+     insert occupies the very slot the probe would stop at, or grows the
+     table. *)
   let window_pass () =
     let last = String.length payload - Tokenizer.token_len in
     if last < 0 then 0
     else begin
       let h1 = ref (slice_hi payload 0 8) and h2 = ref (slice_lo payload 0 8) in
-      let ni = ref 0 and ntk = ref dummy_tkey and nvalid = ref false in
+      let ni = ref (pfind s !h1 !h2) in
+      let ntk = ref (Array.unsafe_get s.ptkeys !ni) in
       for off = 0 to last do
         let ch1 = !h1 and ch2 = !h2 in
-        let i = if !nvalid then !ni else pfind p ch1 ch2 in
-        let fresh = Array.unsafe_get p.ptab (3 * i) < 0 in
-        let i = if fresh then insert_at i ch1 ch2 else i in
-        let tk =
-          if fresh then dummy_tkey
-          else if !nvalid then !ntk
-          else Array.unsafe_get p.ptkeys i
-        in
-        let salt = take_salt i in
+        let i = !ni in
+        let fresh = Array.unsafe_get s.ptab (3 * i) < 0 in
+        let i = if fresh then insert s i ch1 ch2 payload off 8 else i in
+        let tk = if fresh then Array.unsafe_get s.ptkeys i else !ntk in
+        let salt = take_salt s i in
         (* look ahead one window before the encrypt below *)
         if off < last then begin
           let b = Char.code (String.unsafe_get payload (off + 8)) in
@@ -663,25 +370,19 @@ let packed_encrypt_into s p ~k_ssl ~base ~tokenization payload buf =
           let nh2 = ((ch2 lsl 8) lor b) land 0xffffffff in
           h1 := nh1;
           h2 := nh2;
-          let k = pfind p nh1 nh2 in
+          let k = pfind s nh1 nh2 in
           ni := k;
-          ntk := Array.unsafe_get p.ptkeys k;
-          nvalid := true
+          ntk := Array.unsafe_get s.ptkeys k
         end;
-        emit i tk salt (base + off)
+        emit tk salt (base + off)
       done;
       last + 1
     end
   in
   let f count ~off ~len =
-    let h1 = slice_hi payload off len in
-    let h2 = slice_lo payload off len in
-    let i = pfind p h1 h2 in
-    let i =
-      if Array.unsafe_get p.ptab (3 * i) >= 0 then i else insert_at i h1 h2
-    in
-    let salt = take_salt i in
-    emit i (Array.unsafe_get p.ptkeys i) salt (base + off);
+    let i = slot s payload off len in
+    let salt = take_salt s i in
+    emit (Array.unsafe_get s.ptkeys i) salt (base + off);
     count + 1
   in
   let count =
@@ -693,34 +394,11 @@ let packed_encrypt_into s p ~k_ssl ~base ~tokenization payload buf =
     | Delimiter { short_units } ->
       Tokenizer.fold_delimiter ~short_units payload ~init:0 ~f
   in
-  if !cmax > s.max_count then s.max_count <- !cmax;
-  packed_flush p ~k_ssl rec_bytes buf;
-  count
-
-let sender_encrypt_into s ?k_ssl ?(base = 0) ?(tokenization = Window) payload buf =
-  let k_ssl = check_k_ssl s k_ssl in
-  let wire0 = Buffer.length buf in
-  let count =
-    match s.backend with
-    | Packed p -> packed_encrypt_into s p ~k_ssl ~base ~tokenization payload buf
-    | Tbl _ ->
-      let f count ~off ~len =
-        encrypt_slice_into s ~k_ssl ~src:payload ~off ~len
-          ~stream_off:(base + off) buf;
-        count + 1
-      in
-      (match tokenization with
-       | Window -> Tokenizer.fold_window payload ~init:0 ~f
-       | Delimiter { short_units } ->
-         Tokenizer.fold_delimiter ~short_units payload ~init:0 ~f)
-  in
+  flush ();
   Obs.add obs_bytes_in (String.length payload);
   Obs.add obs_wire_bytes (Buffer.length buf - wire0);
   Obs.add obs_tokens count;
-  Obs.set_gauge obs_table_entries
-    (match s.backend with
-     | Tbl tbl -> Counter_tbl.length tbl
-     | Packed p -> p.poccupied);
+  Obs.set_gauge obs_table_entries s.poccupied;
   Obs.set_gauge obs_max_count s.max_count;
   count
 
@@ -734,7 +412,7 @@ let encode_tokens toks =
   let scratch = Bytes.create exact_record_bytes in
   List.iter
     (fun { cipher; embed; offset } ->
-       put_record_head scratch (if embed = None then '\000' else '\001') cipher offset;
+       put_record_at scratch 0 (if embed = None then '\000' else '\001') cipher offset;
        Buffer.add_subbytes buf scratch 0 exact_record_bytes;
        match embed with None -> () | Some e -> Buffer.add_string buf e)
     toks;

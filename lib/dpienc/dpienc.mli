@@ -30,23 +30,15 @@ val key_of_secret : string -> key
     circuit. *)
 val raw_key_of_secret : string -> string
 
-(** The AES kernel knob (re-export of {!Bbx_crypto.Aes_bs.kernel}):
-    [Scalar] is the single-block T-table path, kept as the differential
-    oracle; [Bitsliced] routes same-key batch work — first-seen token
-    encryption on the sender, rule-prep chunk sweeps — through
-    {!Bbx_crypto.Aes_bs}.  Both produce byte-identical wire output. *)
-type aes_kernel = Bbx_crypto.Aes_bs.kernel = Scalar | Bitsliced
+(** Kept only for the [e2ebench/] harness, which passes
+    [~kernel:Bitsliced] to {!sender_create}; the argument is ignored.  It
+    goes in the next benchmark change. *)
+type aes_kernel = Bbx_crypto.Aes.kernel = Bitsliced
 
 (** [token_enc key t] is [AES_k(t)] for a [Tokenizer.token_len]-byte token —
     the "encrypted rule" the middlebox obtains through obfuscated rule
     encryption.  Raises [Invalid_argument] on wrong token length. *)
 val token_enc : key -> string -> string
-
-(** [token_enc_batch key toks] = [Array.map (token_enc key) toks], swept
-    through the bitsliced kernel [Aes_bs.width] blocks at a time (every
-    chunk of a ruleset is encrypted under the one session key — the
-    same-key batch that dominates rule preparation at fleet scale). *)
-val token_enc_batch : key -> string array -> string array
 
 (** A token key is the expanded [AES_{AES_k(t)}] cipher; building one is the
     expensive step so both sides cache it per token value. *)
@@ -87,15 +79,8 @@ type sender
 
 (** [sender_create ?kernel mode key ~salt0] — [salt0] must be even in
     probable-cause mode (odd salts are reserved for the embedding
-    ciphertext).  [kernel] (default [Scalar]) picks the hot-path
-    implementation: [Bitsliced] replaces the counter hashtable with a
-    packed open-addressing table (tokens as two 32-bit ints), defers
-    first-seen [AES_k(t)] into bitsliced same-key sweeps, and stages wire
-    records in a sweep buffer — byte-identical output, same counter
-    semantics, both modes. *)
+    ciphertext).  [kernel] is ignored (see {!aes_kernel}). *)
 val sender_create : ?kernel:aes_kernel -> mode -> key -> salt0:int -> sender
-
-val sender_kernel : sender -> aes_kernel
 
 (** [sender_encrypt sender ?k_ssl tokens] encrypts a batch.  [k_ssl]
     (16 bytes) is required in [Probable] mode and ignored in [Exact]. *)
@@ -116,9 +101,8 @@ val salt_stride : mode -> int
 
     The streaming API tokenizes, encrypts and serialises in one pass, with
     no per-token records or strings: the counter table is consulted with
-    [(payload, off)] slices through a reused probe key (a seeded FNV hash
-    over the logical token bytes), and wire bytes go straight into the
-    caller's [Buffer].  It shares the counter table with the legacy list
+    [(payload, off)] slices packed into two integer words, and wire bytes
+    go straight into the caller's [Buffer].  It shares the counter table with the legacy list
     API, so the two may be mixed on one [sender] and produce the identical
     byte stream for the identical payload sequence. *)
 
@@ -133,16 +117,6 @@ type tokenization = Window | Delimiter of { short_units : bool }
 val sender_encrypt_into :
   sender -> ?k_ssl:string -> ?base:int -> ?tokenization:tokenization ->
   string -> Buffer.t -> int
-
-(** [encrypt_slice_into sender ~k_ssl ~src ~off ~len ~stream_off buf]
-    encrypts one token slice ([src.[off..off+len-1]], zero-padded when
-    [len < Tokenizer.token_len]) and appends its wire record to [buf].
-    [k_ssl] must already be validated ([Some] iff the sender is in
-    [Probable] mode) — this is the raw building block under
-    {!sender_encrypt_into}. *)
-val encrypt_slice_into :
-  sender -> k_ssl:string option -> src:string -> off:int -> len:int ->
-  stream_off:int -> Buffer.t -> unit
 
 (** Wire encoding of a batch of encrypted tokens: per token a flag byte,
     5-byte cipher and 4-byte offset, plus the 16-byte embed in [Probable]

@@ -123,8 +123,6 @@ type t = {
   budget : budget;
   direction : string;                          (* record-layer direction of
                                                   the inspected stream *)
-  kernel : Dpienc.aes_kernel;                  (* AES path for tier-3 record
-                                                  decryption (CTR keystream) *)
   mutable rules : Rule.t array;
   mutable classes : Classify.protocol_class array; (* rule_idx -> class *)
   mutable chunks : string array;               (* chunk_id -> chunk bytes *)
@@ -240,7 +238,7 @@ let rebuild_prefilter t =
 
 let create ?(index = Bbx_detect.Detect.Hash) ?(tier = Classify.Protocol_III)
     ?(budget = default_budget) ?(direction = "client->server")
-    ?(kernel = Dpienc.Scalar) ?prepared ?keys ?prefilter ~mode ~salt0 ~rules
+    ?kernel:_ ?prepared ?keys ?prefilter ~mode ~salt0 ~rules
     ~enc_chunk () =
   let chunks, encs =
     match prepared with
@@ -264,7 +262,6 @@ let create ?(index = Bbx_detect.Detect.Hash) ?(tier = Classify.Protocol_III)
       tier;
       budget;
       direction;
-      kernel;
       rules;
       classes = [||];
       chunks;
@@ -427,7 +424,7 @@ let pump t =
       | None ->
         let key = Option.get t.recovered in
         let r =
-          Bbx_tls.Record.create ~kernel:t.kernel ~key ~direction:t.direction ()
+          Bbx_tls.Record.create ~key ~direction:t.direction ()
         in
         t.reader <- Some r;
         Obs.incr obs_escalations;
@@ -805,7 +802,7 @@ let snapshot t =
 
 let fail fmt = Printf.ksprintf invalid_arg ("Engine.restore: " ^^ fmt)
 
-let restore ?(kernel = Dpienc.Scalar) blob =
+let restore blob =
   match
     let cur = Codec.cursor blob in
     let version = Codec.get_u8 cur in
@@ -915,7 +912,7 @@ let restore ?(kernel = Dpienc.Scalar) blob =
     Codec.finish cur;
     let budget = { max_plain_bytes; max_scan_ms } in
     let t =
-      create ~index ~tier ~budget ~direction ~kernel ~prepared:(chunks, encs)
+      create ~index ~tier ~budget ~direction ~prepared:(chunks, encs)
         ~mode ~salt0:(if mode = Dpienc.Probable then salt0 land lnot 1 else salt0)
         ~rules ~enc_chunk:(fun _ -> assert false) ()
     in
@@ -934,7 +931,7 @@ let restore ?(kernel = Dpienc.Scalar) blob =
      | None -> ()
      | Some seq ->
        let r =
-         Bbx_tls.Record.create ~kernel ~key:(Option.get recovered) ~direction ()
+         Bbx_tls.Record.create ~key:(Option.get recovered) ~direction ()
        in
        Bbx_tls.Record.set_seq r seq;
        t.reader <- Some r);

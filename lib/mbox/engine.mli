@@ -80,9 +80,7 @@ val prepare_prefilter : Bbx_rules.Rule.t list -> prefilter_prep
     [budget] bounds Protocol III work; [direction] (default
     ["client->server"]) is the record-layer direction of the inspected
     stream, needed to decrypt records shipped via {!record_stream};
-    [kernel] (default [Scalar]) picks the AES path for that tier-3
-    record decryption — [Bitsliced] batches CTR keystream generation
-    through {!Bbx_crypto.Aes_bs} (byte-identical plaintext recovery).
+    [kernel] is ignored (see {!Bbx_crypto.Aes.kernel}).
 
     At fleet scale the per-connection setup cost is chunk recomputation,
     the [enc_chunk] calls, AES key expansion and the prefilter automaton
@@ -234,7 +232,5 @@ val snapshot : t -> string
 (** Rebuild an engine from {!snapshot} output.  Raises
     [Invalid_argument] on any malformed, truncated or inconsistent blob
     — callers must validate untrusted blobs on the front side (by calling
-    this) before handing state to a worker domain.  [kernel] (default
-    [Scalar]) is host configuration, not connection state, so it is not
-    carried in the blob — the restoring host picks its own AES path. *)
-val restore : ?kernel:Bbx_dpienc.Dpienc.aes_kernel -> string -> t
+    this) before handing state to a worker domain. *)
+val restore : string -> t

@@ -38,13 +38,11 @@ type t
     preparation per connection anyway).  [index] (default
     {!Bbx_detect.Detect.Hash}) selects the cipher-index backend for every
     engine; [tier] (default [Protocol_III]) and [budget] configure each
-    engine's escalation behaviour (see {!Engine.create}); [kernel]
-    (default [Scalar]) is the AES path for tier-3 record decryption. *)
+    engine's escalation behaviour (see {!Engine.create}). *)
 val create :
   ?index:Bbx_detect.Detect.index_backend ->
   ?tier:Bbx_rules.Classify.protocol_class ->
   ?budget:Engine.budget ->
-  ?kernel:Bbx_dpienc.Dpienc.aes_kernel ->
   mode:Bbx_dpienc.Dpienc.mode -> rules:Bbx_rules.Rule.t list -> unit -> t
 
 (** [register ?direction ?prepared ?keys ?prefilter t ~conn_id ~salt0

@@ -42,7 +42,6 @@ type t = {
   index : Bbx_detect.Detect.index_backend;  (* cipher-index backend for new engines *)
   tier : Bbx_rules.Classify.protocol_class; (* highest protocol new engines run *)
   budget : Engine.budget;                   (* Protocol III escalation budget *)
-  kernel : Bbx_dpienc.Dpienc.aes_kernel;    (* AES path for new engines *)
   mutable rules : Bbx_rules.Rule.t list;   (* current ruleset for new registrations *)
   conns : (conn_id, conn) Hashtbl.t;
   mutable total_tokens : int;
@@ -52,9 +51,8 @@ type t = {
 }
 
 let create ?(index = Bbx_detect.Detect.Hash) ?(tier = Bbx_rules.Classify.Protocol_III)
-    ?(budget = Engine.default_budget) ?(kernel = Bbx_dpienc.Dpienc.Scalar)
-    ~mode ~rules () =
-  { mode; index; tier; budget; kernel; rules; conns = Hashtbl.create 64;
+    ?(budget = Engine.default_budget) ~mode ~rules () =
+  { mode; index; tier; budget; rules; conns = Hashtbl.create 64;
     total_tokens = 0; total_keyword_hits = 0; alerts = 0; blocked_count = 0 }
 
 let mode t = t.mode
@@ -64,7 +62,7 @@ let register ?direction ?prepared ?keys ?prefilter t ~conn_id ~salt0 ~enc_chunk 
     invalid_arg (Printf.sprintf "Middlebox.register: connection %d exists" conn_id);
   let engine =
     Engine.create ~index:t.index ~tier:t.tier ~budget:t.budget ?direction
-      ~kernel:t.kernel ?prepared ?keys ?prefilter ~mode:t.mode ~salt0
+      ?prepared ?keys ?prefilter ~mode:t.mode ~salt0
       ~rules:t.rules ~enc_chunk ()
   in
   Hashtbl.add t.conns conn_id
@@ -218,13 +216,13 @@ let export_conn t ~conn_id =
   Obs.add_gauge obs_connections (-1);
   Buffer.contents b
 
-let parse_export ?mode ?kernel blob =
+let parse_export ?mode blob =
   match
     let cur = Codec.cursor blob in
     let version = Codec.get_u8 cur in
     if version <> export_version then
       invalid_arg (Printf.sprintf "Shard.parse_export: unknown version %d" version);
-    let engine = Engine.restore ?kernel (Codec.get_str32 cur) in
+    let engine = Engine.restore (Codec.get_str32 cur) in
     (match mode with
      | Some m when Engine.mode engine <> m ->
        invalid_arg "Shard.parse_export: mode mismatch"

@@ -36,13 +36,11 @@ type t
     {!Bbx_detect.Detect.Hash}) is the cipher-index backend used by every
     engine this shard registers; [tier] (default [Protocol_III]) and
     [budget] (default {!Engine.default_budget}) configure every engine's
-    escalation behaviour; [kernel] (default [Scalar]) is the AES path
-    every engine uses for tier-3 record decryption. *)
+    escalation behaviour. *)
 val create :
   ?index:Bbx_detect.Detect.index_backend ->
   ?tier:Bbx_rules.Classify.protocol_class ->
   ?budget:Engine.budget ->
-  ?kernel:Bbx_dpienc.Dpienc.aes_kernel ->
   mode:Bbx_dpienc.Dpienc.mode -> rules:Bbx_rules.Rule.t list -> unit -> t
 
 (** The DPIEnc mode this shard inspects. *)
@@ -135,15 +133,11 @@ val export_conn : t -> conn_id:conn_id -> string
 (** A parsed, fully validated export blob, ready to adopt. *)
 type imported
 
-(** [parse_export ?mode ?kernel blob] validates and rebuilds the
+(** [parse_export ?mode blob] validates and rebuilds the
     connection state.  Raises [Invalid_argument] on any malformed blob,
     or when [mode] is given and does not match the snapshot — call this
-    on the front side so worker domains only ever see valid state.
-    [kernel] (default [Scalar]) is the adopting host's AES path — it is
-    host configuration, never part of the blob. *)
-val parse_export :
-  ?mode:Bbx_dpienc.Dpienc.mode -> ?kernel:Bbx_dpienc.Dpienc.aes_kernel ->
-  string -> imported
+    on the front side so worker domains only ever see valid state. *)
+val parse_export : ?mode:Bbx_dpienc.Dpienc.mode -> string -> imported
 
 (** [adopt t ~conn_id c] installs a parsed connection (gauge +1).
     Infallible (replaces any existing [conn_id] — callers check for

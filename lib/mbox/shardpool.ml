@@ -41,7 +41,6 @@ type result = {
 type t = {
   pool : (Shard.t, result) Pool.t;
   mode : Bbx_dpienc.Dpienc.mode;           (* for validating imported state *)
-  kernel : Bbx_dpienc.Dpienc.aes_kernel;   (* AES path for imported engines *)
   registered : (conn_id, int) Hashtbl.t;   (* front-side pin table:
                                               conn_id -> owning shard (also
                                               the duplicate/unknown guard) *)
@@ -62,17 +61,16 @@ let shard_of t conn_id op =
 
 let default_domains = Pool.default_domains
 
-let create ?domains ?capacity ?batch_max ?index ?tier ?budget
-    ?(kernel = Bbx_dpienc.Dpienc.Scalar) ~mode ~rules () =
+let create ?domains ?capacity ?batch_max ?index ?tier ?budget ~mode ~rules () =
   let n = match domains with Some n -> n | None -> default_domains () in
   if n < 1 then invalid_arg "Shardpool.create: domains must be >= 1";
   let pool =
     Pool.create ~domains:n ?capacity ?batch_max
-      ~state:(fun _ -> Shard.create ?index ?tier ?budget ~kernel ~mode ~rules ())
+      ~state:(fun _ -> Shard.create ?index ?tier ?budget ~mode ~rules ())
       ()
   in
   Obs.set_gauge obs_domains n;
-  { pool; mode; kernel; registered = Hashtbl.create 64 }
+  { pool; mode; registered = Hashtbl.create 64 }
 
 let domains t = Pool.domains t.pool
 
@@ -153,6 +151,10 @@ let unregister t ~conn_id =
     Hashtbl.remove t.registered conn_id;
     Pool.exec t.pool ~worker (fun core -> Shard.unregister core ~conn_id)
 
+let barrier t =
+  check_live t "barrier";
+  Pool.barrier t.pool
+
 let drain t ~f =
   check_live t "drain";
   Pool.drain t.pool ~f:(fun ~seq r -> f ~seq ~conn_id:r.r_conn r.r_verdicts)
@@ -223,7 +225,7 @@ let import_conn ?shard t ~conn_id blob =
   (* Parse and validate on the front side: a malformed blob raises here,
      where the caller can reject it, never on a worker domain (a worker
      exception poisons the pool). *)
-  let c = Shard.parse_export ~mode:t.mode ~kernel:t.kernel blob in
+  let c = Shard.parse_export ~mode:t.mode blob in
   Hashtbl.add t.registered conn_id worker;
   Pool.exec t.pool ~worker (fun core -> Shard.adopt core ~conn_id c);
   Obs.incr obs_migrations
@@ -289,10 +291,6 @@ let shutdown t =
     Obs.set_gauge obs_domains 0
   end
 
-let with_pool ?domains ?capacity ?batch_max ?index ?tier ?budget ?kernel ~mode
-    ~rules f =
-  let t =
-    create ?domains ?capacity ?batch_max ?index ?tier ?budget ?kernel ~mode
-      ~rules ()
-  in
+let with_pool ?domains ?capacity ?batch_max ?index ?tier ?budget ~mode ~rules f =
+  let t = create ?domains ?capacity ?batch_max ?index ?tier ?budget ~mode ~rules () in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)

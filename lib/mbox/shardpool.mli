@@ -46,9 +46,7 @@ type t
     messages a worker dequeues per lock acquisition.  [index] (default
     {!Bbx_detect.Detect.Hash}) selects the cipher-index backend every
     shard builds its engines with; [tier]/[budget] configure every
-    engine's escalation behaviour (see {!Shard.create}); [kernel]
-    (default [Scalar]) is the AES path every shard's engines use for
-    tier-3 record decryption, and the path imported connections adopt. *)
+    engine's escalation behaviour (see {!Shard.create}). *)
 val create :
   ?domains:int ->
   ?capacity:int ->
@@ -56,7 +54,6 @@ val create :
   ?index:Bbx_detect.Detect.index_backend ->
   ?tier:Bbx_rules.Classify.protocol_class ->
   ?budget:Engine.budget ->
-  ?kernel:Bbx_dpienc.Dpienc.aes_kernel ->
   mode:Bbx_dpienc.Dpienc.mode ->
   rules:Bbx_rules.Rule.t list ->
   unit ->
@@ -137,6 +134,11 @@ val update_rules :
 (** [unregister t ~conn_id] — idempotent teardown. *)
 val unregister : t -> conn_id:conn_id -> unit
 
+(** [barrier t] waits until every shard has run every message submitted
+    so far — registrations and unregistrations included — then re-raises
+    the first worker-side exception, if any. *)
+val barrier : t -> unit
+
 val is_blocked : t -> conn_id:conn_id -> bool
 
 (** Aggregate statistics summed over all shards (quiesces first). *)
@@ -202,7 +204,6 @@ val with_pool :
   ?index:Bbx_detect.Detect.index_backend ->
   ?tier:Bbx_rules.Classify.protocol_class ->
   ?budget:Engine.budget ->
-  ?kernel:Bbx_dpienc.Dpienc.aes_kernel ->
   mode:Bbx_dpienc.Dpienc.mode ->
   rules:Bbx_rules.Rule.t list ->
   (t -> 'a) ->

@@ -2,15 +2,9 @@ open Bbx_crypto
 
 exception Auth_failure
 
-(* [bs] carries the bitsliced view of [enc_key] plus a reusable batch: CTR
-   keystream blocks are independent and all records of a stream share one
-   key, so sealing/opening generates keystream [Aes_bs.width] blocks per
-   kernel call instead of one [Aes.encrypt] per block.  Byte-identical to
-   the scalar path (differential-pinned in test_tls). *)
 type t = {
   enc_key : Aes.key;
   mac_key : string;
-  bs : (Aes_bs.key * Aes_bs.batch) option;
   mutable seq : int;
 }
 
@@ -18,16 +12,10 @@ let tag_len = 32
 let header_len = 12 (* u32 length + u64 sequence *)
 let overhead = header_len + tag_len
 
-let create ?(kernel = Aes_bs.Scalar) ~key ~direction () =
+let create ?kernel:_ ~key ~direction () =
   let enc = Kdf.derive ~secret:key ~label:("record-enc:" ^ direction) 16 in
   let mac = Kdf.derive ~secret:key ~label:("record-mac:" ^ direction) 32 in
-  let enc_key = Aes.expand_key enc in
-  let bs =
-    match kernel with
-    | Aes_bs.Scalar -> None
-    | Aes_bs.Bitsliced -> Some (Aes_bs.key_of_aes enc_key, Aes_bs.create_batch ())
-  in
-  { enc_key; mac_key = mac; bs; seq = 0 }
+  { enc_key = Aes.expand_key enc; mac_key = mac; seq = 0 }
 
 let seq t = t.seq
 
@@ -37,15 +25,10 @@ let set_seq t seq =
 
 let nonce seq = String.make 4 '\000' ^ "rec:" ^ Util.u64_be seq
 
-let ctr t ~nonce data =
-  match t.bs with
-  | None -> Aes.ctr_transform t.enc_key ~nonce data
-  | Some (k, b) -> Aes_bs.ctr_transform k b ~nonce data
-
 let seal t plaintext =
   let seq = t.seq in
   t.seq <- seq + 1;
-  let ct = ctr t ~nonce:(nonce seq) plaintext in
+  let ct = Aes.ctr_transform t.enc_key ~nonce:(nonce seq) plaintext in
   let header = Util.u32_be (String.length ct) ^ Util.u64_be seq in
   let tag = Hmac.mac ~key:t.mac_key (header ^ ct) in
   header ^ ct ^ tag
@@ -61,4 +44,4 @@ let open_ t record =
   let tag = String.sub record (header_len + len) tag_len in
   if not (Hmac.verify ~key:t.mac_key ~tag (header ^ ct)) then raise Auth_failure;
   t.seq <- seq + 1;
-  ctr t ~nonce:(nonce seq) ct
+  Aes.ctr_transform t.enc_key ~nonce:(nonce seq) ct

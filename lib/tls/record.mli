@@ -12,12 +12,10 @@ type t
 
 (** [create ?kernel ~key ~direction] builds one half-duplex session
     state.  Both ends must create matching states ("client->server" on the
-    sender's writer and the receiver's reader, etc.).  [kernel] (default
-    [Scalar]) picks the CTR keystream path: [Bitsliced] generates
-    keystream [Bbx_crypto.Aes_bs.width] blocks per kernel call —
-    byte-identical records either way, so the two ends may differ. *)
+    sender's writer and the receiver's reader, etc.).  [kernel] is ignored
+    (see {!Bbx_crypto.Aes.kernel}). *)
 val create :
-  ?kernel:Bbx_crypto.Aes_bs.kernel -> key:string -> direction:string ->
+  ?kernel:Bbx_crypto.Aes.kernel -> key:string -> direction:string ->
   unit -> t
 
 (** [seal t plaintext] encrypts and authenticates the next record. *)

@@ -190,39 +190,85 @@ let wire_tests =
           [ Exact; Probable ]);
   ]
 
-(* ---- bitsliced sender differentials ----
+(* ---- reference sender differentials ----
 
-   The [Bitsliced] kernel replaces the counter hashtable, defers first-seen
-   token encryption into batched kernel sweeps and stages wire records —
-   none of which may change a single wire byte.  Drive a scalar and a
-   bitsliced sender through identical payload sequences (both modes, both
-   tokenizations, across salt resets and with the legacy per-token API
+   The sender's packed counter table, rolling window and sweep-staged
+   wire output may not change a single wire byte.  The reference below
+   spells §3.2 out directly: a [Hashtbl] of counters keyed by token
+   value, the i-th occurrence salted [salt0 + stride * i], one 10-byte
+   record (flag, 5-byte cipher, 4-byte offset) plus the 16-byte embed in
+   Probable mode, and a reset that moves [salt0] past every salt used.
+   Drive both through identical payload sequences (both modes, both
+   tokenizations, across salt resets and with the per-token list API
    interleaved) and require byte equality. *)
+
+type ref_sender = {
+  r_mode : mode;
+  mutable r_salt0 : int;
+  r_counts : (string, int) Hashtbl.t;   (* padded token -> occurrences *)
+}
+
+let ref_create mode ~salt0 = { r_mode = mode; r_salt0 = salt0; r_counts = Hashtbl.create 64 }
+
+(* odd salts carry the Probable-mode embed *)
+let ref_stride r = match r.r_mode with Exact -> 1 | Probable -> 2
+
+let ref_encrypt r ~k_ssl buf tok ~offset =
+  let n = Option.value (Hashtbl.find_opt r.r_counts tok) ~default:0 in
+  Hashtbl.replace r.r_counts tok (n + 1);
+  let salt = r.r_salt0 + (ref_stride r * n) in
+  let tk = token_key key tok in
+  let cipher = encrypt tk ~salt in
+  let add_be v bytes =
+    for i = bytes - 1 downto 0 do
+      Buffer.add_char buf (Char.chr ((v lsr (8 * i)) land 0xff))
+    done
+  in
+  Buffer.add_char buf (if k_ssl = None then '\000' else '\001');
+  add_be cipher 5;
+  add_be offset 4;
+  Option.iter
+    (fun k -> Buffer.add_string buf (Bbx_crypto.Util.xor (encrypt_full tk ~salt:(salt + 1)) k))
+    k_ssl
+
+let ref_encrypt_into r ~k_ssl ~base ~tokenization payload buf =
+  let f n ~off ~len =
+    ref_encrypt r ~k_ssl buf (t8 (String.sub payload off len)) ~offset:(base + off);
+    n + 1
+  in
+  match tokenization with
+  | Window -> fold_window payload ~init:0 ~f
+  | Delimiter { short_units } -> fold_delimiter ~short_units payload ~init:0 ~f
+
+let ref_reset r =
+  let max_count = Hashtbl.fold (fun _ c m -> max c m) r.r_counts 0 in
+  r.r_salt0 <- r.r_salt0 + (ref_stride r * (max_count + 1));
+  Hashtbl.reset r.r_counts;
+  r.r_salt0
 
 let drive_pair ~mode ~tokenization ~payloads ~resets_at ~interleave_at =
   let salt0 = 100 in
   let k_ssl = if mode = Probable then Some (String.init 16 Char.chr) else None in
-  let s_sc = sender_create ~kernel:Scalar mode key ~salt0 in
-  let s_bs = sender_create ~kernel:Bitsliced mode key ~salt0 in
-  let out_sc = Buffer.create 256 and out_bs = Buffer.create 256 in
+  let s = sender_create mode key ~salt0 in
+  let r = ref_create mode ~salt0 in
+  let out_s = Buffer.create 256 and out_r = Buffer.create 256 in
   List.iteri
     (fun i payload ->
        if List.mem i interleave_at then begin
-         (* legacy per-token API on both senders: shares the counter table
-            with the streaming path *)
+         (* the per-token list API shares the counter table with the
+            streaming path *)
          let toks = mk_tokens [ t8 "mix"; t8 "mix" ] in
-         Buffer.add_string out_sc (encode_tokens (sender_encrypt s_sc ?k_ssl toks));
-         Buffer.add_string out_bs (encode_tokens (sender_encrypt s_bs ?k_ssl toks))
+         Buffer.add_string out_s (encode_tokens (sender_encrypt s ?k_ssl toks));
+         List.iter (fun tok -> ref_encrypt r ~k_ssl out_r tok.content ~offset:tok.offset) toks
        end;
-       let n_sc = sender_encrypt_into s_sc ?k_ssl ~base:(i * 1000) ~tokenization payload out_sc in
-       let n_bs = sender_encrypt_into s_bs ?k_ssl ~base:(i * 1000) ~tokenization payload out_bs in
-       Alcotest.(check int) "token count" n_sc n_bs;
-       if List.mem i resets_at then begin
-         let r_sc = sender_reset s_sc and r_bs = sender_reset s_bs in
-         Alcotest.(check int) "reset salt0" r_sc r_bs
-       end)
+       let base = i * 1000 in
+       let n_s = sender_encrypt_into s ?k_ssl ~base ~tokenization payload out_s in
+       let n_r = ref_encrypt_into r ~k_ssl ~base ~tokenization payload out_r in
+       Alcotest.(check int) "token count" n_r n_s;
+       if List.mem i resets_at then
+         Alcotest.(check int) "reset salt0" (ref_reset r) (sender_reset s))
     payloads;
-  Alcotest.(check string) "wire bytes" (Buffer.contents out_sc) (Buffer.contents out_bs)
+  Alcotest.(check string) "wire bytes" (Buffer.contents out_r) (Buffer.contents out_s)
 
 let repeat_heavy =
   (* few distinct tokens, deep counters *)
@@ -245,19 +291,10 @@ let kernel_tests =
     case "wire equality: exact / delimiter" Exact (Delimiter { short_units = true });
     case "wire equality: probable / window" Probable Window;
     case "wire equality: probable / delimiter" Probable (Delimiter { short_units = false });
-    Alcotest.test_case "token_enc_batch equals token_enc" `Quick (fun () ->
-        let toks =
-          Array.init 150 (fun i -> t8 (Printf.sprintf "t%06d" i))
-        in
-        let batch = token_enc_batch key toks in
-        Array.iteri
-          (fun i t ->
-             Alcotest.(check string) "enc" (token_enc key t) batch.(i))
-          toks;
-        Alcotest.(check int) "empty" 0 (Array.length (token_enc_batch key [||])));
     Alcotest.test_case "packed table growth survives (many distinct tokens)" `Quick (fun () ->
-        (* >2048 distinct tokens forces several in-sweep grows; equality
-           with the scalar sender proves no sweep entry went stale *)
+        (* >2048 distinct tokens forces several grows in mid-payload;
+           equality with the reference proves no slot or look-ahead went
+           stale *)
         let payload =
           String.concat ""
             (List.init 3000 (fun i -> Printf.sprintf "%08d" i))
@@ -265,16 +302,21 @@ let kernel_tests =
         drive_pair ~mode:Exact ~tokenization:Window ~payloads:[ payload ]
           ~resets_at:[] ~interleave_at:[]);
     QCheck_alcotest.to_alcotest
-      (QCheck.Test.make ~name:"qcheck wire equality scalar vs bitsliced" ~count:60
+      (QCheck.Test.make ~name:"qcheck wire equality vs reference sender" ~count:60
          QCheck.(
-           triple bool
+           quad bool (int_bound 2)
              (list_of_size (QCheck.Gen.int_range 1 6)
                 (string_of_size (QCheck.Gen.int_range 0 200)))
              (small_list (int_bound 5)))
-         (fun (probable, payloads, resets) ->
+         (fun (probable, tok, payloads, resets) ->
             let mode = if probable then Probable else Exact in
-            drive_pair ~mode ~tokenization:Window ~payloads
-              ~resets_at:resets ~interleave_at:[];
+            let tokenization =
+              match tok with
+              | 0 -> Window
+              | t -> Delimiter { short_units = t = 1 }
+            in
+            drive_pair ~mode ~tokenization ~payloads ~resets_at:resets
+              ~interleave_at:[];
             true));
   ]
 

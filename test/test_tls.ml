@@ -74,31 +74,6 @@ let record_tests =
           go 0
         in
         Alcotest.(check bool) "hidden" false (contains rec_ "supersecret"));
-    Alcotest.test_case "bitsliced kernel seals byte-identical records" `Quick
-      (fun () ->
-        (* same key + direction, one writer per kernel: every sealed record
-           must match byte for byte — including payloads longer than one
-           bitsliced sweep (63 blocks = 1008 bytes) and the empty record *)
-        let ws = Record.create ~kernel:Aes_bs.Scalar ~key:"k" ~direction:"d" () in
-        let wb = Record.create ~kernel:Aes_bs.Bitsliced ~key:"k" ~direction:"d" () in
-        List.iter
-          (fun msg ->
-            Alcotest.(check string) "sealed bytes" (Record.seal ws msg)
-              (Record.seal wb msg))
-          [ "hello"; ""; String.make 1009 'x'; String.make 4096 '\x7f';
-            String.init 2000 (fun i -> Char.chr (i land 0xff)); "tail" ]);
-    Alcotest.test_case "kernels interoperate across the wire" `Quick (fun () ->
-        (* scalar writer -> bitsliced reader and the reverse: the kernel is
-           a per-host choice, not a protocol parameter *)
-        let ws = Record.create ~kernel:Aes_bs.Scalar ~key:"k" ~direction:"d" () in
-        let rb = Record.create ~kernel:Aes_bs.Bitsliced ~key:"k" ~direction:"d" () in
-        let wb = Record.create ~kernel:Aes_bs.Bitsliced ~key:"k" ~direction:"d" () in
-        let rs = Record.create ~kernel:Aes_bs.Scalar ~key:"k" ~direction:"d" () in
-        List.iter
-          (fun msg ->
-            Alcotest.(check string) "s->b" msg (Record.open_ rb (Record.seal ws msg));
-            Alcotest.(check string) "b->s" msg (Record.open_ rs (Record.seal wb msg)))
-          [ "one"; String.make 3000 'y'; "three" ]);
   ]
 
 let ssldump_tests =
