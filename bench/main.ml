@@ -28,7 +28,7 @@ let experiments =
     ("pipeline", "Token pipeline: legacy list path vs streaming path", Pipeline.run);
     ("obs-overhead", "Observability: instrumented vs uninstrumented hot path (<=5% gate)", Obs_overhead.run);
     ("trace-overhead", "Flight recorder: tracing on vs off through blindboxd (<=5% gate)", Obs_overhead.run_trace);
-    ("parallel", "Middlebox scaling across OCaml domains (Shardpool at 1/2/4 workers)", Parallel.run);
+    ("parallel", "Shardpool scaling across OCaml domains (1/2/4 workers)", Parallel.run);
     ("fleet", "Fleet-scale state: shared rule prep, bytes/conn, migration under load", Fleet.run);
     ("setup-parallel", "Rule-setup scaling across OCaml domains (Ruleprep at 1/2/4 workers)", Setup_parallel.run);
     ("daemon", "blindboxd end to end: loadgen over Unix sockets at 1/2/4/8 connections", Daemon_bench.run);

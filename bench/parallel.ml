@@ -1,4 +1,4 @@
-(* Middlebox scaling across OCaml domains: the same interleaved
+(* Shardpool scaling across OCaml domains: the same interleaved
    multi-connection delivery trace pushed through Shardpool at 1, 2 and 4
    worker domains.  Senders are pre-run — every wire is encrypted before
    the clock starts — so the timed region is exactly the middlebox side:
@@ -55,11 +55,13 @@ let build_conns ~conns ~wires_per_conn ~chunks =
 (* One measured run: fresh pool (register untimed), timed submit+drain of
    the round-robin interleaved trace, stats for the determinism check. *)
 let run_once ~domains ~rules ~conns ~wires_per_conn =
-  Bbx_mbox.Shardpool.with_pool ~domains ~mode:Dpienc.Exact ~rules (fun pool ->
+  let ruleset = Bbx_mbox.Engine.ruleset rules in
+  Bbx_mbox.Shardpool.with_pool ~domains Bbx_mbox.Engine.default_config (fun pool ->
       Array.iter
         (fun c ->
            Bbx_mbox.Shardpool.register pool ~conn_id:c.cs_id ~salt0:0
-             ~enc_chunk:c.cs_enc_chunk)
+             ~direction:"client->server" (fun () ->
+               Bbx_mbox.Engine.keys ruleset ~enc_chunk:c.cs_enc_chunk))
         conns;
       ignore (Bbx_mbox.Shardpool.stats pool : Bbx_mbox.Shardpool.stats); (* quiesce *)
       let t0 = Unix.gettimeofday () in
@@ -76,8 +78,8 @@ let run_once ~domains ~rules ~conns ~wires_per_conn =
 let run () =
   let smoke = Array.exists (fun a -> a = "--smoke") Sys.argv in
   Bench_util.section
-    (if smoke then "Middlebox domain scaling (smoke)"
-     else "Middlebox domain scaling: Shardpool at 1/2/4 domains");
+    (if smoke then "Shardpool domain scaling (smoke)"
+     else "Shardpool domain scaling at 1/2/4 domains");
   let cores = Domain.recommended_domain_count () in
   let n_conns = if smoke then 4 else 8 in
   let wires_per_conn = if smoke then 64 else 128 in

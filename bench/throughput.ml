@@ -15,7 +15,7 @@ open Bbx_tokenizer
 let traffic_bytes = 2 * 1024 * 1024
 
 let run () =
-  Bench_util.section "Middlebox throughput: BlindBox Detect vs Snort-like baseline";
+  Bench_util.section "Detection throughput: BlindBox Detect vs Snort-like baseline";
   let rules = Datasets.generate Datasets.Emerging_threats ~n:3000 in
   let keywords = Datasets.distinct_keywords rules in
   let chunks = Bbx_mbox.Engine.distinct_chunks rules in

@@ -119,9 +119,9 @@ let run () =
     (fun tier ->
        let config =
          { Session.default_config with
-           Session.mode = Bbx_dpienc.Dpienc.Probable;
-           rule_prep = Session.Direct;
-           tier }
+           Session.inspect =
+             { Engine.default_config with mode = Bbx_dpienc.Dpienc.Probable; tier };
+           rule_prep = Session.Direct }
        in
        let conns = ref 0 and hits = ref 0 and tier_mismatch = ref 0 in
        let check payload planted_rule =
@@ -178,10 +178,11 @@ let run () =
   let budget_flagged = ref 0 and budget_wrong = ref 0 in
   let tiny =
     { Session.default_config with
-      Session.mode = Bbx_dpienc.Dpienc.Probable;
-      rule_prep = Session.Direct;
-      tier = Classify.Protocol_III;
-      tier_budget = { Engine.max_plain_bytes = 48; max_scan_ms = 0 } }
+      Session.inspect =
+        { mode = Bbx_dpienc.Dpienc.Probable;
+          tier = Classify.Protocol_III;
+          budget = { Engine.max_plain_bytes = 48; max_scan_ms = 0 } };
+      rule_prep = Session.Direct }
   in
   List.iter
     (fun (idx, r) ->

@@ -17,6 +17,7 @@
 open Cmdliner
 open Bbx_rules
 module Obs = Bbx_obs.Obs
+module Dpienc = Bbx_dpienc.Dpienc
 
 (* [--metrics FILE]: shared by all subcommands; wraps each command's body
    so the snapshot is written after the run. *)
@@ -140,8 +141,11 @@ let print_alert v =
      | `Probable_cause -> "probable cause")
     (Bbx_mbox.Engine.detail_name v.Bbx_mbox.Engine.detail)
 
-(* shared tier/budget arguments: which BlindBox protocol the middlebox
-   engines may escalate to, and the per-flow Protocol III budget *)
+(* The middlebox engines' config, one term shared by inspect and serve:
+   the DPIEnc mode, which BlindBox protocol the engines may escalate to,
+   and the per-flow Protocol III budget. *)
+let probable_arg = Arg.(value & flag & info [ "probable-cause" ] ~doc:"Protocol III mode.")
+
 let tier_arg =
   Arg.(value
        & opt
@@ -170,23 +174,17 @@ let budget_ms_arg =
          ~doc:"Per-flow cap on regex-confirmation scan time in milliseconds \
                (0 = unlimited, the default).")
 
-let budget_of ~budget_bytes ~budget_ms =
-  { Bbx_mbox.Engine.max_plain_bytes = budget_bytes; max_scan_ms = budget_ms }
+let mode_of probable = if probable then Dpienc.Probable else Dpienc.Exact
 
-(* shared --detect-index argument: cipher-index backend for the middlebox
-   engines (hash = flat open-addressing index, avl = reference tree) *)
-let detect_index_arg =
-  Arg.(value
-       & opt (enum [ ("hash", Bbx_detect.Detect.Hash); ("avl", Bbx_detect.Detect.Avl) ])
-         Bbx_detect.Detect.Hash
-       & info [ "detect-index" ] ~docv:"BACKEND"
-         ~doc:"Cipher-index backend for detection: $(b,hash) (flat \
-               open-addressing index, the default) or $(b,avl) (the \
-               reference balanced tree).  Both produce identical verdicts.")
+let inspect_config_term =
+  let make probable tier max_plain_bytes max_scan_ms =
+    { Bbx_mbox.Engine.mode = mode_of probable; tier;
+      budget = { Bbx_mbox.Engine.max_plain_bytes; max_scan_ms } }
+  in
+  Term.(const make $ probable_arg $ tier_arg $ budget_bytes_arg $ budget_ms_arg)
 
 let inspect_cmd =
-  let run rules_path probable window domains garbled setup_domains detect_index
-      tier budget_bytes budget_ms metrics =
+  let run rules_path inspect window domains garbled setup_domains metrics =
     with_metrics metrics @@ fun () ->
     let rules =
       match Parser.parse_ruleset (read_file rules_path) with
@@ -198,13 +196,10 @@ let inspect_cmd =
     let open Blindbox in
     let config =
       { Session.default_config with
-        Session.mode = (if probable then Bbx_dpienc.Dpienc.Probable else Bbx_dpienc.Dpienc.Exact);
+        Session.inspect;
         tokenization = (if window then Session.Window else Session.Delimiter);
         rule_prep = (if garbled then Session.Garbled else Session.Direct);
-        setup_domains = max 1 setup_domains;
-        detect_index;
-        tier;
-        tier_budget = budget_of ~budget_bytes ~budget_ms }
+        setup_domains = max 1 setup_domains }
     in
     if domains > 0 then begin
       (* sharded middlebox: the connection lives on a pool worker domain;
@@ -248,7 +243,6 @@ let inspect_cmd =
     end
   in
   let rules = Arg.(required & pos 0 (some file) None & info [] ~docv:"RULES" ~doc:"Rules file.") in
-  let probable = Arg.(value & flag & info [ "probable-cause" ] ~doc:"Protocol III mode.") in
   let window = Arg.(value & flag & info [ "window" ] ~doc:"Window tokenization.") in
   let domains =
     Arg.(value & opt int 0
@@ -274,7 +268,7 @@ let inspect_cmd =
   Cmd.v
     (Cmd.info "inspect"
        ~doc:"Run stdin lines through a sender->middlebox->receiver BlindBox connection")
-    Term.(const run $ rules $ probable $ window $ domains $ garbled $ setup_domains $ detect_index_arg $ tier_arg $ budget_bytes_arg $ budget_ms_arg $ metrics_arg)
+    Term.(const run $ rules $ inspect_config_term $ window $ domains $ garbled $ setup_domains $ metrics_arg)
 
 (* ---- stats ---- *)
 
@@ -291,7 +285,7 @@ let endpoint_conv =
         Format.pp_print_string fmt (Bbx_daemon.Daemon.endpoint_to_string e) )
 
 let stats_cmd =
-  let run socket rules_path probable window sends domains conns garbled setup_domains detect_index format metrics =
+  let run socket rules_path probable window sends domains conns garbled setup_domains format metrics =
     with_metrics metrics @@ fun () ->
     match socket with
     | Some endpoint ->
@@ -359,11 +353,11 @@ let stats_cmd =
     let open Blindbox in
     let config =
       { Session.default_config with
-        Session.mode = (if probable then Bbx_dpienc.Dpienc.Probable else Bbx_dpienc.Dpienc.Exact);
+        Session.inspect =
+          { Bbx_mbox.Engine.default_config with mode = mode_of probable };
         tokenization = (if window then Session.Window else Session.Delimiter);
         rule_prep = (if garbled then Session.Garbled else Session.Direct);
-        setup_domains = max 1 setup_domains;
-        detect_index }
+        setup_domains = max 1 setup_domains }
     in
     (* one keyword per rule woven into otherwise benign traffic *)
     let keywords =
@@ -405,7 +399,6 @@ let stats_cmd =
          & info [ "rules" ] ~docv:"RULES"
            ~doc:"Snort-dialect rules file (default: 50 synthetic Emerging-Threats rules).")
   in
-  let probable = Arg.(value & flag & info [ "probable-cause" ] ~doc:"Protocol III mode.") in
   let window = Arg.(value & flag & info [ "window" ] ~doc:"Window tokenization.") in
   let sends =
     Arg.(value & opt int 20 & info [ "sends" ] ~doc:"Number of payloads in the sample trace.")
@@ -449,13 +442,13 @@ let stats_cmd =
   Cmd.v
     (Cmd.info "stats"
        ~doc:"Drive a sample trace through a BlindBox connection and render the metric registry")
-    Term.(const run $ socket $ rules $ probable $ window $ sends $ domains $ conns $ garbled $ setup_domains $ detect_index_arg $ format $ metrics_arg)
+    Term.(const run $ socket $ rules $ probable_arg $ window $ sends $ domains $ conns $ garbled $ setup_domains $ format $ metrics_arg)
 
 (* ---- serve ---- *)
 
 let serve_cmd =
-  let run socket rules_path probable domains detect_index tier budget_bytes
-      budget_ms high_water rebalance metrics_port trace_out metrics =
+  let run socket rules_path inspect domains high_water rebalance metrics_port
+      trace_out metrics =
     with_metrics metrics @@ fun () ->
     let rules =
       match rules_path with
@@ -468,15 +461,11 @@ let serve_cmd =
       | None -> Datasets.generate Datasets.Emerging_threats ~n:50
     in
     let endpoint = Bbx_daemon.Daemon.endpoint_of_string socket in
-    let mode =
-      if probable then Bbx_dpienc.Dpienc.Probable else Bbx_dpienc.Dpienc.Exact
-    in
     let metrics_ep =
       Option.map (fun p -> Bbx_daemon.Daemon.Tcp ("127.0.0.1", p)) metrics_port
     in
     let cfg =
-      Bbx_daemon.Daemon.config ~mode ?domains ~index:detect_index ~tier
-        ~budget:(budget_of ~budget_bytes ~budget_ms) ~high_water
+      Bbx_daemon.Daemon.config ~inspect ?domains ~high_water
         ?rebalance_every:rebalance ?metrics:metrics_ep ?trace_out ~endpoint
         ~rules ()
     in
@@ -487,8 +476,10 @@ let serve_cmd =
     Printf.printf "# blindboxd listening on %s (%d rules, %s mode, tier %d)\n%!"
       (Bbx_daemon.Daemon.endpoint_to_string endpoint)
       (List.length rules)
-      (if probable then "probable-cause" else "exact")
-      (Classify.rank tier);
+      (match inspect.Bbx_mbox.Engine.mode with
+       | Dpienc.Probable -> "probable-cause"
+       | Dpienc.Exact -> "exact")
+      (Classify.rank inspect.Bbx_mbox.Engine.tier);
     (match metrics_port with
      | Some p -> Printf.printf "# metrics on http://127.0.0.1:%d/metrics\n%!" p
      | None -> ());
@@ -508,7 +499,6 @@ let serve_cmd =
          & info [ "rules" ] ~docv:"RULES"
            ~doc:"Snort-dialect rules file (default: 50 synthetic Emerging-Threats rules).")
   in
-  let probable = Arg.(value & flag & info [ "probable-cause" ] ~doc:"Protocol III mode.") in
   let domains =
     Arg.(value & opt (some int) None
          & info [ "domains" ] ~docv:"N" ~doc:"Shard-pool worker domains.")
@@ -543,7 +533,7 @@ let serve_cmd =
   Cmd.v
     (Cmd.info "serve"
        ~doc:"Run blindboxd: the BlindBox middlebox as a network daemon")
-    Term.(const run $ socket $ rules $ probable $ domains $ detect_index_arg $ tier_arg $ budget_bytes_arg $ budget_ms_arg $ high_water $ rebalance $ metrics_port $ trace_out $ metrics_arg)
+    Term.(const run $ socket $ rules $ inspect_config_term $ domains $ high_water $ rebalance $ metrics_port $ trace_out $ metrics_arg)
 
 (* ---- trace ---- *)
 
@@ -609,9 +599,8 @@ let migrate_cmd =
   let run src dst probable seed metrics =
     with_metrics metrics @@ fun () ->
     let module Client = Bbx_daemon.Client in
-    let module Dpienc = Bbx_dpienc.Dpienc in
     let module Wire = Bbx_wire.Wire in
-    let mode = if probable then Dpienc.Probable else Dpienc.Exact in
+    let mode = mode_of probable in
     let features =
       Wire.feature_migrate lor (if probable then Wire.feature_tiered else 0)
     in
@@ -686,22 +675,19 @@ let migrate_cmd =
     Arg.(required & pos 1 (some string) None
          & info [] ~docv:"DST" ~doc:"Destination daemon endpoint.")
   in
-  let probable = Arg.(value & flag & info [ "probable-cause" ] ~doc:"Protocol III mode.") in
   let seed = Arg.(value & opt string "blindbox-migrate" & info [ "seed" ] ~doc:"Handshake seed.") in
   Cmd.v
     (Cmd.info "migrate"
        ~doc:"Stream stdin through a monitored connection, live-migrating it \
              between two blindboxd daemons halfway")
-    Term.(const run $ src $ dst $ probable $ seed $ metrics_arg)
+    Term.(const run $ src $ dst $ probable_arg $ seed $ metrics_arg)
 
 (* ---- loadgen ---- *)
 
 let loadgen_cmd =
   let run socket conns sends rate inflight payload_bytes hit_rate probable seed json metrics =
     with_metrics metrics @@ fun () ->
-    let mode =
-      if probable then Bbx_dpienc.Dpienc.Probable else Bbx_dpienc.Dpienc.Exact
-    in
+    let mode = mode_of probable in
     let cfg =
       Bbx_daemon.Loadgen.cfg ~conns ~sends ~rate ~inflight ~payload_bytes
         ~hit_rate ~mode ~seed
@@ -729,13 +715,12 @@ let loadgen_cmd =
     Arg.(value & opt float 0.02
          & info [ "hit-rate" ] ~doc:"Fraction of frames carrying an alert-rule keyword.")
   in
-  let probable = Arg.(value & flag & info [ "probable-cause" ] ~doc:"Protocol III mode.") in
   let seed = Arg.(value & opt string "loadgen" & info [ "seed" ] ~doc:"Payload/handshake seed.") in
   let json = Arg.(value & flag & info [ "json" ] ~doc:"Emit the report as JSON.") in
   Cmd.v
     (Cmd.info "loadgen"
        ~doc:"Drive a running blindboxd with N concurrent senders and report latency")
-    Term.(const run $ socket $ conns $ sends $ rate $ inflight $ payload_bytes $ hit_rate $ probable $ seed $ json $ metrics_arg)
+    Term.(const run $ socket $ conns $ sends $ rate $ inflight $ payload_bytes $ hit_rate $ probable_arg $ seed $ json $ metrics_arg)
 
 let () =
   let info = Cmd.info "blindbox" ~version:"1.0.0" ~doc:"Deep packet inspection over encrypted traffic" in

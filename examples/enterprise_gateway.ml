@@ -33,20 +33,24 @@ let employee name =
   { name; key; sender = sender_create Exact key ~salt0:0 }
 
 let () =
-  let mb = Middlebox.create ~mode:Exact ~rules () in
+  (* one ruleset for the whole gateway; each connection brings only its
+     own rule encryptions *)
+  let mb = Shard.create Engine.default_config in
+  let ruleset = Engine.ruleset rules in
   let staff = List.map employee [ "alice"; "bob"; "carol"; "dave" ] in
   List.iteri
     (fun i e ->
-       Middlebox.register mb ~conn_id:i ~salt0:0 ~enc_chunk:(token_enc e.key))
+       Shard.register mb ~conn_id:i ~salt0:0 ~direction:"client->server"
+         (Engine.keys ruleset ~enc_chunk:(token_enc e.key)))
     staff;
   Printf.printf "gateway up: %d rules, %d connections\n\n" (List.length rules)
     (List.length staff);
   let browse conn (e : employee) payload =
-    if Middlebox.is_blocked mb ~conn_id:conn then
+    if Shard.is_blocked mb ~conn_id:conn then
       Printf.printf "  [%s] connection is blocked; traffic refused\n" e.name
     else begin
       let tokens = sender_encrypt e.sender (Bbx_tokenizer.Tokenizer.delimiter payload) in
-      match Middlebox.process mb ~conn_id:conn tokens with
+      match Shard.process mb ~conn_id:conn tokens with
       | [] -> Printf.printf "  [%s] ok      %s\n" e.name payload
       | vs ->
         List.iter
@@ -66,10 +70,10 @@ let () =
   browse 3 dave "GET /kit/download.exe?killchain=1 HTTP/1.1";
   browse 3 dave "GET /anything-after-the-drop HTTP/1.1";
   browse 1 bob "GET /item?id=9+union+select+passwd+from+users HTTP/1.1";
-  let st = Middlebox.stats mb in
+  let st = Shard.stats mb in
   Printf.printf
     "\ngateway stats: %d connections, %d tokens inspected, %d keyword hits, %d alerts, %d blocked\n"
-    st.Middlebox.connections st.Middlebox.total_tokens st.Middlebox.total_keyword_hits
-    st.Middlebox.alerts st.Middlebox.blocked;
+    st.Shard.connections st.Shard.total_tokens st.Shard.total_keyword_hits
+    st.Shard.alerts st.Shard.blocked;
   print_endline
     "the gateway never held a session key and saw nothing of alice's or bob's clean browsing."

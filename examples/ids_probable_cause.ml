@@ -24,7 +24,9 @@ let show_key t =
 
 let () =
   let config =
-    { Session.default_config with Session.mode = Bbx_dpienc.Dpienc.Probable }
+    { Session.default_config with
+      Session.inspect =
+        { Bbx_mbox.Engine.default_config with mode = Bbx_dpienc.Dpienc.Probable } }
   in
   print_endline "--- flow 1: benign traffic (uses the suspicious keyword innocently) ---";
   let t1, _ = Session.establish ~config ~seed:"flow-1" ~rules:[ sqli_rule ] () in

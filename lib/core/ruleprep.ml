@@ -126,8 +126,8 @@ let prepare_internal ?k_rand_receiver ?(generation = "initial") ?(domains = 1)
               (Drbg.create (Sha256.digest (String.concat "" (Array.to_list chunks) ^ "mb-ot")))
             ~messages ~choices)
   in
-  (* Middlebox evaluation: key labels and zero-pad labels arrive directly
-     from the endpoints; chunk labels come from the OT. *)
+  (* The middlebox's evaluation: key labels and zero-pad labels arrive
+     directly from the endpoints; chunk labels come from the OT. *)
   let encs, eval_seconds =
     timed obs_eval (fun () ->
         m.pmap n (fun i ->

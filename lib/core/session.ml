@@ -31,24 +31,20 @@ type tokenization = Window | Delimiter
 
 type rule_prep_mode = Garbled | Direct
 
+module Engine = Bbx_mbox.Engine
+
 type config = {
-  mode : Dpienc.mode;
+  inspect : Engine.config;
   tokenization : tokenization;
   rule_prep : rule_prep_mode;
   salt0 : int;
   reset_period : int;
   setup_domains : int;
-  detect_index : Bbx_detect.Detect.index_backend;
-  tier : Bbx_rules.Classify.protocol_class;
-  tier_budget : Bbx_mbox.Engine.budget;
 }
 
 let default_config =
-  { mode = Dpienc.Exact; tokenization = Delimiter; rule_prep = Direct;
-    salt0 = 0; reset_period = 1 lsl 20; setup_domains = 1;
-    detect_index = Bbx_detect.Detect.Hash;
-    tier = Bbx_rules.Classify.Protocol_III;
-    tier_budget = Bbx_mbox.Engine.default_budget }
+  { inspect = Engine.default_config; tokenization = Delimiter; rule_prep = Direct;
+    salt0 = 0; reset_period = 1 lsl 20; setup_domains = 1 }
 
 type setup_stats = {
   chunk_count : int;
@@ -68,7 +64,7 @@ type t = {
   mutable sender_stream_off : int;
   mutable bytes_since_reset : int;
   (* middlebox *)
-  engine : Bbx_mbox.Engine.t;       (* retains + decrypts the record stream
+  engine : Engine.t;                (* retains + decrypts the record stream
                                        itself (Engine.record_stream) *)
   (* receiver side *)
   reader : Record.t;
@@ -84,30 +80,27 @@ type t = {
 
 let direction = "sender->receiver"
 
-(* Build the in-process trio (S, MB, R) from agreed keys and prepared
-   encrypted rules.  [label] salts the record-layer direction so resumed
-   connections never reuse a keystream. *)
-let make_session ?rg config keys ~rules ~prep ~label =
-  let enc_chunk = Ruleprep.lookup prep in
+(* Build the in-process trio (S, MB, R) from agreed keys, prepared
+   encrypted rules and the middlebox's key material over them.  [label]
+   salts the record-layer direction so resumed connections never reuse a
+   keystream. *)
+let make_session ?rg config keys ~prep ~mb_keys ~label =
   let dir = direction ^ label in
-  let engine =
-    Bbx_mbox.Engine.create ~index:config.detect_index ~tier:config.tier
-      ~budget:config.tier_budget ~direction:dir ~mode:config.mode
-      ~salt0:config.salt0 ~rules ~enc_chunk ()
-  in
+  let mode = config.inspect.Engine.mode in
+  let engine = Engine.make config.inspect mb_keys ~direction:dir ~salt0:config.salt0 in
   { config;
     keys;
     writer = Record.create ~key:keys.Handshake.k_ssl ~direction:dir ();
     dpi_sender =
-      Dpienc.sender_create config.mode
-        (Dpienc.key_of_secret keys.Handshake.k) ~salt0:config.salt0;
+      Dpienc.sender_create mode (Dpienc.key_of_secret keys.Handshake.k)
+        ~salt0:config.salt0;
     sender_stream_off = 0;
     bytes_since_reset = 0;
     engine;
     reader = Record.create ~key:keys.Handshake.k_ssl ~direction:dir ();
     dpi_mirror =
-      Dpienc.sender_create config.mode
-        (Dpienc.key_of_secret keys.Handshake.k) ~salt0:config.salt0;
+      Dpienc.sender_create mode (Dpienc.key_of_secret keys.Handshake.k)
+        ~salt0:config.salt0;
     receiver_stream_off = 0;
     reported = Hashtbl.create 8;
     is_blocked = false;
@@ -124,7 +117,7 @@ let dpienc_tokenization config =
    text-typical guess for delimiter (Buffer grows as needed either way). *)
 let wire_buf_estimate config payload =
   let per =
-    match config.mode with
+    match config.inspect.Engine.mode with
     | Dpienc.Exact -> Dpienc.exact_record_bytes
     | Dpienc.Probable -> Dpienc.probable_record_bytes
   in
@@ -146,12 +139,12 @@ let run_handshake seed =
   keys
 
 (* Shared rule preparation used by [establish], [Duplex.establish] and
-   [Fleet.establish].  [config.setup_domains > 1] runs the garbled
-   stages on a worker-domain pool ({!Ruleprep}); the prepared output is
-   byte-identical at any domain count. *)
-let prepare_rules config ?rg keys rules =
+   [Fleet.establish], over a ruleset's distinct chunks.
+   [config.setup_domains > 1] runs the garbled stages on a worker-domain
+   pool ({!Ruleprep}); the prepared output is byte-identical at any
+   domain count. *)
+let prepare_rules config ?rg keys chunks =
   Obs.time obs_rule_prep @@ fun () ->
-  let chunks = Bbx_mbox.Engine.distinct_chunks rules in
   let encs, rule_prep_stats =
     match config.rule_prep with
     | Direct ->
@@ -177,8 +170,10 @@ let establish ?(config = default_config) ?(seed = "blindbox-session") ?rg ~rules
   Obs.span_enter obs_setup;
   let t0 = Unix.gettimeofday () in
   let keys = run_handshake seed in
-  let prep, rule_prep_stats = prepare_rules config ?rg keys rules in
-  let t = make_session ?rg config keys ~rules ~prep ~label:"" in
+  let rs = Engine.ruleset rules in
+  let prep, rule_prep_stats = prepare_rules config ?rg keys (Engine.chunks rs) in
+  let mb_keys = Engine.keys rs ~enc_chunk:(Ruleprep.lookup prep) in
+  let t = make_session ?rg config keys ~prep ~mb_keys ~label:"" in
   Obs.span_exit obs_setup;
   ( t,
     { chunk_count = Array.length prep.Ruleprep.chunks;
@@ -189,6 +184,7 @@ type ticket = {
   tk_keys : Handshake.keys;
   tk_config : config;
   tk_prep : Ruleprep.prepared;
+  tk_mb_keys : Engine.keys;         (* the connection's ruleset + key material *)
   mutable tk_uses : int;
 }
 
@@ -196,39 +192,39 @@ let resumption_ticket t =
   { tk_keys = t.keys;
     tk_config = t.config;
     tk_prep = t.prep;
+    tk_mb_keys = Engine.keys_of t.engine;
     tk_uses = 0 }
 
 let resume ?config ticket ~rules () =
   let config = Option.value config ~default:ticket.tk_config in
-  let chunks = Bbx_mbox.Engine.distinct_chunks rules in
-  if chunks <> ticket.tk_prep.Ruleprep.chunks then
+  if rules <> Engine.rules_of (Engine.ruleset_of ticket.tk_mb_keys) then
     invalid_arg "Session.resume: ruleset differs from the ticket's";
   ticket.tk_uses <- ticket.tk_uses + 1;
-  make_session config ticket.tk_keys ~rules ~prep:ticket.tk_prep
+  make_session config ticket.tk_keys ~prep:ticket.tk_prep ~mb_keys:ticket.tk_mb_keys
     ~label:(Printf.sprintf "#resume-%d" ticket.tk_uses)
 
 type delivery = {
   plaintext : string;
-  verdicts : Bbx_mbox.Engine.verdict list;
+  verdicts : Engine.verdict list;
   record_bytes : int;
   token_bytes : int;
   token_count : int;
 }
 
 let k_ssl_opt t =
-  match t.config.mode with
+  match t.config.inspect.Engine.mode with
   | Dpienc.Probable -> Some t.keys.Handshake.k_ssl
   | Dpienc.Exact -> None
 
-let mb_recovered_key t = Bbx_mbox.Engine.recovered_key t.engine
+let mb_recovered_key t = Engine.recovered_key t.engine
 
-let mb_decrypted_stream t = Bbx_mbox.Engine.decrypted_stream t.engine
+let mb_decrypted_stream t = Engine.decrypted_stream t.engine
 
-let mb_keyword_hits t = Bbx_mbox.Engine.keyword_hits t.engine
+let mb_keyword_hits t = Engine.keyword_hits t.engine
 
-let mb_verdicts t = Bbx_mbox.Engine.verdicts t.engine
+let mb_verdicts t = Engine.verdicts t.engine
 
-let mb_escalation t = Bbx_mbox.Engine.escalation t.engine
+let mb_escalation t = Engine.escalation t.engine
 
 (* Sender-side encryption of one payload: SSL record + encrypted tokens,
    the latter tokenized+encrypted+serialised in one streaming pass
@@ -280,7 +276,7 @@ let maybe_reset t payload_len =
     Obs.incr obs_resets;
     let new_salt0 = Dpienc.sender_reset t.dpi_sender in
     (* announced to MB and mirrored by the receiver *)
-    Bbx_mbox.Engine.reset t.engine ~salt0:new_salt0;
+    Engine.reset t.engine ~salt0:new_salt0;
     let mirror_salt0 = Dpienc.sender_reset t.dpi_mirror in
     assert (mirror_salt0 = new_salt0)
   end
@@ -294,8 +290,8 @@ let deliver t ~record ~wire ~token_count =
      inspect the token stream straight off the wire bytes, forward both.
      The record goes first: the escalation pump decrypts strictly in
      stream order. *)
-  Bbx_mbox.Engine.record_stream t.engine record;
-  let _ : int = Bbx_mbox.Engine.process_wire t.engine wire in
+  Engine.record_stream t.engine record;
+  let _ : int = Engine.process_wire t.engine wire in
   (* receiver *)
   let framed = Record.open_ t.reader record in
   if String.length framed = 0 then raise (Evasion_detected "empty frame");
@@ -309,19 +305,19 @@ let deliver t ~record ~wire ~token_count =
   receiver_validate t ~tokenized plaintext wire;
   if not tokenized && wire <> "" then
     raise (Evasion_detected "tokens attached to a binary frame");
-  let all = Bbx_mbox.Engine.verdicts t.engine in
+  let all = Engine.verdicts t.engine in
   (* report each rule once, on the send that first triggered it *)
   let fresh =
     List.filter
-      (fun v -> not (Hashtbl.mem t.reported v.Bbx_mbox.Engine.rule_idx))
+      (fun v -> not (Hashtbl.mem t.reported v.Engine.rule_idx))
       all
   in
-  List.iter (fun v -> Hashtbl.replace t.reported v.Bbx_mbox.Engine.rule_idx ()) fresh;
+  List.iter (fun v -> Hashtbl.replace t.reported v.Engine.rule_idx ()) fresh;
   (* budget-exceeded is a flag, not a match: it never blocks *)
   if List.exists
       (fun v ->
-         v.Bbx_mbox.Engine.rule.Bbx_rules.Rule.action = Bbx_rules.Rule.Drop
-         && v.Bbx_mbox.Engine.detail <> `Budget_exceeded)
+         v.Engine.rule.Bbx_rules.Rule.action = Bbx_rules.Rule.Drop
+         && v.Engine.detail <> `Budget_exceeded)
       all
   then begin
     if not t.is_blocked then Obs.incr obs_blocked;
@@ -340,67 +336,66 @@ let deliver t ~record ~wire ~token_count =
     token_bytes = String.length wire;
     token_count }
 
+(* Chunks of [prev] the next generation no longer needs. *)
+let retired_chunks prev next =
+  let still = Hashtbl.create (max 16 (Array.length (Engine.chunks next))) in
+  Array.iter (fun c -> Hashtbl.replace still c ()) (Engine.chunks next);
+  Array.of_list
+    (List.filter (fun c -> not (Hashtbl.mem still c)) (Array.to_list (Engine.chunks prev)))
+
 (* Rule update on a live connection (§2.3: RG ships new signatures to its
    middlebox customers): rules named by [remove_sids] are retired, [rules]
    are added, and only chunks not already prepared pay the
    obfuscated-rule-encryption cost ({!Ruleprep.update} garbles the delta
    under a fresh generation). *)
 let update_rules t ?(remove_sids = []) rules =
-  (* 1. the middlebox drops the retired rules; chunks no retained rule
-     needs leave the detection tree, and the reported-rule set is
-     remapped across the rule-index shift *)
-  let removed_chunks, remap = Bbx_mbox.Engine.remove_rules t.engine ~sids:remove_sids in
-  if remove_sids <> [] then begin
-    let old_idxs = Hashtbl.fold (fun idx () acc -> idx :: acc) t.reported [] in
-    Hashtbl.reset t.reported;
-    List.iter
-      (fun idx ->
-         match remap.(idx) with
-         | -1 -> ()
-         | idx' -> Hashtbl.replace t.reported idx' ())
-      old_idxs
-  end;
-  (* 2. the endpoints re-prepare only the delta *)
-  let add_chunks = Bbx_mbox.Engine.distinct_chunks rules in
-  let remove = Array.of_list removed_chunks in
+  let prev = Engine.ruleset_of (Engine.keys_of t.engine) in
+  let rs =
+    Engine.ruleset (Engine.next_rules (Engine.rules_of prev) ~remove_sids ~add:rules)
+  in
+  let add = Engine.distinct_chunks rules and remove = retired_chunks prev rs in
+  (* the endpoints re-prepare only the delta *)
   let prep, stats =
     match t.config.rule_prep with
     | Direct ->
       let key = Dpienc.key_of_secret t.keys.Handshake.k in
-      (Ruleprep.update_direct ~enc:(Dpienc.token_enc key) ~prev:t.prep
-         ~add:add_chunks ~remove,
-       None)
+      (Ruleprep.update_direct ~enc:(Dpienc.token_enc key) ~prev:t.prep ~add ~remove, None)
     | Garbled ->
       let signatures, rg_key =
         match t.rg with
         | None -> (None, None)
         | Some kp ->
-          ( Some (Array.map (Bbx_sig.Rsa.sign kp.Bbx_sig.Rsa.private_) add_chunks),
+          ( Some (Array.map (Bbx_sig.Rsa.sign kp.Bbx_sig.Rsa.private_) add),
             Some kp.Bbx_sig.Rsa.public )
       in
       let prep, st =
         Ruleprep.update ~domains:t.config.setup_domains ?signatures ?rg_key
           ~k:t.keys.Handshake.k ~k_rand:t.keys.Handshake.k_rand ~prev:t.prep
-          ~add:add_chunks ~remove ()
+          ~add ~remove ()
       in
       (prep, Some st)
   in
   t.prep <- prep;
-  (* 3. the middlebox extends its tree with the new rules' fresh chunks *)
-  let added =
-    Bbx_mbox.Engine.add_rules t.engine ~rules ~enc_chunk:(Ruleprep.lookup prep)
-  in
+  (* the middlebox moves onto the new generation; the reported-rule set
+     follows the rule-index remap *)
+  let remap = Engine.update t.engine (Engine.keys rs ~enc_chunk:(Ruleprep.lookup prep)) in
+  let old_idxs = Hashtbl.fold (fun idx () acc -> idx :: acc) t.reported [] in
+  Hashtbl.reset t.reported;
+  List.iter
+    (fun idx -> if remap.(idx) >= 0 then Hashtbl.replace t.reported remap.(idx) ())
+    old_idxs;
   (* A rule update forces a salt reset: the sender may already have
      emitted the new keywords' token values under earlier salts, and the
-     middlebox has no way to know their counts (removal additionally
-     rebuilds the tree, restarting retained counters).  Resetting puts
-     every counter — old and new — back in lock-step. *)
+     middlebox has no way to know their counts.  Resetting puts every
+     counter — old and new — back in lock-step. *)
   t.bytes_since_reset <- 0;
   let new_salt0 = Dpienc.sender_reset t.dpi_sender in
-  Bbx_mbox.Engine.reset t.engine ~salt0:new_salt0;
+  Engine.reset t.engine ~salt0:new_salt0;
   let mirror_salt0 = Dpienc.sender_reset t.dpi_mirror in
   assert (mirror_salt0 = new_salt0);
-  (added, stats)
+  (* fresh chunks: the next ruleset's, minus those it kept *)
+  let kept = Array.length (Engine.chunks prev) - Array.length remove in
+  (Array.length (Engine.chunks rs) - kept, stats)
 
 let add_rules t rules = update_rules t rules
 
@@ -442,9 +437,15 @@ module Duplex = struct
     let keys = run_handshake seed in
     (* one rule preparation covers the chunks of the whole ruleset; each
        direction's engine then loads only the rules that apply to it *)
-    let prep, rule_prep_stats = prepare_rules config ?rg keys rules in
+    let prep, rule_prep_stats =
+      prepare_rules config ?rg keys (Engine.distinct_chunks rules)
+    in
     let mk direction label =
-      make_session ?rg config keys ~rules:(rules_for direction rules) ~prep ~label
+      let mb_keys =
+        Engine.keys (Engine.ruleset (rules_for direction rules))
+          ~enc_chunk:(Ruleprep.lookup prep)
+      in
+      make_session ?rg config keys ~prep ~mb_keys ~label
     in
     ( { c2s = mk `From_client "/c2s"; s2c = mk `From_server "/s2c" },
       { chunk_count = Array.length prep.Ruleprep.chunks;
@@ -467,8 +468,8 @@ end
 
 module Fleet = struct
   (* A fleet is one tenant: ONE handshake agrees the tenant keys, so one
-     rule preparation (AES_k over the distinct chunks) and one expanded
-     detection keyset are valid for every connection — registration cost
+     rule preparation (AES_k over the distinct chunks), one ruleset and one
+     key material per generation are valid for every connection — registration cost
      per connection is O(1) in ruleset size instead of re-running the
      handshake + prep per connection.  Each connection still gets its own
      record-layer key, derived as KDF(k_ssl, "fleet-conn-<i>"), so sealed
@@ -500,13 +501,10 @@ module Fleet = struct
     fl_conns : (int, conn) Hashtbl.t;
     fl_keys : Handshake.keys;                  (* tenant keys (one handshake) *)
     fl_key : Dpienc.key;                       (* expanded token key, shared *)
-    mutable fl_rules : Bbx_rules.Rule.t list;  (* current fleet-wide ruleset *)
     mutable fl_prep : Ruleprep.prepared;       (* ONE shared preparation *)
-    mutable fl_enc : string -> string;         (* shared read-only chunk oracle *)
-    mutable fl_keyset : Bbx_detect.Detect.keyset; (* shared expanded AES keys *)
-    mutable fl_prefilter : Bbx_mbox.Engine.prefilter_prep;
-    (* shared Protocol III prefilter automaton (~2 KiB per trie node —
-       the dominant per-connection structure when not shared) *)
+    mutable fl_mb_keys : Engine.keys;          (* the current generation's
+                                                  ruleset + key material,
+                                                  borrowed by every engine *)
   }
 
   let conn_k_ssl keys i =
@@ -515,14 +513,15 @@ module Fleet = struct
 
   let make_conn t i =
     let config = t.fl_config in
+    let inspect = config.inspect in
     let ship_records =
-      config.mode = Dpienc.Probable
-      && Bbx_rules.Classify.rank config.tier >= 3
+      inspect.Engine.mode = Dpienc.Probable
+      && Bbx_rules.Classify.rank inspect.Engine.tier >= 3
     in
     let k_ssl = conn_k_ssl t.fl_keys i in
     { fc_id = i;
       fc_k_ssl = k_ssl;
-      fc_sender = Dpienc.sender_create config.mode t.fl_key ~salt0:config.salt0;
+      fc_sender = Dpienc.sender_create inspect.Engine.mode t.fl_key ~salt0:config.salt0;
       fc_writer =
         (if ship_records then Some (Record.create ~key:k_ssl ~direction ())
          else None);
@@ -531,23 +530,17 @@ module Fleet = struct
 
   let register_conn t i =
     let c = make_conn t i in
-    (* The shared prep/keyset are immutable after publication, which is
-       what makes handing them to every worker domain safe; the engine
-       copies-on-write if a later rule update must extend them. *)
-    Bbx_mbox.Shardpool.register t.fl_pool ~direction
-      ~prepared:(t.fl_prep.Ruleprep.chunks, t.fl_prep.Ruleprep.encs)
-      ~keys:t.fl_keyset ~prefilter:t.fl_prefilter ~conn_id:i
-      ~salt0:t.fl_config.salt0 ~enc_chunk:t.fl_enc;
+    (* The shared generation is immutable after publication, which is
+       what makes handing it to every worker domain safe. *)
+    Bbx_mbox.Shardpool.register t.fl_pool ~conn_id:i ~salt0:t.fl_config.salt0
+      ~direction (Fun.const t.fl_mb_keys);
     Hashtbl.add t.fl_conns i c
 
   let establish ?(config = default_config) ?(seed = "blindbox-fleet") ?domains
       ~conns ~rules () =
     if conns < 1 then invalid_arg "Fleet.establish: conns must be >= 1";
     Obs.span_enter obs_setup;
-    let pool =
-      Bbx_mbox.Shardpool.create ?domains ~index:config.detect_index
-        ~tier:config.tier ~budget:config.tier_budget ~mode:config.mode ~rules ()
-    in
+    let pool = Bbx_mbox.Shardpool.create ?domains config.inspect in
     let t =
       try
         (* one handshake, one rule preparation for the whole fleet — the
@@ -555,16 +548,14 @@ module Fleet = struct
            how many connections follow (the O(1)-setup gate in
            bench/fleet.ml counts it) *)
         let keys = run_handshake seed in
-        let prep, _ = prepare_rules config keys rules in
+        let rs = Engine.ruleset rules in
+        let prep, _ = prepare_rules config keys (Engine.chunks rs) in
         let t =
           { fl_config = config; fl_pool = pool; fl_conns = Hashtbl.create conns;
             fl_keys = keys;
             fl_key = Dpienc.key_of_secret keys.Handshake.k;
-            fl_rules = rules;
             fl_prep = prep;
-            fl_enc = Ruleprep.lookup prep;
-            fl_keyset = Bbx_detect.Detect.keyset prep.Ruleprep.encs;
-            fl_prefilter = Bbx_mbox.Engine.prepare_prefilter rules }
+            fl_mb_keys = Engine.keys rs ~enc_chunk:(Ruleprep.lookup prep) }
         in
         for i = 0 to conns - 1 do register_conn t i done;
         (* registration runs on the owning workers: return only once every
@@ -588,7 +579,7 @@ module Fleet = struct
     let c = get t conn in
     let buf = Buffer.create (wire_buf_estimate t.fl_config payload) in
     let k_ssl =
-      match t.fl_config.mode with
+      match t.fl_config.inspect.Engine.mode with
       | Dpienc.Probable -> Some c.fc_k_ssl
       | Dpienc.Exact -> None
     in
@@ -621,61 +612,48 @@ module Fleet = struct
 
   (* Fleet-wide rule update: because the tenant shares one key, the delta
      is prepared ONCE (one [Ruleprep.update] under the tenant keys, one
-     [bbx_session_rule_prep] span) and the resulting oracle is shipped to
-     every connection through its shard mailbox.  The update message and
-     the salt reset that follows ride the same per-connection FIFO as
+     [bbx_session_rule_prep] span) and the next generation — ruleset and
+     key material — is built once and borrowed by every connection, so
+     the fleet's footprint stays flat across updates.  The update message
+     and the salt reset that follows ride the same per-connection FIFO as
      deliveries, so the engine's counters move exactly when the sender's
      do. *)
   let update_rules t ?(remove_sids = []) add =
-    let keep r =
-      match r.Bbx_rules.Rule.sid with
-      | Some s -> not (List.mem s remove_sids)
-      | None -> true
-    in
-    let new_rules = List.filter keep t.fl_rules @ add in
-    let old_needed = Bbx_mbox.Engine.distinct_chunks t.fl_rules in
-    let new_needed = Bbx_mbox.Engine.distinct_chunks new_rules in
-    let still = Hashtbl.create (max 16 (Array.length new_needed)) in
-    Array.iter (fun c -> Hashtbl.replace still c ()) new_needed;
-    let remove =
-      Array.of_list
-        (List.filter (fun c -> not (Hashtbl.mem still c)) (Array.to_list old_needed))
-    in
+    let prev = Engine.ruleset_of t.fl_mb_keys in
+    let rs = Engine.ruleset (Engine.next_rules (Engine.rules_of prev) ~remove_sids ~add) in
+    let remove = retired_chunks prev rs in
     let prep =
       Obs.time obs_rule_prep @@ fun () ->
       match t.fl_config.rule_prep with
       | Direct ->
         let key = Dpienc.key_of_secret t.fl_keys.Handshake.k in
         Ruleprep.update_direct ~enc:(Dpienc.token_enc key) ~prev:t.fl_prep
-          ~add:new_needed ~remove
+          ~add:(Engine.chunks rs) ~remove
       | Garbled ->
         fst
           (Ruleprep.update ~domains:t.fl_config.setup_domains
              ~k:t.fl_keys.Handshake.k ~k_rand:t.fl_keys.Handshake.k_rand
-             ~prev:t.fl_prep ~add:new_needed ~remove ())
+             ~prev:t.fl_prep ~add:(Engine.chunks rs) ~remove ())
     in
+    let next = Engine.keys rs ~enc_chunk:(Ruleprep.lookup prep) in
     t.fl_prep <- prep;
-    t.fl_enc <- Ruleprep.lookup prep;
-    t.fl_keyset <- Bbx_detect.Detect.keyset prep.Ruleprep.encs;
-    t.fl_prefilter <- Bbx_mbox.Engine.prepare_prefilter new_rules;
+    t.fl_mb_keys <- next;
     Hashtbl.iter
       (fun conn_id c ->
-         Bbx_mbox.Shardpool.update_rules ~prefilter:t.fl_prefilter t.fl_pool
-           ~conn_id ~remove_sids ~add ~rules:new_rules ~enc_chunk:t.fl_enc;
+         Bbx_mbox.Shardpool.update_rules t.fl_pool ~conn_id (Fun.const next);
          (* forced salt reset, as after any rule update (see [update_rules]
             on a single session) *)
          c.fc_bytes_since_reset <- 0;
          Obs.incr obs_resets;
          let salt0 = Dpienc.sender_reset c.fc_sender in
          Bbx_mbox.Shardpool.reset_conn t.fl_pool ~conn_id ~salt0)
-      t.fl_conns;
-    t.fl_rules <- new_rules
+      t.fl_conns
 
   let drain t ~f = Bbx_mbox.Shardpool.drain t.fl_pool ~f
 
   (* Single-connection teardown: sender state and middlebox state both go
      (idempotent, like {!Bbx_mbox.Shardpool.unregister}).  The shared
-     prep/keyset stay — they belong to the fleet, not the connection.
+     prep and generation stay — they belong to the fleet, not the connection.
      Unregistration runs on the owning worker; the barrier makes it done
      by the time [remove] returns, like the sender half. *)
   let remove t ~conn =

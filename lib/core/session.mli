@@ -25,7 +25,9 @@ type rule_prep_mode =
       detection cost from setup cost. *)
 
 type config = {
-  mode : Bbx_dpienc.Dpienc.mode;
+  inspect : Bbx_mbox.Engine.config;
+  (** the middlebox engines' mode, tier and Protocol III budget (default
+      {!Bbx_mbox.Engine.default_config}) *)
   tokenization : tokenization;
   rule_prep : rule_prep_mode;
   salt0 : int;
@@ -34,16 +36,6 @@ type config = {
   (** worker domains for the parallel stages of obfuscated rule
       encryption ({!Ruleprep}); 1 = fully sequential.  Output is
       byte-identical at any count. *)
-  detect_index : Bbx_detect.Detect.index_backend;
-  (** cipher-index backend for the middlebox engines (default
-      {!Bbx_detect.Detect.Hash}; [Avl] is the reference tree).  Both
-      produce identical events. *)
-  tier : Bbx_rules.Classify.protocol_class;
-  (** highest BlindBox protocol the middlebox engines execute (default
-      [Protocol_III]); rules needing a higher protocol are ignored. *)
-  tier_budget : Bbx_mbox.Engine.budget;
-  (** per-flow Protocol III escalation budget (default
-      {!Bbx_mbox.Engine.default_budget}). *)
 }
 
 val default_config : config
@@ -76,9 +68,10 @@ val establish :
 
 (** Session resumption (paper §7.2: "BlindBox is most fit for settings
     using long or persistent connections through SPDY-like protocols or
-    tunneling").  A resumption ticket carries the session keys and the
-    prepared encrypted rules, so a resumed connection skips both the
-    handshake and the expensive obfuscated rule encryption.  Each
+    tunneling").  A resumption ticket carries the session keys, the
+    prepared encrypted rules and the connection's ruleset and key
+    material, so a resumed connection skips the handshake, the expensive
+    obfuscated rule encryption and the ruleset build.  Each
     resumption re-keys the record layer (fresh direction label), so no
     keystream is ever reused. *)
 type ticket
@@ -86,8 +79,8 @@ type ticket
 (** [resumption_ticket t] — capture the state needed to resume. *)
 val resumption_ticket : t -> ticket
 
-(** [resume ?config ticket ~rules ()] — [rules] must be the same ruleset
-    the ticket was created with (checked by chunk count). *)
+(** [resume ?config ticket ~rules ()] — [rules] must be the ruleset the
+    ticket was created with (raises [Invalid_argument] otherwise). *)
 val resume : ?config:config -> ticket -> rules:Bbx_rules.Rule.t list -> unit -> t
 
 (** [blocked t] — has the middlebox blocked this connection? *)
@@ -97,10 +90,12 @@ val blocked : t -> bool
     connection without a re-handshake: rules whose sid appears in
     [remove_sids] are withdrawn from the middlebox, [rules] are added, and
     obfuscated rule encryption runs only for chunks not already prepared
-    (under a fresh garbling generation — see {!Ruleprep.update}).  The
-    update ends with a forced salt reset so both sides stay in lock-step
-    across the engine rebuild.  Returns the number of rules added and the
-    stats of the delta preparation ([None] in [Direct] mode). *)
+    (under a fresh garbling generation — see {!Ruleprep.update}), and
+    the middlebox moves onto the new ruleset ({!Bbx_mbox.Engine.update}).
+    The update ends with a forced salt reset so both sides stay in
+    lock-step.  Returns the number of fresh chunks (chunks the previous
+    ruleset did not have) and the stats of the delta preparation ([None]
+    in [Direct] mode). *)
 val update_rules :
   t -> ?remove_sids:int list -> Bbx_rules.Rule.t list ->
   int * Ruleprep.stats option
@@ -180,8 +175,9 @@ end
     domain-sharded middlebox ({!Bbx_mbox.Shardpool}).
 
     A fleet is one {e tenant}: a single handshake agrees the tenant keys,
-    one rule preparation and one expanded detection keyset are shared —
-    read-only — by every connection, and each connection derives its own
+    and one rule preparation, one {!Bbx_mbox.Engine.ruleset} and one
+    {!Bbx_mbox.Engine.keys} per rule generation are shared — read-only —
+    by every connection, and each connection derives its own
     record-layer key ([KDF(k_ssl, "fleet-conn-<i>")]).  Setup is
     therefore O(ruleset) once plus O(1) per connection, and steady-state
     per-connection footprint is flat (no per-connection rule tables or
@@ -229,9 +225,11 @@ module Fleet : sig
   (** [update_rules t ?remove_sids rules] applies a rule update to every
       live connection in the fleet: the delta is prepared {e once} under
       the tenant keys (one incremental {!Ruleprep} run, regardless of
-      connection count), then every connection ships the new encryptions
-      to its shard through its per-connection FIFO mailbox and finishes
-      with a forced salt reset — no re-handshake, no reconnection. *)
+      connection count) and the next generation's ruleset and key
+      material are built once; every connection moves onto them through
+      its per-connection FIFO mailbox and finishes with a forced salt
+      reset — no re-handshake, no reconnection, and the fleet's
+      footprint stays flat. *)
   val update_rules : fleet -> ?remove_sids:int list -> Bbx_rules.Rule.t list -> unit
 
   (** [remove t ~conn] tears one connection down end to end — sender
@@ -260,9 +258,9 @@ module Fleet : sig
   val blocked : fleet -> conn:int -> bool
 
   (** Aggregate middlebox statistics over all shards. *)
-  val stats : fleet -> Bbx_mbox.Middlebox.stats
+  val stats : fleet -> Bbx_mbox.Shard.stats
 
-  val flow_stats : fleet -> conn:int -> Bbx_mbox.Middlebox.flow_stats
+  val flow_stats : fleet -> conn:int -> Bbx_mbox.Shard.flow_stats
 
   (** Number of pool worker domains. *)
   val domains : fleet -> int

@@ -73,24 +73,22 @@ let endpoint_to_string = function
 
 type config = {
   endpoint : endpoint;
-  mode : Dpienc.mode;
+  inspect : Engine.config;
   rules : Rule.t list;
   domains : int option;
-  index : Bbx_detect.Detect.index_backend;
-  tier : Bbx_rules.Classify.protocol_class;
-  budget : Engine.budget;
   high_water : int;
   metrics : endpoint option;
   trace_out : string option;
   rebalance_every : float option;
 }
 
-let config ?(mode = Dpienc.Exact) ?domains ?(index = Bbx_detect.Detect.Hash)
-    ?(tier = Bbx_rules.Classify.Protocol_III) ?(budget = Engine.default_budget)
-    ?(high_water = 1 lsl 20) ?rebalance_every ?metrics ?trace_out ~endpoint
-    ~rules () =
-  { endpoint; mode; rules; domains; index; tier; budget; high_water;
-    metrics; trace_out; rebalance_every }
+let config ?(inspect = Engine.default_config) ?domains ?(high_water = 1 lsl 20)
+    ?rebalance_every ?metrics ?trace_out ~endpoint ~rules () =
+  { endpoint; inspect; rules; domains; high_water; metrics; trace_out;
+    rebalance_every }
+
+(* The record-layer direction every daemon client seals its stream in. *)
+let direction = "client->server"
 
 (* ---------- per-connection state ---------- *)
 
@@ -128,7 +126,9 @@ type t = {
      missing from the drain were dropped on a blocked connection) *)
   pending : (int * client * int) Queue.t;
   rules_text : string;
-  needed_chunks : string array;  (* distinct chunks of the base ruleset *)
+  ruleset : Engine.ruleset;      (* built once at start-up: announced in
+                                    HELLO_OK, checked by RULE_SETUP, and
+                                    borrowed by every registration *)
   mutable next_conn_id : int;
   mutable last_rebalance : float;
   scratch : Bytes.t;
@@ -343,7 +343,7 @@ let flush_pool t =
   end
 
 (* Does [pairs] cover every chunk in [needed]?  Builds the lookup table
-   the engine's [enc_chunk] oracle reads from. *)
+   the [enc_chunk] oracle reads from on the owning worker. *)
 let enc_table_for ~needed pairs =
   let tbl = Hashtbl.create (max 16 (Array.length pairs)) in
   Array.iter (fun (chunk, enc) -> Hashtbl.replace tbl chunk enc) pairs;
@@ -355,10 +355,12 @@ let handle_msg t cl msg =
   | Wire.Hello { version; mode; salt0; features }, Awaiting_hello ->
     if version <> Wire.version then
       error_close t cl Wire.err_version "unsupported protocol version %d" version
-    else if mode <> t.cfg.mode then
+    else if mode <> t.cfg.inspect.Engine.mode then
       error_close t cl Wire.err_version "mode mismatch: daemon runs %s"
-        (match t.cfg.mode with Dpienc.Exact -> "exact" | Dpienc.Probable -> "probable")
-    else if salt0 < 0 || (t.cfg.mode = Dpienc.Probable && salt0 land 1 = 1) then
+        (match t.cfg.inspect.Engine.mode with
+         | Dpienc.Exact -> "exact"
+         | Dpienc.Probable -> "probable")
+    else if salt0 < 0 || (mode = Dpienc.Probable && salt0 land 1 = 1) then
       error_close t cl Wire.err_protocol "bad salt0 %d" salt0
     else begin
       cl.conn_id <- t.next_conn_id;
@@ -366,17 +368,20 @@ let handle_msg t cl msg =
       cl.features <- features;
       cl.state <- Awaiting_setup { salt0 };
       enqueue t cl
-        (Wire.Hello_ok { conn_id = cl.conn_id; mode = t.cfg.mode; rules_text = t.rules_text })
+        (Wire.Hello_ok { conn_id = cl.conn_id; mode; rules_text = t.rules_text })
     end
   | Wire.Rule_setup { pairs }, Awaiting_setup { salt0 } -> begin
-      match enc_table_for ~needed:t.needed_chunks pairs with
+      let needed = Engine.chunks t.ruleset in
+      match enc_table_for ~needed pairs with
       | None ->
         error_close t cl Wire.err_setup
           "rule setup does not cover the ruleset's %d chunks"
-          (Array.length t.needed_chunks)
+          (Array.length needed)
       | Some tbl ->
-        Shardpool.register t.pool ~conn_id:cl.conn_id ~salt0
-          ~enc_chunk:(Hashtbl.find tbl);
+        (* the connection's keys are expanded on its owning worker *)
+        let ruleset = t.ruleset in
+        Shardpool.register t.pool ~conn_id:cl.conn_id ~salt0 ~direction (fun () ->
+            Engine.keys ruleset ~enc_chunk:(Hashtbl.find tbl));
         cl.registered <- true;
         cl.state <- Streaming;
         Obs.add_gauge obs_active 1;
@@ -419,7 +424,7 @@ let handle_msg t cl msg =
   | Wire.Token_stream { seq; records }, Streaming ->
     let timing = timing_on () in
     let t0 = if timing then Trace.now_ns () else 0 in
-    let valid = records_valid ~mode:t.cfg.mode records in
+    let valid = records_valid ~mode:t.cfg.inspect.Engine.mode records in
     if timing then begin
       let now = Trace.now_ns () in
       Obs.observe obs_validate_us ((now - t0) / 1000);
@@ -442,7 +447,7 @@ let handle_msg t cl msg =
        reach the engine before the delivery that carries their tokens. *)
     Shardpool.record_stream t.pool ~conn_id:cl.conn_id record
   | Wire.Salt_reset { salt0 }, Streaming ->
-    if salt0 < 0 || (t.cfg.mode = Dpienc.Probable && salt0 land 1 = 1) then
+    if salt0 < 0 || (t.cfg.inspect.Engine.mode = Dpienc.Probable && salt0 land 1 = 1) then
       error_close t cl Wire.err_protocol "bad salt0 %d" salt0
     else Shardpool.reset_conn t.pool ~conn_id:cl.conn_id ~salt0
   | Wire.Rule_update { remove_sids; add_text; pairs }, Streaming -> begin
@@ -450,19 +455,16 @@ let handle_msg t cl msg =
       | exception Parser.Syntax_error m ->
         error_close t cl Wire.err_setup "rule update parse error: %s" m
       | add ->
-        let keep r =
-          match r.Rule.sid with
-          | Some s -> not (List.mem s remove_sids)
-          | None -> true
-        in
-        let new_rules = List.filter keep cl.rules @ add in
+        let new_rules = Engine.next_rules cl.rules ~remove_sids ~add in
         (match enc_table_for ~needed:(Engine.distinct_chunks new_rules) pairs with
          | None ->
            error_close t cl Wire.err_setup
              "rule update does not cover the post-update chunk set"
          | Some tbl ->
-           Shardpool.update_rules t.pool ~conn_id:cl.conn_id ~remove_sids ~add
-             ~rules:new_rules ~enc_chunk:(Hashtbl.find tbl);
+           (* the next generation is this connection's alone: built on
+              its owning worker, never written into the shared one *)
+           Shardpool.update_rules t.pool ~conn_id:cl.conn_id (fun () ->
+               Engine.keys (Engine.ruleset new_rules) ~enc_chunk:(Hashtbl.find tbl));
            cl.rules <- new_rules;
            enqueue t cl (Wire.Update_ok { added = List.length add }))
     end
@@ -697,10 +699,8 @@ let serve_loop t stop =
 let init cfg =
   Sockio.ignore_sigpipe ();
   if cfg.trace_out <> None then Trace.set_enabled true;
-  let pool =
-    Shardpool.create ?domains:cfg.domains ~index:cfg.index ~tier:cfg.tier
-      ~budget:cfg.budget ~mode:cfg.mode ~rules:cfg.rules ()
-  in
+  let ruleset = Engine.ruleset cfg.rules in
+  let pool = Shardpool.create ?domains:cfg.domains cfg.inspect in
   let listen_fd =
     try listen_socket cfg.endpoint
     with e -> Shardpool.shutdown pool; raise e
@@ -726,7 +726,7 @@ let init cfg =
     clients = Hashtbl.create 64;
     pending = Queue.create ();
     rules_text = String.concat "\n" (List.map Rule.to_string cfg.rules);
-    needed_chunks = Engine.distinct_chunks cfg.rules;
+    ruleset;
     next_conn_id = 0;
     last_rebalance = Unix.gettimeofday ();
     scratch = Bytes.create 65536;

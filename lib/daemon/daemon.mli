@@ -61,15 +61,12 @@ val endpoint_to_string : endpoint -> string
 
 type config = {
   endpoint : endpoint;
-  mode : Bbx_dpienc.Dpienc.mode;
+  inspect : Bbx_mbox.Engine.config;
+  (** the engines' mode, tier and Protocol III budget *)
   rules : Bbx_rules.Rule.t list;
+  (** the ruleset announced in [HELLO_OK]; built once at start-up and
+      borrowed by every registered connection *)
   domains : int option;           (** shard-pool workers (None = default) *)
-  index : Bbx_detect.Detect.index_backend;
-  tier : Bbx_rules.Classify.protocol_class;
-  (** highest BlindBox protocol the engines execute (default
-      [Protocol_III]; see {!Bbx_mbox.Engine.create}) *)
-  budget : Bbx_mbox.Engine.budget;
-  (** per-flow Protocol III escalation budget *)
   high_water : int;               (** per-connection output-buffer bytes
                                       before reads from it pause *)
   metrics : endpoint option;      (** HTTP/1.0 [GET /metrics] listener *)
@@ -81,15 +78,12 @@ type config = {
                                       [None] (default) disables *)
 }
 
-(** [config ~endpoint ~rules ()] with [Exact] mode, default domains,
-    [Hash] index, [Protocol_III] tier under the default escalation budget,
-    a 1 MiB high-water mark, and no metrics/trace plane. *)
+(** [config ~endpoint ~rules ()] with {!Bbx_mbox.Engine.default_config},
+    default domains, a 1 MiB high-water mark, and no metrics/trace
+    plane. *)
 val config :
-  ?mode:Bbx_dpienc.Dpienc.mode ->
+  ?inspect:Bbx_mbox.Engine.config ->
   ?domains:int ->
-  ?index:Bbx_detect.Detect.index_backend ->
-  ?tier:Bbx_rules.Classify.protocol_class ->
-  ?budget:Bbx_mbox.Engine.budget ->
   ?high_water:int ->
   ?rebalance_every:float ->
   ?metrics:endpoint ->

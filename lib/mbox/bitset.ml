@@ -44,11 +44,10 @@ let cardinal t =
   iter (fun _ -> incr n) t;
   !n
 
-(* [remap t map ~size] rebuilds the set through a rule-index remap (old
-   index -> new index, or -1 for removed), as produced by
-   [Engine.remove_rules]. *)
-let remap t map ~size =
-  let t' = create size in
+(* [remap t map] rebuilds the set through a rule-index remap (old index
+   -> new index, or -1 for removed), as produced by [Engine.update]. *)
+let remap t map =
+  let t' = create 0 in
   iter (fun i -> if i < Array.length map && map.(i) >= 0 then add t' map.(i)) t;
   t'
 

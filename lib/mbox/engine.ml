@@ -72,32 +72,10 @@ let hitvec_mem hv off =
     !found
   end
 
-(* The Aho-Corasick prefilter over the recovered plaintext: one automaton
-   for all distinct (lowercased) content patterns of decrypt-tier rules.
-   A Protocol III rule only pays a [Classify.matches_plaintext] confirm
-   once every one of its patterns has appeared somewhere in the stream —
-   a necessary condition for the full rule to match, so the filter can
-   never suppress a true verdict. *)
-type prefilter = {
-  ac : Bbx_ac.Aho_corasick.t;
-  maxlen : int;                       (* longest pattern, for scan overlap *)
-  seen_pat : Bytes.t;                 (* pattern id -> seen in stream? *)
-}
+type config = { mode : Dpienc.mode; tier : Classify.protocol_class; budget : budget }
 
-(* Everything the prefilter derives from the ruleset alone: protocol
-   classes, the automaton over Protocol III content patterns, and each
-   rule's pattern-id needs.  Immutable after construction — the search
-   loop never writes the automaton and the arrays are replaced wholesale,
-   never element-written — so one prep serves a whole fleet of engines
-   (the automaton's dense transition tables are ~2 KiB per trie node,
-   by far the largest per-connection structure when not shared). *)
-type prefilter_prep = {
-  pp_nrules : int;                            (* ruleset length, for validation *)
-  pp_classes : Classify.protocol_class array; (* rule_idx -> class *)
-  pp_rule_needs : int list array;             (* rule_idx -> pattern ids *)
-  pp_ac : (Bbx_ac.Aho_corasick.t * int) option;  (* automaton, longest pattern *)
-  pp_npats : int;
-}
+let default_config =
+  { mode = Dpienc.Exact; tier = Classify.Protocol_III; budget = default_budget }
 
 (* Per-rule escalation state is two byte tables indexed by rule_idx
    (previously two hashtables): [decided] holds 0 for undecided or
@@ -115,20 +93,45 @@ let detail_of_byte = function
   | 3 -> `Budget_exceeded
   | b -> invalid_arg (Printf.sprintf "Engine: bad detail byte %d" b)
 
+(* Identity for footprint accounting: a shard charges each ruleset and
+   key material once, however many of its connections borrow it. *)
+let next_id = Atomic.make 0
+
+(* One rule generation: everything derived from the rules alone.  Never
+   written after [ruleset] returns — the search loop never writes the
+   automaton and [chunk_ids] is only read — so engines on any domain
+   borrow it.  The Aho-Corasick prefilter covers the (lowercased) content
+   patterns of decrypt-tier rules: a Protocol III rule only pays a
+   [Classify.matches_plaintext] confirm once every one of its patterns
+   has appeared somewhere in the recovered stream — a necessary
+   condition for the full rule to match, so the filter can never
+   suppress a true verdict. *)
+type ruleset = {
+  rs_id : int;
+  rules : Rule.t array;
+  chunks : string array;                       (* chunk_id -> chunk bytes *)
+  chunk_ids : (string, int) Hashtbl.t;         (* chunk bytes -> chunk_id *)
+  classes : Classify.protocol_class array;     (* rule_idx -> class *)
+  rule_needs : int list array;                 (* rule_idx -> prefilter pattern
+                                                  ids it must see ([] = none) *)
+  ac : (Bbx_ac.Aho_corasick.t * int) option;   (* automaton, longest pattern *)
+  npats : int;
+}
+
+(* One key's chunk encryptions over one ruleset, with their expanded AES
+   schedules; [encs.(i) = AES_k(ruleset.chunks.(i))]. *)
+type keys = {
+  k_id : int;
+  ruleset : ruleset;
+  encs : string array;
+  keyset : Bbx_detect.Detect.keyset;
+}
+
 type t = {
-  mode : Dpienc.mode;
-  index : Bbx_detect.Detect.index_backend;         (* backend for every
-                                                      detect (re)build *)
-  tier : Classify.protocol_class;              (* highest protocol executed *)
-  budget : budget;
+  config : config;
   direction : string;                          (* record-layer direction of
                                                   the inspected stream *)
-  mutable rules : Rule.t array;
-  mutable classes : Classify.protocol_class array; (* rule_idx -> class *)
-  mutable chunks : string array;               (* chunk_id -> chunk bytes *)
-  mutable encs : string array;                 (* chunk_id -> AES_k(chunk), kept for
-                                                  tree rebuilds on rule removal *)
-  chunk_ids : (string, int) Hashtbl.t;         (* chunk bytes -> chunk_id *)
+  mutable keys : keys;                         (* borrowed generation *)
   mutable detect : Bbx_detect.Detect.t;
   mutable salt0 : int;                         (* current salt epoch *)
   mutable hits : hitvec array;                 (* chunk_id -> stream offsets *)
@@ -147,11 +150,8 @@ type t = {
                                                   at recovery *)
   plain : Buffer.t;                            (* recovered plaintext so far *)
   mutable plain_cache : string option;
-  mutable prefilter : prefilter option;
-  mutable pf_shared : bool;                    (* automaton borrowed from a
-                                                  fleet-shared prep? *)
-  mutable rule_needs : int list array;         (* rule_idx -> prefilter pattern
-                                                  ids it must see ([] = none) *)
+  mutable seen_pat : Bytes.t;                  (* prefilter pattern id -> seen
+                                                  in the stream? *)
   mutable ac_scanned : int;                    (* [plain] prefix already swept *)
   mutable scan_ns : int;                       (* cumulative confirm time *)
   mutable exhausted : bool;                    (* sticky: budget blown or
@@ -176,9 +176,11 @@ let distinct_chunks rules =
     rules;
   Array.of_list (List.rev !order)
 
-(* Compute the Protocol III prefilter prep from a rule array.  Pure:
-   the result is installable into any engine running this ruleset. *)
-let prepare_prefilter_arr rules =
+let ruleset rule_list =
+  let rules = Array.of_list rule_list in
+  let chunks = distinct_chunks rule_list in
+  let chunk_ids = Hashtbl.create (max 16 (Array.length chunks)) in
+  Array.iteri (fun i c -> Hashtbl.replace chunk_ids c i) chunks;
   let classes = Array.map Classify.classify rules in
   let pat_ids = Hashtbl.create 64 in
   let pats = ref [] in
@@ -202,100 +204,75 @@ let prepare_prefilter_arr rules =
       rules
   in
   let pats = Array.of_list (List.rev !pats) in
-  { pp_nrules = Array.length rules;
-    pp_classes = classes;
-    pp_rule_needs = rule_needs;
-    pp_ac =
+  { rs_id = Atomic.fetch_and_add next_id 1;
+    rules;
+    chunks;
+    chunk_ids;
+    classes;
+    rule_needs;
+    ac =
       (if Array.length pats = 0 then None
        else
          Some
            ( Bbx_ac.Aho_corasick.build pats,
              Array.fold_left (fun m p -> max m (String.length p)) 0 pats ));
-    pp_npats = Array.length pats }
+    npats = Array.length pats }
 
-let prepare_prefilter rules = prepare_prefilter_arr (Array.of_list rules)
+let rules_of rs = Array.to_list rs.rules
 
-(* Install a prep into this engine.  [shared] records whether the
-   automaton is borrowed (fleet-owned) or this engine's own, which only
-   affects footprint accounting.  The [seen_pat] bitmap is always fresh
-   per connection.  Resets the scan cursor so the next pump re-sweeps the
-   whole stream against the new automaton. *)
-let install_prefilter t ~shared pp =
-  t.classes <- pp.pp_classes;
-  t.rule_needs <- pp.pp_rule_needs;
-  t.prefilter <-
-    (match pp.pp_ac with
-     | None -> None
-     | Some (ac, maxlen) ->
-       Some { ac; maxlen; seen_pat = Bytes.make pp.pp_npats '\000' });
-  t.pf_shared <- shared;
-  t.ac_scanned <- 0
+let next_rules rules ~remove_sids ~add =
+  List.filter
+    (fun r ->
+       match r.Rule.sid with Some s -> not (List.mem s remove_sids) | None -> true)
+    rules
+  @ add
+let chunks rs = rs.chunks
 
-(* (Re)build the prefilter from the current rule array (rule updates,
-   restore): the engine owns the result. *)
-let rebuild_prefilter t =
-  install_prefilter t ~shared:false (prepare_prefilter_arr t.rules)
+let keys_of_encs ruleset encs =
+  { k_id = Atomic.fetch_and_add next_id 1;
+    ruleset;
+    encs;
+    keyset = Bbx_detect.Detect.keyset encs }
 
-let create ?(index = Bbx_detect.Detect.Hash) ?(tier = Classify.Protocol_III)
-    ?(budget = default_budget) ?(direction = "client->server")
-    ?kernel:_ ?prepared ?keys ?prefilter ~mode ~salt0 ~rules
-    ~enc_chunk () =
-  let chunks, encs =
-    match prepared with
-    | Some (chunks, encs) ->
-      (* shared prep: the caller guarantees [chunks = distinct_chunks rules]
-         and [encs.(i) = enc_chunk chunks.(i)] — both arrays are borrowed
-         read-only, so a fleet pays for them once, not per connection *)
-      if Array.length chunks <> Array.length encs then
-        invalid_arg "Engine.create: prepared chunk/enc length mismatch";
-      (chunks, encs)
-    | None ->
-      let chunks = distinct_chunks rules in
-      (chunks, Array.map enc_chunk chunks)
-  in
-  let chunk_ids = Hashtbl.create (max 16 (Array.length chunks)) in
-  Array.iteri (fun i c -> Hashtbl.replace chunk_ids c i) chunks;
-  let rules = Array.of_list rules in
-  let t =
-    { mode;
-      index;
-      tier;
-      budget;
-      direction;
-      rules;
-      classes = [||];
-      chunks;
-      encs;
-      chunk_ids;
-      detect = Bbx_detect.Detect.create ~index ?keys ~mode ~salt0 encs;
-      salt0;
-      hits = Array.init (Array.length chunks) (fun _ -> hitvec ());
-      hit_count = 0;
-      recovered = None;
-      decided = Bytes.make (Array.length rules) '\000';
-      gates = Bytes.make (Array.length rules) '\000';
-      pending = [];
-      pending_est = 0;
-      reader = None;
-      plain = Buffer.create 256;
-      plain_cache = None;
-      prefilter = None;
-      pf_shared = false;
-      rule_needs = [||];
-      ac_scanned = 0;
-      scan_ns = 0;
-      exhausted = false }
-  in
-  (match prefilter with
-   | Some pp ->
-     if pp.pp_nrules <> Array.length rules then
-       invalid_arg "Engine.create: shared prefilter rule count mismatch";
-     install_prefilter t ~shared:true pp
-   | None -> rebuild_prefilter t);
-  t
+let keys ruleset ~enc_chunk = keys_of_encs ruleset (Array.map enc_chunk ruleset.chunks)
 
-let tier t = t.tier
-let mode t = t.mode
+let ruleset_of k = k.ruleset
+let ruleset_id rs = rs.rs_id
+let keys_id k = k.k_id
+
+(* Every connection on a generation starts from zeroed counters and empty
+   evidence; [salt0] must be even in [Probable] mode ([Detect.create]
+   checks). *)
+let make config keys ~direction ~salt0 =
+  let rs = keys.ruleset in
+  let nrules = Array.length rs.rules in
+  { config;
+    direction;
+    keys;
+    detect =
+      Bbx_detect.Detect.create ~keys:keys.keyset ~mode:config.mode ~salt0 keys.encs;
+    salt0;
+    hits = Array.init (Array.length rs.chunks) (fun _ -> hitvec ());
+    hit_count = 0;
+    recovered = None;
+    decided = Bytes.make nrules '\000';
+    gates = Bytes.make nrules '\000';
+    pending = [];
+    pending_est = 0;
+    reader = None;
+    plain = Buffer.create 256;
+    plain_cache = None;
+    seen_pat = Bytes.make rs.npats '\000';
+    ac_scanned = 0;
+    scan_ns = 0;
+    exhausted = false }
+
+let create ?kernel:_ ~mode ~salt0 ~rules ~enc_chunk () =
+  make { default_config with mode } (keys (ruleset rules) ~enc_chunk)
+    ~direction:"client->server" ~salt0
+
+let config t = t.config
+let keys_of t = t.keys
 
 let mark_exhausted t =
   if not t.exhausted then begin
@@ -310,7 +287,7 @@ let record_hit t chunk_id offset =
 
 let handle_event t ev ~embed =
   record_hit t ev.Bbx_detect.Detect.kw_id ev.Bbx_detect.Detect.offset;
-  if t.mode = Dpienc.Probable && t.recovered = None then begin
+  if t.config.mode = Dpienc.Probable && t.recovered = None then begin
     match embed with
     | Some embed ->
       t.recovered <- Some (Bbx_detect.Detect.recover_key t.detect ~event:ev ~embed);
@@ -338,7 +315,7 @@ let keyword_hits t =
   for chunk_id = Array.length t.hits - 1 downto 0 do
     let hv = t.hits.(chunk_id) in
     for i = hv.hn - 1 downto 0 do
-      acc := (t.chunks.(chunk_id), hv.ha.(i)) :: !acc
+      acc := (t.keys.ruleset.chunks.(chunk_id), hv.ha.(i)) :: !acc
     done
   done;
   List.sort (fun (_, a) (_, b) -> compare a b) !acc
@@ -352,7 +329,7 @@ let recovered_key t = t.recovered
 (* ---------- Protocol III escalation: record retention + decryption ---- *)
 
 let wants_records t =
-  t.mode = Dpienc.Probable && Classify.rank t.tier >= 3
+  t.config.mode = Dpienc.Probable && Classify.rank t.config.tier >= 3
 
 let record_stream t record =
   if wants_records t then begin
@@ -362,8 +339,8 @@ let record_stream t record =
          1-byte frame tag.  The byte budget applies to retained-but-sealed
          records too, or a never-escalating flow would buffer unboundedly. *)
       let est = max 0 (String.length record - Bbx_tls.Record.overhead - 1) in
-      if t.budget.max_plain_bytes > 0
-      && Buffer.length t.plain + t.pending_est + est > t.budget.max_plain_bytes
+      if t.config.budget.max_plain_bytes > 0
+      && Buffer.length t.plain + t.pending_est + est > t.config.budget.max_plain_bytes
       then begin
         (* Dropping a sealed record breaks the strict record-layer ordering
            for everything after it, so exhaustion is final. *)
@@ -390,26 +367,23 @@ let plain_str t =
    boundary are still seen (double counting is harmless: [seen_pat] is a
    bitmap). *)
 let prefilter_scan t =
-  match t.prefilter with
+  match t.keys.ruleset.ac with
   | None -> ()
-  | Some pf ->
+  | Some (ac, maxlen) ->
     let total = Buffer.length t.plain in
     if t.ac_scanned < total then begin
-      let start = max 0 (t.ac_scanned - (pf.maxlen - 1)) in
+      let start = max 0 (t.ac_scanned - (maxlen - 1)) in
       let seg = String.lowercase_ascii (Buffer.sub t.plain start (total - start)) in
       List.iter
-        (fun (pid, _) -> Bytes.set pf.seen_pat pid '\001')
-        (Bbx_ac.Aho_corasick.search pf.ac seg);
+        (fun (pid, _) -> Bytes.set t.seen_pat pid '\001')
+        (Bbx_ac.Aho_corasick.search ac seg);
       t.ac_scanned <- total
     end
 
 let prefilter_candidate t rule_idx =
-  match t.rule_needs.(rule_idx) with
-  | [] -> true
-  | ids ->
-    (match t.prefilter with
-     | None -> true
-     | Some pf -> List.for_all (fun id -> Bytes.get pf.seen_pat id = '\001') ids)
+  List.for_all
+    (fun id -> Bytes.get t.seen_pat id = '\001')
+    t.keys.ruleset.rule_needs.(rule_idx)
 
 (* Decrypt everything retained once [k_ssl] is recovered.  Record-layer
    decryption is strictly in-order from sequence 0, so any failure
@@ -448,8 +422,8 @@ let pump t =
              Buffer.add_string t.plain body;
              t.plain_cache <- None;
              Obs.add obs_plain_bytes (String.length body);
-             if t.budget.max_plain_bytes > 0
-             && Buffer.length t.plain > t.budget.max_plain_bytes
+             if t.config.budget.max_plain_bytes > 0
+             && Buffer.length t.plain > t.config.budget.max_plain_bytes
              then mark_exhausted t)
       batch;
     prefilter_scan t
@@ -469,12 +443,12 @@ let escalation t =
    charging the time against the scan budget when one is configured. *)
 let confirm t rule =
   Obs.incr obs_confirms;
-  if t.budget.max_scan_ms <= 0 then Classify.matches_plaintext rule (plain_str t)
+  if t.config.budget.max_scan_ms <= 0 then Classify.matches_plaintext rule (plain_str t)
   else begin
     let t0 = Bbx_obs.Trace.now_ns () in
     let r = Classify.matches_plaintext rule (plain_str t) in
     t.scan_ns <- t.scan_ns + (Bbx_obs.Trace.now_ns () - t0);
-    if t.scan_ns > t.budget.max_scan_ms * 1_000_000 then mark_exhausted t;
+    if t.scan_ns > t.config.budget.max_scan_ms * 1_000_000 then mark_exhausted t;
     r
   end
 
@@ -482,12 +456,11 @@ let confirm t rule =
    every one of its chunks matched at the right relative position.
    Membership tests binary-search each chunk's sorted offset vector, so a
    rule with [r] extra chunks costs O(starts * r * log hits) — no per-hit
-   hash-set needed.  The chunk->id table lives on [t] (maintained by
-   [create]/[add_rules]) instead of being rebuilt on every [verdicts]
-   call. *)
+   hash-set needed.  The chunk->id table is the ruleset's, not rebuilt
+   on every [verdicts] call. *)
 let content_candidates t =
   let hit_vec chunk =
-    match Hashtbl.find_opt t.chunk_ids chunk with
+    match Hashtbl.find_opt t.keys.ruleset.chunk_ids chunk with
     | None -> None
     | Some id ->
       let hv = t.hits.(id) in
@@ -519,7 +492,8 @@ let content_candidates t =
 let verdicts ?plaintext t =
   pump t;
   let candidates = content_candidates t in
-  let tier_rank = Classify.rank t.tier in
+  let rs = t.keys.ruleset in
+  let tier_rank = Classify.rank t.config.tier in
   let out = ref [] in
   let emit rule_idx rule detail =
     let via =
@@ -535,7 +509,7 @@ let verdicts ?plaintext t =
   in
   Array.iteri
     (fun rule_idx rule ->
-       let cls = t.classes.(rule_idx) in
+       let cls = rs.classes.(rule_idx) in
        if Classify.rank cls <= tier_rank then begin
          match Char.code (Bytes.get t.decided rule_idx) with
          | b when b > 0 -> emit rule_idx rule (detail_of_byte (b - 1))
@@ -576,115 +550,58 @@ let verdicts ?plaintext t =
                   decide rule_idx rule `Budget_exceeded
                 end)
        end)
-    t.rules;
+    rs.rules;
   List.rev !out
 
-(* Extend a byte table with zeroed slots for freshly appended rules. *)
-let extend_bytes b n =
-  if n <= Bytes.length b then b
-  else begin
-    let grown = Bytes.make n '\000' in
-    Bytes.blit b 0 grown 0 (Bytes.length b);
-    grown
-  end
-
-(* Rule update on a live connection: only chunks not already covered go
-   through (the caller's) rule preparation. *)
-let add_rules t ~rules ~enc_chunk =
-  let fresh =
-    Array.to_list (distinct_chunks rules)
-    |> List.filter (fun c -> not (Hashtbl.mem t.chunk_ids c))
+(* Rule update: move onto the next generation.  Rules are matched in
+   order (the retained rules of an update come first, in their old order,
+   then the additions), so each retained rule carries its escalation
+   state across the index shift.  Chunks are matched by value: a surviving
+   keyword keeps its salt counter and hit evidence, so the sender's next
+   occurrence still matches — rebuilding the detector from zeroed
+   counters would miss it until the next salt reset. *)
+let update t next =
+  let old = t.keys.ruleset and rs = next.ruleset in
+  let nrules = Array.length rs.rules in
+  let remap = Array.make (Array.length old.rules) (-1) in
+  let j = ref 0 in
+  Array.iteri
+    (fun i r ->
+       if !j < nrules && (rs.rules.(!j) == r || rs.rules.(!j) = r) then begin
+         remap.(i) <- !j;
+         incr j
+       end)
+    old.rules;
+  let rekey b =
+    let b' = Bytes.make nrules '\000' in
+    Array.iteri (fun i j -> if j >= 0 then Bytes.set b' j (Bytes.get b i)) remap;
+    b'
   in
-  let fresh_encs =
-    List.mapi
-      (fun i chunk ->
-         let enc = enc_chunk chunk in
-         let id = Bbx_detect.Detect.add_keyword t.detect enc in
-         assert (id = Array.length t.chunks + i);
-         Hashtbl.replace t.chunk_ids chunk id;
-         enc)
-      fresh
+  let old_counts = Bbx_detect.Detect.salt_counts t.detect in
+  let counts = Array.make (Array.length rs.chunks) 0 in
+  let hits =
+    Array.mapi
+      (fun j c ->
+         match Hashtbl.find_opt old.chunk_ids c with
+         | Some i ->
+           counts.(j) <- old_counts.(i);
+           t.hits.(i)
+         | None -> hitvec ())
+      rs.chunks
   in
-  (* one append for the whole batch, not one O(n) copy per chunk *)
-  t.chunks <- Array.append t.chunks (Array.of_list fresh);
-  t.encs <- Array.append t.encs (Array.of_list fresh_encs);
-  t.hits <-
-    Array.append t.hits
-      (Array.init (List.length fresh) (fun _ -> hitvec ()));
-  t.rules <- Array.append t.rules (Array.of_list rules);
-  t.decided <- extend_bytes t.decided (Array.length t.rules);
-  t.gates <- extend_bytes t.gates (Array.length t.rules);
-  rebuild_prefilter t;
-  List.length fresh
-
-(* Removing rules shifts [verdict.rule_idx] values, so callers keeping
-   per-rule state (the reported-rule bitsets) remap through the returned
-   index map.  Chunks no longer needed by any retained rule leave the
-   detection tree entirely — the tree is rebuilt from the kept encryptions
-   under the current salt epoch, which restarts the retained keywords'
-   salt counters; callers must follow with a sender-synchronised salt
-   reset (Session/Fleet force one after every rule update anyway). *)
-let remove_rules t ~sids =
-  if sids = [] then ([], [||])
-  else begin
-    let drop = Hashtbl.create (List.length sids) in
-    List.iter (fun s -> Hashtbl.replace drop s ()) sids;
-    let keep_rule r =
-      match r.Rule.sid with Some s -> not (Hashtbl.mem drop s) | None -> true
-    in
-    let remap = Array.make (Array.length t.rules) (-1) in
-    let kept = ref [] and next = ref 0 in
-    Array.iteri
-      (fun i r ->
-         if keep_rule r then begin
-           remap.(i) <- !next;
-           incr next;
-           kept := r :: !kept
-         end)
-      t.rules;
-    let kept = Array.of_list (List.rev !kept) in
-    let needed = Hashtbl.create 64 in
-    Array.iter (fun c -> Hashtbl.replace needed c ()) (distinct_chunks (Array.to_list kept));
-    let removed = ref [] and kept_chunks = ref [] and kept_encs = ref [] in
-    Array.iteri
-      (fun i c ->
-         if Hashtbl.mem needed c then begin
-           kept_chunks := c :: !kept_chunks;
-           kept_encs := t.encs.(i) :: !kept_encs
-         end
-         else removed := c :: !removed)
-      t.chunks;
-    let old_rules = Array.length t.rules in
-    t.rules <- kept;
-    t.chunks <- Array.of_list (List.rev !kept_chunks);
-    t.encs <- Array.of_list (List.rev !kept_encs);
-    Hashtbl.reset t.chunk_ids;
-    Array.iteri (fun i c -> Hashtbl.replace t.chunk_ids c i) t.chunks;
-    t.detect <- Bbx_detect.Detect.create ~index:t.index ~mode:t.mode ~salt0:t.salt0 t.encs;
-    t.hits <- Array.init (Array.length t.chunks) (fun _ -> hitvec ());
-    (* Escalation state is keyed by rule index: rewrite it through the
-       remap (dropped rules lose their entries). *)
-    let rekey b =
-      let b' = Bytes.make (Array.length kept) '\000' in
-      for i = 0 to old_rules - 1 do
-        if remap.(i) >= 0 then Bytes.set b' remap.(i) (Bytes.get b i)
-      done;
-      b'
-    in
-    t.decided <- rekey t.decided;
-    t.gates <- rekey t.gates;
-    rebuild_prefilter t;
-    (List.rev !removed, remap)
-  end
-
-(* Swap in a shared prep after a rule update (the update itself rebuilt
-   an engine-owned one).  The sweep restart install_prefilter forces is
-   harmless here: every caller follows a rule update with a salt reset,
-   and [seen_pat] evidence is re-derived from the retained stream. *)
-let set_prefilter t pp =
-  if pp.pp_nrules <> Array.length t.rules then
-    invalid_arg "Engine.set_prefilter: shared prefilter rule count mismatch";
-  install_prefilter t ~shared:true pp
+  let detect =
+    Bbx_detect.Detect.create ~keys:next.keyset ~mode:t.config.mode ~salt0:t.salt0 next.encs
+  in
+  Bbx_detect.Detect.restore_counts detect ~salt0:t.salt0 counts;
+  t.keys <- next;
+  t.detect <- detect;
+  t.hits <- hits;
+  t.decided <- rekey t.decided;
+  t.gates <- rekey t.gates;
+  (* pattern ids are per automaton: re-sweep the retained stream *)
+  t.seen_pat <- Bytes.make rs.npats '\000';
+  t.ac_scanned <- 0;
+  remap
 
 (* A salt reset rotates the token encryption only.  Per-chunk hit
    evidence is cleared (post-reset offsets would be incomparable with
@@ -700,84 +617,78 @@ let reset t ~salt0 =
   Bbx_detect.Detect.reset t.detect ~salt0;
   Array.iter (fun hv -> hv.hn <- 0; hv.sorted <- true) t.hits
 
-let chunk_count t = Bbx_detect.Detect.size t.detect
-
 (* ---------- footprint accounting -------------------------------------- *)
 
 let word = Sys.word_size / 8
 
-(* Approximate resident bytes of this connection's engine state.  Shared,
-   per-(tenant, generation) structures — a borrowed [?prepared] chunk/enc
-   pair, a shared detect keyset — are charged to their owner; everything
-   reported here is freed when the connection is removed.  String bytes
-   are rounded up to whole words + 1 header word. *)
+(* Approximate resident bytes.  An engine charges only what is freed
+   with its connection; the borrowed ruleset and key material are charged
+   once to whoever holds them ([ruleset_bytes], [keys_bytes]).  String
+   bytes are rounded up to whole words + 1 header word. *)
 let str_bytes s = ((String.length s + word) / word + 1) * word
+
+let ruleset_bytes rs =
+  Array.fold_left (fun a c -> a + str_bytes c) 0 rs.chunks
+  + Hashtbl.length rs.chunk_ids * 6 * word
+  + (3 * Array.length rs.rules + 8) * word
+  + (match rs.ac with None -> 0 | Some (ac, _) -> Bbx_ac.Aho_corasick.footprint_bytes ac)
+
+(* an expanded schedule is a 176-slot int array plus headers, as
+   [Detect.footprint_bytes] charges a private one *)
+let keys_bytes k =
+  Array.fold_left (fun a e -> a + str_bytes e + (176 + 4) * word) (2 * word) k.encs
 
 let footprint_bytes t =
   let hits =
     Array.fold_left (fun a hv -> a + (Array.length hv.ha + 4) * word) 0 t.hits
   in
   let pending = List.fold_left (fun a r -> a + str_bytes r) 0 t.pending in
-  let tables =
-    Bytes.length t.decided + Bytes.length t.gates
-    + (Array.length t.classes + Array.length t.rule_needs + 2) * word
-  in
-  let chunk_ids = Hashtbl.length t.chunk_ids * 6 * word in
+  let tables = Bytes.length t.decided + Bytes.length t.gates + Bytes.length t.seen_pat in
   Bbx_detect.Detect.footprint_bytes t.detect
-  + hits + pending + tables + chunk_ids
+  + hits + pending + tables
   + Buffer.length t.plain
   + (match t.recovered with None -> 0 | Some k -> str_bytes k)
-  + (match t.prefilter with
-     | None -> 0
-     | Some pf ->
-       Bytes.length pf.seen_pat
-       (* a borrowed automaton is charged to the fleet that owns it *)
-       + (if t.pf_shared then 0 else Bbx_ac.Aho_corasick.footprint_bytes pf.ac))
   + 32 * word
 
 (* ---------- snapshot / restore ---------------------------------------- *)
 
-(* Binary connection snapshot (format v1), self-contained: rules travel as
-   their text form (the same [Rule.to_string]/[Parser.parse_ruleset]
-   roundtrip the daemon already relies on), chunks and their encryptions
-   travel verbatim so restore needs no enc-chunk oracle, and every piece
-   of escalation state — salt counters, hit evidence, sticky decisions and
-   gates, recovered [k_ssl], sealed pending records, record-layer
-   sequence, recovered plaintext, prefilter progress, budget accounting —
-   is carried so a restored engine is observably identical to the
-   original.  [restore] raises [Invalid_argument] on any malformed or
-   inconsistent blob (callers validate front-side before handing state to
-   a worker domain). *)
+(* Binary connection snapshot (format v2), self-contained: the config,
+   the rules as their text form (the same [Rule.to_string]/
+   [Parser.parse_ruleset] roundtrip the daemon already relies on), one
+   record per chunk of the ruleset — its encryption, salt counter and hit
+   offsets — so restore needs no enc-chunk oracle, and every piece of
+   escalation state — sticky decisions and gates, recovered [k_ssl],
+   sealed pending records, record-layer sequence, recovered plaintext,
+   prefilter progress, budget accounting — so a restored engine is
+   observably identical to the original.  v1 carried a cipher-index byte
+   and is rejected.  [restore] raises [Invalid_argument] on any malformed
+   or inconsistent blob (callers validate front-side before handing state
+   to a worker domain). *)
 
-let snapshot_version = 1
+let snapshot_version = 2
 
 let snapshot t =
   let b = Buffer.create 4096 in
+  let c = t.config in
   Codec.put_u8 b snapshot_version;
-  Codec.put_u8 b (match t.mode with Dpienc.Exact -> 0 | Dpienc.Probable -> 1);
-  Codec.put_u8 b (match t.index with Bbx_detect.Detect.Hash -> 0 | Bbx_detect.Detect.Avl -> 1);
-  Codec.put_u8 b (Classify.rank t.tier);
-  Codec.put_i64 b t.budget.max_plain_bytes;
-  Codec.put_i64 b t.budget.max_scan_ms;
+  Codec.put_u8 b (match c.mode with Dpienc.Exact -> 0 | Dpienc.Probable -> 1);
+  Codec.put_u8 b (Classify.rank c.tier);
+  Codec.put_i64 b c.budget.max_plain_bytes;
+  Codec.put_i64 b c.budget.max_scan_ms;
   Codec.put_str32 b t.direction;
   Codec.put_i64 b t.salt0;
   Codec.put_str32 b
-    (String.concat "\n" (Array.to_list (Array.map Rule.to_string t.rules)));
-  Codec.put_u32 b (Array.length t.chunks);
-  Array.iteri
-    (fun i c ->
-       Codec.put_str32 b c;
-       Codec.put_str32 b t.encs.(i))
-    t.chunks;
+    (String.concat "\n" (Array.to_list (Array.map Rule.to_string t.keys.ruleset.rules)));
   let counts = Bbx_detect.Detect.salt_counts t.detect in
-  Codec.put_u32 b (Array.length counts);
-  Array.iter (Codec.put_i64 b) counts;
-  Codec.put_u32 b (Array.length t.hits);
-  Array.iter
-    (fun hv ->
+  Codec.put_u32 b (Array.length t.keys.encs);
+  Array.iteri
+    (fun i enc ->
+       Codec.put_str32 b enc;
+       Codec.put_i64 b counts.(i);
+       let hv = t.hits.(i) in
        Codec.put_u32 b hv.hn;
-       for i = 0 to hv.hn - 1 do Codec.put_i64 b hv.ha.(i) done)
-    t.hits;
+       for j = 0 to hv.hn - 1 do Codec.put_i64 b hv.ha.(j) done)
+    t.keys.encs;
   Codec.put_i64 b t.hit_count;
   (match t.recovered with
    | None -> Codec.put_bool b false
@@ -792,9 +703,7 @@ let snapshot t =
    | None -> Codec.put_bool b false
    | Some r -> Codec.put_bool b true; Codec.put_i64 b (Bbx_tls.Record.seq r));
   Codec.put_str32 b (plain_str t);
-  (match t.prefilter with
-   | None -> Codec.put_bool b false
-   | Some pf -> Codec.put_bool b true; Codec.put_str32 b (Bytes.to_string pf.seen_pat));
+  Codec.put_str32 b (Bytes.to_string t.seen_pat);
   Codec.put_i64 b t.ac_scanned;
   Codec.put_i64 b t.scan_ns;
   Codec.put_bool b t.exhausted;
@@ -813,12 +722,6 @@ let restore blob =
       | 1 -> Dpienc.Probable
       | m -> fail "bad mode %d" m
     in
-    let index =
-      match Codec.get_u8 cur with
-      | 0 -> Bbx_detect.Detect.Hash
-      | 1 -> Bbx_detect.Detect.Avl
-      | i -> fail "bad index backend %d" i
-    in
     let tier =
       match Classify.of_rank (Codec.get_u8 cur) with
       | Some c -> c
@@ -829,8 +732,8 @@ let restore blob =
     let direction = Codec.get_str32 cur in
     let salt0 = Codec.get_i64 cur in
     let rules_text = Codec.get_str32 cur in
-    let rules =
-      try Parser.parse_ruleset rules_text
+    let rs =
+      try ruleset (Parser.parse_ruleset rules_text)
       with Parser.Syntax_error msg -> fail "bad ruleset (%s)" msg
     in
     (* every counted element consumes at least [per] encoded bytes, so a
@@ -840,26 +743,18 @@ let restore blob =
       if n * per > String.length blob - cur.Codec.pos then fail "count exceeds blob"
     in
     let n_chunks = Codec.get_u32 cur in
-    guard_count n_chunks 8;
-    let chunks = Array.make n_chunks "" in
-    let encs = Array.make n_chunks "" in
-    for i = 0 to n_chunks - 1 do
-      chunks.(i) <- Codec.get_str32 cur;
-      let e = Codec.get_str32 cur in
-      if String.length e <> 16 then fail "chunk encryption must be 16 bytes";
-      encs.(i) <- e
-    done;
-    let n_counts = Codec.get_u32 cur in
-    if n_counts <> n_chunks then fail "salt count table size mismatch";
+    if n_chunks <> Array.length rs.chunks then fail "chunk table size mismatch";
+    guard_count n_chunks 16;
     (* explicit ascending loops: the cursor is stateful, and
        [Array.init]/[List.init] do not guarantee evaluation order *)
-    guard_count n_counts 8;
-    let counts = Array.make n_counts 0 in
-    for i = 0 to n_counts - 1 do counts.(i) <- Codec.get_i64 cur done;
-    let n_hits = Codec.get_u32 cur in
-    if n_hits <> n_chunks then fail "hit table size mismatch";
-    let hits = Array.make n_hits (hitvec ()) in
-    for i = 0 to n_hits - 1 do
+    let encs = Array.make n_chunks "" in
+    let counts = Array.make n_chunks 0 in
+    let hits = Array.make n_chunks (hitvec ()) in
+    for i = 0 to n_chunks - 1 do
+      let e = Codec.get_str32 cur in
+      if String.length e <> 16 then fail "chunk encryption must be 16 bytes";
+      encs.(i) <- e;
+      counts.(i) <- Codec.get_i64 cur;
       let k = Codec.get_u32 cur in
       guard_count k 8;
       let hv = { ha = Array.make k 0; hn = k; sorted = true } in
@@ -882,7 +777,7 @@ let restore blob =
     in
     let decided = Bytes.of_string (Codec.get_str32 cur) in
     let gates = Bytes.of_string (Codec.get_str32 cur) in
-    let n_rules = List.length rules in
+    let n_rules = Array.length rs.rules in
     if Bytes.length decided <> n_rules || Bytes.length gates <> n_rules then
       fail "per-rule table size mismatch";
     Bytes.iter
@@ -893,7 +788,6 @@ let restore blob =
     guard_count n_pending 4;
     let pending = ref [] in
     for _ = 1 to n_pending do pending := Codec.get_str32 cur :: !pending done;
-    let pending = List.rev !pending in
     let pending_est = Codec.get_i64 cur in
     if pending_est < 0 then fail "negative pending estimate";
     let reader_seq = if Codec.get_bool cur then Some (Codec.get_i64 cur) else None in
@@ -902,7 +796,8 @@ let restore blob =
      | Some _ when recovered = None -> fail "record reader without recovered key"
      | _ -> ());
     let plain = Codec.get_str32 cur in
-    let seen_pat = if Codec.get_bool cur then Some (Codec.get_str32 cur) else None in
+    let seen_pat = Codec.get_str32 cur in
+    if String.length seen_pat <> rs.npats then fail "prefilter bitmap size mismatch";
     let ac_scanned = Codec.get_i64 cur in
     if ac_scanned < 0 || ac_scanned > String.length plain then
       fail "scan cursor out of range";
@@ -910,14 +805,13 @@ let restore blob =
     if scan_ns < 0 then fail "negative scan time";
     let exhausted = Codec.get_bool cur in
     Codec.finish cur;
-    let budget = { max_plain_bytes; max_scan_ms } in
+    let config = { mode; tier; budget = { max_plain_bytes; max_scan_ms } } in
     let t =
-      create ~index ~tier ~budget ~direction ~prepared:(chunks, encs)
-        ~mode ~salt0:(if mode = Dpienc.Probable then salt0 land lnot 1 else salt0)
-        ~rules ~enc_chunk:(fun _ -> assert false) ()
+      make config (keys_of_encs rs encs) ~direction
+        ~salt0:(if mode = Dpienc.Probable then salt0 land lnot 1 else salt0)
     in
-    (* [create] built the detector at a parity-safe salt; now install the
-       real per-connection counters (validates parity and table size). *)
+    (* [make] built the detector at a parity-safe salt; now install the
+       real per-connection counters (validates parity and counts). *)
     Bbx_detect.Detect.restore_counts t.detect ~salt0 counts;
     t.salt0 <- salt0;
     t.hits <- hits;
@@ -925,7 +819,7 @@ let restore blob =
     t.recovered <- recovered;
     t.decided <- decided;
     t.gates <- gates;
-    t.pending <- List.rev pending;
+    t.pending <- !pending;
     t.pending_est <- pending_est;
     (match reader_seq with
      | None -> ()
@@ -937,14 +831,8 @@ let restore blob =
        t.reader <- Some r);
     Buffer.add_string t.plain plain;
     t.plain_cache <- None;
-    (match seen_pat, t.prefilter with
-     | Some sp, Some pf ->
-       if String.length sp <> Bytes.length pf.seen_pat then
-         fail "prefilter bitmap size mismatch";
-       Bytes.blit_string sp 0 pf.seen_pat 0 (String.length sp)
-     | Some _, None -> fail "prefilter bitmap without prefilter rules"
-     | None, _ -> ());
-    t.ac_scanned <- min ac_scanned (Buffer.length t.plain);
+    t.seen_pat <- Bytes.of_string seen_pat;
+    t.ac_scanned <- ac_scanned;
     t.scan_ns <- scan_ns;
     t.exhausted <- exhausted;
     t

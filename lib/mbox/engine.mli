@@ -1,9 +1,8 @@
 (** The middlebox detection engine (paper §6): one instance per connection.
 
-    The engine is built from the ruleset and an [enc_chunk] oracle giving
-    [AES_k(chunk)] for each distinct rule-keyword chunk — in production
-    that oracle is obfuscated rule encryption (garbled circuits + OT, see
-    {!Blindbox.Session}); tests may pass the direct encryption.
+    An engine borrows a shared {!ruleset} and the connection's {!keys}
+    (the chunk encryptions [AES_k(chunk)] of that ruleset) and owns only
+    per-connection state: salt counters, hit evidence, escalation state.
 
     Keyword-level matches come from {!Bbx_detect.Detect}; this module
     lifts them to rule-level verdicts through a tiered escalation state
@@ -23,7 +22,7 @@
       exhaustion degrades to a [`Budget_exceeded] verdict ("flagged, not
       matched") for every rule whose encrypted-side keyword gate fired.
 
-    The engine runs at a configurable {!tier}: rules requiring a higher
+    The engine runs at the {!config}'s tier: rules requiring a higher
     protocol than the configured tier are ignored entirely. *)
 
 (** How a verdict was reached — the wire-visible detail. *)
@@ -50,6 +49,20 @@ type budget = { max_plain_bytes : int; max_scan_ms : int }
 (** 4 MiB of plaintext, no time cap. *)
 val default_budget : budget
 
+(** What an engine inspects and how far it escalates: the DPIEnc [mode]
+    of the stream, the highest protocol [tier] executed (rules needing a
+    higher protocol are ignored) and the Protocol III [budget].  Built
+    once — by the CLI, {!Blindbox.Session.config} or the daemon config —
+    and shared by every engine it configures. *)
+type config = {
+  mode : Bbx_dpienc.Dpienc.mode;
+  tier : Bbx_rules.Classify.protocol_class;
+  budget : budget;
+}
+
+(** [Exact] mode, tier [Protocol_III], {!default_budget}. *)
+val default_config : config
+
 type t
 
 (** [distinct_chunks rules] — every distinct token-sized keyword chunk the
@@ -57,53 +70,82 @@ type t
     obfuscated rule encryption must cover. *)
 val distinct_chunks : Bbx_rules.Rule.t list -> string array
 
-(** A shared Protocol III prefilter preparation: the rule protocol
-    classes, the Aho-Corasick automaton over the decrypt-tier content
-    patterns, and the per-rule pattern-needs map — everything the
-    prefilter derives from the ruleset alone.  Immutable after
-    construction, so one prep serves every engine running the same
-    (tenant, generation) ruleset; without sharing, the automaton's dense
-    transition tables (~2 KiB per trie node) dominate per-connection
-    footprint. *)
-type prefilter_prep
+(** {1 Rulesets and key material}
 
-(** [prepare_prefilter rules] — compute once per (tenant, generation),
-    pass to every {!create}. *)
-val prepare_prefilter : Bbx_rules.Rule.t list -> prefilter_prep
+    One middlebox applies one ruleset to many connections; only the rule
+    encryptions depend on a connection's key.  The state therefore comes
+    in two immutable values, built once and borrowed by every engine:
 
-(** [create ?index ?tier ?budget ?direction ?prepared ?keys ~mode ~salt0
-    ~rules ~enc_chunk] — [enc_chunk] is consulted once per distinct chunk
-    at construction time.  [index] (default {!Bbx_detect.Detect.Hash})
-    selects the cipher-index backend and is remembered for
-    detection-state rebuilds ({!remove_rules}).  [tier] (default
-    [Protocol_III]) is the highest protocol this engine executes;
-    [budget] bounds Protocol III work; [direction] (default
-    ["client->server"]) is the record-layer direction of the inspected
-    stream, needed to decrypt records shipped via {!record_stream};
-    [kernel] is ignored (see {!Bbx_crypto.Aes.kernel}).
+    - a {!ruleset} holds everything derived from the rules alone — the
+      rules, their distinct chunks and chunk index, per-rule protocol
+      classes and the Protocol III prefilter (an Aho-Corasick automaton
+      over the decrypt-tier content patterns, whose dense transition
+      tables are the largest rules-only structure);
+    - {!keys} hold one key's chunk encryptions [AES_k(chunk)] and their
+      expanded AES key schedules, built against one ruleset.
 
-    At fleet scale the per-connection setup cost is chunk recomputation,
-    the [enc_chunk] calls, AES key expansion and the prefilter automaton
-    build: [prepared] (must equal
-    [(distinct_chunks rules, Array.map enc_chunk ...)] — borrowed
-    read-only, never mutated) skips the first two, [keys] (a shared
-    {!Bbx_detect.Detect.keyset} over the same encs) skips the third, and
-    [prefilter] (a shared {!prepare_prefilter} over the same rules —
-    raises [Invalid_argument] on a rule-count mismatch) skips the fourth.
-    With [prepared] and [keys], [enc_chunk] is not called at construction
-    (it is still used by later {!add_rules}).  Rule updates
-    ({!add_rules}/{!remove_rules}) rebuild an engine-owned prefilter —
-    pass the next generation's shared prep through the update path to
-    keep it shared. *)
+    Nothing writes to either after construction, so engines on different
+    domains may share them once published through a synchronised channel
+    (the shard pool's mailboxes qualify). *)
+
+(** One rule generation. *)
+type ruleset
+
+(** [ruleset rules] builds the generation: chunks, chunk index, classes
+    and prefilter automaton. *)
+val ruleset : Bbx_rules.Rule.t list -> ruleset
+
+val rules_of : ruleset -> Bbx_rules.Rule.t list
+
+(** [next_rules rules ~remove_sids ~add] — the rules after an update:
+    [rules] without those whose sid is in [remove_sids], in order, then
+    [add].  {!update} carries per-rule state across exactly this
+    shape. *)
+val next_rules :
+  Bbx_rules.Rule.t list -> remove_sids:int list -> add:Bbx_rules.Rule.t list ->
+  Bbx_rules.Rule.t list
+
+(** The ruleset's distinct chunks ({!distinct_chunks} order). *)
+val chunks : ruleset -> string array
+
+(** Approximate resident bytes of a ruleset (charged once to whoever
+    holds it, see {!footprint_bytes}). *)
+val ruleset_bytes : ruleset -> int
+
+(** A connection's (or a fleet tenant's) key material over one ruleset. *)
+type keys
+
+(** [keys rs ~enc_chunk] asks [enc_chunk] for [AES_k(chunk)] once per
+    chunk of [rs] and expands every key schedule.  In production the
+    oracle is obfuscated rule encryption (garbled circuits + OT, see
+    {!Blindbox.Session}); tests may pass the direct encryption. *)
+val keys : ruleset -> enc_chunk:(string -> string) -> keys
+
+(** The ruleset [keys] were built against. *)
+val ruleset_of : keys -> ruleset
+
+(** Approximate resident bytes of the encryptions and key schedules. *)
+val keys_bytes : keys -> int
+
+(** Identities for charging a shared value once: distinct for every
+    ruleset and key material ever built. *)
+val ruleset_id : ruleset -> int
+
+val keys_id : keys -> int
+
+(** [make config keys ~direction ~salt0] — an engine for one connection
+    on [ruleset_of keys], borrowing both values.  [direction] is the
+    record-layer direction of the inspected stream, needed to decrypt
+    records shipped via {!record_stream}. *)
+val make : config -> keys -> direction:string -> salt0:int -> t
+
+(** [create ~mode ~salt0 ~rules ~enc_chunk ()] — the one-connection
+    shorthand: {!make} under [{ default_config with mode }] with a
+    private [ruleset rules], private [keys ~enc_chunk] and direction
+    ["client->server"]; [kernel] is ignored (see
+    {!Bbx_crypto.Aes.kernel}).  Engines sharing a ruleset use {!make}. *)
 val create :
-  ?index:Bbx_detect.Detect.index_backend ->
-  ?tier:Bbx_rules.Classify.protocol_class ->
-  ?budget:budget ->
-  ?direction:string ->
   ?kernel:Bbx_dpienc.Dpienc.aes_kernel ->
-  ?prepared:string array * string array ->
-  ?keys:Bbx_detect.Detect.keyset ->
-  ?prefilter:prefilter_prep ->
   mode:Bbx_dpienc.Dpienc.mode ->
   salt0:int ->
   rules:Bbx_rules.Rule.t list ->
@@ -111,11 +153,11 @@ val create :
   unit ->
   t
 
-(** The tier this engine was configured with. *)
-val tier : t -> Bbx_rules.Classify.protocol_class
+(** The configuration this engine runs under. *)
+val config : t -> config
 
-(** The DPIEnc mode this engine inspects. *)
-val mode : t -> Bbx_dpienc.Dpienc.mode
+(** The key material (and through it the ruleset) the engine runs on. *)
+val keys_of : t -> keys
 
 (** [process t tokens] feeds encrypted tokens in stream order. *)
 val process : t -> Bbx_dpienc.Dpienc.enc_token list -> unit
@@ -168,34 +210,22 @@ val escalation : t -> [ `Idle | `Gated | `Unlocked | `Exhausted ]
     do. *)
 val verdicts : ?plaintext:string -> t -> verdict list
 
-(** [add_rules t ~rules ~enc_chunk] extends a live connection with new
-    rules (the rule generator shipped an update).  Only chunks not already
-    prepared consult [enc_chunk]; returns how many fresh chunks were
-    added. *)
-val add_rules : t -> rules:Bbx_rules.Rule.t list -> enc_chunk:(string -> string) -> int
-
-(** [remove_rules t ~sids] drops every rule whose [sid] is in [sids] (an
-    RG update retired them).  Returns [(orphans, remap)]: [orphans] are
-    the chunks no retained rule needs (gone from the detection tree — a
-    payload carrying only removed keywords no longer registers hits), and
-    [remap] maps each old [verdict.rule_idx] to its new index, or [-1]
-    for removed rules, so callers can rewrite per-rule-index state.
-    The engine's own per-rule escalation state (sticky decisions, keyword
-    gates) is remapped internally.
-    The detection tree is rebuilt from the retained chunks' cached
-    encryptions under the current salt epoch, restarting their salt
-    counters and clearing hit evidence — follow with a sender-side salt
-    reset, exactly as after {!add_rules} (Session/Fleet force one).
-    [~sids:[]] is a no-op returning [([], [||])]. *)
-val remove_rules : t -> sids:int list -> string list * int array
-
-(** [set_prefilter t pp] swaps in a shared prefilter prep for the
-    engine-owned one a rule update rebuilt ([pp] must cover the engine's
-    current post-update ruleset; raises [Invalid_argument] on a
-    rule-count mismatch).  Prefilter evidence is re-derived from the
-    retained stream on the next delivery, exactly as after the update
-    itself. *)
-val set_prefilter : t -> prefilter_prep -> unit
+(** [update t next] moves the connection onto the next rule generation
+    (the rule generator shipped an update): the engine borrows [next] and
+    its ruleset from now on.  Every chunk the two generations share keeps
+    its salt counter and hit evidence, so a keyword the sender emitted
+    before the update still matches its next occurrence; new chunks start
+    at counter zero under the current salt epoch.  Rules present in both
+    generations (matched in order, the {!next_rules} shape) keep their
+    escalation state.  Returns
+    the rule-index map: old [verdict.rule_idx] to its new index, or [-1]
+    for a rule the next generation dropped, so callers can rewrite
+    per-rule state.  Prefilter evidence is re-derived from the retained
+    stream on the next delivery.  Callers follow an update with a
+    sender-side salt reset, as Session, Fleet and the daemon clients do,
+    so counters of keywords the sender emitted under an older ruleset are
+    back in lock-step. *)
+val update : t -> keys -> int array
 
 (** [reset t ~salt0] forwards the sender's periodic salt reset.  Per-chunk
     hit evidence ({!keyword_hits}, and fresh {!verdicts} derived from it)
@@ -206,19 +236,16 @@ val set_prefilter : t -> prefilter_prep -> unit
     budget accounting) deliberately survive. *)
 val reset : t -> salt0:int -> unit
 
-(** Distinct chunk count (tree size). *)
-val chunk_count : t -> int
-
-(** Approximate resident bytes of this connection's engine state (the
-    [bbx_conn_bytes] accounting input).  Structures shared across a
-    fleet — borrowed [?prepared] arrays, shared keysets — are charged to
-    their owner, not here. *)
+(** Approximate resident bytes of this connection's own engine state
+    (the [bbx_conn_bytes] accounting input).  The borrowed ruleset and
+    key material are not included: {!ruleset_bytes} and {!keys_bytes}
+    charge them once to whoever holds them. *)
 val footprint_bytes : t -> int
 
 (** {1 Snapshot / restore (connection migration)}
 
     A snapshot is a self-contained binary image of one connection's
-    inspection state: ruleset (as text), chunk encryptions, salt epoch
+    inspection state: config, ruleset (as text), chunk encryptions, salt epoch
     and per-keyword counters, hit evidence, sticky decisions and keyword
     gates, recovered [k_ssl], sealed pending records, record-layer
     sequence, recovered plaintext, prefilter progress and budget
@@ -226,10 +253,11 @@ val footprint_bytes : t -> int
     identical to [t] — same future verdicts, stats and escalation
     behaviour (pinned by the migration differential tests). *)
 
-(** Serialise the complete per-connection state (format v1). *)
+(** Serialise the complete per-connection state (format v2). *)
 val snapshot : t -> string
 
-(** Rebuild an engine from {!snapshot} output.  Raises
+(** Rebuild an engine from {!snapshot} output, on a private ruleset and
+    key material.  Raises
     [Invalid_argument] on any malformed, truncated or inconsistent blob
     — callers must validate untrusted blobs on the front side (by calling
     this) before handing state to a worker domain. *)

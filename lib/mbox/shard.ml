@@ -38,11 +38,7 @@ type conn = {
 }
 
 type t = {
-  mode : Bbx_dpienc.Dpienc.mode;
-  index : Bbx_detect.Detect.index_backend;  (* cipher-index backend for new engines *)
-  tier : Bbx_rules.Classify.protocol_class; (* highest protocol new engines run *)
-  budget : Engine.budget;                   (* Protocol III escalation budget *)
-  mutable rules : Bbx_rules.Rule.t list;   (* current ruleset for new registrations *)
+  config : Engine.config;
   conns : (conn_id, conn) Hashtbl.t;
   mutable total_tokens : int;
   mutable total_keyword_hits : int;
@@ -50,30 +46,26 @@ type t = {
   mutable blocked_count : int;
 }
 
-let create ?(index = Bbx_detect.Detect.Hash) ?(tier = Bbx_rules.Classify.Protocol_III)
-    ?(budget = Engine.default_budget) ~mode ~rules () =
-  { mode; index; tier; budget; rules; conns = Hashtbl.create 64;
+let create config =
+  { config; conns = Hashtbl.create 64;
     total_tokens = 0; total_keyword_hits = 0; alerts = 0; blocked_count = 0 }
 
-let mode t = t.mode
-
-let register ?direction ?prepared ?keys ?prefilter t ~conn_id ~salt0 ~enc_chunk =
+let check_fresh t op conn_id =
   if Hashtbl.mem t.conns conn_id then
-    invalid_arg (Printf.sprintf "Middlebox.register: connection %d exists" conn_id);
-  let engine =
-    Engine.create ~index:t.index ~tier:t.tier ~budget:t.budget ?direction
-      ?prepared ?keys ?prefilter ~mode:t.mode ~salt0
-      ~rules:t.rules ~enc_chunk ()
-  in
+    invalid_arg (Printf.sprintf "Shard.%s: connection %d exists" op conn_id)
+
+let register t ~conn_id ~salt0 ~direction keys =
+  check_fresh t "register" conn_id;
+  let engine = Engine.make t.config keys ~direction ~salt0 in
   Hashtbl.add t.conns conn_id
-    { engine; conn_blocked = false; reported = Bitset.create (List.length t.rules);
+    { engine; conn_blocked = false; reported = Bitset.create 0;
       conn_tokens = 0; conn_verdicts = 0 };
   Obs.add_gauge obs_connections 1
 
 let get t conn_id =
   match Hashtbl.find_opt t.conns conn_id with
   | Some c -> c
-  | None -> invalid_arg (Printf.sprintf "Middlebox: unknown connection %d" conn_id)
+  | None -> invalid_arg (Printf.sprintf "Shard: unknown connection %d" conn_id)
 
 (* [inject] runs the engine over this delivery's tokens and returns how
    many there were — the list and wire entry points only differ here.
@@ -87,7 +79,7 @@ let get t conn_id =
 let process_common t ~conn_id inject =
   let c = get t conn_id in
   if c.conn_blocked then
-    invalid_arg (Printf.sprintf "Middlebox.process: connection %d is blocked" conn_id);
+    invalid_arg (Printf.sprintf "Shard.process: connection %d is blocked" conn_id);
   let hits_before = Engine.hit_count c.engine in
   let tokens = inject c.engine in
   t.total_tokens <- t.total_tokens + tokens;
@@ -145,21 +137,11 @@ let engine t ~conn_id = (get t conn_id).engine
 
 let reset_conn t ~conn_id ~salt0 = Engine.reset (get t conn_id).engine ~salt0
 
-(* Rule update for one connection: retire [remove_sids], extend with
-   [add], and adopt [rules] (the full post-update ruleset) for future
-   registrations.  The engine's index remap is applied to the
-   reported-rule set so "report each rule once" survives the rule_idx
-   shift that removal causes. *)
-let update_rules ?prefilter t ~conn_id ~remove_sids ~add ~rules ~enc_chunk =
+(* The engine's index remap is applied to the reported-rule set so
+   "report each rule once" survives the rule_idx shift of an update. *)
+let update_rules t ~conn_id keys =
   let c = get t conn_id in
-  let _orphans, remap = Engine.remove_rules c.engine ~sids:remove_sids in
-  if remove_sids <> [] then
-    c.reported <- Bitset.remap c.reported remap ~size:(Array.length remap);
-  ignore (Engine.add_rules c.engine ~rules:add ~enc_chunk : int);
-  (* the update rebuilt an engine-owned prefilter; swap the shared
-     next-generation prep back in so fleets stay flat *)
-  Option.iter (Engine.set_prefilter c.engine) prefilter;
-  t.rules <- rules
+  c.reported <- Bitset.remap c.reported (Engine.update c.engine keys)
 
 let stats t =
   { connections = Hashtbl.length t.conns;
@@ -216,17 +198,15 @@ let export_conn t ~conn_id =
   Obs.add_gauge obs_connections (-1);
   Buffer.contents b
 
-let parse_export ?mode blob =
+let parse_export ~mode blob =
   match
     let cur = Codec.cursor blob in
     let version = Codec.get_u8 cur in
     if version <> export_version then
       invalid_arg (Printf.sprintf "Shard.parse_export: unknown version %d" version);
     let engine = Engine.restore (Codec.get_str32 cur) in
-    (match mode with
-     | Some m when Engine.mode engine <> m ->
-       invalid_arg "Shard.parse_export: mode mismatch"
-     | _ -> ());
+    if (Engine.config engine).Engine.mode <> mode then
+      invalid_arg "Shard.parse_export: mode mismatch";
     let conn_blocked = Codec.get_bool cur in
     let reported = Bitset.of_string (Codec.get_str32 cur) in
     let conn_tokens = Codec.get_i64 cur in
@@ -242,20 +222,37 @@ let parse_export ?mode blob =
 
 (* Infallible by design: validation happened in {!parse_export} on the
    front side, so adopting on a worker domain cannot poison it.  The
-   shard's ruleset is not consulted — the imported engine carries its
-   own (possibly older-generation) ruleset until the next rule update. *)
+   imported engine carries its own ruleset until the next rule update. *)
 let adopt t ~conn_id c =
   Hashtbl.replace t.conns conn_id c;
   Obs.add_gauge obs_connections 1
+
+(* validate before install; a duplicate id is a caller error, as for
+   [register] *)
+let import_conn t ~conn_id blob =
+  let c = parse_export ~mode:t.config.Engine.mode blob in
+  check_fresh t "import_conn" conn_id;
+  adopt t ~conn_id c
 
 (* ---------- footprint accounting -------------------------------------- *)
 
 let conn_count t = Hashtbl.length t.conns
 
+(* Borrowed rulesets and key material are charged once per shard,
+   however many connections share them: a fleet generation costs one
+   copy, a daemon connection's private keys cost one copy each. *)
 let footprint_bytes t =
+  let counted = Hashtbl.create 8 in
+  let once id bytes =
+    if Hashtbl.mem counted id then 0 else (Hashtbl.add counted id (); bytes)
+  in
   Hashtbl.fold
     (fun _ c acc ->
+       let keys = Engine.keys_of c.engine in
+       let rs = Engine.ruleset_of keys in
        acc + Engine.footprint_bytes c.engine
        + Bitset.footprint_bytes c.reported
-       + 8 * (Sys.word_size / 8))
+       + 8 * (Sys.word_size / 8)
+       + once (Engine.keys_id keys) (Engine.keys_bytes keys)
+       + once (Engine.ruleset_id rs) (Engine.ruleset_bytes rs))
     t.conns 0

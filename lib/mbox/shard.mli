@@ -1,8 +1,8 @@
 (** The per-shard middlebox core: many monitored connections, one owner.
 
-    This is the sequential heart of the middlebox tier.  {!Middlebox}
-    wraps exactly one shard behind the historical API; {!Shardpool} owns
-    one shard per worker domain and feeds each through a mailbox.
+    This is the sequential heart of the middlebox tier: used directly, it
+    is the single-domain middlebox; {!Shardpool} owns one shard per worker
+    domain and feeds each through a mailbox.
 
     {b Ownership}: a shard is single-owner mutable state — every
     connection table, engine and counter in it may be touched by at most
@@ -32,34 +32,16 @@ type flow_stats = {
 
 type t
 
-(** [create ?index ?tier ?budget ~mode ~rules] — [index] (default
-    {!Bbx_detect.Detect.Hash}) is the cipher-index backend used by every
-    engine this shard registers; [tier] (default [Protocol_III]) and
-    [budget] (default {!Engine.default_budget}) configure every engine's
-    escalation behaviour. *)
-val create :
-  ?index:Bbx_detect.Detect.index_backend ->
-  ?tier:Bbx_rules.Classify.protocol_class ->
-  ?budget:Engine.budget ->
-  mode:Bbx_dpienc.Dpienc.mode -> rules:Bbx_rules.Rule.t list -> unit -> t
+(** [create config] — every engine this shard registers runs under
+    [config].  A shard stores no ruleset: each connection brings the
+    generation it runs on. *)
+val create : Engine.config -> t
 
-(** The DPIEnc mode this shard inspects. *)
-val mode : t -> Bbx_dpienc.Dpienc.mode
-
-(** [register ?direction ?prepared ?keys ?prefilter t ~conn_id ~salt0
-    ~enc_chunk] — raises [Invalid_argument] on duplicate ids.
-    [enc_chunk] is consulted on the calling (owning) domain.
-    [direction] is the record-layer direction of the inspected stream;
-    [prepared]/[keys]/[prefilter] are the shared per-(tenant, generation)
-    chunk/enc arrays, expanded keyset and prefilter prep that make
-    registration O(1) in ruleset size and keep per-connection footprint
-    flat (see {!Engine.create}). *)
+(** [register t ~conn_id ~salt0 ~direction keys] — a connection on
+    [Engine.ruleset_of keys], borrowing the ruleset and key material
+    (see {!Engine.make}).  Raises [Invalid_argument] on duplicate ids. *)
 val register :
-  ?direction:string ->
-  ?prepared:string array * string array ->
-  ?keys:Bbx_detect.Detect.keyset ->
-  ?prefilter:Engine.prefilter_prep ->
-  t -> conn_id:conn_id -> salt0:int -> enc_chunk:(string -> string) -> unit
+  t -> conn_id:conn_id -> salt0:int -> direction:string -> Engine.keys -> unit
 
 (** [record_stream t ~conn_id record] retains one sealed SSL record for
     probable-cause escalation ({!Engine.record_stream}).  Ignored on
@@ -85,26 +67,11 @@ val engine : t -> conn_id:conn_id -> Engine.t
     connection's engine. *)
 val reset_conn : t -> conn_id:conn_id -> salt0:int -> unit
 
-(** [update_rules ?prefilter t ~conn_id ~remove_sids ~add ~rules
-    ~enc_chunk] applies
-    a rule update to one connection's engine: rules with a sid in
-    [remove_sids] are retired ({!Engine.remove_rules} — the connection's
-    reported-rule set is remapped across the index shift), [add] rules
-    are appended ({!Engine.add_rules}, consulting [enc_chunk] for fresh
-    chunks), and [rules] — the full post-update ruleset — becomes the
-    shard's ruleset for future registrations.  [prefilter] — the shared
-    prep for the post-update ruleset — replaces the engine-owned
-    prefilter the update rebuilt ({!Engine.set_prefilter}).  Follow with
+(** [update_rules t ~conn_id next] moves one connection onto the next
+    rule generation ({!Engine.update}); the connection's reported-rule
+    set is remapped across the rule-index shift.  Follow with
     {!reset_conn}, as after any rule update. *)
-val update_rules :
-  ?prefilter:Engine.prefilter_prep ->
-  t ->
-  conn_id:conn_id ->
-  remove_sids:int list ->
-  add:Bbx_rules.Rule.t list ->
-  rules:Bbx_rules.Rule.t list ->
-  enc_chunk:(string -> string) ->
-  unit
+val update_rules : t -> conn_id:conn_id -> Engine.keys -> unit
 
 val stats : t -> stats
 
@@ -133,20 +100,27 @@ val export_conn : t -> conn_id:conn_id -> string
 (** A parsed, fully validated export blob, ready to adopt. *)
 type imported
 
-(** [parse_export ?mode blob] validates and rebuilds the
-    connection state.  Raises [Invalid_argument] on any malformed blob,
-    or when [mode] is given and does not match the snapshot — call this
-    on the front side so worker domains only ever see valid state. *)
-val parse_export : ?mode:Bbx_dpienc.Dpienc.mode -> string -> imported
+(** [parse_export ~mode blob] validates and rebuilds the connection
+    state.  Raises [Invalid_argument] on any malformed blob, or when the
+    snapshot's mode is not [mode] — call this on the front side so worker
+    domains only ever see valid state. *)
+val parse_export : mode:Bbx_dpienc.Dpienc.mode -> string -> imported
 
 (** [adopt t ~conn_id c] installs a parsed connection (gauge +1).
     Infallible (replaces any existing [conn_id] — callers check for
     duplicates before parsing). *)
 val adopt : t -> conn_id:conn_id -> imported -> unit
 
+(** [import_conn t ~conn_id blob] — {!parse_export} under this shard's
+    mode, then {!adopt}.  Raises [Invalid_argument] on a bad blob or a
+    duplicate id. *)
+val import_conn : t -> conn_id:conn_id -> string -> unit
+
 (** Currently registered connections on this shard. *)
 val conn_count : t -> int
 
-(** Approximate resident bytes of all per-connection state on this shard
-    (the [bbx_conn_bytes] input; see {!Engine.footprint_bytes}). *)
+(** Approximate resident bytes of all connection state on this shard
+    (the [bbx_conn_bytes] input): every engine's own state, plus each
+    distinct ruleset and key material its connections borrow, counted
+    once (see {!Engine.footprint_bytes}). *)
 val footprint_bytes : t -> int

@@ -61,16 +61,12 @@ let shard_of t conn_id op =
 
 let default_domains = Pool.default_domains
 
-let create ?domains ?capacity ?batch_max ?index ?tier ?budget ~mode ~rules () =
+let create ?domains config =
   let n = match domains with Some n -> n | None -> default_domains () in
   if n < 1 then invalid_arg "Shardpool.create: domains must be >= 1";
-  let pool =
-    Pool.create ~domains:n ?capacity ?batch_max
-      ~state:(fun _ -> Shard.create ?index ?tier ?budget ~mode ~rules ())
-      ()
-  in
+  let pool = Pool.create ~domains:n ~state:(fun _ -> Shard.create config) () in
   Obs.set_gauge obs_domains n;
-  { pool; mode; registered = Hashtbl.create 64 }
+  { pool; mode = config.Engine.mode; registered = Hashtbl.create 64 }
 
 let domains t = Pool.domains t.pool
 
@@ -78,14 +74,14 @@ let check_live t op =
   if not (Pool.live t.pool) then
     invalid_arg (Printf.sprintf "Shardpool.%s: pool is shut down" op)
 
-let register ?direction ?prepared ?keys ?prefilter t ~conn_id ~salt0 ~enc_chunk =
+let register t ~conn_id ~salt0 ~direction keys =
   check_live t "register";
   if Hashtbl.mem t.registered conn_id then
     invalid_arg (Printf.sprintf "Shardpool.register: connection %d exists" conn_id);
   let worker = default_shard t conn_id in
   Hashtbl.add t.registered conn_id worker;
   Pool.exec t.pool ~worker (fun core ->
-      Shard.register ?direction ?prepared ?keys ?prefilter core ~conn_id ~salt0 ~enc_chunk)
+      Shard.register core ~conn_id ~salt0 ~direction (keys ()))
 
 
 (* Record retention rides the same per-worker FIFO mailbox as deliveries,
@@ -138,10 +134,10 @@ let reset_conn t ~conn_id ~salt0 =
   Pool.exec t.pool ~worker:(shard_of t conn_id "reset_conn") (fun core ->
       Shard.reset_conn core ~conn_id ~salt0)
 
-let update_rules ?prefilter t ~conn_id ~remove_sids ~add ~rules ~enc_chunk =
+let update_rules t ~conn_id next =
   check_live t "update_rules";
   Pool.exec t.pool ~worker:(shard_of t conn_id "update_rules") (fun core ->
-      Shard.update_rules ?prefilter core ~conn_id ~remove_sids ~add ~rules ~enc_chunk)
+      Shard.update_rules core ~conn_id (next ()))
 
 let unregister t ~conn_id =
   check_live t "unregister";
@@ -168,7 +164,7 @@ let process_wire t ~conn_id wire =
   | Some r -> r.r_verdicts
   | None ->
     (* the worker dropped the delivery: connection already blocked *)
-    invalid_arg (Printf.sprintf "Middlebox.process: connection %d is blocked" conn_id)
+    invalid_arg (Printf.sprintf "Shardpool.process_wire: connection %d is blocked" conn_id)
 
 let is_blocked t ~conn_id =
   check_live t "is_blocked";
@@ -291,6 +287,6 @@ let shutdown t =
     Obs.set_gauge obs_domains 0
   end
 
-let with_pool ?domains ?capacity ?batch_max ?index ?tier ?budget ~mode ~rules f =
-  let t = create ?domains ?capacity ?batch_max ?index ?tier ?budget ~mode ~rules () in
+let with_pool ?domains config f =
+  let t = create ?domains config in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)

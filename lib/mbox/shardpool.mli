@@ -13,8 +13,8 @@
     Two usage styles:
 
     - {b Synchronous}: {!process_wire} behaves exactly like
-      {!Middlebox.process_wire} — submit one delivery, wait, return its
-      verdicts (differential-tested to be byte-identical).
+      {!Shard.process_wire} on a single shard — submit one delivery, wait,
+      return its verdicts (differential-tested to be byte-identical).
     - {b Pipelined}: {!submit} many deliveries (possibly for many
       connections, fanning out across domains), then {!drain} once.
       [drain] quiesces every worker and replays completed verdicts in
@@ -24,7 +24,7 @@
     Deliveries submitted to a connection after one of its drop-rules
     fired are silently dropped by the worker (counted in
     [bbx_shardpool_dropped_total]); the synchronous path converts that
-    drop into the [Invalid_argument] the sequential middlebox raises.
+    drop into the [Invalid_argument] a sequential {!Shard} raises.
 
     Reads ({!stats}, {!flow_stats}, {!fold_flows}, {!is_blocked}) quiesce
     the relevant workers first, so they observe everything submitted
@@ -39,43 +39,23 @@ type stats = Shard.stats
 
 type t
 
-(** [create ?domains ?capacity ?batch_max ?index ~mode ~rules ()] spawns
-    [domains] worker domains (default: [recommended_domain_count - 1],
-    at least 1).  [capacity] bounds each mailbox (submitting past it
-    blocks until the worker catches up); [batch_max] caps how many
-    messages a worker dequeues per lock acquisition.  [index] (default
-    {!Bbx_detect.Detect.Hash}) selects the cipher-index backend every
-    shard builds its engines with; [tier]/[budget] configure every
-    engine's escalation behaviour (see {!Shard.create}). *)
-val create :
-  ?domains:int ->
-  ?capacity:int ->
-  ?batch_max:int ->
-  ?index:Bbx_detect.Detect.index_backend ->
-  ?tier:Bbx_rules.Classify.protocol_class ->
-  ?budget:Engine.budget ->
-  mode:Bbx_dpienc.Dpienc.mode ->
-  rules:Bbx_rules.Rule.t list ->
-  unit ->
-  t
+(** [create ?domains config] spawns [domains] worker domains (default:
+    [recommended_domain_count - 1], at least 1), each owning a
+    [Shard.create config]. *)
+val create : ?domains:int -> Engine.config -> t
 
 (** Number of worker domains (= shards). *)
 val domains : t -> int
 
-(** [register ?direction ?prepared ?keys ?prefilter t ~conn_id ~salt0
-    ~enc_chunk] — as {!Middlebox.register}; raises [Invalid_argument] on
-    duplicate ids.  [enc_chunk] runs on the owning worker domain and must
-    not share mutable state with other connections' oracles.
-    [prepared]/[keys]/[prefilter] share one immutable rule preparation,
-    expanded keyset and prefilter automaton across the fleet — safe
-    across domains precisely because they are never written after
-    publication (see {!Engine.create}). *)
+(** [register t ~conn_id ~salt0 ~direction keys] — as {!Shard.register};
+    raises [Invalid_argument] on duplicate ids.  [keys ()] runs on the
+    owning worker domain: a fleet passes its shared generation, the
+    daemon expands a connection's private key material there so the
+    front takes on no per-connection key expansion.  Shared rulesets and
+    key material are safe across domains precisely because they are
+    never written after publication (see {!Engine.ruleset}). *)
 val register :
-  ?direction:string ->
-  ?prepared:string array * string array ->
-  ?keys:Bbx_detect.Detect.keyset ->
-  ?prefilter:Engine.prefilter_prep ->
-  t -> conn_id:conn_id -> salt0:int -> enc_chunk:(string -> string) -> unit
+  t -> conn_id:conn_id -> salt0:int -> direction:string -> (unit -> Engine.keys) -> unit
 
 (** [record_stream t ~conn_id record] enqueues one sealed SSL record for
     probable-cause retention ({!Shard.record_stream}).  It rides the same
@@ -104,7 +84,7 @@ val submit : ?tag:int -> t -> conn_id:conn_id -> string -> int
 val drain : t -> f:(seq:int -> conn_id:conn_id -> Engine.verdict list -> unit) -> unit
 
 (** [process_wire t ~conn_id wire] — synchronous single delivery with
-    {!Middlebox.process_wire} semantics (raises [Invalid_argument] on
+    {!Shard.process_wire} semantics (raises [Invalid_argument] on
     blocked/unknown connections).  Raises if async submissions are
     pending; drain first. *)
 val process_wire : t -> conn_id:conn_id -> string -> Engine.verdict list
@@ -114,22 +94,12 @@ val process_wire : t -> conn_id:conn_id -> string -> Engine.verdict list
     sender-side reset point. *)
 val reset_conn : t -> conn_id:conn_id -> salt0:int -> unit
 
-(** [update_rules t ~conn_id ~remove_sids ~add ~rules ~enc_chunk]
-    enqueues a rule update for one connection (see
-    {!Shard.update_rules}); like a salt reset it takes effect after every
+(** [update_rules t ~conn_id next] enqueues a rule update for one
+    connection ({!Shard.update_rules} with [next ()], run on the owning
+    worker domain); like a salt reset it takes effect after every
     delivery submitted before it, so the caller can follow it with
-    {!reset_conn} and keep sender and engine in lock-step.  [enc_chunk]
-    runs on the owning worker domain and must not share mutable state
-    with other connections' oracles. *)
-val update_rules :
-  ?prefilter:Engine.prefilter_prep ->
-  t ->
-  conn_id:conn_id ->
-  remove_sids:int list ->
-  add:Bbx_rules.Rule.t list ->
-  rules:Bbx_rules.Rule.t list ->
-  enc_chunk:(string -> string) ->
-  unit
+    {!reset_conn} and keep sender and engine in lock-step. *)
+val update_rules : t -> conn_id:conn_id -> (unit -> Engine.keys) -> unit
 
 (** [unregister t ~conn_id] — idempotent teardown. *)
 val unregister : t -> conn_id:conn_id -> unit
@@ -188,23 +158,15 @@ val conns_per_shard : t -> int array
     only — verdict streams and stats are invariant under migration. *)
 val rebalance : t -> int
 
-(** Approximate resident bytes of all per-connection state across every
-    shard (quiesces all workers; refreshes the [bbx_conn_bytes] gauge). *)
+(** Approximate resident bytes of all connection state across every
+    shard ({!Shard.footprint_bytes}; quiesces all workers; refreshes the
+    [bbx_conn_bytes] gauge). *)
 val footprint_bytes : t -> int
 
 (** [shutdown t] drains remaining mailboxes, stops and joins every worker
     domain.  Idempotent; the pool is unusable afterwards. *)
 val shutdown : t -> unit
 
-(** [with_pool ... f] — {!create}, run [f], always {!shutdown}. *)
-val with_pool :
-  ?domains:int ->
-  ?capacity:int ->
-  ?batch_max:int ->
-  ?index:Bbx_detect.Detect.index_backend ->
-  ?tier:Bbx_rules.Classify.protocol_class ->
-  ?budget:Engine.budget ->
-  mode:Bbx_dpienc.Dpienc.mode ->
-  rules:Bbx_rules.Rule.t list ->
-  (t -> 'a) ->
-  'a
+(** [with_pool ?domains config f] — {!create}, run [f], always
+    {!shutdown}. *)
+val with_pool : ?domains:int -> Engine.config -> (t -> 'a) -> 'a

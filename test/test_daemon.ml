@@ -15,7 +15,9 @@ module Loadgen = Bbx_daemon.Loadgen
 module Wire = Bbx_wire.Wire
 module Dpienc = Bbx_dpienc.Dpienc
 module Rule = Bbx_rules.Rule
-module Middlebox = Bbx_mbox.Middlebox
+module Classify = Bbx_rules.Classify
+module Engine = Bbx_mbox.Engine
+module Shard = Bbx_mbox.Shard
 module Shardpool = Bbx_mbox.Shardpool
 
 let rules =
@@ -31,11 +33,11 @@ let temp_endpoint =
       (Filename.concat (Filename.get_temp_dir_name ())
          (Printf.sprintf "bbxd-test-%d-%d.sock" (Unix.getpid ()) !n))
 
-let with_daemon ?(rules = rules) ?(mode = Dpienc.Exact) ?(domains = 2) ?tier f =
+let with_daemon ?(rules = rules) ?(mode = Dpienc.Exact) ?(domains = 2)
+    ?(tier = Classify.Protocol_III) f =
   let endpoint = temp_endpoint () in
-  let handle =
-    Daemon.start (Daemon.config ~mode ~domains ~endpoint ~rules ?tier ())
-  in
+  let inspect = { Engine.default_config with mode; tier } in
+  let handle = Daemon.start (Daemon.config ~inspect ~domains ~endpoint ~rules ()) in
   Fun.protect ~finally:(fun () -> Daemon.stop handle) (fun () -> f endpoint)
 
 (* (sid, via) pairs, the daemon's view and the engine's view *)
@@ -62,14 +64,20 @@ let wires_for sender payloads =
        (fun acc p -> Dpienc.encode_tokens (Dpienc.sender_encrypt sender (Bbx_tokenizer.Tokenizer.delimiter p)) :: acc)
        [] payloads)
 
-let differential_vs_middlebox () =
+(* The daemon's connections and the in-process references seal and
+   register in the same record-layer direction. *)
+let direction = "client->server"
+
+let keys_for ?(rules = rules) (s : Client.session) =
+  Engine.keys (Engine.ruleset rules) ~enc_chunk:(Dpienc.token_enc s.Client.sc_key)
+
+let differential_vs_shard () =
   with_daemon @@ fun endpoint ->
   let s = Client.establish endpoint ~mode:Dpienc.Exact ~salt0:0 ~seed:"diff" in
   Fun.protect ~finally:(fun () -> Client.close s.Client.sc_client)
   @@ fun () ->
-  let reference = Middlebox.create ~mode:Dpienc.Exact ~rules () in
-  Middlebox.register reference ~conn_id:0 ~salt0:0
-    ~enc_chunk:(Dpienc.token_enc s.Client.sc_key);
+  let reference = Shard.create Engine.default_config in
+  Shard.register reference ~conn_id:0 ~salt0:0 ~direction (keys_for s);
   let sender = Dpienc.sender_create Dpienc.Exact s.Client.sc_key ~salt0:0 in
   let payloads =
     [ "GET / HTTP/1.1 benign";
@@ -86,7 +94,7 @@ let differential_vs_middlebox () =
       Client.send_records s.Client.sc_client ~seq:i wire;
       let seq, status, verdicts = Client.recv_verdict s.Client.sc_client in
       Alcotest.(check int) "seq echo" i seq;
-      match Middlebox.process_wire reference ~conn_id:0 wire with
+      match Shard.process_wire reference ~conn_id:0 wire with
       | ref_verdicts ->
         Alcotest.(check bool) "not dropped" true (status <> Wire.Dropped);
         Alcotest.check sig_list
@@ -99,27 +107,25 @@ let differential_vs_middlebox () =
           true (status = Wire.Dropped && verdicts = []))
     wires;
   Alcotest.(check bool) "reference blocked" true
-    (Middlebox.is_blocked reference ~conn_id:0);
+    (Shard.is_blocked reference ~conn_id:0);
   (* aggregate stats agree field for field *)
-  let ms = Middlebox.stats reference in
+  let ms = Shard.stats reference in
   let ds = Client.stats s.Client.sc_client in
-  Alcotest.(check int) "tokens" ms.Middlebox.total_tokens ds.Wire.s_total_tokens;
-  Alcotest.(check int) "hits" ms.Middlebox.total_keyword_hits ds.Wire.s_total_keyword_hits;
-  Alcotest.(check int) "alerts" ms.Middlebox.alerts ds.Wire.s_alerts;
-  Alcotest.(check int) "blocked" ms.Middlebox.blocked ds.Wire.s_blocked
+  Alcotest.(check int) "tokens" ms.Shard.total_tokens ds.Wire.s_total_tokens;
+  Alcotest.(check int) "hits" ms.Shard.total_keyword_hits ds.Wire.s_total_keyword_hits;
+  Alcotest.(check int) "alerts" ms.Shard.alerts ds.Wire.s_alerts;
+  Alcotest.(check int) "blocked" ms.Shard.blocked ds.Wire.s_blocked
 
 (* Mid-stream rule update + salt reset, against a 1-domain Shardpool
-   reference (Middlebox's ruleset is fixed; Shardpool.process_wire has
-   identical per-delivery semantics and supports live updates). *)
+   reference (Shardpool.process_wire has Shard's per-delivery
+   semantics). *)
 let differential_update_and_reset () =
   with_daemon @@ fun endpoint ->
   let s = Client.establish endpoint ~mode:Dpienc.Exact ~salt0:0 ~seed:"upd" in
   Fun.protect ~finally:(fun () -> Client.close s.Client.sc_client)
   @@ fun () ->
-  Shardpool.with_pool ~domains:1 ~mode:Dpienc.Exact ~rules
-  @@ fun reference ->
-  Shardpool.register reference ~conn_id:0 ~salt0:0
-    ~enc_chunk:(Dpienc.token_enc s.Client.sc_key);
+  Shardpool.with_pool ~domains:1 Engine.default_config @@ fun reference ->
+  Shardpool.register reference ~conn_id:0 ~salt0:0 ~direction (fun () -> keys_for s);
   let sender = Dpienc.sender_create Dpienc.Exact s.Client.sc_key ~salt0:0 in
   let both i wire =
     Client.send_records s.Client.sc_client ~seq:i wire;
@@ -142,9 +148,7 @@ let differential_update_and_reset () =
   in
   Alcotest.(check int) "added" 1 added;
   Alcotest.(check int) "no outstanding verdicts" 0 (List.length outstanding);
-  Shardpool.update_rules reference ~conn_id:0 ~remove_sids:[ 2 ]
-    ~add:[ added_rule ] ~rules:new_rules
-    ~enc_chunk:(Dpienc.token_enc s.Client.sc_key);
+  Shardpool.update_rules reference ~conn_id:0 (fun () -> keys_for ~rules:new_rules s);
   let salt0' = Dpienc.sender_reset sender in
   Client.salt_reset s.Client.sc_client ~salt0:salt0';
   Shardpool.reset_conn reference ~conn_id:0 ~salt0:salt0';
@@ -155,16 +159,57 @@ let differential_update_and_reset () =
          "otherkw2 must now be clean";
          "alertkw1 still alerts" ])
 
+(* A RULE_UPDATE is one connection's business.  With ~domains:1 every
+   connection shares one shard, so an update that leaked into the shard
+   would reach every later registration: a removal would silently drop
+   the rule for clients that never asked, and an addition would make
+   later clients' engines ask for a chunk they never shipped — raising on
+   the worker and taking the daemon down. *)
+let establish_and_update ~seed ~remove_sids ~add endpoint =
+  let a = Client.establish endpoint ~mode:Dpienc.Exact ~salt0:0 ~seed in
+  ignore
+    (Client.update_rules a.Client.sc_client ~remove_sids ~add
+       ~pairs:(Client.pairs_for ~key:a.Client.sc_key (Engine.next_rules rules ~remove_sids ~add))
+     : int * _ list);
+  a
+
+let verdict_sids s payload =
+  let sender = Dpienc.sender_create Dpienc.Exact s.Client.sc_key ~salt0:0 in
+  List.iteri (fun i w -> Client.send_records s.Client.sc_client ~seq:i w)
+    (wires_for sender [ payload ]);
+  let _, _, verdicts = Client.recv_verdict s.Client.sc_client in
+  List.map (fun v -> v.Wire.v_sid) verdicts
+
+let removal_stays_with_its_connection () =
+  with_daemon ~domains:1 @@ fun endpoint ->
+  let a = establish_and_update ~seed:"upd-a" ~remove_sids:[ 2 ] ~add:[] endpoint in
+  Fun.protect ~finally:(fun () -> Client.close a.Client.sc_client) @@ fun () ->
+  let b = Client.establish endpoint ~mode:Dpienc.Exact ~salt0:0 ~seed:"upd-b" in
+  Fun.protect ~finally:(fun () -> Client.close b.Client.sc_client) @@ fun () ->
+  Alcotest.(check (list int)) "B still gets sid 2" [ 2 ] (verdict_sids b "q=otherkw2 x")
+
+let addition_stays_with_its_connection () =
+  with_daemon ~domains:1 @@ fun endpoint ->
+  let added = Rule.make ~sid:9 [ Rule.make_content "freshkw9" ] in
+  let a = establish_and_update ~seed:"add-a" ~remove_sids:[] ~add:[ added ] endpoint in
+  Fun.protect ~finally:(fun () -> Client.close a.Client.sc_client) @@ fun () ->
+  let c = Client.establish endpoint ~mode:Dpienc.Exact ~salt0:0 ~seed:"add-c" in
+  Fun.protect ~finally:(fun () -> Client.close c.Client.sc_client) @@ fun () ->
+  Alcotest.(check (list int)) "C gets its verdicts" [ 1 ] (verdict_sids c "q=alertkw1 x");
+  let monitor = Client.connect endpoint in
+  Fun.protect ~finally:(fun () -> Client.close monitor) @@ fun () ->
+  Alcotest.(check int) "STATS answers: A and C registered" 2
+    (Client.stats monitor).Wire.s_connections
+
 (* ---------- tiered escalation over the wire ----------
 
    A feature_tiered client ships each delivery's sealed SSL record
    (RECORD_STREAM) before its token stream and gets VERDICT_TIERED
    frames back, whose detail byte says which protocol fired.  The same
-   deliveries replay against an in-process Middlebox at the same tier,
+   deliveries replay against an in-process Shard at the same tier,
    and a legacy client (features = 0) on the same daemon must keep
    getting legacy VERDICT frames with via-inferred details. *)
 
-module Classify = Bbx_rules.Classify
 module Record = Bbx_tls.Record
 
 let tiered_rules =
@@ -211,10 +256,10 @@ let tiered_differential () =
       Fun.protect ~finally:(fun () -> Client.close s.Client.sc_client)
       @@ fun () ->
       let reference =
-        Middlebox.create ~tier ~mode:Dpienc.Probable ~rules:tiered_rules ()
+        Shard.create { Engine.default_config with mode = Dpienc.Probable; tier }
       in
-      Middlebox.register reference ~conn_id:0 ~salt0:0
-        ~enc_chunk:(Dpienc.token_enc s.Client.sc_key);
+      Shard.register reference ~conn_id:0 ~salt0:0 ~direction
+        (keys_for ~rules:tiered_rules s);
       let sender = Dpienc.sender_create Dpienc.Probable s.Client.sc_key ~salt0:0 in
       (* two same-keyed writers so daemon and reference each get a
          well-sequenced copy of the record stream *)
@@ -234,9 +279,9 @@ let tiered_differential () =
           Client.send_records s.Client.sc_client ~seq:i wire;
           let seq, _status, verdicts = Client.recv_verdict s.Client.sc_client in
           Alcotest.(check int) "seq echo" i seq;
-          Middlebox.record_stream reference ~conn_id:0
+          Shard.record_stream reference ~conn_id:0
             (Record.seal writer_r ("T" ^ payload));
-          let ref_verdicts = Middlebox.process_wire reference ~conn_id:0 wire in
+          let ref_verdicts = Shard.process_wire reference ~conn_id:0 wire in
           Alcotest.check detail_list
             (Printf.sprintf "tier %d delivery %d" (Classify.rank tier) i)
             (engine_details ref_verdicts)
@@ -703,8 +748,12 @@ let stop_unlinks_socket () =
 let () =
   Alcotest.run "daemon"
     [ ( "loopback",
-        [ Alcotest.test_case "differential vs Middlebox.process_wire" `Quick
-            differential_vs_middlebox;
+        [ Alcotest.test_case "differential vs Shard.process_wire" `Quick
+            differential_vs_shard;
+          Alcotest.test_case "a removal stays with its connection" `Quick
+            removal_stays_with_its_connection;
+          Alcotest.test_case "an addition stays with its connection" `Quick
+            addition_stays_with_its_connection;
           Alcotest.test_case "differential: live rule update + salt reset" `Quick
             differential_update_and_reset;
           Alcotest.test_case "tiered differential: detail bytes at tiers 1/2/3"

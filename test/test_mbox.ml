@@ -8,6 +8,12 @@ let enc_chunk chunk = token_enc key chunk
 
 let mk_engine ?(mode = Exact) rules = Engine.create ~mode ~salt0:0 ~rules ~enc_chunk ()
 
+let direction = "client->server"
+
+(* an engine on a caller-built ruleset under [config] *)
+let mk_engine_with config rules =
+  Engine.make config (Engine.keys (Engine.ruleset rules) ~enc_chunk) ~direction ~salt0:0
+
 let sender ?(mode = Exact) () = sender_create mode key ~salt0:0
 
 (* Encrypt a payload exactly as the BlindBox sender would (delimiter
@@ -184,66 +190,66 @@ let middlebox_tests =
       Rule.make ~action:Rule.Drop ~sid:2 [ Rule.make_content "dropkw22" ] ]
   in
   let key_for conn = key_of_secret (Printf.sprintf "conn-%d" conn) in
+  let ruleset = Engine.ruleset rules in
   let register mb conn =
-    let key = key_for conn in
-    Engine.(ignore distinct_chunks);
-    Middlebox.register mb ~conn_id:conn ~salt0:0 ~enc_chunk:(token_enc key)
+    Shard.register mb ~conn_id:conn ~salt0:0 ~direction
+      (Engine.keys ruleset ~enc_chunk:(token_enc (key_for conn)))
   in
   let tokens conn payload =
     let s = sender_create Exact (key_for conn) ~salt0:0 in
     sender_encrypt s (delimiter payload)
   in
   [ Alcotest.test_case "connections are isolated" `Quick (fun () ->
-        let mb = Middlebox.create ~mode:Exact ~rules () in
+        let mb = Shard.create Engine.default_config in
         register mb 1;
         register mb 2;
         (* conn 1 attacks; conn 2 stays clean *)
-        let v1 = Middlebox.process mb ~conn_id:1 (tokens 1 "x=alertkw1") in
-        let v2 = Middlebox.process mb ~conn_id:2 (tokens 2 "hello clean world") in
+        let v1 = Shard.process mb ~conn_id:1 (tokens 1 "x=alertkw1") in
+        let v2 = Shard.process mb ~conn_id:2 (tokens 2 "hello clean world") in
         Alcotest.(check int) "conn 1 alert" 1 (List.length v1);
         Alcotest.(check int) "conn 2 clean" 0 (List.length v2);
-        let st = Middlebox.stats mb in
-        Alcotest.(check int) "2 conns" 2 st.Middlebox.connections;
-        Alcotest.(check int) "1 alert" 1 st.Middlebox.alerts);
+        let st = Shard.stats mb in
+        Alcotest.(check int) "2 conns" 2 st.Shard.connections;
+        Alcotest.(check int) "1 alert" 1 st.Shard.alerts);
     Alcotest.test_case "cross-connection tokens never match" `Quick (fun () ->
         (* per-connection keys: conn 2's attack tokens are noise to conn 1 *)
-        let mb = Middlebox.create ~mode:Exact ~rules () in
+        let mb = Shard.create Engine.default_config in
         register mb 1;
         let foreign = tokens 2 "x=alertkw1" in
         Alcotest.(check int) "no match" 0
-          (List.length (Middlebox.process mb ~conn_id:1 foreign)));
+          (List.length (Shard.process mb ~conn_id:1 foreign)));
     Alcotest.test_case "drop rule blocks only that connection" `Quick (fun () ->
-        let mb = Middlebox.create ~mode:Exact ~rules () in
+        let mb = Shard.create Engine.default_config in
         register mb 1;
         register mb 2;
-        let _ = Middlebox.process mb ~conn_id:1 (tokens 1 "x=dropkw22") in
-        Alcotest.(check bool) "1 blocked" true (Middlebox.is_blocked mb ~conn_id:1);
-        Alcotest.(check bool) "2 fine" false (Middlebox.is_blocked mb ~conn_id:2);
+        let _ = Shard.process mb ~conn_id:1 (tokens 1 "x=dropkw22") in
+        Alcotest.(check bool) "1 blocked" true (Shard.is_blocked mb ~conn_id:1);
+        Alcotest.(check bool) "2 fine" false (Shard.is_blocked mb ~conn_id:2);
         Alcotest.(check bool) "processing blocked conn raises" true
-          (match Middlebox.process mb ~conn_id:1 (tokens 1 "more") with
+          (match Shard.process mb ~conn_id:1 (tokens 1 "more") with
            | exception Invalid_argument _ -> true
            | _ -> false);
-        Alcotest.(check int) "blocked count" 1 (Middlebox.stats mb).Middlebox.blocked);
+        Alcotest.(check int) "blocked count" 1 (Shard.stats mb).Shard.blocked);
     Alcotest.test_case "duplicate registration rejected" `Quick (fun () ->
-        let mb = Middlebox.create ~mode:Exact ~rules () in
+        let mb = Shard.create Engine.default_config in
         register mb 1;
         Alcotest.(check bool) "raises" true
           (match register mb 1 with exception Invalid_argument _ -> true | _ -> false));
     Alcotest.test_case "unregister frees the id" `Quick (fun () ->
-        let mb = Middlebox.create ~mode:Exact ~rules () in
+        let mb = Shard.create Engine.default_config in
         register mb 1;
-        Middlebox.unregister mb ~conn_id:1;
-        Alcotest.(check int) "0 conns" 0 (Middlebox.stats mb).Middlebox.connections;
+        Shard.unregister mb ~conn_id:1;
+        Alcotest.(check int) "0 conns" 0 (Shard.stats mb).Shard.connections;
         register mb 1 (* re-usable *));
     Alcotest.test_case "verdicts reported once per connection" `Quick (fun () ->
-        let mb = Middlebox.create ~mode:Exact ~rules () in
+        let mb = Shard.create Engine.default_config in
         register mb 1;
-        let v1 = Middlebox.process mb ~conn_id:1 (tokens 1 "x=alertkw1") in
+        let v1 = Shard.process mb ~conn_id:1 (tokens 1 "x=alertkw1") in
         (* same rule again in later traffic: no duplicate report *)
         let s = sender_create Exact (key_for 1) ~salt0:0 in
         let _ = sender_encrypt s (delimiter "x=alertkw1") in
         let later = sender_encrypt s (delimiter "y=alertkw1") in
-        let v2 = Middlebox.process mb ~conn_id:1 later in
+        let v2 = Shard.process mb ~conn_id:1 later in
         Alcotest.(check int) "first" 1 (List.length v1);
         Alcotest.(check int) "second" 0 (List.length v2));
   ]
@@ -257,23 +263,25 @@ let stats_tests =
       Rule.make ~action:Rule.Drop ~sid:3 [ Rule.make_content "dropkw33" ] ]
   in
   let key_for conn = key_of_secret (Printf.sprintf "stats-conn-%d" conn) in
+  let ruleset = Engine.ruleset rules in
   let register mb conn =
-    Middlebox.register mb ~conn_id:conn ~salt0:0 ~enc_chunk:(token_enc (key_for conn))
+    Shard.register mb ~conn_id:conn ~salt0:0 ~direction
+      (Engine.keys ruleset ~enc_chunk:(token_enc (key_for conn)))
   in
-  let check_stats msg (expect : Middlebox.stats) (got : Middlebox.stats) =
-    Alcotest.(check int) (msg ^ ": connections") expect.Middlebox.connections got.Middlebox.connections;
-    Alcotest.(check int) (msg ^ ": tokens") expect.Middlebox.total_tokens got.Middlebox.total_tokens;
-    Alcotest.(check int) (msg ^ ": hits") expect.Middlebox.total_keyword_hits got.Middlebox.total_keyword_hits;
-    Alcotest.(check int) (msg ^ ": alerts") expect.Middlebox.alerts got.Middlebox.alerts;
-    Alcotest.(check int) (msg ^ ": blocked") expect.Middlebox.blocked got.Middlebox.blocked
+  let check_stats msg (expect : Shard.stats) (got : Shard.stats) =
+    Alcotest.(check int) (msg ^ ": connections") expect.Shard.connections got.Shard.connections;
+    Alcotest.(check int) (msg ^ ": tokens") expect.Shard.total_tokens got.Shard.total_tokens;
+    Alcotest.(check int) (msg ^ ": hits") expect.Shard.total_keyword_hits got.Shard.total_keyword_hits;
+    Alcotest.(check int) (msg ^ ": alerts") expect.Shard.alerts got.Shard.alerts;
+    Alcotest.(check int) (msg ^ ": blocked") expect.Shard.blocked got.Shard.blocked
   in
   [ Alcotest.test_case "list and wire paths account identically" `Quick (fun () ->
         let traffic =
           [ "x=alertkw1&noise=1"; "benign hello world"; "y=otherkw2 z=alertkw1";
             "more benign filler"; "q=dropkw33" ]
         in
-        let mb_list = Middlebox.create ~mode:Exact ~rules () in
-        let mb_wire = Middlebox.create ~mode:Exact ~rules () in
+        let mb_list = Shard.create Engine.default_config in
+        let mb_wire = Shard.create Engine.default_config in
         register mb_list 1;
         register mb_wire 1;
         let s_list = sender_create Exact (key_for 1) ~salt0:0 in
@@ -282,8 +290,8 @@ let stats_tests =
           (fun payload ->
              let toks = sender_encrypt s_list (delimiter payload) in
              let wire = encode_tokens (sender_encrypt s_wire (delimiter payload)) in
-             let run_list () = Middlebox.process mb_list ~conn_id:1 toks in
-             let run_wire () = Middlebox.process_wire mb_wire ~conn_id:1 wire in
+             let run_list () = Shard.process mb_list ~conn_id:1 toks in
+             let run_wire () = Shard.process_wire mb_wire ~conn_id:1 wire in
              match (run_list (), run_wire ()) with
              | v1, v2 -> Alcotest.(check int) "same verdicts" (List.length v1) (List.length v2)
              | exception Invalid_argument _ ->
@@ -291,76 +299,76 @@ let stats_tests =
                Alcotest.(check bool) "wire also blocked" true
                  (match run_wire () with exception Invalid_argument _ -> true | _ -> false))
           traffic;
-        check_stats "parity" (Middlebox.stats mb_list) (Middlebox.stats mb_wire);
+        check_stats "parity" (Shard.stats mb_list) (Shard.stats mb_wire);
         Alcotest.(check bool) "hits non-zero" true
-          ((Middlebox.stats mb_list).Middlebox.total_keyword_hits > 0));
+          ((Shard.stats mb_list).Shard.total_keyword_hits > 0));
     Alcotest.test_case "repeated alerts counted once per rule per connection" `Quick (fun () ->
-        let mb = Middlebox.create ~mode:Exact ~rules () in
+        let mb = Shard.create Engine.default_config in
         register mb 1;
         let s = sender_create Exact (key_for 1) ~salt0:0 in
-        let send payload = Middlebox.process mb ~conn_id:1 (sender_encrypt s (delimiter payload)) in
+        let send payload = Shard.process mb ~conn_id:1 (sender_encrypt s (delimiter payload)) in
         ignore (send "a=alertkw1" : Engine.verdict list);
         ignore (send "b=alertkw1" : Engine.verdict list);
         ignore (send "c=alertkw1" : Engine.verdict list);
-        let st = Middlebox.stats mb in
-        Alcotest.(check int) "one alert" 1 st.Middlebox.alerts;
+        let st = Shard.stats mb in
+        Alcotest.(check int) "one alert" 1 st.Shard.alerts;
         (* every occurrence still counts as a keyword hit *)
-        Alcotest.(check int) "three hits" 3 st.Middlebox.total_keyword_hits);
+        Alcotest.(check int) "three hits" 3 st.Shard.total_keyword_hits);
     Alcotest.test_case "flow stats track per-connection activity" `Quick (fun () ->
-        let mb = Middlebox.create ~mode:Exact ~rules () in
+        let mb = Shard.create Engine.default_config in
         register mb 1;
         register mb 2;
         let s1 = sender_create Exact (key_for 1) ~salt0:0 in
         let t1 = sender_encrypt s1 (delimiter "x=alertkw1 pad") in
-        ignore (Middlebox.process mb ~conn_id:1 t1 : Engine.verdict list);
-        let f1 = Middlebox.flow_stats mb ~conn_id:1 in
-        let f2 = Middlebox.flow_stats mb ~conn_id:2 in
-        Alcotest.(check int) "conn 1 tokens" (List.length t1) f1.Middlebox.flow_tokens;
-        Alcotest.(check int) "conn 1 hits" 1 f1.Middlebox.flow_hits;
-        Alcotest.(check int) "conn 1 verdicts" 1 f1.Middlebox.flow_verdicts;
-        Alcotest.(check bool) "conn 1 not blocked" false f1.Middlebox.flow_blocked;
-        Alcotest.(check int) "conn 2 idle" 0 f2.Middlebox.flow_tokens;
+        ignore (Shard.process mb ~conn_id:1 t1 : Engine.verdict list);
+        let f1 = Shard.flow_stats mb ~conn_id:1 in
+        let f2 = Shard.flow_stats mb ~conn_id:2 in
+        Alcotest.(check int) "conn 1 tokens" (List.length t1) f1.Shard.flow_tokens;
+        Alcotest.(check int) "conn 1 hits" 1 f1.Shard.flow_hits;
+        Alcotest.(check int) "conn 1 verdicts" 1 f1.Shard.flow_verdicts;
+        Alcotest.(check bool) "conn 1 not blocked" false f1.Shard.flow_blocked;
+        Alcotest.(check int) "conn 2 idle" 0 f2.Shard.flow_tokens;
         let total =
-          Middlebox.fold_flows mb ~init:0 ~f:(fun acc _ f -> acc + f.Middlebox.flow_tokens)
+          Shard.fold_flows mb ~init:0 ~f:(fun acc _ f -> acc + f.Shard.flow_tokens)
         in
         Alcotest.(check int) "fold sums tokens" (List.length t1) total);
     Alcotest.test_case "blocked connections accounted exactly once" `Quick (fun () ->
-        let mb = Middlebox.create ~mode:Exact ~rules () in
+        let mb = Shard.create Engine.default_config in
         register mb 1;
         register mb 2;
         let s1 = sender_create Exact (key_for 1) ~salt0:0 in
-        ignore (Middlebox.process mb ~conn_id:1 (sender_encrypt s1 (delimiter "q=dropkw33"))
+        ignore (Shard.process mb ~conn_id:1 (sender_encrypt s1 (delimiter "q=dropkw33"))
                 : Engine.verdict list);
-        let st = Middlebox.stats mb in
-        Alcotest.(check int) "blocked 1" 1 st.Middlebox.blocked;
+        let st = Shard.stats mb in
+        Alcotest.(check int) "blocked 1" 1 st.Shard.blocked;
         Alcotest.(check bool) "flow blocked" true
-          (Middlebox.flow_stats mb ~conn_id:1).Middlebox.flow_blocked;
+          (Shard.flow_stats mb ~conn_id:1).Shard.flow_blocked;
         (* the blocked count survives further traffic on other connections *)
         let s2 = sender_create Exact (key_for 2) ~salt0:0 in
-        ignore (Middlebox.process mb ~conn_id:2 (sender_encrypt s2 (delimiter "benign"))
+        ignore (Shard.process mb ~conn_id:2 (sender_encrypt s2 (delimiter "benign"))
                 : Engine.verdict list);
-        Alcotest.(check int) "still 1" 1 (Middlebox.stats mb).Middlebox.blocked);
+        Alcotest.(check int) "still 1" 1 (Shard.stats mb).Shard.blocked);
     Alcotest.test_case "unregister drops the connection but keeps totals" `Quick (fun () ->
-        let mb = Middlebox.create ~mode:Exact ~rules () in
+        let mb = Shard.create Engine.default_config in
         register mb 1;
         let s = sender_create Exact (key_for 1) ~salt0:0 in
         let toks = sender_encrypt s (delimiter "x=alertkw1") in
-        ignore (Middlebox.process mb ~conn_id:1 toks : Engine.verdict list);
-        let before = Middlebox.stats mb in
-        Middlebox.unregister mb ~conn_id:1;
-        let after = Middlebox.stats mb in
-        Alcotest.(check int) "0 connections" 0 after.Middlebox.connections;
-        Alcotest.(check int) "tokens kept" before.Middlebox.total_tokens after.Middlebox.total_tokens;
-        Alcotest.(check int) "hits kept" before.Middlebox.total_keyword_hits after.Middlebox.total_keyword_hits;
-        Alcotest.(check int) "alerts kept" before.Middlebox.alerts after.Middlebox.alerts;
+        ignore (Shard.process mb ~conn_id:1 toks : Engine.verdict list);
+        let before = Shard.stats mb in
+        Shard.unregister mb ~conn_id:1;
+        let after = Shard.stats mb in
+        Alcotest.(check int) "0 connections" 0 after.Shard.connections;
+        Alcotest.(check int) "tokens kept" before.Shard.total_tokens after.Shard.total_tokens;
+        Alcotest.(check int) "hits kept" before.Shard.total_keyword_hits after.Shard.total_keyword_hits;
+        Alcotest.(check int) "alerts kept" before.Shard.alerts after.Shard.alerts;
         Alcotest.(check bool) "flow stats gone" true
-          (match Middlebox.flow_stats mb ~conn_id:1 with
+          (match Shard.flow_stats mb ~conn_id:1 with
            | exception Invalid_argument _ -> true
            | _ -> false);
         (* re-registering restarts the flow from zero *)
         register mb 1;
         Alcotest.(check int) "fresh flow" 0
-          (Middlebox.flow_stats mb ~conn_id:1).Middlebox.flow_tokens);
+          (Shard.flow_stats mb ~conn_id:1).Shard.flow_tokens);
   ]
 
 (* ---------- tiered escalation over recovered record streams ---------- *)
@@ -400,8 +408,8 @@ let tiered_tests =
     Alcotest.test_case "budget exhaustion flags, never matches" `Quick (fun () ->
         let budget = { Engine.max_plain_bytes = 32; max_scan_ms = 0 } in
         let e =
-          Engine.create ~budget ~mode:Probable ~salt0:0
-            ~rules:[ pcre_rule 32 ] ~enc_chunk ()
+          mk_engine_with { Engine.default_config with mode = Probable; budget }
+            [ pcre_rule 32 ]
         in
         let s = sender ~mode:Probable () in
         let writer = mk_writer () in
@@ -451,9 +459,7 @@ let tiered_tests =
         in
         let payload = "x=alertkw1 y=firstkey z=secondkey GET /?userquery=42' q" in
         let run tier =
-          let e =
-            Engine.create ~tier ~mode:Probable ~salt0:0 ~rules ~enc_chunk ()
-          in
+          let e = mk_engine_with { Engine.default_config with mode = Probable; tier } rules in
           let s = sender ~mode:Probable () in
           let writer = mk_writer () in
           deliver e s writer payload;
@@ -466,7 +472,7 @@ let tiered_tests =
         let sids1, e1 = run Classify.Protocol_I in
         Alcotest.(check (list int)) "tier 1: exact only" [ 41 ] sids1;
         Alcotest.(check bool) "tier getter" true
-          (Engine.tier e1 = Classify.Protocol_I);
+          ((Engine.config e1).Engine.tier = Classify.Protocol_I);
         let sids2, e2 = run Classify.Protocol_II in
         Alcotest.(check (list int)) "tier 2: no decrypt rules" [ 41; 42 ] sids2;
         (* below tier 3 the engine never retains records *)
@@ -644,6 +650,8 @@ let snapshot_tests =
         rejects "empty" "";
         rejects "truncated" (String.sub blob 0 (String.length blob - 1));
         rejects "bad version" ("\xff" ^ String.sub blob 1 (String.length blob - 1));
+        rejects "v1 (cipher-index byte) format"
+          ("\x01" ^ String.sub blob 1 (String.length blob - 1));
         rejects "trailing garbage" (blob ^ "x"));
     Alcotest.test_case "middlebox export/import: reporting and blocking travel"
       `Quick (fun () ->
@@ -651,47 +659,54 @@ let snapshot_tests =
           [ Rule.make ~sid:1 [ Rule.make_content "alertkw1" ];
             Rule.make ~action:Rule.Drop ~sid:3 [ Rule.make_content "dropkw33" ] ]
         in
-        let src = Middlebox.create ~mode:Exact ~rules () in
+        let src = Shard.create Engine.default_config in
         let s = sender () in
-        Middlebox.register src ~conn_id:5 ~salt0:0 ~enc_chunk;
+        Shard.register src ~conn_id:5 ~salt0:0 ~direction
+          (Engine.keys (Engine.ruleset rules) ~enc_chunk);
         Alcotest.(check int) "first report" 1
-          (List.length (Middlebox.process src ~conn_id:5 (encrypt_payload s "x=alertkw1")));
-        let blob = Middlebox.export_conn src ~conn_id:5 in
+          (List.length (Shard.process src ~conn_id:5 (encrypt_payload s "x=alertkw1")));
+        let blob = Shard.export_conn src ~conn_id:5 in
         Alcotest.(check bool) "gone from source" true
-          (match Middlebox.flow_stats src ~conn_id:5 with
+          (match Shard.flow_stats src ~conn_id:5 with
            | exception Invalid_argument _ -> true
            | _ -> false);
-        Alcotest.(check int) "source totals stay" 1 (Middlebox.stats src).alerts;
-        let dst = Middlebox.create ~mode:Exact ~rules () in
-        Middlebox.import_conn dst ~conn_id:5 blob;
+        Alcotest.(check int) "source totals stay" 1 (Shard.stats src).alerts;
+        let dst = Shard.create Engine.default_config in
+        Shard.import_conn dst ~conn_id:5 blob;
         (* the reported-rule bitset travelled: no re-report of sid 1 *)
         Alcotest.(check int) "no re-report after import" 0
-          (List.length (Middlebox.process dst ~conn_id:5 (encrypt_payload s "x=alertkw1 again")));
-        ignore (Middlebox.process dst ~conn_id:5 (encrypt_payload s "q=dropkw33")
+          (List.length (Shard.process dst ~conn_id:5 (encrypt_payload s "x=alertkw1 again")));
+        ignore (Shard.process dst ~conn_id:5 (encrypt_payload s "q=dropkw33")
                 : Engine.verdict list);
         Alcotest.(check bool) "drop rule blocks after import" true
-          (Middlebox.is_blocked dst ~conn_id:5);
+          (Shard.is_blocked dst ~conn_id:5);
         (* duplicate and mode-mismatch imports are rejected *)
         Alcotest.(check bool) "duplicate id rejected" true
-          (match Middlebox.import_conn dst ~conn_id:5 blob with
+          (match Shard.import_conn dst ~conn_id:5 blob with
            | exception Invalid_argument _ -> true
            | _ -> false);
-        let wrong = Middlebox.create ~mode:Probable ~rules () in
-        let blob2 = Middlebox.export_conn dst ~conn_id:5 in
+        let wrong = Shard.create { Engine.default_config with mode = Probable } in
+        let blob2 = Shard.export_conn dst ~conn_id:5 in
         Alcotest.(check bool) "mode mismatch rejected" true
-          (match Middlebox.import_conn wrong ~conn_id:5 blob2 with
+          (match Shard.import_conn wrong ~conn_id:5 blob2 with
            | exception Invalid_argument _ -> true
            | _ -> false));
     Alcotest.test_case "shared prefilter: same verdicts, flat footprint" `Quick
       (fun () ->
         let rules = [ pcre_rule 51; Rule.make ~sid:52 [ Rule.make_content "evilword" ] ] in
-        let pp = Engine.prepare_prefilter rules in
         let own = mk_engine ~mode:Probable rules in
-        let shared =
-          Engine.create ~prefilter:pp ~mode:Probable ~salt0:0 ~rules ~enc_chunk ()
-        in
-        Alcotest.(check bool) "borrowed automaton is charged to its owner" true
-          (Engine.footprint_bytes shared < Engine.footprint_bytes own);
+        (* two connections borrowing one ruleset (prefilter automaton
+           included) and one key material *)
+        let keys = Engine.keys (Engine.ruleset rules) ~enc_chunk in
+        let sh = Shard.create { Engine.default_config with mode = Probable } in
+        Shard.register sh ~conn_id:1 ~salt0:0 ~direction keys;
+        let one = Shard.footprint_bytes sh in
+        Shard.register sh ~conn_id:2 ~salt0:0 ~direction keys;
+        let two = Shard.footprint_bytes sh in
+        Alcotest.(check int) "borrowed ruleset and keys are charged once"
+          (one - Engine.ruleset_bytes (Engine.ruleset_of keys) - Engine.keys_bytes keys)
+          (two - one);
+        let shared = Shard.engine sh ~conn_id:1 in
         let s = sender ~mode:Probable () in
         let w_own = mk_writer () and w_shared = mk_writer () in
         List.iter
@@ -703,15 +718,34 @@ let snapshot_tests =
              Engine.process shared toks;
              Alcotest.(check (list (pair int string))) ("verdicts for " ^ p)
                (details own) (details shared))
-          [ "benign first"; "x=evilword"; "GET /?userquery=42' HTTP/1.1" ];
-        (* a prep over a different ruleset must not install *)
-        let other = Engine.prepare_prefilter [ pcre_rule 51 ] in
-        Alcotest.(check bool) "rule count mismatch rejected" true
-          (match
-             Engine.create ~prefilter:other ~mode:Probable ~salt0:0 ~rules ~enc_chunk ()
-           with
-           | exception Invalid_argument _ -> true
-           | _ -> false));
+          [ "benign first"; "x=evilword"; "GET /?userquery=42' HTTP/1.1" ]);
+  ]
+
+(* Rule updates without a salt reset: a keyword the sender emitted before
+   the update must match its next occurrence, because every keyword that
+   survives an update keeps its salt counter. *)
+let update_tests =
+  let rules =
+    [ Rule.make ~sid:1 [ Rule.make_content "alertkw1" ];
+      Rule.make ~sid:2 [ Rule.make_content "otherkw2" ] ]
+  in
+  let survivor_matches_after next_rules () =
+    let sh = Shard.create Engine.default_config in
+    Shard.register sh ~conn_id:1 ~salt0:0 ~direction
+      (Engine.keys (Engine.ruleset rules) ~enc_chunk);
+    let s = sender () in
+    let hits () = (Shard.flow_stats sh ~conn_id:1).Shard.flow_hits in
+    ignore (Shard.process sh ~conn_id:1 (encrypt_payload s "q=alertkw1") : Engine.verdict list);
+    Alcotest.(check int) "first occurrence" 1 (hits ());
+    Shard.update_rules sh ~conn_id:1
+      (Engine.keys (Engine.ruleset next_rules) ~enc_chunk);
+    ignore (Shard.process sh ~conn_id:1 (encrypt_payload s "q=alertkw1") : Engine.verdict list);
+    Alcotest.(check int) "next occurrence after the update" 2 (hits ())
+  in
+  [ Alcotest.test_case "add-only update keeps salt counters" `Quick
+      (survivor_matches_after (rules @ [ Rule.make ~sid:3 [ Rule.make_content "freshkw3" ] ]));
+    Alcotest.test_case "removing another rule keeps salt counters" `Quick
+      (survivor_matches_after [ List.hd rules ]);
   ]
 
 let () =
@@ -721,4 +755,5 @@ let () =
       ("middlebox", middlebox_tests);
       ("stats", stats_tests);
       ("snapshot", snapshot_tests);
+      ("update", update_tests);
       ("scripts", script_tests) ]

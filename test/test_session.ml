@@ -9,7 +9,9 @@ let direct cfg = { cfg with Session.rule_prep = Session.Direct }
 
 let cfg_exact = direct Session.default_config
 let cfg_probable =
-  { cfg_exact with Session.mode = Bbx_dpienc.Dpienc.Probable }
+  { cfg_exact with
+    Session.inspect =
+      { Bbx_mbox.Engine.default_config with mode = Bbx_dpienc.Dpienc.Probable } }
 
 let session_tests =
   [ Alcotest.test_case "benign roundtrip delivers plaintext" `Quick (fun () ->
@@ -357,6 +359,32 @@ let fleet_state_tests =
               (match Session.Fleet.submit fleet ~conn:1 "x" with
                | exception Invalid_argument _ -> true
                | _ -> false)));
+    Alcotest.test_case "rule updates keep the fleet footprint flat" `Quick (fun () ->
+        (* every connection borrows the next generation: after adding five
+           rules and removing one, a connection costs what it costs on a
+           fleet established on the final ruleset *)
+        let et = Datasets.generate Datasets.Emerging_threats ~n:13 in
+        let base = List.filteri (fun i _ -> i < 8) et in
+        let added = List.filteri (fun i _ -> i >= 8) et in
+        let gone = Option.get (List.nth base 1).Rule.sid in
+        let final = List.filter (fun r -> r.Rule.sid <> Some gone) (base @ added) in
+        let conns = 40 in
+        let per_conn rules update =
+          Session.Fleet.with_fleet ~config:cfg_exact ~domains:2 ~conns ~rules
+            (fun fleet ->
+               update fleet;
+               float_of_int (Session.Fleet.conn_bytes fleet) /. float_of_int conns)
+        in
+        let updated =
+          per_conn base (fun fleet ->
+              Session.Fleet.update_rules fleet added;
+              Session.Fleet.update_rules fleet ~remove_sids:[ gone ] [])
+        in
+        let fresh = per_conn final ignore in
+        Alcotest.(check bool)
+          (Printf.sprintf "%.0f B/conn after the updates vs %.0f fresh" updated fresh)
+          true
+          (Float.abs (updated -. fresh) <= 0.1 *. fresh));
     Alcotest.test_case "migrate and rebalance preserve verdict accounting" `Quick
       (fun () ->
         Session.Fleet.with_fleet ~config:cfg_exact ~domains:2 ~conns:3
@@ -371,10 +399,10 @@ let fleet_state_tests =
               (verdicts_of fleet 0 "again q=attackkw");
             ignore (Session.Fleet.rebalance fleet : int);
             Alcotest.(check int) "still one alert" 1
-              (Session.Fleet.stats fleet).Bbx_mbox.Middlebox.alerts;
+              (Session.Fleet.stats fleet).Bbx_mbox.Shard.alerts;
             let fs = Session.Fleet.flow_stats fleet ~conn:0 in
             Alcotest.(check int) "verdict count travelled" 1
-              fs.Bbx_mbox.Middlebox.flow_verdicts));
+              fs.Bbx_mbox.Shard.flow_verdicts));
   ]
 
 (* The real rule-preparation pipeline: garbled AES circuits + OT.  Slow

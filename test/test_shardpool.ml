@@ -1,6 +1,6 @@
 (* Shardpool tests: unit coverage of the pool API plus a qcheck
    differential — the same random interleaved multi-connection delivery
-   trace through the sequential Middlebox and through Shardpool at 1, 2
+   trace through one sequential Shard and through Shardpool at 1, 2
    and 4 worker domains must produce identical per-delivery verdicts,
    aggregate stats, flow stats and blocked flags.  Connection routing is
    by id and each connection's deliveries stay FIFO on one shard, so
@@ -18,11 +18,16 @@ let rules =
 
 let key_for conn = key_of_secret (Printf.sprintf "pool-conn-%d" conn)
 
+let direction = "client->server"
+
+let keys_for ?(rules = rules) conn =
+  Engine.keys (Engine.ruleset rules) ~enc_chunk:(token_enc (key_for conn))
+
 let register_pool pool conn =
-  Shardpool.register pool ~conn_id:conn ~salt0:0 ~enc_chunk:(token_enc (key_for conn))
+  Shardpool.register pool ~conn_id:conn ~salt0:0 ~direction (fun () -> keys_for conn)
 
 let register_seq mb conn =
-  Middlebox.register mb ~conn_id:conn ~salt0:0 ~enc_chunk:(token_enc (key_for conn))
+  Shard.register mb ~conn_id:conn ~salt0:0 ~direction (keys_for conn)
 
 (* List.map with a guaranteed left-to-right application order (the tests
    map side-effecting functions — sender encryption, submissions,
@@ -36,12 +41,12 @@ let wires_for conn payloads =
   let s = sender_create Exact (key_for conn) ~salt0:0 in
   map_in_order (fun p -> encode_tokens (sender_encrypt s (delimiter p))) payloads
 
-let with_pool ~domains f = Shardpool.with_pool ~domains ~mode:Exact ~rules f
+let with_pool ~domains f = Shardpool.with_pool ~domains Engine.default_config f
 
 (* ---------- unit tests ---------- *)
 
 let unit_tests =
-  [ Alcotest.test_case "sync process_wire matches Middlebox semantics" `Quick (fun () ->
+  [ Alcotest.test_case "sync process_wire matches Shard semantics" `Quick (fun () ->
         with_pool ~domains:2 @@ fun pool ->
         register_pool pool 1;
         register_pool pool 2;
@@ -86,7 +91,7 @@ let unit_tests =
         (* only the blocking delivery itself reports *)
         Alcotest.(check (list int)) "one callback" [ List.hd seqs ] (List.rev !got);
         Alcotest.(check bool) "blocked" true (Shardpool.is_blocked pool ~conn_id:7));
-    Alcotest.test_case "registration rules match Middlebox" `Quick (fun () ->
+    Alcotest.test_case "registration rules match Shard" `Quick (fun () ->
         with_pool ~domains:2 @@ fun pool ->
         register_pool pool 1;
         Alcotest.(check bool) "duplicate raises" true
@@ -102,16 +107,16 @@ let unit_tests =
         register_pool pool 1;                  (* id reusable *)
         Alcotest.(check int) "one connection" 1 (Shardpool.stats pool).Shard.connections);
     Alcotest.test_case "worker exceptions surface at drain" `Quick (fun () ->
-        let pool = Shardpool.create ~domains:2 ~mode:Exact ~rules () in
+        let pool = Shardpool.create ~domains:2 Engine.default_config in
         Fun.protect ~finally:(fun () -> Shardpool.shutdown pool) @@ fun () ->
-        Shardpool.register pool ~conn_id:1 ~salt0:0
-          ~enc_chunk:(fun _ -> failwith "oracle exploded");
+        Shardpool.register pool ~conn_id:1 ~salt0:0 ~direction (fun () ->
+            Engine.keys (Engine.ruleset rules) ~enc_chunk:(fun _ -> failwith "oracle exploded"));
         Alcotest.(check bool) "raises" true
           (match Shardpool.drain pool ~f:(fun ~seq:_ ~conn_id:_ _ -> ()) with
            | exception Failure _ -> true
            | _ -> false));
     Alcotest.test_case "shutdown is idempotent and poisons the pool" `Quick (fun () ->
-        let pool = Shardpool.create ~domains:2 ~mode:Exact ~rules () in
+        let pool = Shardpool.create ~domains:2 Engine.default_config in
         Shardpool.shutdown pool;
         Shardpool.shutdown pool;
         Alcotest.(check bool) "use after shutdown raises" true
@@ -162,12 +167,12 @@ let conns_of_trace trace = List.sort_uniq compare (List.map fst trace)
 let obs_of_verdicts vs = List.map (fun v -> (v.Engine.rule_idx, v.Engine.via)) vs
 
 let run_sequential trace =
-  let mb = Middlebox.create ~mode:Exact ~rules () in
+  let mb = Shard.create Engine.default_config in
   List.iter (register_seq mb) (conns_of_trace trace);
   let results =
     map_in_order
       (fun (conn, wire) ->
-         match Middlebox.process_wire mb ~conn_id:conn wire with
+         match Shard.process_wire mb ~conn_id:conn wire with
          | vs -> Some (obs_of_verdicts vs)
          | exception Invalid_argument _ -> None)
       (wires_of_trace trace)
@@ -175,10 +180,10 @@ let run_sequential trace =
   let flows =
     List.map
       (fun conn ->
-         (conn, Middlebox.flow_stats mb ~conn_id:conn, Middlebox.is_blocked mb ~conn_id:conn))
+         (conn, Shard.flow_stats mb ~conn_id:conn, Shard.is_blocked mb ~conn_id:conn))
       (conns_of_trace trace)
   in
-  (results, Middlebox.stats mb, flows)
+  (results, Shard.stats mb, flows)
 
 let run_pool ~domains trace =
   with_pool ~domains @@ fun pool ->
@@ -289,9 +294,10 @@ let migration_unit_tests =
            sequence) must travel with the connection *)
         let k_ssl = String.make 16 'S' in
         let key = key_for 3 in
-        Shardpool.with_pool ~domains:2 ~mode:Probable ~rules:t3_rules @@ fun pool ->
-        Shardpool.register pool ~conn_id:3 ~salt0:0 ~enc_chunk:(token_enc key)
-          ~direction:"client->server";
+        Shardpool.with_pool ~domains:2 { Engine.default_config with mode = Probable }
+        @@ fun pool ->
+        Shardpool.register pool ~conn_id:3 ~salt0:0 ~direction (fun () ->
+            keys_for ~rules:t3_rules 3);
         let s = sender_create Probable key ~salt0:0 in
         let writer = Bbx_tls.Record.create ~key:k_ssl ~direction:"client->server" () in
         let p = "GET /?userquery=42' HTTP/1.1" in
@@ -317,14 +323,15 @@ let migration_unit_tests =
         in
         let w1, salt0, w2 = mk_wires () in
         (* reference: never migrated *)
-        let mb = Middlebox.create ~mode:Exact ~rules:rules_kw () in
-        Middlebox.register mb ~conn_id:4 ~salt0:0 ~enc_chunk:(token_enc key);
-        let r1 = Middlebox.process_wire mb ~conn_id:4 w1 in
-        Middlebox.engine mb ~conn_id:4 |> fun e -> Engine.reset e ~salt0;
-        let r2 = Middlebox.process_wire mb ~conn_id:4 w2 in
+        let mb = Shard.create Engine.default_config in
+        Shard.register mb ~conn_id:4 ~salt0:0 ~direction (keys_for ~rules:rules_kw 4);
+        let r1 = Shard.process_wire mb ~conn_id:4 w1 in
+        Shard.engine mb ~conn_id:4 |> fun e -> Engine.reset e ~salt0;
+        let r2 = Shard.process_wire mb ~conn_id:4 w2 in
         (* subject: migrated in the reset window, before the next batch *)
-        Shardpool.with_pool ~domains:2 ~mode:Exact ~rules:rules_kw @@ fun pool ->
-        Shardpool.register pool ~conn_id:4 ~salt0:0 ~enc_chunk:(token_enc key);
+        Shardpool.with_pool ~domains:2 Engine.default_config @@ fun pool ->
+        Shardpool.register pool ~conn_id:4 ~salt0:0 ~direction (fun () ->
+            keys_for ~rules:rules_kw 4);
         let m1 = Shardpool.process_wire pool ~conn_id:4 w1 in
         Shardpool.reset_conn pool ~conn_id:4 ~salt0;
         Shardpool.migrate pool ~conn_id:4
