@@ -55,8 +55,9 @@ let run () =
          (Dpienc.sender_encrypt_into sender
             ~tokenization:(Dpienc.Delimiter { short_units = false }) payload buf : int);
        ignore (Bbx_mbox.Engine.process_wire engine (Buffer.contents buf) : int);
+       ignore (Bbx_mbox.Engine.verdicts engine : Bbx_mbox.Engine.verdict list);
        let verdict_rules =
-         List.map (fun v -> v.Bbx_mbox.Engine.rule) (Bbx_mbox.Engine.verdicts engine)
+         List.map (fun v -> v.Bbx_mbox.Engine.rule) (Bbx_mbox.Engine.decided engine)
        in
        let hits = Bbx_mbox.Engine.keyword_hits engine in
        (* a keyword counts as detected when all its chunks were seen at

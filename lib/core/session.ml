@@ -70,7 +70,6 @@ type t = {
   reader : Record.t;
   dpi_mirror : Dpienc.sender;       (* for token validation, §3.4 *)
   mutable receiver_stream_off : int;
-  reported : (int, unit) Hashtbl.t; (* rule indices already reported in a delivery *)
   mutable is_blocked : bool;        (* a drop-action rule fired *)
   dir : string;                     (* record-layer direction label *)
   mutable prep : Ruleprep.prepared; (* prepared chunk set: resumption tickets +
@@ -102,7 +101,6 @@ let make_session ?rg config keys ~prep ~mb_keys ~label =
       Dpienc.sender_create mode (Dpienc.key_of_secret keys.Handshake.k)
         ~salt0:config.salt0;
     receiver_stream_off = 0;
-    reported = Hashtbl.create 8;
     is_blocked = false;
     dir;
     prep;
@@ -222,7 +220,7 @@ let mb_decrypted_stream t = Engine.decrypted_stream t.engine
 
 let mb_keyword_hits t = Engine.keyword_hits t.engine
 
-let mb_verdicts t = Engine.verdicts t.engine
+let mb_verdicts t = Engine.decided t.engine
 
 let mb_escalation t = Engine.escalation t.engine
 
@@ -305,20 +303,14 @@ let deliver t ~record ~wire ~token_count =
   receiver_validate t ~tokenized plaintext wire;
   if not tokenized && wire <> "" then
     raise (Evasion_detected "tokens attached to a binary frame");
-  let all = Engine.verdicts t.engine in
-  (* report each rule once, on the send that first triggered it *)
-  let fresh =
-    List.filter
-      (fun v -> not (Hashtbl.mem t.reported v.Engine.rule_idx))
-      all
-  in
-  List.iter (fun v -> Hashtbl.replace t.reported v.Engine.rule_idx ()) fresh;
+  (* each rule is reported once, on the send that first triggered it *)
+  let fresh = Engine.verdicts t.engine in
   (* budget-exceeded is a flag, not a match: it never blocks *)
   if List.exists
       (fun v ->
          v.Engine.rule.Bbx_rules.Rule.action = Bbx_rules.Rule.Drop
          && v.Engine.detail <> `Budget_exceeded)
-      all
+      fresh
   then begin
     if not t.is_blocked then Obs.incr obs_blocked;
     t.is_blocked <- true
@@ -376,14 +368,9 @@ let update_rules t ?(remove_sids = []) rules =
       (prep, Some st)
   in
   t.prep <- prep;
-  (* the middlebox moves onto the new generation; the reported-rule set
-     follows the rule-index remap *)
-  let remap = Engine.update t.engine (Engine.keys rs ~enc_chunk:(Ruleprep.lookup prep)) in
-  let old_idxs = Hashtbl.fold (fun idx () acc -> idx :: acc) t.reported [] in
-  Hashtbl.reset t.reported;
-  List.iter
-    (fun idx -> if remap.(idx) >= 0 then Hashtbl.replace t.reported remap.(idx) ())
-    old_idxs;
+  (* the middlebox moves onto the new generation; retained rules keep
+     their decisions, so none is reported twice *)
+  Engine.update t.engine (Engine.keys rs ~enc_chunk:(Ruleprep.lookup prep));
   (* A rule update forces a salt reset: the sender may already have
      emitted the new keywords' token values under earlier salts, and the
      middlebox has no way to know their counts.  Resetting puts every

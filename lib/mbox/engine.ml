@@ -11,6 +11,8 @@ let obs_confirms = Obs.counter "bbx_tier_regex_confirms_total"
 let obs_exhausted = Obs.counter "bbx_tier_budget_exhausted_total"
 let obs_flagged = Obs.counter "bbx_tier_flagged_total"
 let obs_dropped = Obs.counter "bbx_tier_records_dropped_total"
+let obs_evaluated = Obs.counter "bbx_engine_rules_evaluated_total"
+let obs_visited = Obs.counter "bbx_engine_candidates_visited_total"
 
 type detail = [ `Exact_hit | `Composite_match | `Regex_match | `Budget_exceeded ]
 
@@ -45,14 +47,23 @@ type hitvec = {
 
 let hitvec () = { ha = [||]; hn = 0; sorted = true }
 
+(* [a] with [x] stored at index [n], grown when full: the growable int
+   vectors of hit offsets and of the dirty queues *)
+let append a n x =
+  let a =
+    if n < Array.length a then a
+    else begin
+      let grown = Array.make (max 8 (2 * n)) 0 in
+      Array.blit a 0 grown 0 n;
+      grown
+    end
+  in
+  a.(n) <- x;
+  a
+
 let hitvec_push hv off =
-  if hv.hn = Array.length hv.ha then begin
-    let grown = Array.make (max 8 (2 * hv.hn)) 0 in
-    Array.blit hv.ha 0 grown 0 hv.hn;
-    hv.ha <- grown
-  end;
   if hv.hn > 0 && off < hv.ha.(hv.hn - 1) then hv.sorted <- false;
-  hv.ha.(hv.hn) <- off;
+  hv.ha <- append hv.ha hv.hn off;
   hv.hn <- hv.hn + 1
 
 let hitvec_mem hv off =
@@ -105,13 +116,24 @@ let next_id = Atomic.make 0
    [Classify.matches_plaintext] confirm once every one of its patterns
    has appeared somewhere in the recovered stream — a necessary
    condition for the full rule to match, so the filter can never
-   suppress a true verdict. *)
+   suppress a true verdict.
+
+   [plans] and [postings] are what makes [verdicts] cost O(new hits):
+   a hit on chunk [c] can only change the rules on [postings.(c)], and
+   evaluating one reads its contents' hit vectors by chunk id, never by
+   re-splitting and hashing the keyword. *)
 type ruleset = {
   rs_id : int;
   rules : Rule.t array;
   chunks : string array;                       (* chunk_id -> chunk bytes *)
   chunk_ids : (string, int) Hashtbl.t;         (* chunk bytes -> chunk_id *)
   classes : Classify.protocol_class array;     (* rule_idx -> class *)
+  plans : int array array array;               (* rule_idx -> content -> chunk ids
+                                                  and relative offsets, interleaved
+                                                  [|id; rel; id; rel; ...|] *)
+  postings : int array array;                  (* chunk_id -> rules with a content
+                                                  on it, ascending *)
+  decrypt_rules : int array;                   (* Protocol III rules, ascending *)
   rule_needs : int list array;                 (* rule_idx -> prefilter pattern
                                                   ids it must see ([] = none) *)
   ac : (Bbx_ac.Aho_corasick.t * int) option;   (* automaton, longest pattern *)
@@ -156,6 +178,16 @@ type t = {
   mutable scan_ns : int;                       (* cumulative confirm time *)
   mutable exhausted : bool;                    (* sticky: budget blown or
                                                   record stream undecryptable *)
+  (* --- dirty rules: undecided in-tier rules whose inputs changed since
+     they were last evaluated; only these are evaluated by [verdicts] --- *)
+  mutable dirty : Bytes.t;                     (* rule_idx -> queued in [dq] *)
+  mutable dq : int array;                      (* queued rule indices, unordered *)
+  mutable dn : int;                            (* [dq] entries in use *)
+  mutable walked : Bytes.t;                    (* chunk_id -> every rule on its
+                                                  posting list is queued, decided
+                                                  or out of tier *)
+  mutable wq : int array;                      (* chunks set in [walked] *)
+  mutable wn : int;
 }
 
 let distinct_chunks rules =
@@ -204,11 +236,43 @@ let ruleset rule_list =
       rules
   in
   let pats = Array.of_list (List.rev !pats) in
+  let plans =
+    Array.map
+      (fun r ->
+         Array.of_list
+           (List.map
+              (fun (c : Rule.content) ->
+                 Array.of_list
+                   (List.concat_map
+                      (fun (chunk, rel) -> [ Hashtbl.find chunk_ids chunk; rel ])
+                      (Tokenizer.keyword_chunks c.Rule.pattern)))
+              r.Rule.contents))
+      rules
+  in
+  let postings = Array.make (Array.length chunks) [] in
+  for i = Array.length rules - 1 downto 0 do
+    Array.iter
+      (fun plan ->
+         for k = 0 to (Array.length plan / 2) - 1 do
+           let c = plan.(2 * k) in
+           match postings.(c) with
+           | j :: _ when j = i -> ()
+           | l -> postings.(c) <- i :: l
+         done)
+      plans.(i)
+  done;
+  let decrypt_rules = ref [] in
+  for i = Array.length rules - 1 downto 0 do
+    if classes.(i) = Classify.Protocol_III then decrypt_rules := i :: !decrypt_rules
+  done;
   { rs_id = Atomic.fetch_and_add next_id 1;
     rules;
     chunks;
     chunk_ids;
     classes;
+    plans;
+    postings = Array.map Array.of_list postings;
+    decrypt_rules = Array.of_list !decrypt_rules;
     rule_needs;
     ac =
       (if Array.length pats = 0 then None
@@ -265,7 +329,13 @@ let make config keys ~direction ~salt0 =
     seen_pat = Bytes.make rs.npats '\000';
     ac_scanned = 0;
     scan_ns = 0;
-    exhausted = false }
+    exhausted = false;
+    dirty = Bytes.make nrules '\000';
+    dq = [||];
+    dn = 0;
+    walked = Bytes.make (Array.length rs.chunks) '\000';
+    wq = [||];
+    wn = 0 }
 
 let create ?kernel:_ ~mode ~salt0 ~rules ~enc_chunk () =
   make { default_config with mode } (keys (ruleset rules) ~enc_chunk)
@@ -274,16 +344,57 @@ let create ?kernel:_ ~mode ~salt0 ~rules ~enc_chunk () =
 let config t = t.config
 let keys_of t = t.keys
 
+(* ---------- dirty rules ----------------------------------------------- *)
+
+(* A rule's evaluation reads the hit vectors of its contents' chunks and,
+   for Protocol III, the escalation state ([recovered], the recovered
+   plaintext and its prefilter bits, [exhausted]).  Whoever changes one of
+   those queues the rules that read it; [verdicts] evaluates the queue
+   and nothing else.  Decided and out-of-tier rules are never queued: no
+   input change can alter their outcome. *)
+
+let push t rule_idx =
+  t.dq <- append t.dq t.dn rule_idx;
+  t.dn <- t.dn + 1
+
+let mark t rule_idx =
+  if Bytes.get t.dirty rule_idx = '\000'
+  && Bytes.get t.decided rule_idx = '\000'
+  && Classify.rank t.keys.ruleset.classes.(rule_idx) <= Classify.rank t.config.tier
+  then begin
+    Bytes.set t.dirty rule_idx '\001';
+    push t rule_idx
+  end
+
+(* the escalation state changed: every in-tier Protocol III rule *)
+let mark_decrypt t =
+  let d = t.keys.ruleset.decrypt_rules in
+  for k = 0 to Array.length d - 1 do mark t d.(k) done
+
+let mark_all t =
+  for i = 0 to Array.length t.keys.ruleset.rules - 1 do mark t i done
+
 let mark_exhausted t =
   if not t.exhausted then begin
     t.exhausted <- true;
-    Obs.incr obs_exhausted
+    Obs.incr obs_exhausted;
+    mark_decrypt t
   end
 
 let record_hit t chunk_id offset =
   t.hit_count <- t.hit_count + 1;
   Obs.incr obs_hits;
-  hitvec_push t.hits.(chunk_id) offset
+  hitvec_push t.hits.(chunk_id) offset;
+  (* queued rules stay queued until [verdicts] evaluates them, so one walk
+     of the posting list between two calls is enough, however often the
+     chunk hits *)
+  if Bytes.get t.walked chunk_id = '\000' then begin
+    Bytes.set t.walked chunk_id '\001';
+    t.wq <- append t.wq t.wn chunk_id;
+    t.wn <- t.wn + 1;
+    let post = t.keys.ruleset.postings.(chunk_id) in
+    for k = 0 to Array.length post - 1 do mark t post.(k) done
+  end
 
 let handle_event t ev ~embed =
   record_hit t ev.Bbx_detect.Detect.kw_id ev.Bbx_detect.Detect.offset;
@@ -291,7 +402,8 @@ let handle_event t ev ~embed =
     match embed with
     | Some embed ->
       t.recovered <- Some (Bbx_detect.Detect.recover_key t.detect ~event:ev ~embed);
-      Obs.incr obs_recoveries
+      Obs.incr obs_recoveries;
+      mark_decrypt t
     | None -> ()
   end
 
@@ -391,41 +503,47 @@ let prefilter_candidate t rule_idx =
    to exhausted — "flagged, not matched" — instead of raising on what may
    be a worker domain. *)
 let pump t =
-  if wants_records t && t.recovered <> None && t.pending <> [] then begin
-    let reader =
-      match t.reader with
-      | Some r -> r
-      | None ->
-        let key = Option.get t.recovered in
-        let r =
-          Bbx_tls.Record.create ~key ~direction:t.direction ()
-        in
-        t.reader <- Some r;
-        Obs.incr obs_escalations;
-        r
-    in
-    let batch = List.rev t.pending in
-    t.pending <- [];
-    t.pending_est <- 0;
-    List.iter
-      (fun sealed ->
-         if t.exhausted then Obs.incr obs_dropped
-         else
-           match Bbx_tls.Record.open_ reader sealed with
-           | exception _ -> mark_exhausted t
-           | pt ->
-             (* strip the sender's 1-byte frame tag *)
-             let body =
-               if String.length pt > 0 then String.sub pt 1 (String.length pt - 1)
-               else ""
-             in
-             Buffer.add_string t.plain body;
-             t.plain_cache <- None;
-             Obs.add obs_plain_bytes (String.length body);
-             if t.config.budget.max_plain_bytes > 0
-             && Buffer.length t.plain > t.config.budget.max_plain_bytes
-             then mark_exhausted t)
-      batch;
+  if wants_records t && t.recovered <> None then begin
+    if t.pending <> [] then begin
+      let reader =
+        match t.reader with
+        | Some r -> r
+        | None ->
+          let key = Option.get t.recovered in
+          let r =
+            Bbx_tls.Record.create ~key ~direction:t.direction ()
+          in
+          t.reader <- Some r;
+          Obs.incr obs_escalations;
+          r
+      in
+      let batch = List.rev t.pending in
+      t.pending <- [];
+      t.pending_est <- 0;
+      let before = Buffer.length t.plain in
+      List.iter
+        (fun sealed ->
+           if t.exhausted then Obs.incr obs_dropped
+           else
+             match Bbx_tls.Record.open_ reader sealed with
+             | exception _ -> mark_exhausted t
+             | pt ->
+               (* strip the sender's 1-byte frame tag *)
+               let body =
+                 if String.length pt > 0 then String.sub pt 1 (String.length pt - 1)
+                 else ""
+               in
+               Buffer.add_string t.plain body;
+               t.plain_cache <- None;
+               Obs.add obs_plain_bytes (String.length body);
+               if t.config.budget.max_plain_bytes > 0
+               && Buffer.length t.plain > t.config.budget.max_plain_bytes
+               then mark_exhausted t)
+        batch;
+      if Buffer.length t.plain > before then mark_decrypt t
+    end;
+    (* also after [update], which restarts the sweep: the prefilter bits
+       always cover the whole recovered stream before a rule reads them *)
     prefilter_scan t
   end
 
@@ -452,106 +570,174 @@ let confirm t rule =
     r
   end
 
-(* Candidate start positions for a content pattern: stream offsets where
-   every one of its chunks matched at the right relative position.
-   Membership tests binary-search each chunk's sorted offset vector, so a
-   rule with [r] extra chunks costs O(starts * r * log hits) — no per-hit
-   hash-set needed.  The chunk->id table is the ruleset's, not rebuilt
-   on every [verdicts] call. *)
-let content_candidates t =
-  let hit_vec chunk =
-    match Hashtbl.find_opt t.keys.ruleset.chunk_ids chunk with
-    | None -> None
-    | Some id ->
-      let hv = t.hits.(id) in
-      if hv.hn = 0 then None else Some hv
-  in
-  let hit_at chunk off =
-    match hit_vec chunk with
-    | None -> false
-    | Some hv -> hitvec_mem hv off
-  in
-  fun (c : Rule.content) ->
-    match Tokenizer.keyword_chunks c.Rule.pattern with
-    | [] -> []
-    | (first_chunk, first_rel) :: rest ->
-      (match hit_vec first_chunk with
-       | None -> []
-       | Some hv ->
-         let starts = ref [] in
-         for i = hv.hn - 1 downto 0 do
-           starts := (hv.ha.(i) - first_rel) :: !starts
-         done;
-         let starts = List.sort_uniq compare !starts in
-         List.filter
-           (fun q ->
-              q >= 0
-              && List.for_all (fun (chunk, rel) -> hit_at chunk (q + rel)) rest)
-           starts)
+(* Candidate start positions for one content, from its plan
+   [|id; rel; ...|]: stream offsets [q >= 0] where every chunk [id] hit
+   at [q + rel].  The enumeration is anchored on the chunk with the
+   fewest hits and every other chunk is a binary search in its sorted
+   offset vector, so a content costs O(min hits * chunks * log hits);
+   [visited] counts the anchor offsets enumerated.  Ascending and
+   duplicate-free, as the plaintext reference's candidate lists are. *)
+let content_candidates t plan ~visited =
+  let n = Array.length plan / 2 in
+  let anchor = ref 0 in
+  for k = 1 to n - 1 do
+    if t.hits.(plan.(2 * k)).hn < t.hits.(plan.(2 * !anchor)).hn then anchor := k
+  done;
+  let hv = t.hits.(plan.(2 * !anchor)) and arel = plan.((2 * !anchor) + 1) in
+  visited := !visited + hv.hn;
+  let starts = ref [] in
+  for i = hv.hn - 1 downto 0 do
+    let q = hv.ha.(i) - arel in
+    let ok = ref (q >= 0) in
+    let k = ref 0 in
+    while !ok && !k < n do
+      if !k <> !anchor then ok := hitvec_mem t.hits.(plan.(2 * !k)) (q + plan.((2 * !k) + 1));
+      incr k
+    done;
+    if !ok then
+      match !starts with
+      | q' :: _ when q' = q -> ()
+      | l -> starts := q :: l
+  done;
+  if hv.sorted then !starts else List.sort_uniq compare !starts
 
-let verdicts ?plaintext t =
-  pump t;
-  let candidates = content_candidates t in
+(* Whether a chunk of the content has never hit since the last reset: no
+   candidate can exist then, and nothing needs enumerating. *)
+let content_dead t plan =
+  let dead = ref (Array.length plan = 0) in
+  for k = 0 to (Array.length plan / 2) - 1 do
+    if t.hits.(plan.(2 * k)).hn = 0 then dead := true
+  done;
+  !dead
+
+(* The rule's contents against the encrypted-side evidence, with the
+   plaintext reference's backtracking semantics
+   ([Classify.contents_satisfiable]).  A rule is skipped outright while
+   one of its contents has no candidate, so a stream that repeats one
+   content of a multi-content rule costs the same on every delivery
+   however long its hit history grows. *)
+let satisfiable t rule_idx ~visited =
   let rs = t.keys.ruleset in
-  let tier_rank = Classify.rank t.config.tier in
-  let out = ref [] in
-  let emit rule_idx rule detail =
-    let via =
-      match detail with
-      | `Exact_hit | `Composite_match -> `Exact_match
-      | `Regex_match | `Budget_exceeded -> `Probable_cause
+  let contents = rs.rules.(rule_idx).Rule.contents
+  and plans = rs.plans.(rule_idx) in
+  contents <> []
+  && not (Array.exists (content_dead t) plans)
+  &&
+  let cands = Array.make (Array.length plans) [] in
+  let rec build k =
+    k = Array.length plans
+    || (cands.(k) <- content_candidates t plans.(k) ~visited;
+        cands.(k) <> [] && build (k + 1))
+  in
+  build 0
+  &&
+  (* contents are aligned with [plans]; physical equality finds the
+     position (a content repeated by value has the same candidates) *)
+  let candidates c =
+    let rec find k = function
+      | [] -> []
+      | c' :: rest -> if c' == c then cands.(k) else find (k + 1) rest
     in
-    out := { rule_idx; rule; via; detail } :: !out
+    find 0 contents
   in
-  let decide rule_idx rule detail =
+  Classify.contents_satisfiable ~candidates contents
+
+let verdict_of rule_idx rule detail =
+  let via =
+    match detail with
+    | `Exact_hit | `Composite_match -> `Exact_match
+    | `Regex_match | `Budget_exceeded -> `Probable_cause
+  in
+  { rule_idx; rule; via; detail }
+
+(* Evaluate one queued rule exactly as a full scan would, recording a
+   decision in [decided]; returns it, if any. *)
+let evaluate t rule_idx ~visited =
+  let rs = t.keys.ruleset in
+  let rule = rs.rules.(rule_idx) in
+  let decide detail =
     Bytes.set t.decided rule_idx (Char.chr (detail_byte detail + 1));
-    emit rule_idx rule detail
+    Some (verdict_of rule_idx rule detail)
   in
-  Array.iteri
-    (fun rule_idx rule ->
-       let cls = rs.classes.(rule_idx) in
-       if Classify.rank cls <= tier_rank then begin
-         match Char.code (Bytes.get t.decided rule_idx) with
-         | b when b > 0 -> emit rule_idx rule (detail_of_byte (b - 1))
-         | _ ->
-           match cls with
-           | Classify.Protocol_I ->
-             if rule.Rule.contents <> []
-             && Classify.contents_satisfiable ~candidates rule.Rule.contents
-             then decide rule_idx rule `Exact_hit
-           | Classify.Protocol_II ->
-             if rule.Rule.contents <> []
-             && Classify.contents_satisfiable ~candidates rule.Rule.contents
-             then decide rule_idx rule `Composite_match
-           | Classify.Protocol_III ->
-             (* Sticky keyword gate: the encrypted-side evidence that makes
-                this rule worth escalating — its contents seen in order on
-                the token stream, or (for pure-pcre rules) any probable
-                cause on the flow. *)
-             if Bytes.get t.gates rule_idx = '\000' then begin
-               let gated =
-                 if rule.Rule.contents = [] then t.recovered <> None
-                 else Classify.contents_satisfiable ~candidates rule.Rule.contents
-               in
-               if gated then Bytes.set t.gates rule_idx '\001'
-             end;
-             (match plaintext with
-              | Some payload ->
-                (* Legacy caller-supplied plaintext takes precedence over
-                   the recovered stream. *)
-                if Classify.matches_plaintext rule payload then
-                  decide rule_idx rule `Regex_match
-              | None ->
-                if t.recovered <> None && not t.exhausted
-                && prefilter_candidate t rule_idx && confirm t rule
-                then decide rule_idx rule `Regex_match
-                else if t.exhausted && Bytes.get t.gates rule_idx = '\001' then begin
-                  Obs.incr obs_flagged;
-                  decide rule_idx rule `Budget_exceeded
-                end)
-       end)
-    rs.rules;
-  List.rev !out
+  match rs.classes.(rule_idx) with
+  | Classify.Protocol_I ->
+    if satisfiable t rule_idx ~visited then decide `Exact_hit else None
+  | Classify.Protocol_II ->
+    if satisfiable t rule_idx ~visited then decide `Composite_match else None
+  | Classify.Protocol_III ->
+    (* Sticky keyword gate: the encrypted-side evidence that makes this
+       rule worth escalating — its contents seen in order on the token
+       stream, or (for pure-pcre rules) any probable cause on the flow. *)
+    if Bytes.get t.gates rule_idx = '\000' then begin
+      let gated =
+        if rule.Rule.contents = [] then t.recovered <> None
+        else satisfiable t rule_idx ~visited
+      in
+      if gated then Bytes.set t.gates rule_idx '\001'
+    end;
+    if t.recovered <> None && not t.exhausted
+    && prefilter_candidate t rule_idx && confirm t rule
+    then decide `Regex_match
+    else if t.exhausted && Bytes.get t.gates rule_idx = '\001' then begin
+      Obs.incr obs_flagged;
+      decide `Budget_exceeded
+    end
+    else None
+
+(* Evaluate the queued rules in rule order and return the decisions this
+   call made.  A full scan evaluates every undecided rule in rule order on
+   every call; the queue holds exactly the rules whose outcome can differ
+   from their last evaluation, so the decisions are the same.  One
+   ordering effect survives: when a confirm blows the scan budget
+   mid-call, the rules after it see the exhausted flow in this call and
+   the rules before it in the next, so the ones after it that were not
+   queued are evaluated here too. *)
+let verdicts t =
+  pump t;
+  if t.dn = 0 then []
+  else begin
+    let visited = ref 0 and evaluated = ref 0 and out = ref [] in
+    let run rule_idx =
+      if Bytes.get t.dirty rule_idx = '\001' then begin
+        Bytes.set t.dirty rule_idx '\000';
+        if Bytes.get t.decided rule_idx = '\000' then begin
+          incr evaluated;
+          Option.iter (fun v -> out := v :: !out) (evaluate t rule_idx ~visited)
+        end
+      end
+    in
+    for k = 0 to t.wn - 1 do Bytes.set t.walked t.wq.(k) '\000' done;
+    t.wn <- 0;
+    let take () =
+      let order = Array.sub t.dq 0 t.dn in
+      t.dn <- 0;
+      Array.sort Int.compare order;
+      order
+    in
+    let flip = ref (-1) in
+    Array.iter
+      (fun i ->
+         let was = t.exhausted in
+         run i;
+         if t.exhausted && not was then flip := i)
+      (take ());
+    if !flip >= 0 then
+      Array.iter (fun i -> if i > !flip then run i else push t i) (take ());
+    Obs.add obs_evaluated !evaluated;
+    Obs.add obs_visited !visited;
+    if !flip >= 0 then
+      List.sort (fun a b -> Int.compare a.rule_idx b.rule_idx) !out
+    else List.rev !out
+  end
+
+let decided t =
+  let acc = ref [] in
+  for i = Bytes.length t.decided - 1 downto 0 do
+    match Char.code (Bytes.get t.decided i) with
+    | 0 -> ()
+    | b -> acc := verdict_of i t.keys.ruleset.rules.(i) (detail_of_byte (b - 1)) :: !acc
+  done;
+  !acc
 
 (* Rule update: move onto the next generation.  Rules are matched in
    order (the retained rules of an update come first, in their old order,
@@ -601,7 +787,13 @@ let update t next =
   (* pattern ids are per automaton: re-sweep the retained stream *)
   t.seen_pat <- Bytes.make rs.npats '\000';
   t.ac_scanned <- 0;
-  remap
+  (* rule indices moved and new rules may already be satisfied by the
+     evidence carried over *)
+  t.dirty <- Bytes.make nrules '\000';
+  t.dn <- 0;
+  t.walked <- Bytes.make (Array.length rs.chunks) '\000';
+  t.wn <- 0;
+  mark_all t
 
 (* A salt reset rotates the token encryption only.  Per-chunk hit
    evidence is cleared (post-reset offsets would be incomparable with
@@ -611,7 +803,9 @@ let update t next =
    not un-recover it — plus everything downstream of it ([decided]
    verdicts, the sticky keyword gates, the retained/decrypted stream and
    the budget accounting) and [hit_count], the monotonic obs-visible hit
-   accounting that callers delta across deliveries. *)
+   accounting that callers delta across deliveries.  Queued rules stay
+   queued: an escalation change recorded before the reset still has to
+   reach them. *)
 let reset t ~salt0 =
   t.salt0 <- salt0;
   Bbx_detect.Detect.reset t.detect ~salt0;
@@ -628,9 +822,17 @@ let word = Sys.word_size / 8
 let str_bytes s = ((String.length s + word) / word + 1) * word
 
 let ruleset_bytes rs =
+  let arr n = (n + 1) * word in
   Array.fold_left (fun a c -> a + str_bytes c) 0 rs.chunks
   + Hashtbl.length rs.chunk_ids * 6 * word
   + (3 * Array.length rs.rules + 8) * word
+  + Array.fold_left
+      (fun a plans ->
+         Array.fold_left (fun a p -> a + arr (Array.length p)) (a + arr (Array.length plans))
+           plans)
+      0 rs.plans
+  + Array.fold_left (fun a p -> a + arr (Array.length p)) 0 rs.postings
+  + arr (Array.length rs.decrypt_rules)
   + (match rs.ac with None -> 0 | Some (ac, _) -> Bbx_ac.Aho_corasick.footprint_bytes ac)
 
 (* an expanded schedule is a 176-slot int array plus headers, as
@@ -643,7 +845,11 @@ let footprint_bytes t =
     Array.fold_left (fun a hv -> a + (Array.length hv.ha + 4) * word) 0 t.hits
   in
   let pending = List.fold_left (fun a r -> a + str_bytes r) 0 t.pending in
-  let tables = Bytes.length t.decided + Bytes.length t.gates + Bytes.length t.seen_pat in
+  let tables =
+    Bytes.length t.decided + Bytes.length t.gates + Bytes.length t.seen_pat
+    + Bytes.length t.dirty + (Array.length t.dq + 1) * word
+    + Bytes.length t.walked + (Array.length t.wq + 1) * word
+  in
   Bbx_detect.Detect.footprint_bytes t.detect
   + hits + pending + tables
   + Buffer.length t.plain
@@ -835,6 +1041,9 @@ let restore blob =
     t.ac_scanned <- ac_scanned;
     t.scan_ns <- scan_ns;
     t.exhausted <- exhausted;
+    (* the queue is not part of the image: evaluating every undecided rule
+       once decides exactly what a full scan would *)
+    mark_all t;
     t
   with
   | t -> t

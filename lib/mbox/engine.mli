@@ -78,9 +78,11 @@ val distinct_chunks : Bbx_rules.Rule.t list -> string array
 
     - a {!ruleset} holds everything derived from the rules alone — the
       rules, their distinct chunks and chunk index, per-rule protocol
-      classes and the Protocol III prefilter (an Aho-Corasick automaton
-      over the decrypt-tier content patterns, whose dense transition
-      tables are the largest rules-only structure);
+      classes, each content's chunk ids and relative offsets, the
+      chunk → rules posting lists {!verdicts} is driven by, and the
+      Protocol III prefilter (an Aho-Corasick automaton over the
+      decrypt-tier content patterns, whose dense transition tables are
+      the largest rules-only structure);
     - {!keys} hold one key's chunk encryptions [AES_k(chunk)] and their
       expanded AES key schedules, built against one ruleset.
 
@@ -91,8 +93,8 @@ val distinct_chunks : Bbx_rules.Rule.t list -> string array
 (** One rule generation. *)
 type ruleset
 
-(** [ruleset rules] builds the generation: chunks, chunk index, classes
-    and prefilter automaton. *)
+(** [ruleset rules] builds the generation: chunks, chunk index, classes,
+    content plans, posting lists and prefilter automaton. *)
 val ruleset : Bbx_rules.Rule.t list -> ruleset
 
 val rules_of : ruleset -> Bbx_rules.Rule.t list
@@ -200,15 +202,27 @@ val decrypted_stream : t -> string option
     stream undecryptable — sticky). *)
 val escalation : t -> [ `Idle | `Gated | `Unlocked | `Exhausted ]
 
-(** [verdicts ?plaintext t] evaluates rules at the configured tier.
-    Protocol I/II rules are decided from the encrypted-side events alone;
-    Protocol III rules are confirmed against the probable-cause-recovered
-    stream (or against [plaintext] when the caller passes it, taking
-    precedence).  Decisions are sticky: once a rule has fired (or been
-    budget-flagged) it is re-emitted by every later call, across salt
-    resets — callers dedup by [rule_idx], which Shard/Session already
-    do. *)
-val verdicts : ?plaintext:string -> t -> verdict list
+(** [verdicts t] evaluates the rules whose evidence changed since the
+    last call and returns the decisions this call made, in [rule_idx]
+    order.  Protocol I/II rules are decided from the encrypted-side
+    events alone; Protocol III rules are confirmed against the
+    probable-cause-recovered stream.  Decisions are sticky: a rule is
+    returned by exactly one call over the connection's lifetime (across
+    salt resets, updates and snapshot/restore), so callers need no
+    dedup of their own; {!decided} is the cumulative view.
+
+    The cost is O(new evidence), not O(rules): a hit queues only the
+    rules with a content on that chunk, and a change in the Protocol III
+    state ([k_ssl] recovered, recovered plaintext grown, budget
+    exhausted) only the in-tier Protocol III rules.  A delivery without
+    hits evaluates nothing.  The outcome equals a full scan of every
+    undecided rule in rule order (the test suite's oracle). *)
+val verdicts : t -> verdict list
+
+(** [decided t] — every rule decided so far on this connection, in
+    [rule_idx] order: the union of all {!verdicts} results, remapped
+    across {!update}. *)
+val decided : t -> verdict list
 
 (** [update t next] moves the connection onto the next rule generation
     (the rule generator shipped an update): the engine borrows [next] and
@@ -217,18 +231,17 @@ val verdicts : ?plaintext:string -> t -> verdict list
     before the update still matches its next occurrence; new chunks start
     at counter zero under the current salt epoch.  Rules present in both
     generations (matched in order, the {!next_rules} shape) keep their
-    escalation state.  Returns
-    the rule-index map: old [verdict.rule_idx] to its new index, or [-1]
-    for a rule the next generation dropped, so callers can rewrite
-    per-rule state.  Prefilter evidence is re-derived from the retained
-    stream on the next delivery.  Callers follow an update with a
-    sender-side salt reset, as Session, Fleet and the daemon clients do,
-    so counters of keywords the sender emitted under an older ruleset are
-    back in lock-step. *)
-val update : t -> keys -> int array
+    escalation state, decisions included, so a retained rule is never
+    reported twice.  Every undecided rule is re-evaluated on the next
+    {!verdicts}, against the evidence carried over.  Prefilter evidence
+    is re-derived from the retained stream on the next {!verdicts}.
+    Callers follow an update with a sender-side salt reset, as Session,
+    Fleet and the daemon clients do, so counters of keywords the sender
+    emitted under an older ruleset are back in lock-step. *)
+val update : t -> keys -> unit
 
 (** [reset t ~salt0] forwards the sender's periodic salt reset.  Per-chunk
-    hit evidence ({!keyword_hits}, and fresh {!verdicts} derived from it)
+    hit evidence ({!keyword_hits}, and later {!verdicts} derived from it)
     is cleared; {!hit_count} (monotonic accounting), {!recovered_key}
     (probable cause is a connection-lifetime fact — a salt rotation does
     not un-recover [k_ssl]) and the whole escalation state downstream of

@@ -32,7 +32,6 @@ type flow_stats = {
 type conn = {
   engine : Engine.t;
   mutable conn_blocked : bool;
-  mutable reported : Bitset.t;        (* rule indices already reported *)
   mutable conn_tokens : int;
   mutable conn_verdicts : int;
 }
@@ -58,8 +57,7 @@ let register t ~conn_id ~salt0 ~direction keys =
   check_fresh t "register" conn_id;
   let engine = Engine.make t.config keys ~direction ~salt0 in
   Hashtbl.add t.conns conn_id
-    { engine; conn_blocked = false; reported = Bitset.create 0;
-      conn_tokens = 0; conn_verdicts = 0 };
+    { engine; conn_blocked = false; conn_tokens = 0; conn_verdicts = 0 };
   Obs.add_gauge obs_connections 1
 
 let get t conn_id =
@@ -72,10 +70,8 @@ let get t conn_id =
    Keyword-hit accounting uses [Engine.hit_count] deltas: the old
    [List.length (Engine.keyword_hits ...)] bracketing folded and sorted
    the whole hit history twice per delivery, turning long-lived noisy
-   connections O(hits^2).  The reported-rule set is a bitset for the
-   same reason (and for footprint: one bit per rule instead of ~6 words
-   per reported entry): a [List.mem] scan per verdict was O(alerts^2) on
-   long-lived connections. *)
+   connections O(hits^2).  [Engine.verdicts] returns each rule once per
+   connection, so its result is this delivery's report as it stands. *)
 let process_common t ~conn_id inject =
   let c = get t conn_id in
   if c.conn_blocked then
@@ -86,9 +82,7 @@ let process_common t ~conn_id inject =
   c.conn_tokens <- c.conn_tokens + tokens;
   let new_hits = Engine.hit_count c.engine - hits_before in
   t.total_keyword_hits <- t.total_keyword_hits + new_hits;
-  let all = Engine.verdicts c.engine in
-  let fresh = List.filter (fun v -> not (Bitset.mem c.reported v.Engine.rule_idx)) all in
-  List.iter (fun v -> Bitset.add c.reported v.Engine.rule_idx) fresh;
+  let fresh = Engine.verdicts c.engine in
   let n_fresh = List.length fresh in
   t.alerts <- t.alerts + n_fresh;
   c.conn_verdicts <- c.conn_verdicts + n_fresh;
@@ -137,11 +131,7 @@ let engine t ~conn_id = (get t conn_id).engine
 
 let reset_conn t ~conn_id ~salt0 = Engine.reset (get t conn_id).engine ~salt0
 
-(* The engine's index remap is applied to the reported-rule set so
-   "report each rule once" survives the rule_idx shift of an update. *)
-let update_rules t ~conn_id keys =
-  let c = get t conn_id in
-  c.reported <- Bitset.remap c.reported (Engine.update c.engine keys)
+let update_rules t ~conn_id keys = Engine.update (get t conn_id).engine keys
 
 let stats t =
   { connections = Hashtbl.length t.conns;
@@ -175,13 +165,14 @@ let fold_flows t ~init ~f =
 
 (* A shard-level export carries the engine snapshot plus the wrapper
    state {!Shardpool} and the daemon cannot reconstruct: the blocked
-   flag, the reported-rule bitset (so a migrated connection never
-   re-reports a verdict), and the flow counters.  Aggregate shard totals
-   deliberately stay where they accrued — migrating a connection moves
-   its future accounting, not its history, so summed stats across shards
-   match an unmigrated run. *)
+   flag and the flow counters.  The snapshot's decided table is what
+   keeps a migrated connection from re-reporting a verdict.  Aggregate
+   shard totals deliberately stay where they accrued — migrating a
+   connection moves its future accounting, not its history, so summed
+   stats across shards match an unmigrated run.  v1 also carried a
+   reported-rule bitset and is rejected. *)
 
-let export_version = 1
+let export_version = 2
 
 type imported = conn
 
@@ -191,7 +182,6 @@ let export_conn t ~conn_id =
   Codec.put_u8 b export_version;
   Codec.put_str32 b (Engine.snapshot c.engine);
   Codec.put_bool b c.conn_blocked;
-  Codec.put_str32 b (Bitset.to_string c.reported);
   Codec.put_i64 b c.conn_tokens;
   Codec.put_i64 b c.conn_verdicts;
   Hashtbl.remove t.conns conn_id;
@@ -208,13 +198,12 @@ let parse_export ~mode blob =
     if (Engine.config engine).Engine.mode <> mode then
       invalid_arg "Shard.parse_export: mode mismatch";
     let conn_blocked = Codec.get_bool cur in
-    let reported = Bitset.of_string (Codec.get_str32 cur) in
     let conn_tokens = Codec.get_i64 cur in
     let conn_verdicts = Codec.get_i64 cur in
     if conn_tokens < 0 || conn_verdicts < 0 then
       invalid_arg "Shard.parse_export: negative flow counter";
     Codec.finish cur;
-    { engine; conn_blocked; reported; conn_tokens; conn_verdicts }
+    { engine; conn_blocked; conn_tokens; conn_verdicts }
   with
   | c -> c
   | exception Codec.Corrupt msg ->
@@ -251,8 +240,7 @@ let footprint_bytes t =
        let keys = Engine.keys_of c.engine in
        let rs = Engine.ruleset_of keys in
        acc + Engine.footprint_bytes c.engine
-       + Bitset.footprint_bytes c.reported
-       + 8 * (Sys.word_size / 8)
+       + 7 * (Sys.word_size / 8)
        + once (Engine.keys_id keys) (Engine.keys_bytes keys)
        + once (Engine.ruleset_id rs) (Engine.ruleset_bytes rs))
     t.conns 0

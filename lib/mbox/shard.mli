@@ -68,9 +68,9 @@ val engine : t -> conn_id:conn_id -> Engine.t
 val reset_conn : t -> conn_id:conn_id -> salt0:int -> unit
 
 (** [update_rules t ~conn_id next] moves one connection onto the next
-    rule generation ({!Engine.update}); the connection's reported-rule
-    set is remapped across the rule-index shift.  Follow with
-    {!reset_conn}, as after any rule update. *)
+    rule generation ({!Engine.update}); rules it retains keep their
+    decisions, so none is reported twice.  Follow with {!reset_conn}, as
+    after any rule update. *)
 val update_rules : t -> conn_id:conn_id -> Engine.keys -> unit
 
 val stats : t -> stats
@@ -87,9 +87,10 @@ val fold_flows : t -> init:'a -> f:('a -> conn_id -> flow_stats -> 'a) -> 'a
 (** {1 Connection export / import (migration)}
 
     A connection can be drained from one shard and resumed on another —
-    same pool, another pool, or another daemon.  The blob wraps
-    {!Engine.snapshot} plus the shard-level wrapper state (blocked flag,
-    reported-rule bitset, flow counters).  Aggregate shard totals stay
+    same pool, another pool, or another daemon.  The blob (format v2)
+    wraps {!Engine.snapshot} plus the shard-level wrapper state (blocked
+    flag, flow counters); the snapshot's decided rules keep a migrated
+    connection from re-reporting a verdict.  Aggregate shard totals stay
     where they accrued: migration moves a connection's future, not its
     history, so stats summed across shards match an unmigrated run. *)
 

@@ -449,8 +449,8 @@ let loadgen_smoke mode () =
 (* CONN_EXPORT / CONN_STATE / CONN_IMPORT over real sockets: a session
    established on daemon A moves to daemon B mid-stream via
    [Client.migrate].  The sender's key material and salt counters carry
-   over unchanged, the reported-verdict bitset travels with the snapshot
-   (no re-report on B), and history stays where it was earned — stats on
+   over unchanged, the decided rules travel with the snapshot (no
+   re-report on B), and history stays where it was earned — stats on
    A are untouched by the move.  Both daemons live in this process, so
    [bbx_daemon_conns_active] is the shared registry's view of the pair:
    it must net out to the same value after export (-1) + import (+1). *)

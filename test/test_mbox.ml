@@ -25,6 +25,12 @@ let rule_of_string = Parser.parse_rule
 
 module Record = Bbx_tls.Record
 
+(* the sender's record layer, as the engine's ["client->server"] reader
+   expects it: the middlebox only sees plaintext by decrypting these *)
+let mk_writer k_ssl = Record.create ~key:k_ssl ~direction ()
+
+let seal writer payload = Record.seal writer ("T" ^ payload)
+
 let engine_tests =
   [ Alcotest.test_case "distinct chunks dedup across rules" `Quick (fun () ->
         let rules =
@@ -112,7 +118,9 @@ let engine_tests =
         Alcotest.(check int) "encrypted only: no verdict" 0 (List.length (Engine.verdicts e));
         (* the keyword match recovered the key *)
         Alcotest.(check (option string)) "key recovered" (Some k_ssl) (Engine.recovered_key e);
-        (match Engine.verdicts ~plaintext:payload e with
+        (* the sealed record is the plaintext the recovered key opens *)
+        Engine.record_stream e (seal (mk_writer k_ssl) payload);
+        (match Engine.verdicts e with
          | [ v ] -> Alcotest.(check bool) "probable cause" true (v.Engine.via = `Probable_cause)
          | vs -> Alcotest.fail (Printf.sprintf "expected 1 verdict, got %d" (List.length vs))));
     Alcotest.test_case "probable cause does not fire on benign pcre" `Quick (fun () ->
@@ -121,10 +129,13 @@ let engine_tests =
         let payload = "GET /?userquery=42 HTTP/1.1" (* keyword yes, pcre no *) in
         let e = mk_engine ~mode:Probable [ r ] in
         let s = sender ~mode:Probable () in
-        Engine.process e (encrypt_payload ~k_ssl:(String.make 16 'S') s payload);
+        let k_ssl = String.make 16 'S' in
+        Engine.record_stream e (seal (mk_writer k_ssl) payload);
+        Engine.process e (encrypt_payload ~k_ssl s payload);
         Alcotest.(check bool) "key recovered (probable cause)" true (Engine.recovered_key e <> None);
-        Alcotest.(check int) "but no verdict" 0
-          (List.length (Engine.verdicts ~plaintext:payload e)));
+        Alcotest.(check int) "but no verdict" 0 (List.length (Engine.verdicts e));
+        Alcotest.(check (option string)) "over the recovered stream" (Some payload)
+          (Engine.decrypted_stream e));
     Alcotest.test_case "no keyword match leaves key unrecoverable" `Quick (fun () ->
         let r = rule_of_string
             "alert tcp any any -> any any (content:\"userquery\"; pcre:\"/x/\"; sid:8;)" in
@@ -152,7 +163,9 @@ let engine_tests =
         let e = mk_engine ~mode:Probable [ r ] in
         let s = sender ~mode:Probable () in
         let k_ssl = String.make 16 'S' in
+        let writer = mk_writer k_ssl in
         let payload = "GET /?userquery=42' HTTP/1.1" in
+        Engine.record_stream e (seal writer payload);
         Engine.process e (encrypt_payload ~k_ssl s payload);
         Alcotest.(check (option string)) "key recovered" (Some k_ssl) (Engine.recovered_key e);
         let hits_before = Engine.hit_count e in
@@ -164,9 +177,10 @@ let engine_tests =
         Alcotest.(check int) "hit_count survives reset" hits_before (Engine.hit_count e);
         Alcotest.(check int) "hit list cleared" 0 (List.length (Engine.keyword_hits e));
         (* matching still works after the reset: the same keyword refires *)
+        Engine.record_stream e (seal writer payload);
         Engine.process e (encrypt_payload ~k_ssl s payload);
         Alcotest.(check bool) "rematch counted" true (Engine.hit_count e > hits_before);
-        (match Engine.verdicts ~plaintext:payload e with
+        (match Engine.verdicts e with
          | [ v ] -> Alcotest.(check bool) "probable cause" true (v.Engine.via = `Probable_cause)
          | vs -> Alcotest.fail (Printf.sprintf "expected 1 verdict, got %d" (List.length vs))));
     Alcotest.test_case "keyword hits carry stream offsets" `Quick (fun () ->
@@ -438,9 +452,10 @@ let tiered_tests =
         Alcotest.(check bool) "still unlocked" true (Engine.escalation e = `Unlocked);
         Alcotest.(check (option string)) "stream survives" (Some p1)
           (Engine.decrypted_stream e);
-        (match Engine.verdicts e with
+        Alcotest.(check int) "not reported again" 0 (List.length (Engine.verdicts e));
+        (match Engine.decided e with
          | [ v ] ->
-           Alcotest.(check string) "sticky decision re-emitted" "regex-match"
+           Alcotest.(check string) "sticky decision kept" "regex-match"
              (Engine.detail_name v.Engine.detail)
          | vs -> Alcotest.fail (Printf.sprintf "expected 1 verdict, got %d" (List.length vs)));
         (* the record layer keeps decrypting across the reset: sequence
@@ -563,10 +578,12 @@ let snapshot_tests =
           pcre:\"/userquery=[0-9]+'/\"; sid:%d;)"
          sid)
   in
-  let mk_writer () = Record.create ~key:k_ssl ~direction:"client->server" () in
+  let mk_writer () = mk_writer k_ssl in
+  (* everything decided so far, after evaluating what is pending *)
   let details e =
+    ignore (Engine.verdicts e : Engine.verdict list);
     List.map (fun v -> (v.Engine.rule_idx, Engine.detail_name v.Engine.detail))
-      (Engine.verdicts e)
+      (Engine.decided e)
   in
   [ Alcotest.test_case "restore is observably identical (exact mode)" `Quick (fun () ->
         let rules =
@@ -576,8 +593,11 @@ let snapshot_tests =
         let e = mk_engine rules in
         let s = sender () in
         Engine.process e (encrypt_payload s "x=evilword tail");
+        Alcotest.(check int) "decided before the snapshot" 1 (List.length (Engine.verdicts e));
         let r = Engine.restore (Engine.snapshot e) in
         Alcotest.(check (list (pair int string))) "verdicts travel" (details e) (details r);
+        Alcotest.(check int) "not reported again after restore" 0
+          (List.length (Engine.verdicts r));
         Alcotest.(check int) "hit count travels" (Engine.hit_count e) (Engine.hit_count r);
         (* identical future: the same post-snapshot wires land the same *)
         let toks = encrypt_payload s "y=otherkw2 and evilword again" in
@@ -673,7 +693,7 @@ let snapshot_tests =
         Alcotest.(check int) "source totals stay" 1 (Shard.stats src).alerts;
         let dst = Shard.create Engine.default_config in
         Shard.import_conn dst ~conn_id:5 blob;
-        (* the reported-rule bitset travelled: no re-report of sid 1 *)
+        (* the decided rules travelled: no re-report of sid 1 *)
         Alcotest.(check int) "no re-report after import" 0
           (List.length (Shard.process dst ~conn_id:5 (encrypt_payload s "x=alertkw1 again")));
         ignore (Shard.process dst ~conn_id:5 (encrypt_payload s "q=dropkw33")
@@ -691,6 +711,23 @@ let snapshot_tests =
           (match Shard.import_conn wrong ~conn_id:5 blob2 with
            | exception Invalid_argument _ -> true
            | _ -> false));
+    Alcotest.test_case "shard export v1 (reported-rule bitset) is rejected" `Quick
+      (fun () ->
+        let sh = Shard.create Engine.default_config in
+        Shard.register sh ~conn_id:1 ~salt0:0 ~direction
+          (Engine.keys (Engine.ruleset [ Rule.make ~sid:1 [ Rule.make_content "alertkw1" ] ])
+             ~enc_chunk);
+        let blob = Shard.export_conn sh ~conn_id:1 in
+        let rejects what b =
+          Alcotest.(check bool) what true
+            (match Shard.parse_export ~mode:Exact b with
+             | exception Invalid_argument _ -> true
+             | _ -> false)
+        in
+        rejects "v1" ("\x01" ^ String.sub blob 1 (String.length blob - 1));
+        rejects "trailing garbage" (blob ^ "x");
+        Shard.import_conn sh ~conn_id:1 blob;
+        Alcotest.(check int) "v2 round-trips" 1 (Shard.conn_count sh));
     Alcotest.test_case "shared prefilter: same verdicts, flat footprint" `Quick
       (fun () ->
         let rules = [ pcre_rule 51; Rule.make ~sid:52 [ Rule.make_content "evilword" ] ] in

@@ -382,7 +382,7 @@ let migration_unit_tests =
             (match Shardpool.import_conn pool ~conn_id:6 blob with
              | exception Invalid_argument _ -> true
              | _ -> false);
-          (* the reported-rule bitset travelled: same keyword, no re-report *)
+          (* the decided rules travelled: same keyword, no re-report *)
           Alcotest.(check int) "no re-report after import" 0
             (List.length (Shardpool.process_wire pool ~conn_id:6 w2));
           Alcotest.(check int) "one alert total" 1 (Shardpool.stats pool).Shard.alerts
