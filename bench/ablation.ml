@@ -11,6 +11,7 @@
 open Bbx_crypto
 open Bbx_dpienc
 open Bbx_tokenizer
+open Bbx_oracle
 
 let run () =
   Bench_util.section "Ablation 1: tree lookup vs linear scan (per miss token)";
@@ -21,21 +22,24 @@ let run () =
     (fun n ->
        let kws = Array.init n (fun _ -> Drbg.bytes drbg 8) in
        let encs = Array.map (Dpienc.token_enc dpi) kws in
-       let det = Bbx_detect.Detect.create ~index:Bbx_detect.Detect.Avl ~mode:Dpienc.Exact ~salt0:0 encs in
-       let miss = { Dpienc.cipher = 0x9999999999; embed = None; offset = 0 } in
-       let tree_ns = Bench_util.bechamel_ns ~name:"tree" (fun () -> Bbx_detect.Detect.process det miss) in
+       let det = Ref_detect.create ~mode:Dpienc.Exact ~salt0:0 encs in
+       let miss = 0x9999999999 in
+       let tree_ns =
+         Bench_util.bechamel_ns ~name:"tree" (fun () ->
+             Ref_detect.process_token det ~cipher:miss ~offset:0)
+       in
        (* linear scan over the same precomputed per-keyword ciphertexts *)
        let current = Array.map (fun enc -> Dpienc.encrypt (Dpienc.token_key_of_enc enc) ~salt:0) encs in
        let scan_ns =
          Bench_util.bechamel_ns ~name:"scan" (fun () ->
              let hit = ref false in
              for i = 0 to n - 1 do
-               if current.(i) = miss.Dpienc.cipher then hit := true
+               if current.(i) = miss then hit := true
              done;
              !hit)
        in
        Printf.printf "  %-10d %11.0f ns %11.0f ns %10d\n" n tree_ns scan_ns
-         (Bbx_detect.Detect.tree_height det))
+         (Ref_detect.height det))
     [ 10; 100; 1000; 10_000 ];
   Bench_util.note "the searchable strawman additionally pays one AES per keyword per token on the scan";
 
@@ -48,36 +52,44 @@ let run () =
   let n_kw = 10_000 in
   let kws2 = Array.init n_kw (fun _ -> Drbg.bytes drbg 8) in
   let encs2 = Array.map (Dpienc.token_enc dpi) kws2 in
-  let det2 = Bbx_detect.Detect.create ~index:Bbx_detect.Detect.Avl ~mode:Dpienc.Exact ~salt0:0 encs2 in
-  let miss2 = { Dpienc.cipher = 0x7777777777; embed = None; offset = 0 } in
-  let dpienc_ns = Bench_util.bechamel_ns ~name:"dpienc" (fun () -> Bbx_detect.Detect.process det2 miss2) in
+  let det2 = Ref_detect.create ~mode:Dpienc.Exact ~salt0:0 encs2 in
+  let miss2 = 0x7777777777 in
+  let dpienc_ns =
+    Bench_util.bechamel_ns ~name:"dpienc" (fun () ->
+        Ref_detect.process_token det2 ~cipher:miss2 ~offset:0)
+  in
   let table = Hashtbl.create n_kw in
   Array.iteri
     (fun i enc -> Hashtbl.replace table (Dpienc.encrypt (Dpienc.token_key_of_enc enc) ~salt:0) i)
     encs2;
   let det_ns =
-    Bench_util.bechamel_ns ~name:"determ" (fun () -> Hashtbl.find_opt table miss2.Dpienc.cipher)
+    Bench_util.bechamel_ns ~name:"determ" (fun () -> Hashtbl.find_opt table miss2)
   in
   Printf.printf "  detection per token over %d keywords: DPIEnc+tree %.0f ns vs deterministic+hashtable %.0f ns (%.1fx)\n"
     n_kw dpienc_ns det_ns (dpienc_ns /. det_ns);
-  (* sender side: the randomized salts cost one extra AES per occurrence *)
+  (* sender side: the randomized salts cost one extra AES per occurrence;
+     both sides walk the packet's delimiter tokens *)
   let packet = Bbx_net.Page.gen_html (Drbg.create "abl-html") ~bytes:1500 in
-  let toks = Tokenizer.delimiter packet in
+  let delimiter = Dpienc.Delimiter { short_units = false } in
   let dpienc_s =
     let sender = Dpienc.sender_create Dpienc.Exact dpi ~salt0:0 in
-    ignore (Dpienc.sender_encrypt sender toks);
-    Bench_util.time_per (fun () -> ignore (Dpienc.sender_encrypt sender toks))
+    let wire = Buffer.create 4096 in
+    let encrypt () =
+      Buffer.clear wire;
+      ignore (Dpienc.sender_encrypt_into sender ~tokenization:delimiter packet wire : int)
+    in
+    encrypt ();
+    Bench_util.time_per encrypt
   in
   let det_s =
     let cache = Hashtbl.create 512 in
     Bench_util.time_per (fun () ->
         Hashtbl.reset cache;
-        List.iter
-          (fun t ->
-             match Hashtbl.find_opt cache t.Tokenizer.content with
-             | Some _ -> ()
-             | None -> Hashtbl.add cache t.Tokenizer.content (Dpienc.token_enc dpi t.Tokenizer.content))
-          toks)
+        Tokenizer.fold_delimiter packet ~init:() ~f:(fun () ~off ~len ->
+            let t = String.sub packet off len in
+            match Hashtbl.find_opt cache t with
+            | Some _ -> ()
+            | None -> Hashtbl.add cache t (Dpienc.token_enc dpi t)))
   in
   Printf.printf "  sender per 1500-byte packet: DPIEnc %s vs deterministic %s (%.1fx)\n"
     (Bench_util.fmt_seconds dpienc_s) (Bench_util.fmt_seconds det_s) (dpienc_s /. det_s);
@@ -94,25 +106,26 @@ let run () =
     List.for_all
       (fun (c, rel) ->
          let base = 5 (* "q=az " prefix below *) in
-         List.exists (fun t -> t.Tokenizer.content = c && t.Tokenizer.offset = base + rel) toks)
+         List.exists (fun t -> t.Tokens.content = c && t.Tokens.offset = base + rel) toks)
       (Tokenizer.keyword_chunks kw)
   in
   let kw = "evilpayloadkw" in
   let aligned = "q=az " ^ kw ^ " tail" in
   Printf.printf "  boundary-aligned keyword: window %b, delimiter %b\n"
-    (covered Tokenizer.window aligned kw) (covered Tokenizer.delimiter aligned kw);
+    (covered Tokens.window aligned kw) (covered Tokens.delimiter aligned kw);
   let covered_anywhere tokenize payload kw =
     let toks = tokenize payload in
     List.exists
       (fun t ->
          match Tokenizer.keyword_chunks kw with
-         | (first, _) :: _ -> t.Tokenizer.content = first
+         | (first, _) :: _ -> t.Tokens.content = first
          | [] -> false)
       toks
   in
   let glued = "q=azq" ^ kw ^ "zq x" in
   Printf.printf "  mid-word keyword:         window %b, delimiter %b\n"
-    (covered_anywhere Tokenizer.window glued kw) (covered_anywhere Tokenizer.delimiter glued kw);
+    (covered_anywhere Tokens.window glued kw)
+    (covered_anywhere Tokens.delimiter glued kw);
 
   Bench_util.section "Ablation 4: garbling scheme — half-gates vs classic 4-row";
   let aes_c = Bbx_circuit.Aes_circuit.build () in

@@ -1,8 +1,10 @@
-(* Exact-counter gate for the rule-level verdict step.
+(* Exact-counter gate for the rule-level verdict step and the detection
+   index.
 
    Wall clock on a shared 1-2 vCPU host moves by +-30% between repeats;
    the rows here do not move at all, so a regression shows as a changed
-   number, not as noise.  Each row is "lower is better" and per delivery:
+   number, not as noise.  Each row is "lower is better"; the verdict rows
+   are per delivery:
 
    - benign-3k: 200 benign 600 B writes (generated HTML, delimiter
      tokens) through one connection on 3 000 Emerging Threats rules —
@@ -13,6 +15,12 @@
      of a 3-content rule (window tokens) and never resets its salts.  The
      same three counters at the delivery where the hit history first
      passes 1 000 and 48 000 hits; they must not grow with the history.
+
+   The detect rows run [Detect.process_stream] over the detect bench's
+   smoke streams (200 keywords, 20 000 tokens; see [Detect.workload]):
+   - detect-miss: index probe slots per lookup on the 0%-hit stream, from
+     the 1-in-64 sampled [bbx_detect_probe_len] histogram;
+   - detect-hit50: bytes allocated per token on the 50%-hit stream.
 
    Informational lines (not gated) give [verdicts] wall time and
    allocation at 50, 300 and 3 000 rules.
@@ -34,6 +42,7 @@ let tolerance = 0.10
 
 let obs_evaluated = Obs.counter "bbx_engine_rules_evaluated_total"
 let obs_visited = Obs.counter "bbx_engine_candidates_visited_total"
+let obs_probe_len = Obs.histogram "bbx_detect_probe_len" ~buckets:[||]
 
 let key = Dpienc.key_of_secret "bench-counters"
 let enc_chunk = Dpienc.token_enc key
@@ -134,6 +143,29 @@ let history rules ~payload ~targets =
        go ())
     targets
 
+(* Probe slots per sampled lookup on the miss stream, and bytes allocated
+   per token on the 50%-hit stream. *)
+let detect_counters () =
+  let n_tok = 20_000 in
+  let encs, tkeys = Detect.workload ~n_kw:200 in
+  let det = Bbx_detect.Detect.create ~mode:Dpienc.Exact ~salt0:0 encs in
+  let run wire =
+    ignore (Bbx_detect.Detect.process_stream det wire ~f:(fun _ ~embed_pos:_ -> ()) : int)
+  in
+  let miss = Detect.stream ~tkeys ~n_tok 0.0 in
+  let n0 = Obs.histogram_count obs_probe_len and s0 = Obs.histogram_sum obs_probe_len in
+  run miss;
+  let probes =
+    float_of_int (Obs.histogram_sum obs_probe_len - s0)
+    /. float_of_int (Obs.histogram_count obs_probe_len - n0)
+  in
+  let hit = Detect.stream ~tkeys ~n_tok 0.5 in
+  Bbx_detect.Detect.reset det ~salt0:0;
+  let a0 = Gc.allocated_bytes () in
+  run hit;
+  let a1 = Gc.allocated_bytes () in
+  (probes, (a1 -. a0 -. alloc_overhead) /. float_of_int n_tok)
+
 (* ---------- baseline file: one row per line ---------- *)
 
 type row = { name : string; unit_ : string; value : float }
@@ -219,11 +251,18 @@ let run () =
            { name = p ^ ".verdicts_alloc_bytes"; unit_ = "B/delivery"; value = float_of_int a } ])
       hist
   in
+  let probes, hit_alloc = detect_counters () in
+  Printf.printf
+    "  detect (200 keywords, 20 000 tokens): %.2f probe slots/lookup at 0%% hits, \
+     %.1f B allocated/token at 50%% hits\n%!"
+    probes hit_alloc;
   let rows =
     [ { name = "benign-3k.rules_evaluated"; unit_ = "rules/delivery"; value = ev };
       { name = "benign-3k.candidates_visited"; unit_ = "candidates/delivery"; value = vis };
       { name = "benign-3k.verdicts_alloc_bytes"; unit_ = "B/delivery"; value = alloc } ]
     @ hist_rows
+    @ [ { name = "detect-miss.probe_slots"; unit_ = "slots/lookup"; value = probes };
+        { name = "detect-hit50.alloc_bytes"; unit_ = "B/token"; value = hit_alloc } ]
   in
   if Array.mem "--write-baseline" Sys.argv then begin
     Out_channel.with_open_bin baseline_path (fun oc -> output_string oc (render rows));

@@ -1,6 +1,7 @@
 (* Detection-index bench: the same token streams pushed through
-   BlindBox Detect with the flat open-addressing cipher index (Hash, the
-   default) and the reference AVL tree, across a hit-rate sweep.
+   BlindBox Detect (its flat open-addressing cipher index, "hash") and
+   through the AVL-tree reference detector of [Bbx_oracle] ("avl"), both
+   decoding with [Dpienc.decode_iter], across a hit-rate sweep.
 
    Streams are generated against salt0 = 0 with the exact per-keyword salt
    progression the detector expects, so a hit-bearing stream can be
@@ -19,6 +20,7 @@
 
 open Bbx_crypto
 open Bbx_dpienc
+open Bbx_oracle
 module Detect = Bbx_detect.Detect
 
 let gate_speedup = 2.0
@@ -57,9 +59,30 @@ let make_wire ~tkeys ~n_tok ~hit_rate ~seed =
       end
       else rand () land ((1 lsl Dpienc.rs_bits) - 1)
     in
-    toks := { Dpienc.cipher; embed = None; offset = i } :: !toks
+    toks := { Records.cipher; embed = None; offset = i } :: !toks
   done;
-  Dpienc.encode_tokens (List.rev !toks)
+  Records.encode_tokens (List.rev !toks)
+
+(* The keyword set of [n_kw] encrypted random tokens, and the stream of
+   [n_tok] tokens at [hit_rate] against it.  [counters] gates exact
+   counters on the smoke shape (200 keywords, 20 000 tokens). *)
+let workload ~n_kw =
+  let dpi = Dpienc.key_of_secret "bench-detect-k" in
+  let drbg = Drbg.create "bench-detect-kws" in
+  let encs =
+    Array.init n_kw (fun _ ->
+        Dpienc.token_enc dpi (Drbg.bytes drbg Bbx_tokenizer.Tokenizer.token_len))
+  in
+  (encs, Array.map Dpienc.token_key_of_enc encs)
+
+let stream ~tkeys ~n_tok hit_rate =
+  make_wire ~tkeys ~n_tok ~hit_rate ~seed:(0x9e3779b9 + int_of_float (hit_rate *. 1e4))
+
+(* A detector under test: reset to salt0 = 0, and stream processing. *)
+type backend = {
+  reset : unit -> unit;
+  stream : string -> f:(Detect.event -> embed_pos:int -> unit) -> int;
+}
 
 let run () =
   let smoke = Array.exists (fun a -> a = "--smoke") Sys.argv in
@@ -68,32 +91,32 @@ let run () =
      else "Detection index: flat open-addressing hash vs AVL tree");
   let n_kw = if smoke then 200 else 2000 in
   let n_tok = if smoke then 20_000 else 200_000 in
-  let dpi = Dpienc.key_of_secret "bench-detect-k" in
-  let drbg = Drbg.create "bench-detect-kws" in
-  let encs =
-    Array.init n_kw (fun _ ->
-        Dpienc.token_enc dpi (Drbg.bytes drbg Bbx_tokenizer.Tokenizer.token_len))
-  in
-  let tkeys = Array.map Dpienc.token_key_of_enc encs in
+  let encs, tkeys = workload ~n_kw in
   Printf.printf "  workload: %d keywords, %d-token streams, Exact mode\n%!" n_kw n_tok;
 
-  let fresh index = Detect.create ~index ~mode:Dpienc.Exact ~salt0:0 encs in
-  let det_hash = fresh Detect.Hash and det_avl = fresh Detect.Avl in
+  let det_hash =
+    let d = Detect.create ~mode:Dpienc.Exact ~salt0:0 encs in
+    { reset = (fun () -> Detect.reset d ~salt0:0); stream = Detect.process_stream d }
+  in
+  let det_avl =
+    let d = Ref_detect.create ~mode:Dpienc.Exact ~salt0:0 encs in
+    { reset = (fun () -> Ref_detect.reset d ~salt0:0); stream = Ref_detect.process_stream d }
+  in
 
   (* Event-for-event parity: both backends must report identical
      (kw_id, offset, salt) sequences on every stream. *)
   let events det wire =
-    Detect.reset det ~salt0:0;
+    det.reset ();
     let acc = ref [] in
     ignore
-      (Detect.process_stream det wire ~f:(fun ev ~embed_pos:_ ->
+      (det.stream wire ~f:(fun ev ~embed_pos:_ ->
            acc := (ev.Detect.kw_id, ev.Detect.offset, ev.Detect.salt) :: !acc)
         : int);
     List.rev !acc
   in
 
   let run_config hit_rate =
-    let wire = make_wire ~tkeys ~n_tok ~hit_rate ~seed:(0x9e3779b9 + int_of_float (hit_rate *. 1e4)) in
+    let wire = stream ~tkeys ~n_tok hit_rate in
     let ev_hash = events det_hash wire and ev_avl = events det_avl wire in
     if ev_hash <> ev_avl then begin
       Printf.printf "  FAIL: backends disagree at hit rate %.2f (%d vs %d events)\n"
@@ -103,8 +126,8 @@ let run () =
     let hits = List.length ev_hash in
     let needs_reset = hits > 0 in
     let pass det () =
-      if needs_reset then Detect.reset det ~salt0:0;
-      ignore (Detect.process_stream det wire ~f:(fun _ ~embed_pos:_ -> ()) : int)
+      if needs_reset then det.reset ();
+      ignore (det.stream wire ~f:(fun _ ~embed_pos:_ -> ()) : int)
     in
     (* interleaved best-of rounds so drift cancels instead of biasing one
        backend *)
@@ -127,9 +150,9 @@ let run () =
     let alloc det =
       let best = ref infinity in
       for _ = 1 to 3 do
-        if needs_reset then Detect.reset det ~salt0:0;
+        if needs_reset then det.reset ();
         let a0 = Gc.allocated_bytes () in
-        ignore (Detect.process_stream det wire ~f:(fun _ ~embed_pos:_ -> ()) : int);
+        ignore (det.stream wire ~f:(fun _ ~embed_pos:_ -> ()) : int);
         let a1 = Gc.allocated_bytes () in
         best := min !best ((a1 -. a0) /. float_of_int n_tok)
       done;

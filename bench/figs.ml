@@ -21,13 +21,17 @@ let measure_cost_model () =
   let writer = Bbx_tls.Record.create ~key:"figs" ~direction:"d" () in
   let tls_s = Bench_util.time_per ~min_time:0.5 (fun () -> ignore (Bbx_tls.Record.seal writer text)) in
   let dpi_key = Dpienc.key_of_secret "figs-k" in
-  let toks = Tokenizer.delimiter text in
-  let n_tokens = List.length toks in
+  let n_tokens = Tokenizer.delimiter_count text in
   let bb_s =
     let sender = Dpienc.sender_create Dpienc.Exact dpi_key ~salt0:0 in
+    let wire = Buffer.create (Dpienc.exact_record_bytes * n_tokens) in
     Bench_util.time_per ~min_time:0.5 (fun () ->
         ignore (Bbx_tls.Record.seal writer text);
-        ignore (Dpienc.sender_encrypt sender (Tokenizer.delimiter text)))
+        Buffer.clear wire;
+        ignore
+          (Dpienc.sender_encrypt_into sender
+             ~tokenization:(Dpienc.Delimiter { short_units = false }) text wire
+           : int))
   in
   let fb = float_of_int sample_bytes in
   { Linksim.tls_cpu_per_byte = tls_s /. fb;

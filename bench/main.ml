@@ -25,14 +25,14 @@ let experiments =
     ("setup", "Sec 7.2.2: connection setup scaling with ruleset size", Setup_bench.run);
     ("ablation", "Ablations: tree vs scan, DPIEnc vs deterministic, tokenizers, OT", Ablation.run);
     ("detect", "Detection index: flat open-addressing hash vs AVL tree (2x miss gate)", Detect.run);
-    ("pipeline", "Token pipeline: legacy list path vs streaming path", Pipeline.run);
+    ("pipeline", "Token pipeline: reference list path vs streaming path", Pipeline.run);
     ("obs-overhead", "Observability: instrumented vs uninstrumented hot path (<=5% gate)", Obs_overhead.run);
     ("trace-overhead", "Flight recorder: tracing on vs off through blindboxd (<=5% gate)", Obs_overhead.run_trace);
     ("parallel", "Shardpool scaling across OCaml domains (1/2/4 workers)", Parallel.run);
     ("fleet", "Fleet-scale state: shared rule prep, bytes/conn, migration under load", Fleet.run);
     ("setup-parallel", "Rule-setup scaling across OCaml domains (Ruleprep at 1/2/4 workers)", Setup_parallel.run);
     ("daemon", "blindboxd end to end: loadgen over Unix sockets at 1/2/4/8 connections", Daemon_bench.run);
-    ("counters", "Verdict step: exact per-delivery counters vs bench/baseline.json (10% gate)", Counters.run);
+    ("counters", "Exact counters (verdict step, detection index) vs bench/baseline.json (10% gate)", Counters.run);
   ]
 
 let () =

@@ -1,17 +1,19 @@
-(* Token-pipeline micro-bench: the legacy list-of-records path vs the
-   streaming buffer-backed path, end to end (tokenize -> DPIEnc -> wire
-   -> decode -> detect) on a 1500-byte packet under window tokenization —
-   the paper's worst case of one token per payload byte.
+(* Token-pipeline micro-bench: the reference list-of-records path of
+   [Bbx_oracle] (list tokenizer -> Hashtbl sender -> record codec -> AVL
+   detector) vs the streaming path that ships (sender_encrypt_into ->
+   Detect.process_stream), end to end on a 1500-byte packet under window
+   tokenization — the paper's worst case of one token per payload byte.
 
    Reports tokens/sec and GC-allocated bytes per token for both paths
-   (Gc.allocated_bytes deltas), so the streaming refactor's win is
+   (Gc.allocated_bytes deltas), so the streaming design's win is
    measured, not asserted.  `--smoke` runs a quick sanity pass (streaming
-   and legacy paths must produce identical wire bytes) for CI. *)
+   and reference paths must produce identical wire bytes) for CI. *)
 
 open Bbx_crypto
 open Bbx_dpienc
 open Bbx_rules
 open Bbx_tokenizer
+open Bbx_oracle
 
 let packet_bytes = 1500
 
@@ -26,7 +28,7 @@ let alloc_per_token ~reps ~tokens f =
 let run () =
   let smoke = Array.exists (fun a -> a = "--smoke") Sys.argv in
   Bench_util.section
-    (if smoke then "Token pipeline (smoke)" else "Token pipeline: legacy list path vs streaming path");
+    (if smoke then "Token pipeline (smoke)" else "Token pipeline: reference list path vs streaming path");
   let packet =
     let html = Bbx_net.Page.gen_html (Drbg.create "pipeline") ~bytes:(2 * packet_bytes) in
     String.sub html 0 packet_bytes
@@ -42,13 +44,13 @@ let run () =
 
   (* Two isolated sender/detector pairs so the paths cannot share counter
      state; both consume the identical packet stream. *)
-  let sender_legacy = Dpienc.sender_create Dpienc.Exact dpi_key ~salt0:0 in
-  let detect_legacy = Bbx_detect.Detect.create ~mode:Dpienc.Exact ~salt0:0 encs in
+  let sender_legacy = Ref_sender.create Dpienc.Exact dpi_key ~salt0:0 in
+  let detect_legacy = Ref_detect.create ~mode:Dpienc.Exact ~salt0:0 encs in
   let legacy () =
-    let toks = Tokenizer.window packet in
-    let enc = Dpienc.sender_encrypt sender_legacy toks in
-    let wire = Dpienc.encode_tokens enc in
-    ignore (Bbx_detect.Detect.process_batch detect_legacy (Dpienc.decode_tokens wire) : _ list);
+    let toks = Tokens.window packet in
+    let enc = Ref_sender.encrypt sender_legacy toks in
+    let wire = Records.encode_tokens enc in
+    ignore (Ref_detect.process_batch detect_legacy (Records.decode_tokens wire) : _ list);
     wire
   in
 
@@ -68,7 +70,7 @@ let run () =
      paths stay byte-comparable on every iteration. *)
   let w_legacy = legacy () and w_stream = streaming () in
   if not (String.equal w_legacy w_stream) then begin
-    Printf.printf "  FAIL: streaming wire differs from legacy wire\n";
+    Printf.printf "  FAIL: streaming wire differs from the reference wire\n";
     exit 1
   end;
   Printf.printf "  wire equivalence: OK (%d bytes per packet)\n" (String.length w_stream);
@@ -88,9 +90,9 @@ let run () =
     let s_legacy = Bench_util.time_per ~min_time:1.0 (fun () -> ignore (legacy () : string)) in
     let s_stream = Bench_util.time_per ~min_time:1.0 (fun () -> ignore (streaming () : string)) in
     let tps s = float_of_int tokens /. s in
-    Printf.printf "  legacy list path:  %8.0f tokens/s  %7.1f B allocated/token  (%s/packet)\n"
+    Printf.printf "  reference list path: %8.0f tokens/s  %7.1f B allocated/token  (%s/packet)\n"
       (tps s_legacy) alloc_legacy (Bench_util.fmt_seconds s_legacy);
-    Printf.printf "  streaming path:    %8.0f tokens/s  %7.1f B allocated/token  (%s/packet)\n"
+    Printf.printf "  streaming path:      %8.0f tokens/s  %7.1f B allocated/token  (%s/packet)\n"
       (tps s_stream) alloc_stream (Bench_util.fmt_seconds s_stream);
     Printf.printf "  speedup: %.2fx tokens/s, %.1fx fewer allocated bytes/token\n"
       (s_legacy /. s_stream) (alloc_legacy /. alloc_stream);

@@ -18,6 +18,7 @@ open Cmdliner
 open Bbx_rules
 module Obs = Bbx_obs.Obs
 module Dpienc = Bbx_dpienc.Dpienc
+module Tokenizer = Bbx_tokenizer.Tokenizer
 
 (* [--metrics FILE]: shared by all subcommands; wraps each command's body
    so the snapshot is written after the run. *)
@@ -109,21 +110,21 @@ let tokenize_cmd =
   let run window short_units metrics =
     with_metrics metrics @@ fun () ->
     let payload = read_stdin () in
-    let toks =
-      if window then Bbx_tokenizer.Tokenizer.window payload
-      else Bbx_tokenizer.Tokenizer.delimiter ~short_units payload
+    let fold = if window then Tokenizer.fold_window else Tokenizer.fold_delimiter ~short_units in
+    let printable c =
+      if c >= ' ' && c <= '~' then String.make 1 c else Printf.sprintf "\\x%02x" (Char.code c)
     in
-    List.iter
-      (fun t ->
-         Printf.printf "%6d  %s\n" t.Bbx_tokenizer.Tokenizer.offset
-           (String.concat ""
-              (List.map
-                 (fun c ->
-                    if c >= ' ' && c <= '~' then String.make 1 c
-                    else Printf.sprintf "\\x%02x" (Char.code c))
-                 (List.init 8 (String.get t.Bbx_tokenizer.Tokenizer.content)))))
-      toks;
-    Printf.printf "-- %d tokens for %d bytes\n" (List.length toks) (String.length payload)
+    let count =
+      fold payload ~init:0 ~f:(fun n ~off ~len ->
+          (* a short unit's token is the unit zero-padded *)
+          let tok = String.sub payload off len in
+          let tok = if len < Tokenizer.token_len then Tokenizer.pad_short tok else tok in
+          Printf.printf "%6d  " off;
+          String.iter (fun c -> print_string (printable c)) tok;
+          print_char '\n';
+          n + 1)
+    in
+    Printf.printf "-- %d tokens for %d bytes\n" count (String.length payload)
   in
   let window = Arg.(value & flag & info [ "window" ] ~doc:"Window-based tokenization (default: delimiter).") in
   let shorts = Arg.(value & flag & info [ "short-units" ] ~doc:"Also emit padded short units.") in

@@ -49,8 +49,12 @@ let () =
     if Shard.is_blocked mb ~conn_id:conn then
       Printf.printf "  [%s] connection is blocked; traffic refused\n" e.name
     else begin
-      let tokens = sender_encrypt e.sender (Bbx_tokenizer.Tokenizer.delimiter payload) in
-      match Shard.process mb ~conn_id:conn tokens with
+      let wire = Buffer.create 256 in
+      ignore
+        (sender_encrypt_into e.sender ~tokenization:(Delimiter { short_units = false }) payload
+           wire
+         : int);
+      match Shard.process_wire mb ~conn_id:conn (Buffer.contents wire) with
       | [] -> Printf.printf "  [%s] ok      %s\n" e.name payload
       | vs ->
         List.iter

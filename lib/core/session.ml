@@ -106,7 +106,7 @@ let make_session ?rg config keys ~prep ~mb_keys ~label =
     prep;
     rg }
 
-let dpienc_tokenization config =
+let wire_tokenization config =
   match config.tokenization with
   | Window -> Dpienc.Window
   | Delimiter -> Dpienc.Delimiter { short_units = false }
@@ -226,18 +226,18 @@ let mb_escalation t = Engine.escalation t.engine
 
 (* Sender-side encryption of one payload: SSL record + encrypted tokens,
    the latter tokenized+encrypted+serialised in one streaming pass
-   (Dpienc.sender_encrypt_into) — no token or enc_token lists are built.
+   (Dpienc.sender_encrypt_into) — no token lists or records are built.
    A one-byte frame tag inside the record marks whether the payload was
    tokenized ('T') or sent as binary without tokens ('B', the paper's §3
    optimisation for images/video); the receiver validates accordingly. *)
-let sender_encrypt t ~tokenized payload =
+let encrypt_delivery t ~tokenized payload =
   let tag = if tokenized then "T" else "B" in
   let record = Record.seal t.writer (tag ^ payload) in
   if tokenized then begin
     let buf = Buffer.create (wire_buf_estimate t.config payload) in
     let count =
       Dpienc.sender_encrypt_into t.dpi_sender ?k_ssl:(k_ssl_opt t)
-        ~base:t.sender_stream_off ~tokenization:(dpienc_tokenization t.config)
+        ~base:t.sender_stream_off ~tokenization:(wire_tokenization t.config)
         payload buf
     in
     t.sender_stream_off <- t.sender_stream_off + String.length payload;
@@ -255,7 +255,7 @@ let receiver_validate t ~tokenized plaintext forwarded_wire =
       let buf = Buffer.create (String.length forwarded_wire) in
       ignore
         (Dpienc.sender_encrypt_into t.dpi_mirror ?k_ssl:(k_ssl_opt t)
-           ~base:t.receiver_stream_off ~tokenization:(dpienc_tokenization t.config)
+           ~base:t.receiver_stream_off ~tokenization:(wire_tokenization t.config)
            plaintext buf : int);
       t.receiver_stream_off <- t.receiver_stream_off + String.length plaintext;
       Buffer.contents buf
@@ -387,20 +387,17 @@ let update_rules t ?(remove_sids = []) rules =
 let add_rules t rules = update_rules t rules
 
 let send t payload =
-  let record, wire, token_count = sender_encrypt t ~tokenized:true payload in
+  let record, wire, token_count = encrypt_delivery t ~tokenized:true payload in
   deliver t ~record ~wire ~token_count
 
 let send_binary t payload =
-  let record, wire, token_count = sender_encrypt t ~tokenized:false payload in
+  let record, wire, token_count = encrypt_delivery t ~tokenized:false payload in
   deliver t ~record ~wire ~token_count
 
 let send_evading t payload ~drop_tokens =
-  let record, wire, _ = sender_encrypt t ~tokenized:true payload in
-  (* the cheat needs token granularity: decode, drop, re-encode *)
-  let tokens = Dpienc.decode_tokens wire in
-  let tokens = List.filteri (fun i _ -> i >= drop_tokens) tokens in
-  deliver t ~record ~wire:(Dpienc.encode_tokens tokens)
-    ~token_count:(List.length tokens)
+  let record, wire, _ = encrypt_delivery t ~tokenized:true payload in
+  let wire = Dpienc.drop_records wire drop_tokens in
+  deliver t ~record ~wire ~token_count:(Dpienc.wire_token_count wire)
 
 
 (* ---------- bidirectional connections ---------- *)
@@ -572,7 +569,7 @@ module Fleet = struct
     in
     ignore
       (Dpienc.sender_encrypt_into c.fc_sender ?k_ssl ~base:c.fc_off
-         ~tokenization:(dpienc_tokenization t.fl_config) payload buf : int);
+         ~tokenization:(wire_tokenization t.fl_config) payload buf : int);
     c.fc_off <- c.fc_off + String.length payload;
     Obs.incr obs_sends;
     Obs.add obs_payload_bytes (String.length payload);

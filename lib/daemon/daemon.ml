@@ -197,30 +197,6 @@ let connect endpoint =
      with e -> (try Unix.close fd with _ -> ()); raise e);
     fd
 
-(* ---------- record-stream validation ----------
-
-   TOKEN_STREAM bodies are inspected on worker domains, where an
-   exception is sticky and would poison the pool; the front therefore
-   rejects anything the workers' decoder might choke on — truncated
-   records, unknown flag bytes, embeds inconsistent with the daemon's
-   mode — before submitting. *)
-
-let records_valid ~mode s =
-  let exact = Dpienc.exact_record_bytes in
-  let want_embed = mode = Dpienc.Probable in
-  let n = String.length s in
-  let pos = ref 0 and ok = ref true in
-  while !ok && !pos < n do
-    if !pos + exact > n then ok := false
-    else
-      match s.[!pos] with
-      | '\000' when not want_embed -> pos := !pos + exact
-      | '\001' when want_embed ->
-        if !pos + exact + 16 > n then ok := false else pos := !pos + exact + 16
-      | _ -> ok := false
-  done;
-  !ok
-
 (* ---------- output ---------- *)
 
 let enqueue ?(seq = -1) _t cl msg =
@@ -424,7 +400,9 @@ let handle_msg t cl msg =
   | Wire.Token_stream { seq; records }, Streaming ->
     let timing = timing_on () in
     let t0 = if timing then Trace.now_ns () else 0 in
-    let valid = records_valid ~mode:t.cfg.inspect.Engine.mode records in
+    (* workers' exceptions are sticky and would poison the pool, so
+       anything their decoder might choke on is refused here *)
+    let valid = Dpienc.wire_valid ~mode:t.cfg.inspect.Engine.mode records in
     if timing then begin
       let now = Trace.now_ns () in
       Obs.observe obs_validate_us ((now - t0) / 1000);

@@ -1,7 +1,7 @@
 (** Flat open-addressing cipher index: the cache-resident fast path of
     BlindBox Detect.
 
-    The AVL tree ({!Avl}) gives the paper's O(log n) per-token bound, but
+    The paper's AVL search tree gives an O(log n) per-token bound, but
     every comparison is a pointer chase and every match-path re-key copies
     an O(log n) root path.  This index stores the same
     [cipher -> keyword_id] map in two preallocated [int] arrays (cipher

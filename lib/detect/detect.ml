@@ -2,13 +2,12 @@ open Bbx_dpienc
 module Obs = Bbx_obs.Obs
 
 (* Lookup accounting (§3.2's per-token cost, measured).  Lookups are added
-   in bulk per batch/stream, and the probe length of one lookup in
+   in bulk per stream, and the probe length of one lookup in
    [1 lsl sample_shift] is observed into the [bbx_detect_probe_len]
-   histogram — for the AVL backend that is the comparison depth (the
-   paper's O(log n)), for the hash backend the linear-probe scan length
-   (expected O(1) at load factor <= 1/2).  An exact per-token count costs
-   ~7% throughput (it fails the obs-overhead gate); the sampled estimator
-   is statistically identical on any real stream and keeps the hot path at
+   histogram — the index's linear-probe scan length (expected O(1) at
+   load factor <= 1/2).  An exact per-token count costs ~7% throughput
+   (it fails the obs-overhead gate); the sampled estimator is
+   statistically identical on any real stream and keeps the hot path at
    one branch + one increment.  Index shape is sampled as gauges once per
    [process_stream] call. *)
 let obs_lookups = Obs.counter "bbx_detect_lookups_total"
@@ -16,14 +15,11 @@ let obs_probe_len =
   Obs.histogram "bbx_detect_probe_len"
     ~buckets:[| 1; 2; 3; 4; 6; 8; 12; 16; 24; 32 |]
 let obs_matches = Obs.counter "bbx_detect_matches_total"
-let obs_tree_height = Obs.gauge "bbx_detect_tree_height"
 let obs_index_capacity = Obs.gauge "bbx_detect_index_capacity"
 let obs_keywords = Obs.gauge "bbx_detect_keywords"
 let sample_shift = 6
 
 type keyword_id = int
-
-type index_backend = Hash | Avl
 
 type event = { kw_id : keyword_id; offset : int; salt : int }
 
@@ -37,24 +33,13 @@ type event = { kw_id : keyword_id; offset : int; salt : int }
 type keyset = Dpienc.token_key array
 
 let keyset encs = Array.map Dpienc.token_key_of_enc encs
-let keyset_size = Array.length
 
-(* The cipher -> keyword_id map, in one of two shapes: [Flat] is the flat
-   open-addressing index (the default — contiguous memory, in-place
-   re-keying), [Tree] the original AVL (kept as the differential oracle
-   and for the §3.2 log-n ablation).  Both implement identical map
-   semantics: insert replaces, remove of an absent key is a no-op. *)
-type index =
-  | Flat of Cindex.t
-  | Tree of { mutable tree : keyword_id Avl.t }
-
-(* Per-keyword state lives in three parallel growable arrays — the first
-   [kw_count] slots are live, the rest capacity — instead of an array of
-   records: [counts] is the flat salt-counter table, [ciphers] the current
-   40-bit index key per keyword, [tkeys] the expanded AES schedules.
-   [tkeys] may alias a shared {!keyset} ([keys_shared]); it is then never
-   mutated in place — [add_keyword] copies before the first write. *)
-(* [probe_tick]/[probe_steps] are the sampling state for the probe-length
+(* Per-keyword state lives in parallel arrays indexed by keyword id:
+   [counts] is the flat salt-counter table, [ciphers] the current 40-bit
+   index key per keyword, [tkeys] the expanded AES schedules (possibly a
+   shared {!keyset}, never written).  [index] maps each current cipher
+   back to its keyword.
+   [probe_tick]/[probe_steps] are the sampling state for the probe-length
    estimator.  They live on [t] (not at module level) so that indices
    owned by different domains — one per Shardpool shard — never share
    mutable detection-path state. *)
@@ -62,35 +47,25 @@ type t = {
   mode : Dpienc.mode;
   stride : int;
   mutable salt0 : int;
-  mutable tkeys : Dpienc.token_key array;
-  mutable keys_shared : bool;
-  mutable counts : int array;
-  mutable ciphers : int array;
-  mutable kw_count : int;
-  index : index;
+  tkeys : Dpienc.token_key array;
+  keys_shared : bool;
+  counts : int array;
+  ciphers : int array;
+  index : Cindex.t;
   mutable probe_tick : int;
   probe_steps : int ref;
 }
 
-let backend t = match t.index with Flat _ -> Hash | Tree _ -> Avl
-
 let[@inline] current_salt t id = t.salt0 + (t.stride * t.counts.(id))
 
-let index_insert t cipher id =
-  match t.index with
-  | Flat c -> Cindex.insert c cipher id
-  | Tree tr -> tr.tree <- Avl.insert cipher id tr.tree
-
 let rebuild t =
-  (match t.index with
-   | Flat c -> Cindex.clear c
-   | Tree tr -> tr.tree <- Avl.empty);
-  for id = 0 to t.kw_count - 1 do
+  Cindex.clear t.index;
+  for id = 0 to Array.length t.counts - 1 do
     t.ciphers.(id) <- Dpienc.encrypt t.tkeys.(id) ~salt:(current_salt t id);
-    index_insert t t.ciphers.(id) id
+    Cindex.insert t.index t.ciphers.(id) id
   done
 
-let create ?(index = Hash) ?keys ~mode ~salt0 encs =
+let create ?keys ~mode ~salt0 encs =
   if mode = Dpienc.Probable && salt0 land 1 <> 0 then
     invalid_arg "Detect.create: salt0 must be even";
   let n = Array.length encs in
@@ -102,39 +77,19 @@ let create ?(index = Hash) ?keys ~mode ~salt0 encs =
       (ks, true)
     | None -> (keyset encs, false)
   in
-  let index =
-    match index with
-    | Hash -> Flat (Cindex.create ~capacity:n ())
-    | Avl -> Tree { tree = Avl.empty }
-  in
   let t =
     { mode; stride = Dpienc.salt_stride mode; salt0;
       tkeys; keys_shared;
-      counts = Array.make n 0; ciphers = Array.make n 0; kw_count = n;
-      index; probe_tick = 0; probe_steps = ref 0 }
+      counts = Array.make n 0; ciphers = Array.make n 0;
+      index = Cindex.create ~capacity:n ();
+      probe_tick = 0; probe_steps = ref 0 }
   in
   rebuild t;
   t
 
-(* Plain lookup, unified to an id (>= 0) or -1: the hash path returns the
-   id directly; the AVL path unwraps its option (the [Some] block is the
-   tree path's only per-match allocation here). *)
-let[@inline] lookup t cipher =
-  match t.index with
-  | Flat c -> Cindex.find c cipher
-  | Tree tr ->
-    (match Avl.find_opt cipher tr.tree with None -> -1 | Some id -> id)
-
-let lookup_probe t cipher ~steps =
-  match t.index with
-  | Flat c -> Cindex.find_probe c cipher ~steps
-  | Tree tr ->
-    (match Avl.find_probe cipher ~steps tr.tree with None -> -1 | Some id -> id)
-
 (* Streaming core: one index lookup per token; on a match the keyword is
-   re-keyed to its next-salt ciphertext — in place for the hash index
-   (remove + insert over contiguous slots, zero allocation), via
-   [Avl.replace] (single traversal, path copy) for the tree. *)
+   re-keyed to its next-salt ciphertext in place (remove + insert over
+   contiguous slots, zero allocation). *)
 let process_token t ~cipher ~offset =
   let found =
     if Obs.enabled () then begin
@@ -142,13 +97,13 @@ let process_token t ~cipher ~offset =
       t.probe_tick <- k;
       if k land ((1 lsl sample_shift) - 1) = 0 then begin
         t.probe_steps := 0;
-        let r = lookup_probe t cipher ~steps:t.probe_steps in
+        let r = Cindex.find_probe t.index cipher ~steps:t.probe_steps in
         Obs.observe obs_probe_len !(t.probe_steps);
         r
       end
-      else lookup t cipher
+      else Cindex.find t.index cipher
     end
-    else lookup t cipher
+    else Cindex.find t.index cipher
   in
   if found < 0 then None
   else begin
@@ -156,37 +111,15 @@ let process_token t ~cipher ~offset =
     let salt = current_salt t found in
     t.counts.(found) <- t.counts.(found) + 1;
     let next = Dpienc.encrypt t.tkeys.(found) ~salt:(current_salt t found) in
-    (match t.index with
-     | Flat c ->
-       Cindex.remove c t.ciphers.(found);
-       Cindex.insert c next found
-     | Tree tr ->
-       tr.tree <- Avl.replace ~old_key:t.ciphers.(found) next found tr.tree);
+    Cindex.remove t.index t.ciphers.(found);
+    Cindex.insert t.index next found;
     t.ciphers.(found) <- next;
     Some { kw_id = found; offset; salt }
   end
 
-let process t (tok : Dpienc.enc_token) =
-  Obs.incr obs_lookups;
-  process_token t ~cipher:tok.Dpienc.cipher ~offset:tok.Dpienc.offset
-
-(* One traversal: the filter_map visit also counts the tokens, so the
-   lookups delta is added once without a second [List.length] pass. *)
-let process_batch t toks =
-  let n = ref 0 in
-  let evs =
-    List.filter_map
-      (fun tok ->
-         incr n;
-         process_token t ~cipher:tok.Dpienc.cipher ~offset:tok.Dpienc.offset)
-      toks
-  in
-  Obs.add obs_lookups !n;
-  evs
-
-(* Walk a wire-encoded token stream without materialising enc_token
-   records; [f] fires once per match with the position of the matching
-   record's embed inside [wire] (or -1).  Returns the token count. *)
+(* Walk a wire-encoded token stream without materialising records; [f]
+   fires once per match with the position of the matching record's embed
+   inside [wire] (or -1).  Returns the token count. *)
 let process_stream t wire ~f =
   let count = ref 0 in
   Dpienc.decode_iter wire ~f:(fun ~cipher ~offset ~embed_pos ->
@@ -196,10 +129,8 @@ let process_stream t wire ~f =
       | Some ev -> f ev ~embed_pos);
   (* bulk/per-delivery accounting, not per token (all O(1)) *)
   Obs.add obs_lookups !count;
-  (match t.index with
-   | Tree tr -> Obs.set_gauge obs_tree_height (Avl.height tr.tree)
-   | Flat c -> Obs.set_gauge obs_index_capacity (Cindex.capacity c));
-  Obs.set_gauge obs_keywords t.kw_count;
+  Obs.set_gauge obs_index_capacity (Cindex.capacity t.index);
+  Obs.set_gauge obs_keywords (Array.length t.counts);
   !count
 
 let recover_key t ~event ~embed =
@@ -213,55 +144,28 @@ let reset t ~salt0 =
   if t.mode = Dpienc.Probable && salt0 land 1 <> 0 then
     invalid_arg "Detect.reset: salt0 must be even";
   t.salt0 <- salt0;
-  Array.fill t.counts 0 t.kw_count 0;
+  Array.fill t.counts 0 (Array.length t.counts) 0;
   rebuild t
 
 (* Snapshot/restore of the per-connection half of the detector state: the
    flat salt-counter table plus the base salt.  Keys, ciphers and the
    index are all derivable from (encs, salt0, counts) — [restore_counts]
-   rebuilds them — so connection snapshots carry [kw_count] ints, not key
-   schedules. *)
-let salt_counts t = Array.sub t.counts 0 t.kw_count
+   rebuilds them — so connection snapshots carry one int per keyword, not
+   key schedules. *)
+let salt_counts t = Array.copy t.counts
 
 let restore_counts t ~salt0 counts =
   if t.mode = Dpienc.Probable && salt0 land 1 <> 0 then
     invalid_arg "Detect.restore_counts: salt0 must be even";
-  if Array.length counts <> t.kw_count then
+  if Array.length counts <> Array.length t.counts then
     invalid_arg "Detect.restore_counts: count table size mismatch";
   Array.iter (fun c -> if c < 0 then
                  invalid_arg "Detect.restore_counts: negative count") counts;
   t.salt0 <- salt0;
-  Array.blit counts 0 t.counts 0 t.kw_count;
+  Array.blit counts 0 t.counts 0 (Array.length counts);
   rebuild t
 
-let add_keyword t enc =
-  let tkey = Dpienc.token_key_of_enc enc in
-  if t.kw_count = Array.length t.tkeys || t.keys_shared then begin
-    (* grow (and, when [tkeys] aliases a shared keyset, unshare: the
-       shared array must never be written) *)
-    let cap = max 8 (max (2 * t.kw_count) (t.kw_count + 1)) in
-    let tkeys = Array.make cap tkey in
-    Array.blit t.tkeys 0 tkeys 0 t.kw_count;
-    let counts = Array.make cap 0 in
-    Array.blit t.counts 0 counts 0 t.kw_count;
-    let ciphers = Array.make cap 0 in
-    Array.blit t.ciphers 0 ciphers 0 t.kw_count;
-    t.tkeys <- tkeys; t.counts <- counts; t.ciphers <- ciphers;
-    t.keys_shared <- false
-  end;
-  let id = t.kw_count in
-  t.tkeys.(id) <- tkey;
-  t.counts.(id) <- 0;
-  t.kw_count <- id + 1;
-  t.ciphers.(id) <- Dpienc.encrypt tkey ~salt:(current_salt t id);
-  index_insert t t.ciphers.(id) id;
-  id
-
-let size t =
-  match t.index with Flat c -> Cindex.size c | Tree tr -> Avl.size tr.tree
-
-let tree_height t =
-  match t.index with Flat _ -> 0 | Tree tr -> Avl.height tr.tree
+let size t = Cindex.size t.index
 
 (* Approximate resident bytes of the per-connection half of the detector:
    the counter/cipher arrays and the index.  Shared keysets are charged to
@@ -271,15 +175,8 @@ let tree_height t =
 let word = Sys.word_size / 8
 
 let footprint_bytes t =
-  let cap = Array.length t.counts in
-  let arrays = 2 * (cap + 1) * word in
-  let index =
-    match t.index with
-    | Flat c -> 2 * (Cindex.capacity c + 1) * word
-    | Tree tr -> Avl.size tr.tree * 6 * word
-  in
-  let keys =
-    if t.keys_shared then 0
-    else t.kw_count * ((176 + 1) * word + 3 * word)
-  in
+  let n = Array.length t.counts in
+  let arrays = 2 * (n + 1) * word in
+  let index = 2 * (Cindex.capacity t.index + 1) * word in
+  let keys = if t.keys_shared then 0 else n * ((176 + 1) * word + 3 * word) in
   arrays + index + keys

@@ -9,20 +9,13 @@
     re-encrypted under the next salt and re-keyed in the index, keeping
     sender and middlebox counters in lock-step.
 
-    Two index backends implement the same map semantics: {!Hash} (the
-    default) is a flat open-addressing table over the 40-bit ciphertexts
-    ({!Cindex}) — one multiplicative hash plus a short contiguous scan per
-    token, in-place re-keying with zero allocation; {!Avl} is the original
-    balanced tree, kept as the reference oracle for differential testing
-    and for measuring the paper's O(log n) bound.  Both produce
-    event-for-event identical output (verified by [test_detect_index]). *)
+    The index is a flat open-addressing table over the 40-bit ciphertexts
+    ({!Cindex}): one multiplicative hash plus a short contiguous scan per
+    token, in-place re-keying with zero allocation.  The paper's AVL tree
+    survives as a test and bench reference; [test_detect_index] checks
+    the two event for event. *)
 
 type keyword_id = int
-
-(** Which cipher-to-keyword index {!create} builds.  [Hash] is the flat
-    open-addressing index (default, fast path); [Avl] the balanced-tree
-    reference. *)
-type index_backend = Hash | Avl
 
 (** A keyword match observed in the encrypted stream. *)
 type event = {
@@ -47,40 +40,23 @@ type keyset
     once. *)
 val keyset : string array -> keyset
 
-val keyset_size : keyset -> int
-
-(** [create ?index ?keys ~mode ~salt0 keywords] — [keywords] are the
-    encrypted rule tokens [AES_k(token)] (16 bytes each); keyword ids are
-    their indices.  Duplicate encrypted values are allowed but only the
-    last one's id is reported (callers dedup by token value); both
-    backends implement this identically.  [index] defaults to {!Hash}.
-    [keys], when given, must be [keyset keywords] (checked by length
-    only); the detector then borrows the shared schedules instead of
-    re-expanding them. *)
+(** [create ?keys ~mode ~salt0 keywords] — [keywords] are the encrypted
+    rule tokens [AES_k(token)] (16 bytes each); keyword ids are their
+    indices.  Duplicate encrypted values are allowed but only the last
+    one's id is reported (callers dedup by token value).  [keys], when
+    given, must be [keyset keywords] (checked by length only); the
+    detector then borrows the shared schedules instead of re-expanding
+    them. *)
 val create :
-  ?index:index_backend ->
   ?keys:keyset ->
   mode:Bbx_dpienc.Dpienc.mode -> salt0:int -> string array -> t
-
-(** The backend [t] was created with. *)
-val backend : t -> index_backend
-
-(** [process t tok] looks the token up and returns the match, if any.
-    Matching updates the keyword's counter and index entry. *)
-val process : t -> Bbx_dpienc.Dpienc.enc_token -> event option
-
-(** [process_batch t toks] processes in order and returns all events. *)
-val process_batch : t -> Bbx_dpienc.Dpienc.enc_token list -> event list
-
-(** [process_token t ~cipher ~offset] — {!process} without the enc_token
-    record: the streaming hot path. *)
-val process_token : t -> cipher:int -> offset:int -> event option
 
 (** [process_stream t wire ~f] decodes a wire-encoded token stream
     ({!Bbx_dpienc.Dpienc.decode_iter}) and processes each record in
     order, calling [f event ~embed_pos] on every match, where [embed_pos]
     locates the matching record's 16-byte embed inside [wire] ([-1] when
-    the record has none).  Returns the number of tokens processed. *)
+    the record has none).  Matching updates the keyword's counter and
+    index entry.  Returns the number of tokens processed. *)
 val process_stream :
   t -> string -> f:(event -> embed_pos:int -> unit) -> int
 
@@ -89,12 +65,6 @@ val process_stream :
     the 16-byte [k_ssl].  Raises [Invalid_argument] outside [Probable]
     mode. *)
 val recover_key : t -> event:event -> embed:string -> string
-
-(** [add_keyword t enc] registers one more encrypted rule token on a live
-    connection (rule updates, §2.3's RG->MB distribution happening
-    mid-connection) and returns its id.  The new keyword starts at counter
-    zero under the current [salt0]. *)
-val add_keyword : t -> string -> keyword_id
 
 (** [reset t ~salt0] handles the sender's periodic counter reset: clears
     all counters and rebuilds the index under the new initial salt. *)
@@ -124,7 +94,3 @@ val footprint_bytes : t -> int
 (** Number of distinct index entries (= number of keywords, minus any
     duplicate-cipher collisions). *)
 val size : t -> int
-
-(** Height of the search tree when the backend is {!Avl} (for the
-    log-vs-linear ablation bench); [0] for {!Hash}. *)
-val tree_height : t -> int

@@ -62,10 +62,9 @@ let encrypt_full tk ~salt = Aes.encrypt_block tk (salt_pad ^ Util.u64_be salt)
 
 (* [encrypt_full] xor k_ssl, written straight into [dst]: the mask block
    0^8 || BE64(salt) is produced by [Aes.encrypt_u64_into] (which bounds-
-   checks the 16-byte range once) and k_ssl is folded over it in place. *)
+   checks the 16-byte range once) and k_ssl is folded over it in place.
+   [k_ssl] is 16 bytes ([check_k_ssl] below). *)
 let embed_into tk ~salt ~k_ssl ~dst ~dst_off =
-  if String.length k_ssl <> 16 then
-    invalid_arg "Dpienc.embed_into: k_ssl must be 16 bytes";
   Aes.encrypt_u64_into tk salt ~dst ~dst_off;
   for i = 0 to 15 do
     Bytes.unsafe_set dst (dst_off + i)
@@ -77,12 +76,6 @@ let embed_into tk ~salt ~k_ssl ~dst ~dst_off =
 type mode = Exact | Probable
 
 let salt_stride = function Exact -> 1 | Probable -> 2
-
-type enc_token = {
-  cipher : int;
-  embed : string option;
-  offset : int;
-}
 
 (* Wire record sizes (defined ahead of the sender, whose sweep buffer is
    sized by them): per token a flag byte, 5-byte big-endian cipher, 4-byte
@@ -138,8 +131,6 @@ let sender_create ?kernel:_ mode key ~salt0 =
     poccupied = 0;
     wire = Bytes.create (sweep_cap * rec_bytes);
     sw_n = 0 }
-
-let sender_salt0 s = s.salt0
 
 (* Materialise the (padded) token value of a slice — first occurrence of a
    distinct token value only. *)
@@ -270,10 +261,10 @@ let check_k_ssl s k_ssl =
   | Exact -> None
   | Probable ->
     (match k_ssl with
-     | None -> invalid_arg "Dpienc.sender_encrypt: Probable mode needs ~k_ssl"
+     | None -> invalid_arg "Dpienc.sender_encrypt_into: Probable mode needs ~k_ssl"
      | Some k ->
        if String.length k <> 16 then
-         invalid_arg "Dpienc.sender_encrypt: k_ssl must be 16 bytes";
+         invalid_arg "Dpienc.sender_encrypt_into: k_ssl must be 16 bytes";
        Some k)
 
 (* This occurrence's salt for slot [i], bumping its counter. *)
@@ -283,23 +274,6 @@ let[@inline] take_salt s i =
   Array.unsafe_set s.ptab b (c + 1);
   if c + 1 > s.max_count then s.max_count <- c + 1;
   s.salt0 + (salt_stride s.mode * c)
-
-let encrypt_one s ~k_ssl (tok : Tokenizer.token) =
-  let k_ssl = check_k_ssl s k_ssl in
-  if String.length tok.Tokenizer.content <> Tokenizer.token_len then
-    invalid_arg "Dpienc: token must be Tokenizer.token_len bytes";
-  let i = slot s tok.Tokenizer.content 0 Tokenizer.token_len in
-  let tkey = s.ptkeys.(i) in
-  let salt = take_salt s i in
-  let cipher = encrypt tkey ~salt in
-  let embed =
-    match k_ssl with
-    | None -> None
-    | Some k -> Some (Util.xor (encrypt_full tkey ~salt:(salt + 1)) k)
-  in
-  { cipher; embed; offset = tok.Tokenizer.offset }
-
-let sender_encrypt s ?k_ssl tokens = List.map (encrypt_one s ~k_ssl) tokens
 
 let sender_reset s =
   let stride = salt_stride s.mode in
@@ -402,22 +376,6 @@ let sender_encrypt_into s ?k_ssl ?(base = 0) ?(tokenization = Window) payload bu
   Obs.set_gauge obs_max_count s.max_count;
   count
 
-let encode_tokens toks =
-  let per_token =
-    match toks with
-    | { embed = Some _; _ } :: _ -> probable_record_bytes
-    | _ -> exact_record_bytes
-  in
-  let buf = Buffer.create (per_token * List.length toks) in
-  let scratch = Bytes.create exact_record_bytes in
-  List.iter
-    (fun { cipher; embed; offset } ->
-       put_record_at scratch 0 (if embed = None then '\000' else '\001') cipher offset;
-       Buffer.add_subbytes buf scratch 0 exact_record_bytes;
-       match embed with None -> () | Some e -> Buffer.add_string buf e)
-    toks;
-  Buffer.contents buf
-
 let[@inline] u8 s i = Char.code (String.unsafe_get s i)
 
 (* Streaming decode: one callback per record, no list, no substrings.
@@ -430,7 +388,7 @@ let decode_iter s ~f =
   let pos = ref 0 in
   while !pos < n do
     let p = !pos in
-    if p + exact_record_bytes > n then invalid_arg "Dpienc.decode_tokens: truncated";
+    if p + exact_record_bytes > n then invalid_arg "Dpienc.decode_iter: truncated";
     let has_embed = String.unsafe_get s p = '\001' in
     let cipher =
       (u8 s (p + 1) lsl 32) lor (u8 s (p + 2) lsl 24) lor (u8 s (p + 3) lsl 16)
@@ -442,7 +400,7 @@ let decode_iter s ~f =
     in
     let p = p + exact_record_bytes in
     if has_embed then begin
-      if p + 16 > n then invalid_arg "Dpienc.decode_tokens: truncated embed";
+      if p + 16 > n then invalid_arg "Dpienc.decode_iter: truncated embed";
       f ~cipher ~offset ~embed_pos:p;
       pos := p + 16
     end
@@ -452,14 +410,29 @@ let decode_iter s ~f =
     end
   done
 
-let decode_tokens s =
-  let acc = ref [] in
-  decode_iter s ~f:(fun ~cipher ~offset ~embed_pos ->
-      let embed = if embed_pos < 0 then None else Some (String.sub s embed_pos 16) in
-      acc := { cipher; embed; offset } :: !acc);
-  List.rev !acc
+(* The daemon front's check before a stream goes to a worker domain,
+   where an exception would poison the pool: stricter than [decode_iter],
+   which reads any flag but 1 as "no embed". *)
+let wire_valid ~mode s =
+  let want = if mode = Probable then '\001' else '\000' in
+  let rec_bytes = if mode = Probable then probable_record_bytes else exact_record_bytes in
+  let n = String.length s in
+  let pos = ref 0 in
+  while !pos + rec_bytes <= n && String.unsafe_get s !pos = want do
+    pos := !pos + rec_bytes
+  done;
+  !pos = n
 
 let wire_token_count s =
   let count = ref 0 in
   decode_iter s ~f:(fun ~cipher:_ ~offset:_ ~embed_pos:_ -> incr count);
   !count
+
+let drop_records s n =
+  let len = String.length s in
+  let pos = ref 0 in
+  for _ = 1 to n do
+    if !pos < len then
+      pos := !pos + (if s.[!pos] = '\001' then probable_record_bytes else exact_record_bytes)
+  done;
+  if !pos >= len then "" else String.sub s !pos (len - !pos)

@@ -57,22 +57,7 @@ val encrypt : token_key -> salt:int -> int
     probable-cause mask. *)
 val encrypt_full : token_key -> salt:int -> string
 
-(** [embed_into tk ~salt ~k_ssl ~dst ~dst_off] writes the probable-cause
-    embedding [c2 = AES_tk(salt) XOR k_ssl] (16 bytes) into [dst] at
-    [dst_off] without allocating — the mask never materialises as a
-    string.  Raises [Invalid_argument] if [k_ssl] is not 16 bytes or the
-    destination range is out of bounds. *)
-val embed_into :
-  token_key -> salt:int -> k_ssl:string -> dst:Bytes.t -> dst_off:int -> unit
-
 type mode = Exact | Probable
-
-(** An encrypted token on the wire. *)
-type enc_token = {
-  cipher : int;            (** 40-bit detection ciphertext [c1] *)
-  embed : string option;   (** [c2] (16 bytes), present in [Probable] mode *)
-  offset : int;            (** stream offset, used by Protocol II *)
-}
 
 (** Sender-side encryptor with the counter table of §3.2. *)
 type sender
@@ -82,58 +67,57 @@ type sender
     ciphertext).  [kernel] is ignored (see {!aes_kernel}). *)
 val sender_create : ?kernel:aes_kernel -> mode -> key -> salt0:int -> sender
 
-(** [sender_encrypt sender ?k_ssl tokens] encrypts a batch.  [k_ssl]
-    (16 bytes) is required in [Probable] mode and ignored in [Exact]. *)
-val sender_encrypt : sender -> ?k_ssl:string -> Bbx_tokenizer.Tokenizer.token list -> enc_token list
-
 (** [sender_reset sender] implements the periodic counter-table reset: the
     table is cleared and the new [salt0] (to announce to the middlebox) is
     returned. *)
 val sender_reset : sender -> int
 
-val sender_salt0 : sender -> int
-
 (** [salt_stride mode] is 1 for [Exact], 2 for [Probable] — exposed for the
     middlebox, which must walk its rule counters at the same stride. *)
 val salt_stride : mode -> int
 
-(** {2 Streaming pipeline}
+(** {2 The token path}
 
-    The streaming API tokenizes, encrypts and serialises in one pass, with
-    no per-token records or strings: the counter table is consulted with
+    The sender tokenizes, encrypts and serialises in one pass, with no
+    per-token records or strings: the counter table is consulted with
     [(payload, off)] slices packed into two integer words, and wire bytes
-    go straight into the caller's [Buffer].  It shares the counter table with the legacy list
-    API, so the two may be mixed on one [sender] and produce the identical
-    byte stream for the identical payload sequence. *)
+    go straight into the caller's [Buffer].
+
+    The wire format, per token: a flag byte (1 iff an embed follows), the
+    5-byte big-endian cipher and the 4-byte big-endian stream offset,
+    plus the 16-byte embed in [Probable] mode — 10 or 26 bytes per
+    record. *)
 
 (** Which tokenizer drives {!sender_encrypt_into}. *)
 type tokenization = Window | Delimiter of { short_units : bool }
 
 (** [sender_encrypt_into sender ?k_ssl ?base ?tokenization payload buf]
     appends the wire encoding of [payload]'s encrypted token stream to
-    [buf] and returns the number of tokens emitted.  [base] (default 0) is
-    added to every token's stream offset.  Byte-identical to
-    [encode_tokens (sender_encrypt sender (tokenize payload))]. *)
+    [buf] and returns the number of tokens emitted, in the tokenizer
+    folds' emission order.  [base] (default 0) is added to every token's
+    stream offset.  [k_ssl] (16 bytes) is required in [Probable] mode and
+    ignored in [Exact]. *)
 val sender_encrypt_into :
   sender -> ?k_ssl:string -> ?base:int -> ?tokenization:tokenization ->
   string -> Buffer.t -> int
 
-(** Wire encoding of a batch of encrypted tokens: per token a flag byte,
-    5-byte cipher and 4-byte offset, plus the 16-byte embed in [Probable]
-    mode (10 or 26 bytes per record). *)
-val encode_tokens : enc_token list -> string
-val decode_tokens : string -> enc_token list
-
-(** [decode_iter s ~f] walks the wire format without building a list:
-    [f ~cipher ~offset ~embed_pos] once per record, where [embed_pos] is
-    the position of the record's 16-byte embed inside [s], or [-1] when
-    absent.  Raises the same [Invalid_argument] as {!decode_tokens} on
-    truncated input. *)
+(** [decode_iter s ~f] walks the wire format: [f ~cipher ~offset
+    ~embed_pos] once per record, where [embed_pos] is the position of the
+    record's 16-byte embed inside [s], or [-1] when absent.  Raises
+    [Invalid_argument] on truncated input. *)
 val decode_iter :
   string -> f:(cipher:int -> offset:int -> embed_pos:int -> unit) -> unit
 
+(** [wire_valid ~mode s] — [s] is a whole number of records, each with
+    the flag [mode] implies (0 in [Exact], 1 in [Probable]).  Never
+    raises; {!decode_iter} accepts every stream it accepts. *)
+val wire_valid : mode:mode -> string -> bool
+
 (** [wire_token_count s] — number of records in a wire encoding. *)
 val wire_token_count : string -> int
+
+(** [drop_records s n] — the wire [s] without its first [n] records. *)
+val drop_records : string -> int -> string
 
 (** Wire record sizes (without / with embed), exposed for sizing buffers
     and for the truncation tests. *)

@@ -407,16 +407,8 @@ let handle_event t ev ~embed =
     | None -> ()
   end
 
-let process t tokens =
-  List.iter
-    (fun tok ->
-       match Bbx_detect.Detect.process t.detect tok with
-       | None -> ()
-       | Some ev -> handle_event t ev ~embed:tok.Dpienc.embed)
-    tokens
-
-(* Streaming entry point: decode + detect in one pass over the wire bytes;
-   the (rare) matching record's embed is the only substring materialised. *)
+(* Decode + detect in one pass over the wire bytes; the (rare) matching
+   record's embed is the only substring materialised. *)
 let process_wire t wire =
   Bbx_detect.Detect.process_stream t.detect wire ~f:(fun ev ~embed_pos ->
       let embed = if embed_pos < 0 then None else Some (String.sub wire embed_pos 16) in

@@ -161,12 +161,9 @@ val config : t -> config
 (** The key material (and through it the ruleset) the engine runs on. *)
 val keys_of : t -> keys
 
-(** [process t tokens] feeds encrypted tokens in stream order. *)
-val process : t -> Bbx_dpienc.Dpienc.enc_token list -> unit
-
 (** [process_wire t wire] feeds a wire-encoded token stream (the output of
-    {!Bbx_dpienc.Dpienc.sender_encrypt_into}/[encode_tokens]) without
-    materialising a token list; returns the number of tokens processed. *)
+    {!Bbx_dpienc.Dpienc.sender_encrypt_into}) in stream order; returns the
+    number of tokens processed. *)
 val process_wire : t -> string -> int
 
 (** [record_stream t record] retains one sealed SSL record of the

@@ -65,19 +65,17 @@ let get t conn_id =
   | Some c -> c
   | None -> invalid_arg (Printf.sprintf "Shard: unknown connection %d" conn_id)
 
-(* [inject] runs the engine over this delivery's tokens and returns how
-   many there were — the list and wire entry points only differ here.
-   Keyword-hit accounting uses [Engine.hit_count] deltas: the old
+(* Keyword-hit accounting uses [Engine.hit_count] deltas: the old
    [List.length (Engine.keyword_hits ...)] bracketing folded and sorted
    the whole hit history twice per delivery, turning long-lived noisy
    connections O(hits^2).  [Engine.verdicts] returns each rule once per
    connection, so its result is this delivery's report as it stands. *)
-let process_common t ~conn_id inject =
+let process_wire t ~conn_id wire =
   let c = get t conn_id in
   if c.conn_blocked then
-    invalid_arg (Printf.sprintf "Shard.process: connection %d is blocked" conn_id);
+    invalid_arg (Printf.sprintf "Shard.process_wire: connection %d is blocked" conn_id);
   let hits_before = Engine.hit_count c.engine in
-  let tokens = inject c.engine in
+  let tokens = Engine.process_wire c.engine wire in
   t.total_tokens <- t.total_tokens + tokens;
   c.conn_tokens <- c.conn_tokens + tokens;
   let new_hits = Engine.hit_count c.engine - hits_before in
@@ -103,14 +101,6 @@ let process_common t ~conn_id inject =
     Obs.incr obs_blocked
   end;
   fresh
-
-let process t ~conn_id tokens =
-  process_common t ~conn_id (fun engine ->
-      Engine.process engine tokens;
-      List.length tokens)
-
-let process_wire t ~conn_id wire =
-  process_common t ~conn_id (fun engine -> Engine.process_wire engine wire)
 
 (* Retain one sealed record of the inspected stream for probable-cause
    decryption.  Blocked connections carry no further traffic; records for

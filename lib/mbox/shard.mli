@@ -48,11 +48,9 @@ val register :
     blocked connections; raises [Invalid_argument] on unknown ids. *)
 val record_stream : t -> conn_id:conn_id -> string -> unit
 
-(** [process t ~conn_id tokens] inspects a batch and returns the new rule
-    verdicts.  Raises [Invalid_argument] on blocked or unknown ids. *)
-val process : t -> conn_id:conn_id -> Bbx_dpienc.Dpienc.enc_token list -> Engine.verdict list
-
-(** [process_wire t ~conn_id wire] — same, straight off the wire encoding. *)
+(** [process_wire t ~conn_id wire] inspects one delivery's wire-encoded
+    token stream and returns the new rule verdicts.  Raises
+    [Invalid_argument] on blocked or unknown ids. *)
 val process_wire : t -> conn_id:conn_id -> string -> Engine.verdict list
 
 val is_blocked : t -> conn_id:conn_id -> bool

@@ -8,8 +8,6 @@ let obs_delim_tokens = Obs.counter {|bbx_tokenizer_tokens_total{kind="delimiter"
 let obs_short_tokens = Obs.counter {|bbx_tokenizer_tokens_total{kind="short_unit"}|}
 let obs_bytes = Obs.counter "bbx_tokenizer_payload_bytes_total"
 
-type token = { content : string; offset : int }
-
 let token_len = 8
 let max_keyword_len = 32
 
@@ -25,7 +23,7 @@ let is_delimiter c =
    [(off, len)] slices of the payload instead of materialising one string
    per token.  [len = token_len] for ordinary tokens; [len < token_len]
    marks a short delimiter-bounded unit whose logical token is the slice
-   zero-padded to [token_len].  The list API is a shim over these. *)
+   zero-padded to [token_len]. *)
 
 let fold_window s ~init ~f =
   let n = String.length s in
@@ -44,11 +42,6 @@ let note_window_scan s =
   let n = String.length s in
   Obs.add obs_window_tokens (max 0 (n - token_len + 1));
   Obs.add obs_bytes n
-
-let window s =
-  List.rev
-    (fold_window s ~init:[] ~f:(fun acc ~off ~len:_ ->
-         { content = String.sub s off token_len; offset = off } :: acc))
 
 let window_count s = max 0 (String.length s - token_len + 1)
 
@@ -117,8 +110,8 @@ let delimiter_plan ~short_units s =
   (emit, List.rev !shorts)
 
 (* Emission order (full tokens ascending, then short units ascending) is
-   part of the wire contract: the streaming and list paths must serialize
-   identically for the receiver's §3.4 validation to compare bytes. *)
+   part of the wire contract: the receiver's §3.4 validation re-tokenizes
+   the plaintext and compares bytes. *)
 let fold_delimiter ?(short_units = false) s ~init ~f =
   let emit, shorts = delimiter_plan ~short_units s in
   let acc = ref init in
@@ -134,15 +127,6 @@ let fold_delimiter ?(short_units = false) s ~init ~f =
   Obs.add obs_short_tokens (List.length shorts);
   Obs.add obs_bytes (String.length s);
   !acc
-
-let slice_token s ~off ~len =
-  if len = token_len then { content = String.sub s off token_len; offset = off }
-  else { content = pad_short (String.sub s off len); offset = off }
-
-let delimiter ?short_units s =
-  List.rev
-    (fold_delimiter ?short_units s ~init:[] ~f:(fun acc ~off ~len ->
-         slice_token s ~off ~len :: acc))
 
 let delimiter_count ?short_units s =
   fold_delimiter ?short_units s ~init:0 ~f:(fun acc ~off:_ ~len:_ -> acc + 1)

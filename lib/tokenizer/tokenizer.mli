@@ -18,17 +18,8 @@
     padded tokens for short delimiter-bounded units so they remain
     detectable. *)
 
-type token = {
-  content : string;  (** exactly [token_len] bytes (short units zero-padded) *)
-  offset : int;      (** byte offset in the stream *)
-}
-
 (** Token length in bytes (8, as in the paper's implementation). *)
 val token_len : int
-
-(** Longest keyword coverable by delimiter tokenization (32 bytes = 4
-    chunks from any starting boundary; window tokenization has no limit). *)
-val max_keyword_len : int
 
 (** [is_delimiter c] — punctuation, whitespace and special symbols. *)
 val is_delimiter : char -> bool
@@ -40,9 +31,8 @@ val is_delimiter : char -> bool
     [len = token_len] for ordinary tokens; [len < token_len] (delimiter
     tokenizer with [short_units] only) marks a short delimiter-bounded unit
     whose logical token is [s.[off..off+len-1]] zero-padded to
-    {!token_len}.  The list API below is a shim over these, and both emit
-    in the identical order (the wire contract the receiver's validation
-    depends on). *)
+    {!token_len}.  The emission order is part of the wire contract: the
+    receiver's validation re-tokenizes and compares bytes. *)
 
 (** [fold_window s ~init ~f] folds [f] over every window offset. *)
 val fold_window : string -> init:'a -> f:('a -> off:int -> len:int -> 'a) -> 'a
@@ -55,24 +45,11 @@ val note_window_scan : string -> unit
 
 (** [fold_delimiter ?short_units s ~init ~f] folds [f] over the delimiter
     tokenizer's emission plan: full tokens in ascending offset order, then
-    (with [short_units]) padded short units in ascending offset order. *)
+    (with [short_units]) padded short units in ascending offset order.
+    [short_units] (default false — the paper detects keywords of 8+ bytes
+    only) makes short keywords detectable at a bandwidth cost. *)
 val fold_delimiter :
   ?short_units:bool -> string -> init:'a -> f:('a -> off:int -> len:int -> 'a) -> 'a
-
-(** [slice_token s ~off ~len] materialises the token a fold visited — the
-    bridge from the streaming API back to {!token} records. *)
-val slice_token : string -> off:int -> len:int -> token
-
-(** [window s] emits one token per offset ([String.length s - token_len + 1]
-    tokens; none if the payload is shorter than a token). *)
-val window : string -> token list
-
-(** [delimiter ?short_units s] emits tokens only at keyword-boundary
-    offsets.  With [short_units] (default false — the paper detects
-    keywords of 8+ bytes only), delimiter-bounded units shorter than a
-    token are additionally emitted zero-padded so short keywords become
-    detectable, at a bandwidth cost. *)
-val delimiter : ?short_units:bool -> string -> token list
 
 (** [keyword_chunks kw] splits a rule keyword into [(chunk, relative
     offset)] pairs: stride-[token_len] chunks plus an end-aligned tail.

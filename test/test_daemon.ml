@@ -56,13 +56,15 @@ let sig_list = Alcotest.(list (pair int (testable
      (match v with `Exact_match -> "exact" | `Probable_cause -> "probable"))
   ( = ))))
 
+(* One payload's wire, delimiter-tokenized. *)
+let wire_of ?k_ssl sender payload =
+  Bbx_oracle.Records.wire sender ?k_ssl
+    ~tokenization:(Dpienc.Delimiter { short_units = false }) payload
+
 (* pre-encrypt one connection's deliveries so the identical wire bytes
    replay against both middleboxes *)
 let wires_for sender payloads =
-  List.rev
-    (List.fold_left
-       (fun acc p -> Dpienc.encode_tokens (Dpienc.sender_encrypt sender (Bbx_tokenizer.Tokenizer.delimiter p)) :: acc)
-       [] payloads)
+  List.rev (List.fold_left (fun acc p -> wire_of sender p :: acc) [] payloads)
 
 (* The daemon's connections and the in-process references seal and
    register in the same record-layer direction. *)
@@ -268,11 +270,7 @@ let tiered_differential () =
       let all = ref [] in
       List.iteri
         (fun i payload ->
-          let wire =
-            Dpienc.encode_tokens
-              (Dpienc.sender_encrypt sender ~k_ssl:s.Client.sc_k_ssl
-                 (Bbx_tokenizer.Tokenizer.delimiter payload))
-          in
+          let wire = wire_of sender ~k_ssl:s.Client.sc_k_ssl payload in
           (* record first, tokens second: same FIFO, stream order *)
           Client.send_record s.Client.sc_client ~seq:i
             (Record.seal writer_d ("T" ^ payload));
@@ -317,9 +315,7 @@ let tiered_legacy_fallback () =
   List.iteri
     (fun i payload ->
       Client.send_records s.Client.sc_client ~seq:i
-        (Dpienc.encode_tokens
-           (Dpienc.sender_encrypt sender ~k_ssl:s.Client.sc_k_ssl
-              (Bbx_tokenizer.Tokenizer.delimiter payload)));
+        (wire_of sender ~k_ssl:s.Client.sc_k_ssl payload);
       let _, _, verdicts = Client.recv_verdict s.Client.sc_client in
       all := !all @ wire_details verdicts)
     [ "x=alertkw1 benign"; "y=firstkey then z=secondkey" ];

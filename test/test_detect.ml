@@ -1,6 +1,6 @@
 open Bbx_detect
 open Bbx_dpienc.Dpienc
-open Bbx_tokenizer.Tokenizer
+open Bbx_oracle
 
 (* ---------- AVL property tests ---------- *)
 
@@ -64,23 +64,33 @@ let avl_props =
 (* ---------- Detect engine ---------- *)
 
 let key = key_of_secret "shared-k"
-let t8 = pad_short
+let t8 = Bbx_tokenizer.Tokenizer.pad_short
 
-(* Build a detect engine the way the middlebox would: from AES_k(token). *)
-let mk_detect ?(mode = Exact) ?(salt0 = 0) kws =
-  Detect.create ~mode ~salt0 (Array.of_list (List.map (fun k -> token_enc key (t8 k)) kws))
+(* The encrypted rule tokens AES_k(token), as the middlebox holds them. *)
+let encs kws = Array.of_list (List.map (fun k -> token_enc key (t8 k)) kws)
+
+let mk_detect ?(mode = Exact) ?(salt0 = 0) kws = Detect.create ~mode ~salt0 (encs kws)
 
 let mk_sender ?(mode = Exact) ?(salt0 = 0) () = sender_create mode key ~salt0
 
+(* The sender's wire for a token sequence: each (padded) word is an 8-byte
+   payload whose one window is the word, at offset 8 * i. *)
 let stream sender ?k_ssl contents =
-  sender_encrypt sender ?k_ssl (List.mapi (fun i c -> { content = t8 c; offset = 8 * i }) contents)
+  String.concat ""
+    (List.mapi (fun i c -> Records.wire sender ?k_ssl ~base:(8 * i) (t8 c)) contents)
+
+(* Every event of one stream, in order. *)
+let events d wire =
+  let acc = ref [] in
+  ignore (Detect.process_stream d wire ~f:(fun ev ~embed_pos:_ -> acc := ev :: !acc) : int);
+  List.rev !acc
 
 let detect_tests =
   [ Alcotest.test_case "single keyword match with offset" `Quick (fun () ->
         let d = mk_detect [ "attack" ] in
         let s = mk_sender () in
         let toks = stream s [ "hello"; "attack"; "world" ] in
-        (match Detect.process_batch d toks with
+        (match events d toks with
          | [ ev ] ->
            Alcotest.(check int) "kw" 0 ev.Detect.kw_id;
            Alcotest.(check int) "offset" 8 ev.Detect.offset
@@ -89,17 +99,17 @@ let detect_tests =
         let d = mk_detect [ "attack"; "malware" ] in
         let s = mk_sender () in
         Alcotest.(check int) "no events" 0
-          (List.length (Detect.process_batch d (stream s [ "just"; "normal"; "words" ]))));
+          (List.length (events d (stream s [ "just"; "normal"; "words" ]))));
     Alcotest.test_case "repeated keyword matches every time" `Quick (fun () ->
         let d = mk_detect [ "attack" ] in
         let s = mk_sender () in
         let toks = stream s [ "attack"; "x"; "attack"; "attack" ] in
-        Alcotest.(check int) "three matches" 3 (List.length (Detect.process_batch d toks)));
+        Alcotest.(check int) "three matches" 3 (List.length (events d toks)));
     Alcotest.test_case "interleaved keywords stay in sync" `Quick (fun () ->
         let d = mk_detect [ "aaa"; "bbb" ] in
         let s = mk_sender () in
         let toks = stream s [ "aaa"; "bbb"; "aaa"; "ccc"; "bbb"; "aaa" ] in
-        let evs = Detect.process_batch d toks in
+        let evs = events d toks in
         Alcotest.(check (list int)) "ids" [ 0; 1; 0; 1; 0 ]
           (List.map (fun e -> e.Detect.kw_id) evs));
     Alcotest.test_case "out-of-sync counters do not match (semantic security)" `Quick (fun () ->
@@ -107,30 +117,30 @@ let detect_tests =
            has already advanced past them must not match. *)
         let d = mk_detect [ "attack" ] in
         let s1 = mk_sender () in
-        ignore (Detect.process_batch d (stream s1 [ "attack"; "attack" ]));
+        ignore (events d (stream s1 [ "attack"; "attack" ]));
         let s2 = mk_sender () in
         let toks = stream s2 [ "attack" ] in
         Alcotest.(check int) "stale salt ignored" 0
-          (List.length (Detect.process_batch d toks)));
+          (List.length (events d toks)));
     Alcotest.test_case "reset resynchronises" `Quick (fun () ->
         let d = mk_detect [ "attack" ] in
         let s = mk_sender () in
-        ignore (Detect.process_batch d (stream s [ "attack"; "attack" ]));
+        ignore (events d (stream s [ "attack"; "attack" ]));
         let new_salt0 = sender_reset s in
         Detect.reset d ~salt0:new_salt0;
         let toks = stream s [ "attack" ] in
-        Alcotest.(check int) "matches again" 1 (List.length (Detect.process_batch d toks)));
+        Alcotest.(check int) "matches again" 1 (List.length (events d toks)));
     Alcotest.test_case "probable cause recovers k_ssl only on match" `Quick (fun () ->
         let d = mk_detect ~mode:Probable [ "attack" ] in
         let s = mk_sender ~mode:Probable () in
         let k_ssl = Bbx_crypto.Sha256.digest "ssl" |> fun x -> String.sub x 0 16 in
         let toks = stream s ~k_ssl [ "benign"; "attack" ] in
-        let evs = Detect.process_batch d toks in
+        let evs = events d toks in
         (match evs with
          | [ ev ] ->
            let embed =
-             match List.nth toks 1 with
-             | { embed = Some e; _ } -> e
+             match List.nth (Records.decode_tokens toks) 1 with
+             | { Records.embed = Some e; _ } -> e
              | _ -> Alcotest.fail "missing embed"
            in
            Alcotest.(check string) "k_ssl recovered" k_ssl
@@ -138,7 +148,9 @@ let detect_tests =
          | _ -> Alcotest.fail "expected exactly one event");
         (* the benign token's embed does not decrypt to k_ssl under any rule *)
         let benign_embed =
-          match List.nth toks 0 with { embed = Some e; _ } -> e | _ -> assert false
+          match List.nth (Records.decode_tokens toks) 0 with
+          | { Records.embed = Some e; _ } -> e
+          | _ -> assert false
         in
         Alcotest.(check bool) "benign embed useless" true
           (Detect.recover_key d
@@ -154,50 +166,26 @@ let detect_tests =
                (Detect.recover_key d ~event:{ Detect.kw_id = 0; offset = 0; salt = 0 }
                   ~embed:(String.make 16 'x'))));
     Alcotest.test_case "tree size equals keyword count" `Quick (fun () ->
-        let d = mk_detect [ "a"; "b"; "c"; "d"; "e" ] in
-        Alcotest.(check int) "size" 5 (Detect.size d);
-        Alcotest.(check bool) "height sane" true (Detect.tree_height d <= 4));
-    Alcotest.test_case "add_keyword extends a live detector" `Quick (fun () ->
-        let d = mk_detect [ "first" ] in
-        let s = mk_sender () in
-        (* unknown keyword flows through *)
-        Alcotest.(check int) "miss" 0 (List.length (Detect.process_batch d (stream s [ "second" ])));
-        let id = Detect.add_keyword d (token_enc key (t8 "second")) in
-        Alcotest.(check int) "id appended" 1 id;
-        Alcotest.(check int) "size grew" 2 (Detect.size d);
-        (* note: the live sender already used salt 0 for "second"; a fresh
-           sender (as after the protocol's post-update salt reset) matches *)
-        let s2 = mk_sender () in
-        (match Detect.process_batch d (stream s2 [ "second" ]) with
-         | [ ev ] -> Alcotest.(check int) "new id matches" id ev.Detect.kw_id
-         | evs -> Alcotest.fail (Printf.sprintf "expected 1 event, got %d" (List.length evs))));
+        let kws = [ "a"; "b"; "c"; "d"; "e" ] in
+        Alcotest.(check int) "size" 5 (Detect.size (mk_detect kws));
+        let tree = Ref_detect.create ~mode:Exact ~salt0:0 (encs kws) in
+        Alcotest.(check int) "tree size" 5 (Ref_detect.size tree);
+        Alcotest.(check bool) "height sane" true (Ref_detect.height tree <= 4));
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"random streams: events match plaintext scan" ~count:50
          QCheck.(list_of_size (QCheck.Gen.int_range 0 40) (QCheck.oneofl [ "atk"; "mal"; "ok"; "fine" ]))
          (fun words ->
             let d = mk_detect [ "atk"; "mal" ] in
             let s = mk_sender () in
-            let evs = Detect.process_batch d (stream s words) in
+            let evs = events d (stream s words) in
             let expected =
               List.filteri (fun _ w -> w = "atk" || w = "mal") words |> List.length
             in
             List.length evs = expected));
-    Alcotest.test_case "store grows across many add_keyword calls" `Quick (fun () ->
-        let d = mk_detect [] in
-        let kws = List.init 40 (Printf.sprintf "kw%d") in
-        List.iteri
-          (fun i kw ->
-             Alcotest.(check int) "sequential id" i
-               (Detect.add_keyword d (token_enc key (t8 kw))))
-          kws;
-        Alcotest.(check int) "size" 40 (Detect.size d);
-        let s = mk_sender () in
-        let evs = Detect.process_batch d (stream s kws) in
-        Alcotest.(check (list int)) "every keyword matches" (List.init 40 Fun.id)
-          (List.map (fun e -> e.Detect.kw_id) evs));
   ]
 
-(* Streaming path vs batch path: same events from the same wire bytes. *)
+(* The streaming path vs the reference list path (decoded records through
+   the AVL detector): same events from the same wire bytes. *)
 let stream_tests =
   [ QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"process_stream equals process_batch" ~count:80
@@ -206,12 +194,11 @@ let stream_tests =
                       (QCheck.oneofl [ "atk"; "mal"; "ok"; "fine" ])))
          (fun (mode, words) ->
             let k_ssl = if mode = Probable then Some (String.make 16 'S') else None in
-            let d_batch = mk_detect ~mode [ "atk"; "mal" ] in
+            let d_batch = Ref_detect.create ~mode ~salt0:0 (encs [ "atk"; "mal" ]) in
             let d_stream = mk_detect ~mode [ "atk"; "mal" ] in
             let s = mk_sender ~mode () in
-            let toks = stream s ?k_ssl words in
-            let wire = encode_tokens toks in
-            let batch_evs = Detect.process_batch d_batch toks in
+            let wire = stream s ?k_ssl words in
+            let batch_evs = Ref_detect.process_batch d_batch (Records.decode_tokens wire) in
             let stream_evs = ref [] in
             let n =
               Detect.process_stream d_stream wire ~f:(fun ev ~embed_pos ->
@@ -231,8 +218,7 @@ let stream_tests =
         let d = mk_detect ~mode:Probable [ "attack" ] in
         let s = mk_sender ~mode:Probable () in
         let k_ssl = String.make 16 'Z' in
-        let toks = stream s ~k_ssl [ "benign"; "attack" ] in
-        let wire = encode_tokens toks in
+        let wire = stream s ~k_ssl [ "benign"; "attack" ] in
         let hits = ref [] in
         ignore
           (Detect.process_stream d wire ~f:(fun ev ~embed_pos ->

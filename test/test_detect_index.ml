@@ -1,27 +1,24 @@
 (* Differential tests for the flat open-addressing cipher index.
 
-   Two layers of the same claim — the Hash backend is observationally
-   identical to the AVL reference:
+   Three layers of the same claim — [Detect]'s flat index is
+   observationally identical to the paper's AVL tree:
 
    - [Cindex] against a stdlib [Hashtbl] under random insert/remove/clear
      sequences drawn from a tiny key space (forced probe chains and
      backward-shift deletions), with [check_invariants] after every op;
-   - [Detect] with [Hash] against [Detect] with [Avl]: same encrypted
-     keyword set (duplicate ciphers included), same token streams, both
-     modes, interleaved [add_keyword]/[reset] — event-for-event equal,
-     and [recover_key] byte-equal in probable-cause mode;
+   - [Detect] against the AVL reference detector [Bbx_oracle.Ref_detect]:
+     same encrypted keyword set (duplicate ciphers included), same token
+     streams, both modes, interleaved [reset] and [restore_counts] into a
+     fresh detector — event-for-event equal, and [recover_key] byte-equal
+     in probable-cause mode;
    - a random multi-connection trace through [Shardpool] at 1/2/4
-     domains (whose engines always run the Hash backend) against a
-     replay of the same wires through one [Detect ~index:Avl] per
-     connection, lifted to Protocol I verdicts: same per-delivery
-     verdicts, aggregate stats and flow stats.
-
-   The AVL tree stays in [Detect] as this reference and for the log-n
-   ablation bench. *)
+     domains against a replay of the same wires through one AVL detector
+     per connection, lifted to Protocol I verdicts: same per-delivery
+     verdicts, aggregate stats and flow stats. *)
 
 open Bbx_detect
 open Bbx_dpienc.Dpienc
-open Bbx_tokenizer.Tokenizer
+open Bbx_oracle
 
 (* ---------- Cindex vs Hashtbl ---------- *)
 
@@ -107,15 +104,15 @@ let cindex_tests =
         Alcotest.(check int) "empty" 0 (Cindex.size c));
   ]
 
-(* ---------- Detect: Hash vs Avl ---------- *)
+(* ---------- Detect vs the AVL detector ---------- *)
 
 let key = key_of_secret "index-diff-k"
-let t8 = pad_short
+let t8 = Bbx_tokenizer.Tokenizer.pad_short
 
 let word_pool =
   [| "atk"; "mal"; "worm"; "ok"; "fine"; "noise"; "benign"; "xyz" |]
 
-(* keyword sets may repeat a word: both backends must keep only the last
+(* keyword sets may repeat a word: both detectors must keep only the last
    id for a duplicated cipher *)
 let arb_scenario =
   let gen =
@@ -130,7 +127,7 @@ let arb_scenario =
                   (fun ws -> `Stream ws)
                   (list_size (int_range 0 12)
                      (int_bound (Array.length word_pool - 1))));
-               (2, map (fun w -> `Add w) (int_bound (Array.length word_pool - 1)));
+               (2, return `Restore);
                (1, map (fun n -> `Reset (2 * n)) (int_bound 50)) ])
       in
       return (mode, kws, ops))
@@ -144,7 +141,7 @@ let arb_scenario =
             (function
               | `Stream ws ->
                 "s:" ^ String.concat "," (List.map string_of_int ws)
-              | `Add w -> Printf.sprintf "a%d" w
+              | `Restore -> "m"
               | `Reset n -> Printf.sprintf "r%d" n)
             ops))
   in
@@ -152,38 +149,63 @@ let arb_scenario =
 
 let k_ssl = String.init 16 (fun i -> Char.chr (0x40 + i))
 
-(* Replay one scenario against a detector; returns the observed events
-   (full records) and every recovered key, in order. *)
-let replay det mode kws ops =
-  ignore (kws : int list);
+(* What the differential needs of a detector; [Detect] and the AVL
+   reference both provide it. *)
+module type DETECTOR = sig
+  type t
+  val create : mode:mode -> salt0:int -> string array -> t
+  val process_stream : t -> string -> f:(Detect.event -> embed_pos:int -> unit) -> int
+  val recover_key : t -> event:Detect.event -> embed:string -> string
+  val reset : t -> salt0:int -> unit
+  val salt_counts : t -> int array
+  val restore_counts : t -> salt0:int -> int array -> unit
+  val size : t -> int
+end
+
+module Flat = struct
+  include Detect
+  let create ~mode ~salt0 encs = Detect.create ~mode ~salt0 encs
+end
+
+(* Replay one scenario; returns the observed events (full records), every
+   recovered key, in order, and the final index size.  [`Restore] moves
+   the detector's counters into a fresh one, as connection migration
+   does. *)
+let replay (module D : DETECTOR) mode encs ops =
+  let det = ref (D.create ~mode ~salt0:0 encs) and salt0 = ref 0 in
   let sender = ref (sender_create mode key ~salt0:0) in
   let events = ref [] and keys = ref [] in
   List.iter
     (function
       | `Stream ws ->
-        let toks =
-          sender_encrypt !sender
-            ?k_ssl:(if mode = Probable then Some k_ssl else None)
+        let wire =
+          String.concat ""
             (List.mapi
-               (fun i w -> { content = t8 word_pool.(w); offset = 8 * i })
+               (fun i w ->
+                  Records.wire !sender
+                    ?k_ssl:(if mode = Probable then Some k_ssl else None)
+                    ~base:(8 * i) (t8 word_pool.(w)))
                ws)
         in
-        let wire = encode_tokens toks in
         ignore
-          (Detect.process_stream det wire ~f:(fun ev ~embed_pos ->
+          (D.process_stream !det wire ~f:(fun ev ~embed_pos ->
                events := ev :: !events;
                if embed_pos >= 0 then
                  keys :=
-                   Detect.recover_key det ~event:ev
+                   D.recover_key !det ~event:ev
                      ~embed:(String.sub wire embed_pos 16)
                    :: !keys)
             : int)
-      | `Add w -> ignore (Detect.add_keyword det (token_enc key (t8 word_pool.(w))) : int)
-      | `Reset salt0 ->
-        Detect.reset det ~salt0;
-        sender := sender_create mode key ~salt0)
+      | `Restore ->
+        let fresh = D.create ~mode ~salt0:0 encs in
+        D.restore_counts fresh ~salt0:!salt0 (D.salt_counts !det);
+        det := fresh
+      | `Reset s0 ->
+        D.reset !det ~salt0:s0;
+        salt0 := s0;
+        sender := sender_create mode key ~salt0:s0)
     ops;
-  (List.rev !events, List.rev !keys)
+  (List.rev !events, List.rev !keys, D.size !det)
 
 let detect_diff_tests =
   [ QCheck_alcotest.to_alcotest
@@ -195,41 +217,31 @@ let detect_diff_tests =
              Array.of_list
                (List.map (fun w -> token_enc key (t8 word_pool.(w))) kws)
            in
-           let mk index = Detect.create ~index ~mode ~salt0:0 encs in
-           let d_hash = mk Detect.Hash and d_avl = mk Detect.Avl in
-           let ev_h, keys_h = replay d_hash mode kws ops in
-           let ev_a, keys_a = replay d_avl mode kws ops in
-           ev_h = ev_a && keys_h = keys_a
-           && Detect.size d_hash = Detect.size d_avl
+           let ((_, keys_h, _) as flat) = replay (module Flat) mode encs ops in
+           flat = replay (module Ref_detect) mode encs ops
            && List.for_all (String.equal k_ssl) keys_h));
     Alcotest.test_case "duplicate cipher: last id wins on both backends" `Quick
       (fun () ->
         let enc = token_enc key (t8 "twice") in
-        let mk index =
-          Detect.create ~index ~mode:Exact ~salt0:0 [| enc; enc |]
-        in
-        let check d =
-          Alcotest.(check int) "one entry" 1 (Detect.size d);
+        let check (module D : DETECTOR) =
+          let d = D.create ~mode:Exact ~salt0:0 [| enc; enc |] in
+          Alcotest.(check int) "one entry" 1 (D.size d);
           let s = sender_create Exact key ~salt0:0 in
-          let toks = sender_encrypt s [ { content = t8 "twice"; offset = 0 } ] in
-          match Detect.process_batch d toks with
+          let evs = ref [] in
+          ignore
+            (D.process_stream d (Records.wire s (t8 "twice")) ~f:(fun ev ~embed_pos:_ ->
+                 evs := ev :: !evs)
+             : int);
+          match !evs with
           | [ ev ] -> Alcotest.(check int) "last id" 1 ev.Detect.kw_id
           | evs ->
             Alcotest.fail (Printf.sprintf "expected 1 event, got %d" (List.length evs))
         in
-        check (mk Detect.Hash);
-        check (mk Detect.Avl));
-    Alcotest.test_case "backend accessor and tree_height" `Quick (fun () ->
-        let encs = [| token_enc key (t8 "a"); token_enc key (t8 "b") |] in
-        let h = Detect.create ~index:Detect.Hash ~mode:Exact ~salt0:0 encs in
-        let a = Detect.create ~index:Detect.Avl ~mode:Exact ~salt0:0 encs in
-        Alcotest.(check bool) "hash" true (Detect.backend h = Detect.Hash);
-        Alcotest.(check bool) "avl" true (Detect.backend a = Detect.Avl);
-        Alcotest.(check int) "hash height is 0" 0 (Detect.tree_height h);
-        Alcotest.(check bool) "avl height > 0" true (Detect.tree_height a > 0));
+        check (module Flat);
+        check (module Ref_detect));
   ]
 
-(* ---------- Shardpool (Hash engines) vs an Avl Detect replay ---------- *)
+(* ---------- Shardpool vs an AVL detector replay ---------- *)
 
 open Bbx_mbox
 
@@ -257,7 +269,9 @@ let payload_pool =
 
 let wires_for conn payloads =
   let s = sender_create Exact (key_for conn) ~salt0:0 in
-  map_in_order (fun p -> encode_tokens (sender_encrypt s (delimiter p))) payloads
+  map_in_order
+    (fun p -> Records.wire s ~tokenization:(Delimiter { short_units = false }) p)
+    payloads
 
 let wires_of_trace trace =
   let per_conn = Hashtbl.create 8 in
@@ -299,7 +313,7 @@ let rule_chunk =
        rules)
 
 type ref_conn = {
-  det : Detect.t;
+  det : Ref_detect.t;
   matched : bool array;          (* chunk id -> matched since registration *)
   reported : bool array;         (* rule idx -> verdict already reported *)
   mutable blocked : bool;
@@ -308,8 +322,8 @@ type ref_conn = {
   mutable verdicts : int;
 }
 
-(* The reference middlebox: each connection's wires go through a Detect
-   on the AVL backend; a Protocol I rule fires once its chunk has matched,
+(* The reference middlebox: each connection's wires go through an AVL
+   detector; a Protocol I rule fires once its chunk has matched,
    each verdict is reported once, a drop verdict blocks the connection and
    its later deliveries are dropped unseen. *)
 let run_avl_replay trace =
@@ -318,7 +332,7 @@ let run_avl_replay trace =
     (fun conn ->
        let encs = Array.map (token_enc (key_for conn)) (Engine.chunks ruleset) in
        Hashtbl.replace conns conn
-         { det = Detect.create ~index:Detect.Avl ~mode:Exact ~salt0:0 encs;
+         { det = Ref_detect.create ~mode:Exact ~salt0:0 encs;
            matched = Array.make (Array.length encs) false;
            reported = Array.make (List.length rules) false;
            blocked = false; tokens = 0; hits = 0; verdicts = 0 })
@@ -330,7 +344,7 @@ let run_avl_replay trace =
          if c.blocked then None
          else begin
            let n =
-             Detect.process_stream c.det wire ~f:(fun ev ~embed_pos:_ ->
+             Ref_detect.process_stream c.det wire ~f:(fun ev ~embed_pos:_ ->
                  c.hits <- c.hits + 1;
                  c.matched.(ev.Detect.kw_id) <- true)
            in

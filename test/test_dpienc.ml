@@ -1,11 +1,13 @@
 open Bbx_dpienc.Dpienc
-open Bbx_tokenizer.Tokenizer
+open Bbx_oracle
+open Records
 
 let key = key_of_secret "session-key-k"
 
-let mk_tokens contents = List.mapi (fun i c -> { content = c; offset = 8 * i }) contents
+let mk_tokens contents =
+  List.mapi (fun i c -> { Tokens.content = c; offset = 8 * i }) contents
 
-let t8 s = pad_short s
+let t8 s = Bbx_tokenizer.Tokenizer.pad_short s
 
 let unit_tests =
   [ Alcotest.test_case "ciphertext is 40 bits" `Quick (fun () ->
@@ -41,8 +43,8 @@ let unit_tests =
     Alcotest.test_case "probable mode requires k_ssl" `Quick (fun () ->
         let s = sender_create Probable key ~salt0:0 in
         Alcotest.check_raises "raises"
-          (Invalid_argument "Dpienc.sender_encrypt: Probable mode needs ~k_ssl")
-          (fun () -> ignore (sender_encrypt s (mk_tokens [ t8 "x" ]))));
+          (Invalid_argument "Dpienc.sender_encrypt_into: Probable mode needs ~k_ssl")
+          (fun () -> ignore (sender_encrypt_into s (t8 "x") (Buffer.create 16) : int)));
     Alcotest.test_case "probable mode embeds recoverable key" `Quick (fun () ->
         let s = sender_create Probable key ~salt0:0 in
         let k_ssl = String.init 16 Char.chr in
@@ -87,9 +89,11 @@ let unit_tests =
           toks decoded);
     Alcotest.test_case "decode rejects truncation" `Quick (fun () ->
         let s = sender_create Exact key ~salt0:0 in
-        let enc = encode_tokens (sender_encrypt s (mk_tokens [ t8 "a" ])) in
-        Alcotest.check_raises "raises" (Invalid_argument "Dpienc.decode_tokens: truncated")
-          (fun () -> ignore (decode_tokens (String.sub enc 0 (String.length enc - 1)))));
+        let enc = wire s (t8 "a") in
+        Alcotest.check_raises "raises" (Invalid_argument "Dpienc.decode_iter: truncated")
+          (fun () ->
+             decode_iter (String.sub enc 0 (String.length enc - 1))
+               ~f:(fun ~cipher:_ ~offset:_ ~embed_pos:_ -> ())));
   ]
 
 (* Frequency-analysis resistance: the histogram of ciphertexts of a stream
@@ -121,25 +125,25 @@ let security_tests =
 let arb_contents =
   QCheck.(list_of_size (QCheck.Gen.int_range 1 12) (string_of_size (QCheck.Gen.int_range 1 8)))
 
+(* The production sender's wire for a token sequence, one 8-byte window
+   per token. *)
 let encrypt_stream mode contents =
   let s = sender_create mode key ~salt0:0 in
   let k_ssl = if mode = Probable then Some (String.make 16 'K') else None in
-  sender_encrypt s ?k_ssl (mk_tokens (List.map t8 contents))
+  String.concat "" (List.mapi (fun i c -> wire s ?k_ssl ~base:(8 * i) (t8 c)) contents)
 
 let wire_tests =
   [ QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"encode/decode round trip (both modes)" ~count:100
          arb_contents
          (fun contents ->
+            (* the reference codec inverts the sender's encoder byte for byte *)
             List.for_all
               (fun mode ->
-                 let toks = encrypt_stream mode contents in
-                 let decoded = decode_tokens (encode_tokens toks) in
-                 List.length toks = List.length decoded
-                 && List.for_all2
-                   (fun a b ->
-                      a.cipher = b.cipher && a.offset = b.offset && a.embed = b.embed)
-                   toks decoded)
+                 let w = encrypt_stream mode contents in
+                 let decoded = decode_tokens w in
+                 List.length decoded = List.length contents
+                 && String.equal (encode_tokens decoded) w)
               [ Exact; Probable ]));
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"decode_iter agrees with decode_tokens" ~count:100
@@ -147,7 +151,7 @@ let wire_tests =
          (fun contents ->
             List.for_all
               (fun mode ->
-                 let wire = encode_tokens (encrypt_stream mode contents) in
+                 let wire = encrypt_stream mode contents in
                  let via_iter = ref [] in
                  decode_iter wire ~f:(fun ~cipher ~offset ~embed_pos ->
                      let embed =
@@ -156,35 +160,34 @@ let wire_tests =
                      via_iter := { cipher; offset; embed } :: !via_iter);
                  let via_iter = List.rev !via_iter in
                  let via_list = decode_tokens wire in
-                 List.length via_iter = List.length via_list
-                 && wire_token_count wire = List.length via_list
-                 && List.for_all2
-                   (fun a b ->
-                      a.cipher = b.cipher && a.offset = b.offset && a.embed = b.embed)
-                   via_iter via_list)
+                 wire_token_count wire = List.length via_list
+                 && wire_valid ~mode wire
+                 && via_iter = via_list)
               [ Exact; Probable ]));
     Alcotest.test_case "record sizes match the wire" `Quick (fun () ->
         Alcotest.(check int) "exact" exact_record_bytes
-          (String.length (encode_tokens (encrypt_stream Exact [ "a" ])));
+          (String.length (encrypt_stream Exact [ "a" ]));
         Alcotest.(check int) "probable" probable_record_bytes
-          (String.length (encode_tokens (encrypt_stream Probable [ "a" ]))));
+          (String.length (encrypt_stream Probable [ "a" ])));
     Alcotest.test_case "truncation rejected at every byte boundary" `Quick (fun () ->
         (* one full record then a partial one, cut at every possible point:
            the decoder must raise, never return a short read or crash *)
         List.iter
           (fun mode ->
-             let wire = encode_tokens (encrypt_stream mode [ "a"; "b" ]) in
+             let wire = encrypt_stream mode [ "a"; "b" ] in
              let record = String.length wire / 2 in
              for cut = 1 to String.length wire - 1 do
                if cut mod record <> 0 then begin
                  let truncated = String.sub wire 0 cut in
-                 match decode_tokens truncated with
-                 | _ -> Alcotest.failf "decode accepted a %d-byte cut" cut
+                 Alcotest.(check bool) (Printf.sprintf "cut %d fails validation" cut) false
+                   (wire_valid ~mode truncated);
+                 match decode_iter truncated ~f:(fun ~cipher:_ ~offset:_ ~embed_pos:_ -> ()) with
+                 | () -> Alcotest.failf "decode accepted a %d-byte cut" cut
                  | exception Invalid_argument msg ->
                    Alcotest.(check bool)
                      (Printf.sprintf "cut %d names the decoder" cut)
                      true
-                     (String.length msg >= 19 && String.sub msg 0 19 = "Dpienc.decode_token")
+                     (String.starts_with ~prefix:"Dpienc.decode_iter:" msg)
                end
              done)
           [ Exact; Probable ]);
@@ -193,80 +196,26 @@ let wire_tests =
 (* ---- reference sender differentials ----
 
    The sender's packed counter table, rolling window and sweep-staged
-   wire output may not change a single wire byte.  The reference below
-   spells §3.2 out directly: a [Hashtbl] of counters keyed by token
-   value, the i-th occurrence salted [salt0 + stride * i], one 10-byte
-   record (flag, 5-byte cipher, 4-byte offset) plus the 16-byte embed in
-   Probable mode, and a reset that moves [salt0] past every salt used.
-   Drive both through identical payload sequences (both modes, both
-   tokenizations, across salt resets and with the per-token list API
-   interleaved) and require byte equality. *)
+   wire output may not change a single wire byte against the reference
+   sender of [Bbx_oracle.Ref_sender] (a [Hashtbl] of counters and the
+   list path).  Drive both through identical payload sequences (both
+   modes, both tokenizations, across salt resets) and require byte
+   equality. *)
 
-type ref_sender = {
-  r_mode : mode;
-  mutable r_salt0 : int;
-  r_counts : (string, int) Hashtbl.t;   (* padded token -> occurrences *)
-}
-
-let ref_create mode ~salt0 = { r_mode = mode; r_salt0 = salt0; r_counts = Hashtbl.create 64 }
-
-(* odd salts carry the Probable-mode embed *)
-let ref_stride r = match r.r_mode with Exact -> 1 | Probable -> 2
-
-let ref_encrypt r ~k_ssl buf tok ~offset =
-  let n = Option.value (Hashtbl.find_opt r.r_counts tok) ~default:0 in
-  Hashtbl.replace r.r_counts tok (n + 1);
-  let salt = r.r_salt0 + (ref_stride r * n) in
-  let tk = token_key key tok in
-  let cipher = encrypt tk ~salt in
-  let add_be v bytes =
-    for i = bytes - 1 downto 0 do
-      Buffer.add_char buf (Char.chr ((v lsr (8 * i)) land 0xff))
-    done
-  in
-  Buffer.add_char buf (if k_ssl = None then '\000' else '\001');
-  add_be cipher 5;
-  add_be offset 4;
-  Option.iter
-    (fun k -> Buffer.add_string buf (Bbx_crypto.Util.xor (encrypt_full tk ~salt:(salt + 1)) k))
-    k_ssl
-
-let ref_encrypt_into r ~k_ssl ~base ~tokenization payload buf =
-  let f n ~off ~len =
-    ref_encrypt r ~k_ssl buf (t8 (String.sub payload off len)) ~offset:(base + off);
-    n + 1
-  in
-  match tokenization with
-  | Window -> fold_window payload ~init:0 ~f
-  | Delimiter { short_units } -> fold_delimiter ~short_units payload ~init:0 ~f
-
-let ref_reset r =
-  let max_count = Hashtbl.fold (fun _ c m -> max c m) r.r_counts 0 in
-  r.r_salt0 <- r.r_salt0 + (ref_stride r * (max_count + 1));
-  Hashtbl.reset r.r_counts;
-  r.r_salt0
-
-let drive_pair ~mode ~tokenization ~payloads ~resets_at ~interleave_at =
+let drive_pair ~mode ~tokenization ~payloads ~resets_at =
   let salt0 = 100 in
   let k_ssl = if mode = Probable then Some (String.init 16 Char.chr) else None in
   let s = sender_create mode key ~salt0 in
-  let r = ref_create mode ~salt0 in
+  let r = Ref_sender.create mode key ~salt0 in
   let out_s = Buffer.create 256 and out_r = Buffer.create 256 in
   List.iteri
     (fun i payload ->
-       if List.mem i interleave_at then begin
-         (* the per-token list API shares the counter table with the
-            streaming path *)
-         let toks = mk_tokens [ t8 "mix"; t8 "mix" ] in
-         Buffer.add_string out_s (encode_tokens (sender_encrypt s ?k_ssl toks));
-         List.iter (fun tok -> ref_encrypt r ~k_ssl out_r tok.content ~offset:tok.offset) toks
-       end;
        let base = i * 1000 in
        let n_s = sender_encrypt_into s ?k_ssl ~base ~tokenization payload out_s in
-       let n_r = ref_encrypt_into r ~k_ssl ~base ~tokenization payload out_r in
+       let n_r = Ref_sender.encrypt_into r ?k_ssl ~base ~tokenization payload out_r in
        Alcotest.(check int) "token count" n_r n_s;
        if List.mem i resets_at then
-         Alcotest.(check int) "reset salt0" (ref_reset r) (sender_reset s))
+         Alcotest.(check int) "reset salt0" (Ref_sender.reset r) (sender_reset s))
     payloads;
   Alcotest.(check string) "wire bytes" (Buffer.contents out_r) (Buffer.contents out_s)
 
@@ -284,8 +233,7 @@ let kernel_payloads =
 let kernel_tests =
   let case name mode tokenization =
     Alcotest.test_case name `Quick (fun () ->
-        drive_pair ~mode ~tokenization ~payloads:kernel_payloads
-          ~resets_at:[ 1; 3 ] ~interleave_at:[ 2 ])
+        drive_pair ~mode ~tokenization ~payloads:kernel_payloads ~resets_at:[ 1; 3 ])
   in
   [ case "wire equality: exact / window" Exact Window;
     case "wire equality: exact / delimiter" Exact (Delimiter { short_units = true });
@@ -299,8 +247,7 @@ let kernel_tests =
           String.concat ""
             (List.init 3000 (fun i -> Printf.sprintf "%08d" i))
         in
-        drive_pair ~mode:Exact ~tokenization:Window ~payloads:[ payload ]
-          ~resets_at:[] ~interleave_at:[]);
+        drive_pair ~mode:Exact ~tokenization:Window ~payloads:[ payload ] ~resets_at:[]);
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"qcheck wire equality vs reference sender" ~count:60
          QCheck.(
@@ -315,8 +262,7 @@ let kernel_tests =
               | 0 -> Window
               | t -> Delimiter { short_units = t = 1 }
             in
-            drive_pair ~mode ~tokenization ~payloads ~resets_at:resets
-              ~interleave_at:[];
+            drive_pair ~mode ~tokenization ~payloads ~resets_at:resets;
             true));
   ]
 

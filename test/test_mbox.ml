@@ -1,7 +1,7 @@
 open Bbx_dpienc.Dpienc
 open Bbx_mbox
 open Bbx_rules
-open Bbx_tokenizer.Tokenizer
+open Bbx_oracle
 
 let key = key_of_secret "mbox-k"
 let enc_chunk chunk = token_enc key chunk
@@ -17,9 +17,11 @@ let mk_engine_with config rules =
 let sender ?(mode = Exact) () = sender_create mode key ~salt0:0
 
 (* Encrypt a payload exactly as the BlindBox sender would (delimiter
-   tokenization). *)
-let encrypt_payload ?k_ssl s payload =
-  sender_encrypt s ?k_ssl (delimiter payload)
+   tokenization by default), to its wire encoding. *)
+let encrypt_payload ?k_ssl ?(tokenization = Delimiter { short_units = false }) s payload =
+  Records.wire s ?k_ssl ~tokenization payload
+
+let feed e wire = ignore (Engine.process_wire e wire : int)
 
 let rule_of_string = Parser.parse_rule
 
@@ -42,7 +44,7 @@ let engine_tests =
         let rules = [ Rule.make ~sid:1 [ Rule.make_content "evilword" ] ] in
         let e = mk_engine rules in
         let s = sender () in
-        Engine.process e (encrypt_payload s "GET /?q=evilword HTTP/1.1");
+        feed e (encrypt_payload s "GET /?q=evilword HTTP/1.1");
         (match Engine.verdicts e with
          | [ v ] ->
            Alcotest.(check int) "rule 0" 0 v.Engine.rule_idx;
@@ -54,17 +56,17 @@ let engine_tests =
         let e = mk_engine rules in
         let s = sender () in
         (* only the first half appears: no rule verdict *)
-        Engine.process e (encrypt_payload s "GET /?q=maliciou HTTP/1.1");
+        feed e (encrypt_payload s "GET /?q=maliciou HTTP/1.1");
         Alcotest.(check int) "no verdict" 0 (List.length (Engine.verdicts e));
         let e2 = mk_engine rules in
         let s2 = sender () in
-        Engine.process e2 (encrypt_payload s2 ("GET /?q=" ^ kw ^ " HTTP/1.1"));
+        feed e2 (encrypt_payload s2 ("GET /?q=" ^ kw ^ " HTTP/1.1"));
         Alcotest.(check int) "fires" 1 (List.length (Engine.verdicts e2)));
     Alcotest.test_case "benign traffic: no verdicts, no hits" `Quick (fun () ->
         let rules = [ Rule.make [ Rule.make_content "evilword" ] ] in
         let e = mk_engine rules in
         let s = sender () in
-        Engine.process e (encrypt_payload s "GET /index.html HTTP/1.1\r\nHost: ok.example");
+        feed e (encrypt_payload s "GET /index.html HTTP/1.1\r\nHost: ok.example");
         Alcotest.(check int) "no hits" 0 (List.length (Engine.keyword_hits e));
         Alcotest.(check int) "no verdicts" 0 (List.length (Engine.verdicts e)));
     Alcotest.test_case "protocol II: multiple keywords all required" `Quick (fun () ->
@@ -72,9 +74,9 @@ let engine_tests =
             "alert tcp any any -> any any (content:\"firstkey\"; content:\"secondkey\"; sid:3;)" in
         let e = mk_engine [ r ] in
         let s = sender () in
-        Engine.process e (encrypt_payload s "x=firstkey&y=unrelated");
+        feed e (encrypt_payload s "x=firstkey&y=unrelated");
         Alcotest.(check int) "half: no verdict" 0 (List.length (Engine.verdicts e));
-        Engine.process e (encrypt_payload s "z=secondkey&w=1");
+        feed e (encrypt_payload s "z=secondkey&w=1");
         Alcotest.(check int) "both: fires" 1 (List.length (Engine.verdicts e)));
     Alcotest.test_case "protocol II: offset constraint enforced" `Quick (fun () ->
         let r = rule_of_string
@@ -83,11 +85,11 @@ let engine_tests =
         let e = mk_engine [ r ] in
         let s = sender () in
         let payload_match = "0123456789needle88 trailer" (* at offset 10 *) in
-        Engine.process e (sender_encrypt s (window payload_match));
+        feed e (encrypt_payload ~tokenization:Window s payload_match);
         Alcotest.(check int) "fires at 10" 1 (List.length (Engine.verdicts e));
         let e2 = mk_engine [ r ] in
         let s2 = sender () in
-        Engine.process e2 (sender_encrypt s2 (window "needle88 at start instead"));
+        feed e2 (encrypt_payload ~tokenization:Window s2 "needle88 at start instead");
         Alcotest.(check int) "no fire at 0" 0 (List.length (Engine.verdicts e2)));
     Alcotest.test_case "protocol II agrees with plaintext reference" `Quick (fun () ->
         let r = rule_of_string
@@ -102,7 +104,7 @@ let engine_tests =
              let reference = Classify.matches_plaintext r payload in
              let e = mk_engine [ r ] in
              let s = sender () in
-             Engine.process e (sender_encrypt s (window payload));
+             feed e (encrypt_payload ~tokenization:Window s payload);
              let got = Engine.verdicts e <> [] in
              Alcotest.(check bool) (Printf.sprintf "agrees on %S" payload) reference got)
           payloads);
@@ -113,7 +115,7 @@ let engine_tests =
         let e = mk_engine ~mode:Probable [ r ] in
         let s = sender ~mode:Probable () in
         let k_ssl = String.make 16 'S' in
-        Engine.process e (encrypt_payload ~k_ssl s payload);
+        feed e (encrypt_payload ~k_ssl s payload);
         (* without plaintext, pcre rules cannot fire *)
         Alcotest.(check int) "encrypted only: no verdict" 0 (List.length (Engine.verdicts e));
         (* the keyword match recovered the key *)
@@ -131,7 +133,7 @@ let engine_tests =
         let s = sender ~mode:Probable () in
         let k_ssl = String.make 16 'S' in
         Engine.record_stream e (seal (mk_writer k_ssl) payload);
-        Engine.process e (encrypt_payload ~k_ssl s payload);
+        feed e (encrypt_payload ~k_ssl s payload);
         Alcotest.(check bool) "key recovered (probable cause)" true (Engine.recovered_key e <> None);
         Alcotest.(check int) "but no verdict" 0 (List.length (Engine.verdicts e));
         Alcotest.(check (option string)) "over the recovered stream" (Some payload)
@@ -141,16 +143,16 @@ let engine_tests =
             "alert tcp any any -> any any (content:\"userquery\"; pcre:\"/x/\"; sid:8;)" in
         let e = mk_engine ~mode:Probable [ r ] in
         let s = sender ~mode:Probable () in
-        Engine.process e (encrypt_payload ~k_ssl:(String.make 16 'S') s "GET /benign HTTP/1.1");
+        feed e (encrypt_payload ~k_ssl:(String.make 16 'S') s "GET /benign HTTP/1.1");
         Alcotest.(check (option string)) "no key" None (Engine.recovered_key e));
     Alcotest.test_case "reset keeps matching working" `Quick (fun () ->
         let rules = [ Rule.make [ Rule.make_content "evilword" ] ] in
         let e = mk_engine rules in
         let s = sender () in
-        Engine.process e (encrypt_payload s "q=evilword");
+        feed e (encrypt_payload s "q=evilword");
         let new_salt0 = sender_reset s in
         Engine.reset e ~salt0:new_salt0;
-        Engine.process e (encrypt_payload s "q=evilword");
+        feed e (encrypt_payload s "q=evilword");
         Alcotest.(check int) "hit after reset" 1 (List.length (Engine.keyword_hits e));
         Alcotest.(check int) "verdict" 1 (List.length (Engine.verdicts e)));
     Alcotest.test_case "reset preserves recovered key and monotonic hits" `Quick (fun () ->
@@ -166,7 +168,7 @@ let engine_tests =
         let writer = mk_writer k_ssl in
         let payload = "GET /?userquery=42' HTTP/1.1" in
         Engine.record_stream e (seal writer payload);
-        Engine.process e (encrypt_payload ~k_ssl s payload);
+        feed e (encrypt_payload ~k_ssl s payload);
         Alcotest.(check (option string)) "key recovered" (Some k_ssl) (Engine.recovered_key e);
         let hits_before = Engine.hit_count e in
         Alcotest.(check bool) "hits seen" true (hits_before > 0);
@@ -178,7 +180,7 @@ let engine_tests =
         Alcotest.(check int) "hit list cleared" 0 (List.length (Engine.keyword_hits e));
         (* matching still works after the reset: the same keyword refires *)
         Engine.record_stream e (seal writer payload);
-        Engine.process e (encrypt_payload ~k_ssl s payload);
+        feed e (encrypt_payload ~k_ssl s payload);
         Alcotest.(check bool) "rematch counted" true (Engine.hit_count e > hits_before);
         (match Engine.verdicts e with
          | [ v ] -> Alcotest.(check bool) "probable cause" true (v.Engine.via = `Probable_cause)
@@ -188,7 +190,7 @@ let engine_tests =
         let e = mk_engine rules in
         let s = sender () in
         let payload = "aa bb=evilword" in
-        Engine.process e (encrypt_payload s payload);
+        feed e (encrypt_payload s payload);
         (match Engine.keyword_hits e with
          | [ (chunk, off) ] ->
            Alcotest.(check string) "chunk" "evilword" chunk;
@@ -209,17 +211,14 @@ let middlebox_tests =
     Shard.register mb ~conn_id:conn ~salt0:0 ~direction
       (Engine.keys ruleset ~enc_chunk:(token_enc (key_for conn)))
   in
-  let tokens conn payload =
-    let s = sender_create Exact (key_for conn) ~salt0:0 in
-    sender_encrypt s (delimiter payload)
-  in
+  let tokens conn payload = encrypt_payload (sender_create Exact (key_for conn) ~salt0:0) payload in
   [ Alcotest.test_case "connections are isolated" `Quick (fun () ->
         let mb = Shard.create Engine.default_config in
         register mb 1;
         register mb 2;
         (* conn 1 attacks; conn 2 stays clean *)
-        let v1 = Shard.process mb ~conn_id:1 (tokens 1 "x=alertkw1") in
-        let v2 = Shard.process mb ~conn_id:2 (tokens 2 "hello clean world") in
+        let v1 = Shard.process_wire mb ~conn_id:1 (tokens 1 "x=alertkw1") in
+        let v2 = Shard.process_wire mb ~conn_id:2 (tokens 2 "hello clean world") in
         Alcotest.(check int) "conn 1 alert" 1 (List.length v1);
         Alcotest.(check int) "conn 2 clean" 0 (List.length v2);
         let st = Shard.stats mb in
@@ -231,16 +230,16 @@ let middlebox_tests =
         register mb 1;
         let foreign = tokens 2 "x=alertkw1" in
         Alcotest.(check int) "no match" 0
-          (List.length (Shard.process mb ~conn_id:1 foreign)));
+          (List.length (Shard.process_wire mb ~conn_id:1 foreign)));
     Alcotest.test_case "drop rule blocks only that connection" `Quick (fun () ->
         let mb = Shard.create Engine.default_config in
         register mb 1;
         register mb 2;
-        let _ = Shard.process mb ~conn_id:1 (tokens 1 "x=dropkw22") in
+        let _ = Shard.process_wire mb ~conn_id:1 (tokens 1 "x=dropkw22") in
         Alcotest.(check bool) "1 blocked" true (Shard.is_blocked mb ~conn_id:1);
         Alcotest.(check bool) "2 fine" false (Shard.is_blocked mb ~conn_id:2);
         Alcotest.(check bool) "processing blocked conn raises" true
-          (match Shard.process mb ~conn_id:1 (tokens 1 "more") with
+          (match Shard.process_wire mb ~conn_id:1 (tokens 1 "more") with
            | exception Invalid_argument _ -> true
            | _ -> false);
         Alcotest.(check int) "blocked count" 1 (Shard.stats mb).Shard.blocked);
@@ -258,12 +257,12 @@ let middlebox_tests =
     Alcotest.test_case "verdicts reported once per connection" `Quick (fun () ->
         let mb = Shard.create Engine.default_config in
         register mb 1;
-        let v1 = Shard.process mb ~conn_id:1 (tokens 1 "x=alertkw1") in
+        let v1 = Shard.process_wire mb ~conn_id:1 (tokens 1 "x=alertkw1") in
         (* same rule again in later traffic: no duplicate report *)
         let s = sender_create Exact (key_for 1) ~salt0:0 in
-        let _ = sender_encrypt s (delimiter "x=alertkw1") in
-        let later = sender_encrypt s (delimiter "y=alertkw1") in
-        let v2 = Shard.process mb ~conn_id:1 later in
+        let _ = encrypt_payload s "x=alertkw1" in
+        let later = encrypt_payload s "y=alertkw1" in
+        let v2 = Shard.process_wire mb ~conn_id:1 later in
         Alcotest.(check int) "first" 1 (List.length v1);
         Alcotest.(check int) "second" 0 (List.length v2));
   ]
@@ -290,37 +289,39 @@ let stats_tests =
     Alcotest.(check int) (msg ^ ": blocked") expect.Shard.blocked got.Shard.blocked
   in
   [ Alcotest.test_case "list and wire paths account identically" `Quick (fun () ->
+        (* the shard's wire path against the reference list path: decoded
+           records through an AVL detector give the tokens and hits; each
+           rule's one content fires it once, and the drop rule blocks *)
         let traffic =
           [ "x=alertkw1&noise=1"; "benign hello world"; "y=otherkw2 z=alertkw1";
             "more benign filler"; "q=dropkw33" ]
         in
-        let mb_list = Shard.create Engine.default_config in
-        let mb_wire = Shard.create Engine.default_config in
-        register mb_list 1;
-        register mb_wire 1;
-        let s_list = sender_create Exact (key_for 1) ~salt0:0 in
-        let s_wire = sender_create Exact (key_for 1) ~salt0:0 in
+        let mb = Shard.create Engine.default_config in
+        register mb 1;
+        let s = sender_create Exact (key_for 1) ~salt0:0 in
+        let det =
+          Ref_detect.create ~mode:Exact ~salt0:0
+            (Array.map (token_enc (key_for 1)) (Engine.chunks ruleset))
+        in
+        let tokens = ref 0 and hits = ref 0 in
         List.iter
           (fun payload ->
-             let toks = sender_encrypt s_list (delimiter payload) in
-             let wire = encode_tokens (sender_encrypt s_wire (delimiter payload)) in
-             let run_list () = Shard.process mb_list ~conn_id:1 toks in
-             let run_wire () = Shard.process_wire mb_wire ~conn_id:1 wire in
-             match (run_list (), run_wire ()) with
-             | v1, v2 -> Alcotest.(check int) "same verdicts" (List.length v1) (List.length v2)
-             | exception Invalid_argument _ ->
-               (* blocked on both paths or the test is broken; assert parity *)
-               Alcotest.(check bool) "wire also blocked" true
-                 (match run_wire () with exception Invalid_argument _ -> true | _ -> false))
+             let wire = encrypt_payload s payload in
+             let records = Records.decode_tokens wire in
+             tokens := !tokens + List.length records;
+             hits := !hits + List.length (Ref_detect.process_batch det records);
+             ignore (Shard.process_wire mb ~conn_id:1 wire : Engine.verdict list))
           traffic;
-        check_stats "parity" (Shard.stats mb_list) (Shard.stats mb_wire);
-        Alcotest.(check bool) "hits non-zero" true
-          ((Shard.stats mb_list).Shard.total_keyword_hits > 0));
+        check_stats "parity"
+          { Shard.connections = 1; total_tokens = !tokens; total_keyword_hits = !hits;
+            alerts = 3; blocked = 1 }
+          (Shard.stats mb);
+        Alcotest.(check bool) "hits non-zero" true (!hits > 0));
     Alcotest.test_case "repeated alerts counted once per rule per connection" `Quick (fun () ->
         let mb = Shard.create Engine.default_config in
         register mb 1;
         let s = sender_create Exact (key_for 1) ~salt0:0 in
-        let send payload = Shard.process mb ~conn_id:1 (sender_encrypt s (delimiter payload)) in
+        let send payload = Shard.process_wire mb ~conn_id:1 (encrypt_payload s payload) in
         ignore (send "a=alertkw1" : Engine.verdict list);
         ignore (send "b=alertkw1" : Engine.verdict list);
         ignore (send "c=alertkw1" : Engine.verdict list);
@@ -333,11 +334,11 @@ let stats_tests =
         register mb 1;
         register mb 2;
         let s1 = sender_create Exact (key_for 1) ~salt0:0 in
-        let t1 = sender_encrypt s1 (delimiter "x=alertkw1 pad") in
-        ignore (Shard.process mb ~conn_id:1 t1 : Engine.verdict list);
+        let t1 = encrypt_payload s1 "x=alertkw1 pad" in
+        ignore (Shard.process_wire mb ~conn_id:1 t1 : Engine.verdict list);
         let f1 = Shard.flow_stats mb ~conn_id:1 in
         let f2 = Shard.flow_stats mb ~conn_id:2 in
-        Alcotest.(check int) "conn 1 tokens" (List.length t1) f1.Shard.flow_tokens;
+        Alcotest.(check int) "conn 1 tokens" (wire_token_count t1) f1.Shard.flow_tokens;
         Alcotest.(check int) "conn 1 hits" 1 f1.Shard.flow_hits;
         Alcotest.(check int) "conn 1 verdicts" 1 f1.Shard.flow_verdicts;
         Alcotest.(check bool) "conn 1 not blocked" false f1.Shard.flow_blocked;
@@ -345,13 +346,13 @@ let stats_tests =
         let total =
           Shard.fold_flows mb ~init:0 ~f:(fun acc _ f -> acc + f.Shard.flow_tokens)
         in
-        Alcotest.(check int) "fold sums tokens" (List.length t1) total);
+        Alcotest.(check int) "fold sums tokens" (wire_token_count t1) total);
     Alcotest.test_case "blocked connections accounted exactly once" `Quick (fun () ->
         let mb = Shard.create Engine.default_config in
         register mb 1;
         register mb 2;
         let s1 = sender_create Exact (key_for 1) ~salt0:0 in
-        ignore (Shard.process mb ~conn_id:1 (sender_encrypt s1 (delimiter "q=dropkw33"))
+        ignore (Shard.process_wire mb ~conn_id:1 (encrypt_payload s1 "q=dropkw33")
                 : Engine.verdict list);
         let st = Shard.stats mb in
         Alcotest.(check int) "blocked 1" 1 st.Shard.blocked;
@@ -359,15 +360,15 @@ let stats_tests =
           (Shard.flow_stats mb ~conn_id:1).Shard.flow_blocked;
         (* the blocked count survives further traffic on other connections *)
         let s2 = sender_create Exact (key_for 2) ~salt0:0 in
-        ignore (Shard.process mb ~conn_id:2 (sender_encrypt s2 (delimiter "benign"))
+        ignore (Shard.process_wire mb ~conn_id:2 (encrypt_payload s2 "benign")
                 : Engine.verdict list);
         Alcotest.(check int) "still 1" 1 (Shard.stats mb).Shard.blocked);
     Alcotest.test_case "unregister drops the connection but keeps totals" `Quick (fun () ->
         let mb = Shard.create Engine.default_config in
         register mb 1;
         let s = sender_create Exact (key_for 1) ~salt0:0 in
-        let toks = sender_encrypt s (delimiter "x=alertkw1") in
-        ignore (Shard.process mb ~conn_id:1 toks : Engine.verdict list);
+        let toks = encrypt_payload s "x=alertkw1" in
+        ignore (Shard.process_wire mb ~conn_id:1 toks : Engine.verdict list);
         let before = Shard.stats mb in
         Shard.unregister mb ~conn_id:1;
         let after = Shard.stats mb in
@@ -401,7 +402,7 @@ let tiered_tests =
      escalation pump decrypts in stream order), then the token stream. *)
   let deliver e s writer payload =
     Engine.record_stream e (Record.seal writer ("T" ^ payload));
-    Engine.process e (encrypt_payload ~k_ssl s payload)
+    feed e (encrypt_payload ~k_ssl s payload)
   in
   [ Alcotest.test_case "records escalate to a regex verdict, no caller plaintext"
       `Quick (fun () ->
@@ -592,7 +593,7 @@ let snapshot_tests =
         in
         let e = mk_engine rules in
         let s = sender () in
-        Engine.process e (encrypt_payload s "x=evilword tail");
+        feed e (encrypt_payload s "x=evilword tail");
         Alcotest.(check int) "decided before the snapshot" 1 (List.length (Engine.verdicts e));
         let r = Engine.restore (Engine.snapshot e) in
         Alcotest.(check (list (pair int string))) "verdicts travel" (details e) (details r);
@@ -601,8 +602,8 @@ let snapshot_tests =
         Alcotest.(check int) "hit count travels" (Engine.hit_count e) (Engine.hit_count r);
         (* identical future: the same post-snapshot wires land the same *)
         let toks = encrypt_payload s "y=otherkw2 and evilword again" in
-        Engine.process e toks;
-        Engine.process r toks;
+        feed e toks;
+        feed r toks;
         Alcotest.(check (list (pair int string))) "future verdicts agree"
           (details e) (details r);
         Alcotest.(check int) "future hits agree" (Engine.hit_count e) (Engine.hit_count r);
@@ -611,8 +612,8 @@ let snapshot_tests =
         Engine.reset e ~salt0;
         Engine.reset r ~salt0;
         let toks = encrypt_payload s "post-reset evilword" in
-        Engine.process e toks;
-        Engine.process r toks;
+        feed e toks;
+        feed r toks;
         Alcotest.(check int) "post-reset hits agree" (Engine.hit_count e)
           (Engine.hit_count r));
     Alcotest.test_case "mid-escalation snapshot carries the sealed stream" `Quick
@@ -627,8 +628,8 @@ let snapshot_tests =
         Engine.record_stream e (Record.seal writer ("T" ^ p1));
         let r = Engine.restore (Engine.snapshot e) in
         let toks = encrypt_payload ~k_ssl s p1 in
-        Engine.process e toks;
-        Engine.process r toks;
+        feed e toks;
+        feed r toks;
         List.iter
           (fun (name, x) ->
              Alcotest.(check bool) (name ^ " unlocked") true
@@ -644,7 +645,7 @@ let snapshot_tests =
         let writer = mk_writer () in
         let p1 = "GET /?userquery=42' HTTP/1.1" in
         Engine.record_stream e (Record.seal writer ("T" ^ p1));
-        Engine.process e (encrypt_payload ~k_ssl s p1);
+        feed e (encrypt_payload ~k_ssl s p1);
         Alcotest.(check bool) "unlocked before" true (Engine.escalation e = `Unlocked);
         let r = Engine.restore (Engine.snapshot e) in
         Alcotest.(check (option string)) "key travels" (Some k_ssl)
@@ -653,13 +654,13 @@ let snapshot_tests =
            opens on the restored engine *)
         let p2 = " more userquery=7' data" in
         Engine.record_stream r (Record.seal writer ("T" ^ p2));
-        Engine.process r (encrypt_payload ~k_ssl s p2);
+        feed r (encrypt_payload ~k_ssl s p2);
         Alcotest.(check (option string)) "stream extends after restore"
           (Some (p1 ^ p2)) (Engine.decrypted_stream r));
     Alcotest.test_case "malformed snapshots are rejected" `Quick (fun () ->
         let e = mk_engine [ Rule.make ~sid:1 [ Rule.make_content "evilword" ] ] in
         let s = sender () in
-        Engine.process e (encrypt_payload s "x=evilword");
+        feed e (encrypt_payload s "x=evilword");
         let blob = Engine.snapshot e in
         let rejects what b =
           Alcotest.(check bool) what true
@@ -684,7 +685,7 @@ let snapshot_tests =
         Shard.register src ~conn_id:5 ~salt0:0 ~direction
           (Engine.keys (Engine.ruleset rules) ~enc_chunk);
         Alcotest.(check int) "first report" 1
-          (List.length (Shard.process src ~conn_id:5 (encrypt_payload s "x=alertkw1")));
+          (List.length (Shard.process_wire src ~conn_id:5 (encrypt_payload s "x=alertkw1")));
         let blob = Shard.export_conn src ~conn_id:5 in
         Alcotest.(check bool) "gone from source" true
           (match Shard.flow_stats src ~conn_id:5 with
@@ -695,8 +696,8 @@ let snapshot_tests =
         Shard.import_conn dst ~conn_id:5 blob;
         (* the decided rules travelled: no re-report of sid 1 *)
         Alcotest.(check int) "no re-report after import" 0
-          (List.length (Shard.process dst ~conn_id:5 (encrypt_payload s "x=alertkw1 again")));
-        ignore (Shard.process dst ~conn_id:5 (encrypt_payload s "q=dropkw33")
+          (List.length (Shard.process_wire dst ~conn_id:5 (encrypt_payload s "x=alertkw1 again")));
+        ignore (Shard.process_wire dst ~conn_id:5 (encrypt_payload s "q=dropkw33")
                 : Engine.verdict list);
         Alcotest.(check bool) "drop rule blocks after import" true
           (Shard.is_blocked dst ~conn_id:5);
@@ -751,8 +752,8 @@ let snapshot_tests =
              Engine.record_stream own (Record.seal w_own ("T" ^ p));
              Engine.record_stream shared (Record.seal w_shared ("T" ^ p));
              let toks = encrypt_payload ~k_ssl s p in
-             Engine.process own toks;
-             Engine.process shared toks;
+             feed own toks;
+             feed shared toks;
              Alcotest.(check (list (pair int string))) ("verdicts for " ^ p)
                (details own) (details shared))
           [ "benign first"; "x=evilword"; "GET /?userquery=42' HTTP/1.1" ]);
@@ -772,11 +773,11 @@ let update_tests =
       (Engine.keys (Engine.ruleset rules) ~enc_chunk);
     let s = sender () in
     let hits () = (Shard.flow_stats sh ~conn_id:1).Shard.flow_hits in
-    ignore (Shard.process sh ~conn_id:1 (encrypt_payload s "q=alertkw1") : Engine.verdict list);
+    ignore (Shard.process_wire sh ~conn_id:1 (encrypt_payload s "q=alertkw1") : Engine.verdict list);
     Alcotest.(check int) "first occurrence" 1 (hits ());
     Shard.update_rules sh ~conn_id:1
       (Engine.keys (Engine.ruleset next_rules) ~enc_chunk);
-    ignore (Shard.process sh ~conn_id:1 (encrypt_payload s "q=alertkw1") : Engine.verdict list);
+    ignore (Shard.process_wire sh ~conn_id:1 (encrypt_payload s "q=alertkw1") : Engine.verdict list);
     Alcotest.(check int) "next occurrence after the update" 2 (hits ())
   in
   [ Alcotest.test_case "add-only update keeps salt counters" `Quick

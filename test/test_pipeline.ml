@@ -1,12 +1,12 @@
 (* Differential test for the token pipeline: the streaming path
-   (sender_encrypt_into -> decode_iter -> process_stream) must be
-   observationally identical to the legacy list path
-   (tokenize -> sender_encrypt -> encode_tokens -> decode_tokens ->
-   process_batch): byte-identical wire output and identical match events,
-   in both Exact and Probable modes, under both tokenizers. *)
+   (sender_encrypt_into -> decode_iter -> Detect.process_stream) must be
+   observationally identical to the reference list path of [Bbx_oracle]
+   (list tokenizer -> Hashtbl sender -> record codec -> AVL detector):
+   byte-identical wire output and identical match events, in both Exact
+   and Probable modes, under both tokenizers. *)
 
 open Bbx_dpienc.Dpienc
-open Bbx_tokenizer.Tokenizer
+open Bbx_oracle
 
 let key = key_of_secret "pipeline-diff-k"
 
@@ -23,13 +23,13 @@ let arb_payload =
       return (left ^ " " ^ planted ^ " " ^ right))
 
 let tokenize = function
-  | Window -> window
-  | Delimiter { short_units } -> delimiter ~short_units
+  | Window -> Tokens.window
+  | Delimiter { short_units } -> Tokens.delimiter ~short_units
 
-let mk_detect mode =
-  Bbx_detect.Detect.create ~mode ~salt0:0
-    (Array.of_list
-       (List.map (fun (c, _) -> token_enc key c) (keyword_chunks planted)))
+let planted_encs =
+  Array.of_list
+    (List.map (fun (c, _) -> token_enc key c)
+       (Bbx_tokenizer.Tokenizer.keyword_chunks planted))
 
 let same_events mode batch stream =
   List.length batch = List.length stream
@@ -45,23 +45,23 @@ let same_events mode batch stream =
    differential also covers counter-table state carried across packets. *)
 let run_both mode tokenization packets =
   let k_ssl = if mode = Probable then Some (String.make 16 'L') else None in
-  let s_legacy = sender_create mode key ~salt0:0 in
+  let s_legacy = Ref_sender.create mode key ~salt0:0 in
   let s_stream = sender_create mode key ~salt0:0 in
-  let d_legacy = mk_detect mode and d_stream = mk_detect mode in
+  let d_legacy = Ref_detect.create ~mode ~salt0:0 planted_encs in
+  let d_stream = Bbx_detect.Detect.create ~mode ~salt0:0 planted_encs in
   let buf = Buffer.create 1024 in
   List.for_all
     (fun payload ->
        let wire_legacy =
-         encode_tokens (sender_encrypt s_legacy ?k_ssl (tokenize tokenization payload))
+         Records.encode_tokens
+           (Ref_sender.encrypt s_legacy ?k_ssl (tokenize tokenization payload))
        in
        Buffer.clear buf;
        let n =
          sender_encrypt_into s_stream ?k_ssl ~tokenization payload buf
        in
        let wire_stream = Buffer.contents buf in
-       let batch_evs =
-         Bbx_detect.Detect.process_batch d_legacy (decode_tokens wire_legacy)
-       in
+       let batch_evs = Ref_detect.process_batch d_legacy (Records.decode_tokens wire_legacy) in
        let stream_evs = ref [] in
        let n' =
          Bbx_detect.Detect.process_stream d_stream wire_stream
@@ -88,9 +88,10 @@ let diff_tests =
     prop "probable + delimiter" Probable (Delimiter { short_units = false });
   ]
 
-(* Engine-level differential on a generated ruleset: feeding the wire
-   stream must produce the same keyword hits and verdicts as feeding the
-   token list. *)
+(* Engine-level differential on a generated ruleset: the wire of the
+   reference list path and the streaming sender's wire must produce the
+   same keyword hits and verdicts, and the hits must be the AVL detector's
+   events on the reference records. *)
 let engine_tests =
   [ Alcotest.test_case "process_wire equals process on an ET ruleset" `Quick (fun () ->
         let rules =
@@ -107,20 +108,33 @@ let engine_tests =
         let payload = "GET /index.html?q=" ^ kw ^ " HTTP/1.1\r\nHost: a.example\r\n\r\n" in
         let e_list = Bbx_mbox.Engine.create ~mode:Exact ~salt0:0 ~rules ~enc_chunk () in
         let e_wire = Bbx_mbox.Engine.create ~mode:Exact ~salt0:0 ~rules ~enc_chunk () in
-        let s1 = sender_create Exact key ~salt0:0 in
+        let records =
+          Ref_sender.encrypt (Ref_sender.create Exact key ~salt0:0) (Tokens.delimiter payload)
+        in
+        let n_list = Bbx_mbox.Engine.process_wire e_list (Records.encode_tokens records) in
         let s2 = sender_create Exact key ~salt0:0 in
-        Bbx_mbox.Engine.process e_list (sender_encrypt s1 (delimiter payload));
         let buf = Buffer.create 1024 in
         let n =
           sender_encrypt_into s2
             ~tokenization:(Delimiter { short_units = false }) payload buf
         in
-        Alcotest.(check int) "token count" (delimiter_count payload)
+        Alcotest.(check int) "token count" (Bbx_tokenizer.Tokenizer.delimiter_count payload)
           (Bbx_mbox.Engine.process_wire e_wire (Buffer.contents buf));
-        Alcotest.(check int) "same count both paths" n (delimiter_count payload);
+        Alcotest.(check int) "same count both paths" n n_list;
+        let chunks = Bbx_mbox.Engine.chunks (Bbx_mbox.Engine.ruleset rules) in
+        let tree = Ref_detect.create ~mode:Exact ~salt0:0 (Array.map enc_chunk chunks) in
+        let tree_hits =
+          List.map
+            (fun ev -> (chunks.(ev.Bbx_detect.Detect.kw_id), ev.Bbx_detect.Detect.offset))
+            (Ref_detect.process_batch tree records)
+        in
+        let sorted = List.sort compare in
         Alcotest.(check (list (pair string int))) "keyword hits"
-          (Bbx_mbox.Engine.keyword_hits e_list)
-          (Bbx_mbox.Engine.keyword_hits e_wire);
+          (sorted (Bbx_mbox.Engine.keyword_hits e_list))
+          (sorted (Bbx_mbox.Engine.keyword_hits e_wire));
+        Alcotest.(check (list (pair string int))) "hits are the tree's events" (sorted tree_hits)
+          (sorted (Bbx_mbox.Engine.keyword_hits e_wire));
+        Alcotest.(check bool) "the keyword hit" true (tree_hits <> []);
         let idxs e =
           List.map (fun v -> v.Bbx_mbox.Engine.rule_idx) (Bbx_mbox.Engine.verdicts e)
         in

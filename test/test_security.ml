@@ -5,11 +5,14 @@
    probable cause, trivially biased ciphertexts). *)
 
 open Bbx_dpienc.Dpienc
-open Bbx_tokenizer.Tokenizer
+open Bbx_oracle.Records
 
 let key = key_of_secret "security-suite-k"
 
-let mk_tokens contents = List.mapi (fun i c -> { content = pad_short c; offset = 8 * i }) contents
+let pad_short = Bbx_tokenizer.Tokenizer.pad_short
+
+let mk_tokens contents =
+  List.mapi (fun i c -> { Bbx_oracle.Tokens.content = pad_short c; offset = 8 * i }) contents
 
 (* ---------- exact match privacy ---------- *)
 

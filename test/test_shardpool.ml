@@ -8,7 +8,6 @@
 
 open Bbx_dpienc.Dpienc
 open Bbx_mbox
-open Bbx_tokenizer.Tokenizer
 
 let rules =
   [ Bbx_rules.Rule.make ~sid:1 [ Bbx_rules.Rule.make_content "alertkw1" ];
@@ -34,12 +33,16 @@ let register_seq mb conn =
    sequential processing — where order is the point). *)
 let map_in_order f l = List.rev (List.fold_left (fun acc x -> f x :: acc) [] l)
 
+(* One payload's wire, delimiter-tokenized. *)
+let wire_of ?k_ssl s payload =
+  Bbx_oracle.Records.wire s ?k_ssl ~tokenization:(Delimiter { short_units = false }) payload
+
 (* Wires for one connection's deliveries, in order (each advances the
    sender's salt counters, so the list is computed once and replayed
    verbatim against every middlebox variant). *)
 let wires_for conn payloads =
   let s = sender_create Exact (key_for conn) ~salt0:0 in
-  map_in_order (fun p -> encode_tokens (sender_encrypt s (delimiter p))) payloads
+  map_in_order (wire_of s) payloads
 
 let with_pool ~domains f = Shardpool.with_pool ~domains Engine.default_config f
 
@@ -307,7 +310,7 @@ let migration_unit_tests =
         Shardpool.migrate pool ~conn_id:3 ~shard:((from + 1) mod 2);
         Alcotest.(check bool) "shard changed" true
           (Shardpool.conn_shard pool ~conn_id:3 <> from);
-        let wire = encode_tokens (sender_encrypt s ~k_ssl (delimiter p)) in
+        let wire = wire_of s ~k_ssl p in
         let vs = Shardpool.process_wire pool ~conn_id:3 wire in
         Alcotest.(check (list (pair int string))) "regex verdict after migration"
           [ (0, "regex-match") ] (t3_details vs));
@@ -316,9 +319,9 @@ let migration_unit_tests =
         let rules_kw = rules in
         let mk_wires () =
           let s = sender_create Exact key ~salt0:0 in
-          let w1 = encode_tokens (sender_encrypt s (delimiter "x=alertkw1")) in
+          let w1 = wire_of s "x=alertkw1" in
           let salt0 = sender_reset s in
-          let w2 = encode_tokens (sender_encrypt s (delimiter "y=otherkw2")) in
+          let w2 = wire_of s "y=otherkw2" in
           (w1, salt0, w2)
         in
         let w1, salt0, w2 = mk_wires () in

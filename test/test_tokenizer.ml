@@ -1,4 +1,5 @@
 open Bbx_tokenizer.Tokenizer
+open Bbx_oracle.Tokens
 
 let token = Alcotest.testable
     (fun fmt t -> Format.fprintf fmt "%S@%d" t.content t.offset)
@@ -136,9 +137,10 @@ let count_tests =
          (fun s -> delimiter_count s <= window_count s + String.length s / token_len));
   ]
 
-(* The list API is a shim over the streaming folds; these properties pin
-   the two views together: every fold visit, materialised through
-   [slice_token], must reproduce the list tokens in emission order. *)
+(* The list tokenizers of [Bbx_oracle.Tokens] are built on the folds;
+   these properties pin the two views together: every fold visit,
+   materialised through [slice_token], must reproduce the list tokens in
+   emission order, and the folds' visit counts must equal the count API. *)
 let streaming_tests =
   let collect fold s =
     List.rev (fold s ~init:[] ~f:(fun acc ~off ~len -> slice_token s ~off ~len :: acc))
