@@ -137,7 +137,7 @@ let print_alert v =
   Printf.printf "ALERT   sid:%d %s (%s, %s)\n%!"
     (Option.value v.Bbx_mbox.Engine.rule.Rule.sid ~default:0)
     (Option.value v.Bbx_mbox.Engine.rule.Rule.msg ~default:"")
-    (match v.Bbx_mbox.Engine.via with
+    (match Bbx_mbox.Engine.via v.Bbx_mbox.Engine.detail with
      | `Exact_match -> "exact match"
      | `Probable_cause -> "probable cause")
     (Bbx_mbox.Engine.detail_name v.Bbx_mbox.Engine.detail)
@@ -177,6 +177,9 @@ let budget_ms_arg =
 
 let mode_of probable = if probable then Dpienc.Probable else Dpienc.Exact
 
+let tokenization_of window =
+  if window then Dpienc.Window else Dpienc.Delimiter { short_units = false }
+
 let inspect_config_term =
   let make probable tier max_plain_bytes max_scan_ms =
     { Bbx_mbox.Engine.mode = mode_of probable; tier;
@@ -198,7 +201,7 @@ let inspect_cmd =
     let config =
       { Session.default_config with
         Session.inspect;
-        tokenization = (if window then Session.Window else Session.Delimiter);
+        tokenization = tokenization_of window;
         rule_prep = (if garbled then Session.Garbled else Session.Direct);
         setup_domains = max 1 setup_domains }
     in
@@ -292,22 +295,12 @@ let stats_cmd =
     | Some endpoint ->
       (* query a running blindboxd instead of driving a local trace *)
       let client = Bbx_daemon.Client.connect endpoint in
-      let s, daemon_metrics =
+      let s, body =
         Fun.protect
           ~finally:(fun () -> Bbx_daemon.Client.close client)
           (fun () ->
              let s = Bbx_daemon.Client.stats client in
-             (* METRICS_REQ postdates the stats record: an old daemon
-                answers ERROR (and closes this connection), so degrade to
-                the fixed record alone *)
-             let m =
-               match Bbx_daemon.Client.metrics client Bbx_wire.Wire.Prometheus with
-               | body -> Some body
-               | exception Bbx_daemon.Client.Server_error _ -> None
-               | exception Bbx_daemon.Client.Protocol_error _ -> None
-               | exception End_of_file -> None
-             in
-             (s, m))
+             (s, Bbx_daemon.Client.metrics client Bbx_wire.Wire.Prometheus))
       in
       let open Bbx_wire.Wire in
       Printf.printf "connections         %d\n" s.s_connections;
@@ -315,31 +308,27 @@ let stats_cmd =
       Printf.printf "total keyword hits  %d\n" s.s_total_keyword_hits;
       Printf.printf "alerts              %d\n" s.s_alerts;
       Printf.printf "blocked             %d\n" s.s_blocked;
-      (match daemon_metrics with
-       | None ->
-         Printf.printf "# daemon predates METRICS_REQ; pipeline counters unavailable\n"
-       | Some body ->
-         (* the daemon-side pipeline slice of the registry *)
-         let wanted line =
-           let has_prefix p =
-             String.length line >= String.length p && String.sub line 0 (String.length p) = p
-           in
-           (* histograms render a dozen bucket lines each; keep _sum/_count *)
-           let is_bucket =
-             match String.index_opt line '{' with
-             | Some i -> i >= 7 && String.sub line (i - 7) 7 = "_bucket"
-             | None -> false
-           in
-           (has_prefix "bbx_daemon_" || has_prefix "bbx_shard" || has_prefix "bbx_exec_"
-            || has_prefix "bbx_tier_"
-            || has_prefix "# TYPE bbx_daemon_" || has_prefix "# TYPE bbx_shard"
-            || has_prefix "# TYPE bbx_exec_" || has_prefix "# TYPE bbx_tier_")
-           && not is_bucket
-         in
-         Printf.printf "-- daemon pipeline metrics --\n";
-         List.iter
-           (fun line -> if line <> "" && wanted line then print_endline line)
-           (String.split_on_char '\n' body))
+      (* the daemon-side pipeline slice of the registry *)
+      let wanted line =
+        let has_prefix p =
+          String.length line >= String.length p && String.sub line 0 (String.length p) = p
+        in
+        (* histograms render a dozen bucket lines each; keep _sum/_count *)
+        let is_bucket =
+          match String.index_opt line '{' with
+          | Some i -> i >= 7 && String.sub line (i - 7) 7 = "_bucket"
+          | None -> false
+        in
+        (has_prefix "bbx_daemon_" || has_prefix "bbx_shard" || has_prefix "bbx_exec_"
+         || has_prefix "bbx_tier_"
+         || has_prefix "# TYPE bbx_daemon_" || has_prefix "# TYPE bbx_shard"
+         || has_prefix "# TYPE bbx_exec_" || has_prefix "# TYPE bbx_tier_")
+        && not is_bucket
+      in
+      Printf.printf "-- daemon pipeline metrics --\n";
+      List.iter
+        (fun line -> if line <> "" && wanted line then print_endline line)
+        (String.split_on_char '\n' body)
     | None ->
     let rules =
       match rules_path with
@@ -356,7 +345,7 @@ let stats_cmd =
       { Session.default_config with
         Session.inspect =
           { Bbx_mbox.Engine.default_config with mode = mode_of probable };
-        tokenization = (if window then Session.Window else Session.Delimiter);
+        tokenization = tokenization_of window;
         rule_prep = (if garbled then Session.Garbled else Session.Direct);
         setup_domains = max 1 setup_domains }
     in
@@ -546,13 +535,7 @@ let trace_cmd =
     let body =
       Fun.protect
         ~finally:(fun () -> Bbx_daemon.Client.close client)
-        (fun () ->
-           match Bbx_daemon.Client.metrics client scope with
-           | body -> body
-           | exception Bbx_daemon.Client.Server_error { code; message } ->
-             Printf.eprintf
-               "daemon error %d: %s (daemon predates METRICS_REQ?)\n" code message;
-             exit 1)
+        (fun () -> Bbx_daemon.Client.metrics client scope)
     in
     match out with
     | None -> print_string body
@@ -602,9 +585,6 @@ let migrate_cmd =
     let module Client = Bbx_daemon.Client in
     let module Wire = Bbx_wire.Wire in
     let mode = mode_of probable in
-    let features =
-      Wire.feature_migrate lor (if probable then Wire.feature_tiered else 0)
-    in
     let lines = ref [] in
     (try
        while true do lines := input_line stdin :: !lines done
@@ -615,10 +595,7 @@ let migrate_cmd =
       Printf.eprintf "migrate: no stdin lines to stream\n";
       exit 1
     end;
-    let s =
-      Client.establish ~features
-        (Bbx_daemon.Daemon.endpoint_of_string src) ~mode ~salt0:0 ~seed
-    in
+    let s = Client.establish (Bbx_daemon.Daemon.endpoint_of_string src) ~mode ~salt0:0 ~seed in
     let sender = Dpienc.sender_create mode s.Client.sc_key ~salt0:0 in
     let writer =
       if probable then

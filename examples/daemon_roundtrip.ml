@@ -35,9 +35,11 @@ let () =
   (* stream traffic: the sender encrypts, the daemon only ever sees
      DPIEnc records *)
   let sender = Dpienc.sender_create Dpienc.Exact s.Client.sc_key ~salt0:0 in
+  let base = ref 0 in
   let send_payload seq payload =
     let buf = Buffer.create 256 in
-    ignore (Dpienc.sender_encrypt_into sender payload buf : int);
+    ignore (Dpienc.sender_encrypt_into sender ~base:!base payload buf : int);
+    base := !base + String.length payload;
     Client.send_records s.Client.sc_client ~seq (Buffer.contents buf);
     let _, status, verdicts = Client.recv_verdict s.Client.sc_client in
     Printf.printf "  %-44s -> %s\n"

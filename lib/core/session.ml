@@ -27,15 +27,13 @@ let obs_tokens_per_send =
   Obs.histogram "bbx_session_tokens_per_send"
     ~buckets:[| 8; 32; 128; 512; 1024; 4096; 16384 |]
 
-type tokenization = Window | Delimiter
-
 type rule_prep_mode = Garbled | Direct
 
 module Engine = Bbx_mbox.Engine
 
 type config = {
   inspect : Engine.config;
-  tokenization : tokenization;
+  tokenization : Dpienc.tokenization;
   rule_prep : rule_prep_mode;
   salt0 : int;
   reset_period : int;
@@ -43,8 +41,9 @@ type config = {
 }
 
 let default_config =
-  { inspect = Engine.default_config; tokenization = Delimiter; rule_prep = Direct;
-    salt0 = 0; reset_period = 1 lsl 20; setup_domains = 1 }
+  { inspect = Engine.default_config;
+    tokenization = Dpienc.Delimiter { short_units = false };
+    rule_prep = Direct; salt0 = 0; reset_period = 1 lsl 20; setup_domains = 1 }
 
 type setup_stats = {
   chunk_count : int;
@@ -106,11 +105,6 @@ let make_session ?rg config keys ~prep ~mb_keys ~label =
     prep;
     rg }
 
-let wire_tokenization config =
-  match config.tokenization with
-  | Window -> Dpienc.Window
-  | Delimiter -> Dpienc.Delimiter { short_units = false }
-
 (* Size hint for the wire buffer: exact for window tokenization, a
    text-typical guess for delimiter (Buffer grows as needed either way). *)
 let wire_buf_estimate config payload =
@@ -120,21 +114,12 @@ let wire_buf_estimate config payload =
     | Dpienc.Probable -> Dpienc.probable_record_bytes
   in
   match config.tokenization with
-  | Window -> per * (max 1 (String.length payload - Tokenizer.token_len + 1))
-  | Delimiter -> per * (max 16 (String.length payload / 4))
+  | Dpienc.Window -> per * (max 1 (String.length payload - Tokenizer.token_len + 1))
+  | Dpienc.Delimiter _ -> per * (max 16 (String.length payload / 4))
 
 (* Handshake between the two endpoints; the middlebox observes only the
    public key shares. *)
-let run_handshake seed =
-  Obs.span_enter obs_handshake;
-  let st, client_share = Handshake.initiate (Drbg.create (seed ^ "/client")) in
-  let keys_r, server_share =
-    Handshake.respond (Drbg.create (seed ^ "/server")) ~peer_share:client_share
-  in
-  let keys = Handshake.complete st ~peer_share:server_share in
-  assert (keys = keys_r);
-  Obs.span_exit obs_handshake;
-  keys
+let run_handshake seed = Obs.time obs_handshake (fun () -> Handshake.local seed)
 
 (* Shared rule preparation used by [establish], [Duplex.establish] and
    [Fleet.establish], over a ruleset's distinct chunks.
@@ -237,7 +222,7 @@ let encrypt_delivery t ~tokenized payload =
     let buf = Buffer.create (wire_buf_estimate t.config payload) in
     let count =
       Dpienc.sender_encrypt_into t.dpi_sender ?k_ssl:(k_ssl_opt t)
-        ~base:t.sender_stream_off ~tokenization:(wire_tokenization t.config)
+        ~base:t.sender_stream_off ~tokenization:t.config.tokenization
         payload buf
     in
     t.sender_stream_off <- t.sender_stream_off + String.length payload;
@@ -255,7 +240,7 @@ let receiver_validate t ~tokenized plaintext forwarded_wire =
       let buf = Buffer.create (String.length forwarded_wire) in
       ignore
         (Dpienc.sender_encrypt_into t.dpi_mirror ?k_ssl:(k_ssl_opt t)
-           ~base:t.receiver_stream_off ~tokenization:(wire_tokenization t.config)
+           ~base:t.receiver_stream_off ~tokenization:t.config.tokenization
            plaintext buf : int);
       t.receiver_stream_off <- t.receiver_stream_off + String.length plaintext;
       Buffer.contents buf
@@ -305,13 +290,7 @@ let deliver t ~record ~wire ~token_count =
     raise (Evasion_detected "tokens attached to a binary frame");
   (* each rule is reported once, on the send that first triggered it *)
   let fresh = Engine.verdicts t.engine in
-  (* budget-exceeded is a flag, not a match: it never blocks *)
-  if List.exists
-      (fun v ->
-         v.Engine.rule.Bbx_rules.Rule.action = Bbx_rules.Rule.Drop
-         && v.Engine.detail <> `Budget_exceeded)
-      fresh
-  then begin
+  if Engine.blocks fresh then begin
     if not t.is_blocked then Obs.incr obs_blocked;
     t.is_blocked <- true
   end;
@@ -569,7 +548,7 @@ module Fleet = struct
     in
     ignore
       (Dpienc.sender_encrypt_into c.fc_sender ?k_ssl ~base:c.fc_off
-         ~tokenization:(wire_tokenization t.fl_config) payload buf : int);
+         ~tokenization:t.fl_config.tokenization payload buf : int);
     c.fc_off <- c.fc_off + String.length payload;
     Obs.incr obs_sends;
     Obs.add obs_payload_bytes (String.length payload);

@@ -15,8 +15,6 @@
       re-tokenizing the plaintext and comparing (§3.4); a cheating sender
       raises {!Evasion_detected}. *)
 
-type tokenization = Window | Delimiter
-
 type rule_prep_mode =
   | Garbled                       (** the real protocol: garbled circuits + OT *)
   | Direct
@@ -28,7 +26,8 @@ type config = {
   inspect : Bbx_mbox.Engine.config;
   (** the middlebox engines' mode, tier and Protocol III budget (default
       {!Bbx_mbox.Engine.default_config}) *)
-  tokenization : tokenization;
+  tokenization : Bbx_dpienc.Dpienc.tokenization;
+  (** default [Delimiter { short_units = false }] *)
   rule_prep : rule_prep_mode;
   salt0 : int;
   reset_period : int;  (** bytes between salt-counter resets; 0 = never *)

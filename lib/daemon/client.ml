@@ -5,7 +5,6 @@ module Engine = Bbx_mbox.Engine
 module Rule = Bbx_rules.Rule
 module Parser = Bbx_rules.Parser
 module Handshake = Bbx_tls.Handshake
-module Drbg = Bbx_crypto.Drbg
 
 exception Server_error of { code : int; message : string }
 exception Protocol_error of string
@@ -41,31 +40,10 @@ let rec recv t =
 let protocol_error what msg =
   raise
     (Protocol_error
-       (Printf.sprintf "expected %s, got message type %d" what
-          (match msg with
-           | Wire.Hello _ -> 1
-           | Wire.Hello_ok _ -> 2
-           | Wire.Rule_setup _ -> 3
-           | Wire.Setup_ok -> 4
-           | Wire.Token_stream _ -> 5
-           | Wire.Verdict _ -> 6
-           | Wire.Salt_reset _ -> 7
-           | Wire.Rule_update _ -> 8
-           | Wire.Update_ok _ -> 9
-           | Wire.Stats_req -> 10
-           | Wire.Stats _ -> 11
-           | Wire.Bye -> 12
-           | Wire.Error _ -> 13
-           | Wire.Metrics_req _ -> 14
-           | Wire.Metrics _ -> 15
-           | Wire.Record_stream _ -> 16
-           | Wire.Verdict_tiered _ -> 17
-           | Wire.Conn_export -> 18
-           | Wire.Conn_state _ -> 19
-           | Wire.Conn_import _ -> 20)))
+       (Printf.sprintf "expected %s, got message type %d" what (Wire.type_byte msg)))
 
-let hello ?(features = 0) t ~mode ~salt0 =
-  send t (Wire.Hello { version = Wire.version; mode; salt0; features });
+let hello ?features:_ t ~mode ~salt0 =
+  send t (Wire.Hello { version = Wire.version; mode; salt0; features = 0 });
   match recv t with
   | Wire.Hello_ok { conn_id; mode = mode'; rules_text } ->
     if mode' <> mode then raise (Protocol_error "daemon mode differs from HELLO");
@@ -82,13 +60,9 @@ let send_records t ~seq records = send t (Wire.Token_stream { seq; records })
 
 let send_record t ~seq record = send t (Wire.Record_stream { seq; record })
 
-(* VERDICT_TIERED is VERDICT plus the explicit detail byte; decoding the
-   legacy frame already fills v_detail (inferred from via), so callers
-   see one shape either way. *)
 let recv_verdict t =
   match recv t with
-  | Wire.Verdict { seq; status; verdicts }
-  | Wire.Verdict_tiered { seq; status; verdicts } -> (seq, status, verdicts)
+  | Wire.Verdict { seq; status; verdicts } -> (seq, status, verdicts)
   | msg -> protocol_error "VERDICT" msg
 
 let salt_reset t ~salt0 = send t (Wire.Salt_reset { salt0 })
@@ -102,9 +76,7 @@ let update_rules t ~remove_sids ~add ~pairs =
   let rec await acc =
     match recv t with
     | Wire.Update_ok { added } -> (added, List.rev acc)
-    | Wire.Verdict { seq; status; verdicts }
-    | Wire.Verdict_tiered { seq; status; verdicts } ->
-      await ((seq, status, verdicts) :: acc)
+    | Wire.Verdict { seq; status; verdicts } -> await ((seq, status, verdicts) :: acc)
     | msg -> protocol_error "UPDATE_OK" msg
   in
   await []
@@ -117,9 +89,7 @@ let export_conn t =
   let rec await acc =
     match recv t with
     | Wire.Conn_state { state } -> (state, List.rev acc)
-    | Wire.Verdict { seq; status; verdicts }
-    | Wire.Verdict_tiered { seq; status; verdicts } ->
-      await ((seq, status, verdicts) :: acc)
+    | Wire.Verdict { seq; status; verdicts } -> await ((seq, status, verdicts) :: acc)
     | msg -> protocol_error "CONN_STATE" msg
   in
   await []
@@ -162,29 +132,19 @@ type session = {
   sc_rules : Rule.t list;
   sc_key : Dpienc.key;
   sc_k_ssl : string;
-  sc_features : int;
   sc_mode : Dpienc.mode;
 }
 
 let pairs_for ~key rules =
   Array.map (fun c -> (c, Dpienc.token_enc key c)) (Engine.distinct_chunks rules)
 
-(* The S/R handshake runs between the two endpoints; the daemon plays
-   only the middlebox, so for a synthetic client both ends live here. *)
-let handshake seed =
-  let st, client_share = Handshake.initiate (Drbg.create (seed ^ "/client")) in
-  let keys_r, server_share =
-    Handshake.respond (Drbg.create (seed ^ "/server")) ~peer_share:client_share
-  in
-  let keys = Handshake.complete st ~peer_share:server_share in
-  assert (keys = keys_r);
-  keys
-
-let establish ?(features = 0) endpoint ~mode ~salt0 ~seed =
+let establish endpoint ~mode ~salt0 ~seed =
   let t = connect endpoint in
   match
-    let conn_id, rules = hello ~features t ~mode ~salt0 in
-    let keys = handshake seed in
+    let conn_id, rules = hello t ~mode ~salt0 in
+    (* the S/R handshake runs between the two endpoints; the daemon plays
+       only the middlebox, so for a synthetic client both ends live here *)
+    let keys = Handshake.local seed in
     let key = Dpienc.key_of_secret keys.Handshake.k in
     rule_setup t ~pairs:(pairs_for ~key rules);
     { sc_client = t;
@@ -192,7 +152,6 @@ let establish ?(features = 0) endpoint ~mode ~salt0 ~seed =
       sc_rules = rules;
       sc_key = key;
       sc_k_ssl = keys.Handshake.k_ssl;
-      sc_features = features;
       sc_mode = mode }
   with
   | session -> session
@@ -212,7 +171,7 @@ let migrate s endpoint =
   match
     (* salt0 = 0 satisfies HELLO in either mode; the snapshot's salt
        epoch supersedes it *)
-    let conn_id, rules = hello ~features:s.sc_features t ~mode:s.sc_mode ~salt0:0 in
+    let conn_id, rules = hello t ~mode:s.sc_mode ~salt0:0 in
     import_conn t ~state;
     ({ s with sc_client = t; sc_conn_id = conn_id; sc_rules = rules }, pending)
   with

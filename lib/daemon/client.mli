@@ -7,7 +7,9 @@
     loop for the streaming phase).  {!establish} runs the whole
     connection preamble: local S/R handshake (the middlebox never sees a
     key), HELLO, per-connection rule encryption over the ruleset the
-    daemon announced, RULE_SETUP. *)
+    daemon announced, RULE_SETUP.  There is one dialect: every session
+    may ship RECORD_STREAM, export and import, and reads each verdict's
+    detail from the one VERDICT frame. *)
 
 (** Raised when the daemon answers with an [ERROR] frame. *)
 exception Server_error of { code : int; message : string }
@@ -20,10 +22,10 @@ type t
 (** [connect endpoint] — raw transport, no handshake yet. *)
 val connect : Daemon.endpoint -> t
 
-(** [hello ?features t ~mode ~salt0] — returns the assigned connection id
-    and the daemon's ruleset.  [features] (default [0]) are the HELLO
-    feature bits; [0] encodes as the legacy body, so old daemons keep
-    accepting it. *)
+(** [hello t ~mode ~salt0] — returns the assigned connection id and the
+    daemon's ruleset.  [features] is accepted and ignored: the HELLO
+    features byte goes out as [0], and the daemon ignores it anyway.  It
+    stays only because [e2ebench/] still passes it. *)
 val hello :
   ?features:int -> t -> mode:Bbx_dpienc.Dpienc.mode -> salt0:int ->
   int * Bbx_rules.Rule.t list
@@ -39,14 +41,12 @@ val send_records : t -> seq:int -> string -> unit
 (** [send_record t ~seq record] frames one RECORD_STREAM: one sealed SSL
     record of the connection's stream, shipped before the TOKEN_STREAM
     carrying the matching tokens (no reply; draws no verdict).  Only
-    meaningful against a daemon in [Probable] mode with a tiered-aware
-    client ({!Bbx_wire.Wire.feature_tiered}); an old daemon answers
-    [ERROR{err_malformed}] like it does for [METRICS_REQ]. *)
+    meaningful against a daemon in [Probable] mode, whose engines
+    escalate on the recovered stream. *)
 val send_record : t -> seq:int -> string -> unit
 
-(** [recv_verdict t] — next VERDICT or VERDICT_TIERED frame (both carry
-    the same verdict record; the legacy frame's detail is inferred from
-    its via). *)
+(** [recv_verdict t] — the next VERDICT frame, each verdict with its
+    detail. *)
 val recv_verdict : t -> int * Bbx_wire.Wire.status * Bbx_wire.Wire.verdict list
 
 (** [salt_reset t ~salt0] — fire-and-forget (FIFO with deliveries). *)
@@ -66,8 +66,7 @@ val update_rules :
 (** [export_conn t] sends [CONN_EXPORT] and collects the reply: the
     serialised connection blob, plus any verdicts that were still in
     flight (the daemon flushes them before the [CONN_STATE] frame).  The
-    connection is gone from the daemon afterwards.  Requires
-    {!Bbx_wire.Wire.feature_migrate} in the HELLO features. *)
+    connection is gone from the daemon afterwards. *)
 val export_conn : t -> string * (int * Bbx_wire.Wire.status * Bbx_wire.Wire.verdict list) list
 
 (** [import_conn t ~state] resumes an exported connection on this daemon,
@@ -79,9 +78,7 @@ val stats : t -> Bbx_wire.Wire.stats
 
 (** [metrics t scope] — the daemon's full metric registry (or trace
     window) in the requested rendering; like {!stats} it needs no
-    handshake.  An old daemon that predates [METRICS_REQ] answers
-    [ERROR{err_malformed}], surfaced as {!Server_error} — callers
-    wanting graceful fallback catch it. *)
+    handshake. *)
 val metrics : t -> Bbx_wire.Wire.metrics_scope -> string
 
 val close : t -> unit
@@ -111,12 +108,10 @@ type session = {
   sc_rules : Bbx_rules.Rule.t list;  (** ruleset announced by the daemon *)
   sc_key : Bbx_dpienc.Dpienc.key;    (** DPIEnc key (sender side) *)
   sc_k_ssl : string;                 (** record-layer key, 16 bytes *)
-  sc_features : int;                 (** feature bits sent in HELLO *)
   sc_mode : Bbx_dpienc.Dpienc.mode;  (** mode agreed at HELLO *)
 }
 
 val establish :
-  ?features:int ->
   Daemon.endpoint ->
   mode:Bbx_dpienc.Dpienc.mode ->
   salt0:int ->
@@ -129,8 +124,7 @@ val establish :
     Sender-side key material and salt counters carry over unchanged — the
     snapshot agrees with them — so the caller keeps streaming with the
     same DPIEnc sender.  Returns the rebound session (fresh [sc_client]
-    and [sc_conn_id]) and the verdicts still in flight on the source.
-    Requires {!Bbx_wire.Wire.feature_migrate}. *)
+    and [sc_conn_id]) and the verdicts still in flight on the source. *)
 val migrate :
   session ->
   Daemon.endpoint ->

@@ -109,7 +109,6 @@ type client = {
   mutable outq_bytes : int;
   mutable state : conn_state;
   mutable conn_id : int;         (* -1 until HELLO *)
-  mutable features : int;        (* HELLO feature bits; 0 for old clients *)
   mutable registered : bool;     (* conn_id live in the shard pool *)
   mutable rules : Rule.t list;   (* this connection's current ruleset *)
   mutable closing : bool;        (* flush pending output, then close *)
@@ -275,7 +274,6 @@ let verdicts_to_wire vs =
   List.map
     (fun v ->
        { Wire.v_sid = Option.value v.Engine.rule.Rule.sid ~default:0;
-         v_via = v.Engine.via;
          v_detail = v.Engine.detail;
          v_msg = Option.value v.Engine.rule.Rule.msg ~default:"" })
     vs
@@ -299,21 +297,13 @@ let flush_pool t =
     while not (Queue.is_empty t.pending) do
       let ticket, cl, seq = Queue.pop t.pending in
       if not cl.closed then begin
-        (* clients that advertised the tiered extension get the explicit
-           detail byte; everyone else keeps the legacy frame *)
-        let verdict_msg ~status ~verdicts =
-          if cl.features land Wire.feature_tiered <> 0 then
-            Wire.Verdict_tiered { seq; status; verdicts }
-          else Wire.Verdict { seq; status; verdicts }
+        let status, verdicts =
+          match Hashtbl.find_opt results ticket with
+          | Some [] -> (Wire.Clean, [])
+          | Some vs -> (Wire.Alerts, verdicts_to_wire vs)
+          | None -> (Wire.Dropped, [])
         in
-        match Hashtbl.find_opt results ticket with
-        | Some [] ->
-          enqueue ~seq t cl (verdict_msg ~status:Wire.Clean ~verdicts:[])
-        | Some vs ->
-          enqueue ~seq t cl
-            (verdict_msg ~status:Wire.Alerts ~verdicts:(verdicts_to_wire vs))
-        | None ->
-          enqueue ~seq t cl (verdict_msg ~status:Wire.Dropped ~verdicts:[])
+        enqueue ~seq t cl (Wire.Verdict { seq; status; verdicts })
       end
     done
   end
@@ -328,7 +318,7 @@ let enc_table_for ~needed pairs =
 
 let handle_msg t cl msg =
   match (msg, cl.state) with
-  | Wire.Hello { version; mode; salt0; features }, Awaiting_hello ->
+  | Wire.Hello { version; mode; salt0; features = _ }, Awaiting_hello ->
     if version <> Wire.version then
       error_close t cl Wire.err_version "unsupported protocol version %d" version
     else if mode <> t.cfg.inspect.Engine.mode then
@@ -341,7 +331,6 @@ let handle_msg t cl msg =
     else begin
       cl.conn_id <- t.next_conn_id;
       t.next_conn_id <- t.next_conn_id + 1;
-      cl.features <- features;
       cl.state <- Awaiting_setup { salt0 };
       enqueue t cl
         (Wire.Hello_ok { conn_id = cl.conn_id; mode; rules_text = t.rules_text })
@@ -367,36 +356,29 @@ let handle_msg t cl msg =
       (* takes RULE_SETUP's place: the snapshot already carries the
          prepared rule encryptions and every counter (the HELLO salt0 is
          superseded by the snapshot's salt epoch) *)
-      if cl.features land Wire.feature_migrate = 0 then
-        error_close t cl Wire.err_protocol "CONN_IMPORT without feature_migrate"
-      else
-        match Shardpool.import_conn t.pool ~conn_id:cl.conn_id state with
-        | () ->
-          cl.registered <- true;
-          cl.state <- Streaming;
-          Obs.incr obs_imports;
-          Obs.add_gauge obs_active 1;
-          enqueue t cl Wire.Setup_ok
-        | exception Invalid_argument m ->
-          (* import validates front-side, so a corrupt blob is rejected
-             here and never reaches a worker domain *)
-          error_close t cl Wire.err_setup "%s" m
+      match Shardpool.import_conn t.pool ~conn_id:cl.conn_id state with
+      | () ->
+        cl.registered <- true;
+        cl.state <- Streaming;
+        Obs.incr obs_imports;
+        Obs.add_gauge obs_active 1;
+        enqueue t cl Wire.Setup_ok
+      | exception Invalid_argument m ->
+        (* import validates front-side, so a corrupt blob is rejected
+           here and never reaches a worker domain *)
+        error_close t cl Wire.err_setup "%s" m
     end
   | Wire.Conn_export, Streaming ->
-    if cl.features land Wire.feature_migrate = 0 then
-      error_close t cl Wire.err_protocol "CONN_EXPORT without feature_migrate"
-    else begin
-      (* reply every still-pending verdict first, so the client holds a
-         complete verdict history before the state frame; the export then
-         drains the connection through its FIFO mailbox *)
-      flush_pool t;
-      let state = Shardpool.export_conn t.pool ~conn_id:cl.conn_id in
-      cl.registered <- false;
-      cl.state <- Drained;
-      Obs.incr obs_exports;
-      Obs.add_gauge obs_active (-1);
-      enqueue t cl (Wire.Conn_state { state })
-    end
+    (* reply every still-pending verdict first, so the client holds a
+       complete verdict history before the state frame; the export then
+       drains the connection through its FIFO mailbox *)
+    flush_pool t;
+    let state = Shardpool.export_conn t.pool ~conn_id:cl.conn_id in
+    cl.registered <- false;
+    cl.state <- Drained;
+    Obs.incr obs_exports;
+    Obs.add_gauge obs_active (-1);
+    enqueue t cl (Wire.Conn_state { state })
   | Wire.Token_stream { seq; records }, Streaming ->
     let timing = timing_on () in
     let t0 = if timing then Trace.now_ns () else 0 in
@@ -464,7 +446,7 @@ let handle_msg t cl msg =
   | Wire.Bye, _ -> cl.closing <- true
   | ( Wire.(
         ( Hello _ | Hello_ok _ | Rule_setup _ | Setup_ok | Token_stream _
-        | Verdict _ | Verdict_tiered _ | Salt_reset _ | Rule_update _
+        | Verdict _ | Salt_reset _ | Rule_update _
         | Update_ok _ | Stats _ | Error _ | Metrics _ | Record_stream _
         | Conn_export | Conn_state _ | Conn_import _ )),
       _ ) ->
@@ -594,7 +576,6 @@ let accept_ready t =
           outq_bytes = 0;
           state = Awaiting_hello;
           conn_id = -1;
-          features = 0;
           registered = false;
           rules = t.cfg.rules;
           closing = false;

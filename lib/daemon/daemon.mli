@@ -7,13 +7,12 @@
     endpoint half (handshake between S and R happens {e off-box} — the
     middlebox never sees a key), ships its per-connection obfuscated rule
     encryptions in [RULE_SETUP], then streams {!Bbx_dpienc.Dpienc}
-    records in [TOKEN_STREAM] frames and reads [VERDICT] replies.
-    Clients that advertise {!Bbx_wire.Wire.feature_tiered} in [HELLO]
-    may additionally ship their sealed SSL stream in [RECORD_STREAM]
-    frames — fuel for Protocol III probable-cause escalation on the
-    daemon's engines — and get their verdicts as [VERDICT_TIERED],
-    which carries the per-verdict tier detail byte; everyone else keeps
-    legacy [VERDICT] frames.
+    records in [TOKEN_STREAM] frames and reads [VERDICT] replies.  A
+    client may also ship its sealed SSL stream in [RECORD_STREAM] frames
+    — fuel for Protocol III probable-cause escalation on the daemon's
+    engines.  Every client gets the same [VERDICT] frame, whose entries
+    carry the per-verdict detail byte; the daemon ignores [HELLO]'s
+    features byte.
 
     {b Event loop.}  A single front domain owns every socket: a
     [select]-based loop accepts, reads frames, routes control messages,

@@ -126,11 +126,15 @@ let setup_conn cfg ~idx =
   in
   let buf = Buffer.create (4 * cfg.lg_payload_bytes) in
   let tokens = Array.make cfg.lg_sends 0 in
+  (* one connection is one stream: each frame's tokens carry their stream
+     offsets, which offset/depth constraints are checked against *)
+  let base = ref 0 in
   let frames =
     Array.mapi
       (fun j payload ->
         Buffer.clear buf;
-        tokens.(j) <- Dpienc.sender_encrypt_into sender ?k_ssl payload buf;
+        tokens.(j) <- Dpienc.sender_encrypt_into sender ?k_ssl ~base:!base payload buf;
+        base := !base + String.length payload;
         Wire.encode_frame_string
           (Wire.Token_stream { seq = j; records = Buffer.contents buf }))
       pays
@@ -357,27 +361,18 @@ let hist_snapshot body name =
       Some (Array.of_list (List.rev !bounds), Array.of_list (List.rev !counts))
 
 (* A dedicated monitoring connection (like STATS_REQ, no handshake
-   needed): an old daemon answers ERROR and closes it, which costs us the
-   breakdown — zeros in the report — but never touches a streaming
-   connection. *)
+   needed), so the scrape never touches a streaming connection. *)
 let fetch_phase_snaps endpoint =
-  match Client.connect endpoint with
-  | exception (Unix.Unix_error _ | Failure _) -> None
-  | mon ->
-    Fun.protect
-      ~finally:(fun () -> Client.close mon)
-      (fun () ->
-         match Client.metrics mon Wire.Jsonl with
-         | body -> begin
-             match
-               ( hist_snapshot body "bbx_daemon_queue_wait_us",
-                 hist_snapshot body "bbx_shard_service_us" )
-             with
-             | Some q, Some s -> Some (q, s)
-             | _ -> None
-           end
-         | exception (Client.Server_error _ | Client.Protocol_error _) -> None
-         | exception (End_of_file | Unix.Unix_error _ | Wire.Malformed _) -> None)
+  let mon = Client.connect endpoint in
+  let body =
+    Fun.protect ~finally:(fun () -> Client.close mon) (fun () ->
+        Client.metrics mon Wire.Jsonl)
+  in
+  match
+    (hist_snapshot body "bbx_daemon_queue_wait_us", hist_snapshot body "bbx_shard_service_us")
+  with
+  | Some q, Some s -> Some (q, s)
+  | _ -> None
 
 let diff_counts before after =
   if Array.length before <> Array.length after then after

@@ -3,7 +3,9 @@
 
     Setup runs through the blocking {!Client} (handshake, HELLO,
     RULE_SETUP) and pre-encrypts every TOKEN_STREAM frame, so the
-    streaming phase measures the daemon, not the client's crypto.
+    streaming phase measures the daemon, not the client's crypto.  Each
+    connection's frames are one stream: their tokens carry running
+    stream offsets, as {!Blindbox.Session} and a real sender's do.
     Streaming is a single non-blocking [select] loop: frames are paced
     to an aggregate target rate (or closed-loop when [rate = 0]) with at
     most [inflight] outstanding frames per connection; round-trip time
@@ -60,8 +62,8 @@ type report = {
                                   interval, estimated from the
                                   [bbx_daemon_queue_wait_us] bucket delta
                                   fetched over [METRICS_REQ] (bucket
-                                  upper bounds; [0.] when the daemon
-                                  predates the message) *)
+                                  upper bounds; [0.] when the histogram
+                                  is missing or empty) *)
   rp_qwait_p95_us : float;
   rp_qwait_p99_us : float;
   rp_service_p50_us : float;  (** shard inspection time, same method

@@ -22,12 +22,18 @@ let detail_name = function
   | `Regex_match -> "regex-match"
   | `Budget_exceeded -> "budget-exceeded"
 
-type verdict = {
-  rule_idx : int;
-  rule : Rule.t;
-  via : [ `Exact_match | `Probable_cause ];
-  detail : detail;
-}
+type verdict = { rule_idx : int; rule : Rule.t; detail : detail }
+
+let via = function
+  | `Exact_hit | `Composite_match -> `Exact_match
+  | `Regex_match | `Budget_exceeded -> `Probable_cause
+
+(* A budget-exceeded verdict is a flag, not a match: it never tears the
+   connection down, even under a drop rule. *)
+let blocks fresh =
+  List.exists
+    (fun v -> v.rule.Rule.action = Rule.Drop && v.detail <> `Budget_exceeded)
+    fresh
 
 type budget = { max_plain_bytes : int; max_scan_ms : int }
 
@@ -634,14 +640,6 @@ let satisfiable t rule_idx ~visited =
   in
   Classify.contents_satisfiable ~candidates contents
 
-let verdict_of rule_idx rule detail =
-  let via =
-    match detail with
-    | `Exact_hit | `Composite_match -> `Exact_match
-    | `Regex_match | `Budget_exceeded -> `Probable_cause
-  in
-  { rule_idx; rule; via; detail }
-
 (* Evaluate one queued rule exactly as a full scan would, recording a
    decision in [decided]; returns it, if any. *)
 let evaluate t rule_idx ~visited =
@@ -649,7 +647,7 @@ let evaluate t rule_idx ~visited =
   let rule = rs.rules.(rule_idx) in
   let decide detail =
     Bytes.set t.decided rule_idx (Char.chr (detail_byte detail + 1));
-    Some (verdict_of rule_idx rule detail)
+    Some { rule_idx; rule; detail }
   in
   match rs.classes.(rule_idx) with
   | Classify.Protocol_I ->
@@ -727,7 +725,10 @@ let decided t =
   for i = Bytes.length t.decided - 1 downto 0 do
     match Char.code (Bytes.get t.decided i) with
     | 0 -> ()
-    | b -> acc := verdict_of i t.keys.ruleset.rules.(i) (detail_of_byte (b - 1)) :: !acc
+    | b ->
+      acc :=
+        { rule_idx = i; rule = t.keys.ruleset.rules.(i); detail = detail_of_byte (b - 1) }
+        :: !acc
   done;
   !acc
 

@@ -32,12 +32,17 @@ type detail = [ `Exact_hit | `Composite_match | `Regex_match | `Budget_exceeded 
     ["regex-match"], ["budget-exceeded"]. *)
 val detail_name : detail -> string
 
-type verdict = {
-  rule_idx : int;
-  rule : Bbx_rules.Rule.t;
-  via : [ `Exact_match | `Probable_cause ];
-  detail : detail;
-}
+type verdict = { rule_idx : int; rule : Bbx_rules.Rule.t; detail : detail }
+
+(** The path a detail was reached on: Protocols I and II decide on exact
+    matches ([`Exact_match]), Protocol III through probable cause
+    ([`Probable_cause]), a budget-exceeded flag included. *)
+val via : detail -> [ `Exact_match | `Probable_cause ]
+
+(** [blocks fresh] — do these fresh verdicts block the connection?  A
+    [drop] rule's verdict does, unless its detail is [`Budget_exceeded]:
+    that is a flag, not a match. *)
+val blocks : verdict list -> bool
 
 (** Per-flow escalation budgets.  [max_plain_bytes] caps retained +
     decrypted stream bytes, [max_scan_ms] caps cumulative regex-confirm

@@ -88,14 +88,7 @@ let process_wire t ~conn_id wire =
   Obs.add obs_tokens tokens;
   Obs.add obs_hits new_hits;
   Obs.add obs_alerts n_fresh;
-  (* A budget-exceeded verdict is a flag, not a match: it must never tear
-     the connection down, even under a drop rule. *)
-  if List.exists
-      (fun v ->
-         v.Engine.rule.Bbx_rules.Rule.action = Bbx_rules.Rule.Drop
-         && v.Engine.detail <> `Budget_exceeded)
-      fresh
-  then begin
+  if Engine.blocks fresh then begin
     c.conn_blocked <- true;
     t.blocked_count <- t.blocked_count + 1;
     Obs.incr obs_blocked

@@ -26,3 +26,12 @@ let respond drbg ~peer_share =
   (derive_keys (shared_secret b peer_share), share)
 
 let complete { secret } ~peer_share = derive_keys (shared_secret secret peer_share)
+
+let local seed =
+  let st, client_share = initiate (Drbg.create (seed ^ "/client")) in
+  let keys_r, server_share =
+    respond (Drbg.create (seed ^ "/server")) ~peer_share:client_share
+  in
+  let keys = complete st ~peer_share:server_share in
+  assert (keys = keys_r);
+  keys

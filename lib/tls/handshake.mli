@@ -33,3 +33,9 @@ val complete : state -> peer_share:string -> keys
 (** [derive_keys k0] — key-schedule from a raw master secret; exposed for
     tests and for resuming sessions. *)
 val derive_keys : string -> keys
+
+(** [local seed] runs both endpoints' halves in one process, each drawing
+    from a DRBG seeded with [seed], and returns the agreed keys: the
+    handshake of in-process sessions and of synthetic daemon clients,
+    where S and R live together and the middlebox sees no share at all. *)
+val local : string -> keys

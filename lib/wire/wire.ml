@@ -7,19 +7,14 @@ let malformed fmt = Printf.ksprintf (fun s -> raise (Malformed s)) fmt
 
 let max_frame_bytes = 16 * 1024 * 1024
 
-let version = 1
+let version = 2
 
 let chunk_len = Tokenizer.token_len
 let enc_len = 16
 
 type detail = [ `Exact_hit | `Composite_match | `Regex_match | `Budget_exceeded ]
 
-type verdict = {
-  v_sid : int;
-  v_via : [ `Exact_match | `Probable_cause ];
-  v_detail : detail;
-  v_msg : string;
-}
+type verdict = { v_sid : int; v_detail : detail; v_msg : string }
 
 type status = Clean | Alerts | Dropped
 
@@ -31,10 +26,7 @@ type stats = {
   s_blocked : int;
 }
 
-(* HELLO feature bits *)
-let feature_metrics = 1
 let feature_tiered = 2
-let feature_migrate = 4
 
 type metrics_scope = Prometheus | Jsonl | Trace
 
@@ -59,7 +51,6 @@ type msg =
   | Metrics_req of { scope : metrics_scope }
   | Metrics of { scope : metrics_scope; body : string }
   | Record_stream of { seq : int; record : string }
-  | Verdict_tiered of { seq : int; status : status; verdicts : verdict list }
   | Conn_export
   | Conn_state of { state : string }
   | Conn_import of { state : string }
@@ -70,27 +61,26 @@ let err_version = 3
 let err_setup = 4
 let err_internal = 5
 
-(* type bytes *)
-let t_hello = 1
-let t_hello_ok = 2
-let t_rule_setup = 3
-let t_setup_ok = 4
-let t_token_stream = 5
-let t_verdict = 6
-let t_salt_reset = 7
-let t_rule_update = 8
-let t_update_ok = 9
-let t_stats_req = 10
-let t_stats = 11
-let t_bye = 12
-let t_error = 13
-let t_metrics_req = 14
-let t_metrics = 15
-let t_record_stream = 16
-let t_verdict_tiered = 17
-let t_conn_export = 18
-let t_conn_state = 19
-let t_conn_import = 20
+let type_byte = function
+  | Hello _ -> 1
+  | Hello_ok _ -> 2
+  | Rule_setup _ -> 3
+  | Setup_ok -> 4
+  | Token_stream _ -> 5
+  | Verdict _ -> 6
+  | Salt_reset _ -> 7
+  | Rule_update _ -> 8
+  | Update_ok _ -> 9
+  | Stats_req -> 10
+  | Stats _ -> 11
+  | Bye -> 12
+  | Error _ -> 13
+  | Metrics_req _ -> 14
+  | Metrics _ -> 15
+  | Record_stream _ -> 16
+  | Conn_export -> 18
+  | Conn_state _ -> 19
+  | Conn_import _ -> 20
 
 let mode_byte = function Dpienc.Exact -> 0 | Dpienc.Probable -> 1
 
@@ -98,13 +88,6 @@ let mode_of_byte = function
   | 0 -> Dpienc.Exact
   | 1 -> Dpienc.Probable
   | b -> malformed "bad mode byte %d" b
-
-let via_byte = function `Exact_match -> 0 | `Probable_cause -> 1
-
-let via_of_byte = function
-  | 0 -> `Exact_match
-  | 1 -> `Probable_cause
-  | b -> malformed "bad via byte %d" b
 
 let detail_byte = function
   | `Exact_hit -> 0
@@ -118,12 +101,6 @@ let detail_of_byte = function
   | 2 -> `Regex_match
   | 3 -> `Budget_exceeded
   | b -> malformed "bad detail byte %d" b
-
-(* What a legacy (detail-less) VERDICT entry implies: exact-path verdicts
-   are at least an exact hit, probable-cause ones a regex match. *)
-let detail_of_via = function
-  | `Exact_match -> `Exact_hit
-  | `Probable_cause -> `Regex_match
 
 let status_byte = function Clean -> 0 | Alerts -> 1 | Dropped -> 2
 
@@ -258,95 +235,57 @@ let finish c msg_name =
 
 (* ---------- codec ---------- *)
 
-let encode_payload buf = function
+let encode_payload buf msg =
+  put_u8 buf (type_byte msg);
+  match msg with
   | Hello { version; mode; salt0; features } ->
-    put_u8 buf t_hello;
     put_u8 buf version;
     put_u8 buf (mode_byte mode);
     put_i64 buf salt0;
-    (* the features byte is a trailing extension: [features = 0] encodes
-       as the legacy 11-byte body, so a new client with no feature needs
-       stays acceptable to a pre-features daemon *)
-    if features <> 0 then put_u8 buf features
+    put_u8 buf features
   | Hello_ok { conn_id; mode; rules_text } ->
-    put_u8 buf t_hello_ok;
     put_u32 buf conn_id;
     put_u8 buf (mode_byte mode);
     Buffer.add_string buf rules_text
-  | Rule_setup { pairs } ->
-    put_u8 buf t_rule_setup;
-    put_pairs buf pairs
-  | Setup_ok -> put_u8 buf t_setup_ok
+  | Rule_setup { pairs } -> put_pairs buf pairs
   | Token_stream { seq; records } ->
-    put_u8 buf t_token_stream;
     put_u32 buf seq;
     Buffer.add_string buf records
   | Verdict { seq; status; verdicts } ->
-    put_u8 buf t_verdict;
     put_u32 buf seq;
     put_u8 buf (status_byte status);
     put_u16 buf (List.length verdicts);
     List.iter
       (fun v ->
          put_u32 buf v.v_sid;
-         put_u8 buf (via_byte v.v_via);
+         put_u8 buf (detail_byte v.v_detail);
          put_str16 buf v.v_msg)
       verdicts
-  | Salt_reset { salt0 } ->
-    put_u8 buf t_salt_reset;
-    put_i64 buf salt0
+  | Salt_reset { salt0 } -> put_i64 buf salt0
   | Rule_update { remove_sids; add_text; pairs } ->
-    put_u8 buf t_rule_update;
     put_u16 buf (List.length remove_sids);
     List.iter (put_u32 buf) remove_sids;
     put_str32 buf add_text;
     put_pairs buf pairs
-  | Update_ok { added } ->
-    put_u8 buf t_update_ok;
-    put_u32 buf added
-  | Stats_req -> put_u8 buf t_stats_req
+  | Update_ok { added } -> put_u32 buf added
   | Stats s ->
-    put_u8 buf t_stats;
     put_i64 buf s.s_connections;
     put_i64 buf s.s_total_tokens;
     put_i64 buf s.s_total_keyword_hits;
     put_i64 buf s.s_alerts;
     put_i64 buf s.s_blocked
-  | Bye -> put_u8 buf t_bye
   | Error { code; message } ->
-    put_u8 buf t_error;
     put_u16 buf code;
     put_str16 buf message
-  | Metrics_req { scope } ->
-    put_u8 buf t_metrics_req;
-    put_u8 buf (scope_byte scope)
+  | Metrics_req { scope } -> put_u8 buf (scope_byte scope)
   | Metrics { scope; body } ->
-    put_u8 buf t_metrics;
     put_u8 buf (scope_byte scope);
     Buffer.add_string buf body
   | Record_stream { seq; record } ->
-    put_u8 buf t_record_stream;
     put_u32 buf seq;
     Buffer.add_string buf record
-  | Verdict_tiered { seq; status; verdicts } ->
-    put_u8 buf t_verdict_tiered;
-    put_u32 buf seq;
-    put_u8 buf (status_byte status);
-    put_u16 buf (List.length verdicts);
-    List.iter
-      (fun v ->
-         put_u32 buf v.v_sid;
-         put_u8 buf (via_byte v.v_via);
-         put_u8 buf (detail_byte v.v_detail);
-         put_str16 buf v.v_msg)
-      verdicts
-  | Conn_export -> put_u8 buf t_conn_export
-  | Conn_state { state } ->
-    put_u8 buf t_conn_state;
-    Buffer.add_string buf state
-  | Conn_import { state } ->
-    put_u8 buf t_conn_import;
-    Buffer.add_string buf state
+  | Conn_state { state } | Conn_import { state } -> Buffer.add_string buf state
+  | Setup_ok | Stats_req | Bye | Conn_export -> ()
 
 let encode_frame buf msg =
   let body = Buffer.create 64 in
@@ -364,94 +303,71 @@ let encode_frame_string msg =
 let decode payload =
   if String.length payload = 0 then malformed "empty frame";
   let c = { src = payload; pos = 0 } in
-  let ty = get_u8 c in
   let msg =
-    if ty = t_hello then begin
+    match get_u8 c with
+    | 1 ->
       let version = get_u8 c in
       let mode = mode_of_byte (get_u8 c) in
       let salt0 = get_i64 c in
-      let features = if c.pos < String.length c.src then get_u8 c else 0 in
+      let features = get_u8 c in
       Hello { version; mode; salt0; features }
-    end
-    else if ty = t_hello_ok then begin
+    | 2 ->
       let conn_id = get_u32 c in
       let mode = mode_of_byte (get_u8 c) in
       let rules_text = get_rest c in
       Hello_ok { conn_id; mode; rules_text }
-    end
-    else if ty = t_rule_setup then Rule_setup { pairs = get_pairs c }
-    else if ty = t_setup_ok then Setup_ok
-    else if ty = t_token_stream then begin
+    | 3 -> Rule_setup { pairs = get_pairs c }
+    | 4 -> Setup_ok
+    | 5 ->
       let seq = get_u32 c in
       let records = get_rest c in
       Token_stream { seq; records }
-    end
-    else if ty = t_verdict then begin
+    | 6 ->
       let seq = get_u32 c in
       let status = status_of_byte (get_u8 c) in
       let n = get_u16 c in
       let verdicts =
         List.init n (fun _ ->
             let v_sid = get_u32 c in
-            let v_via = via_of_byte (get_u8 c) in
+            let v_detail = detail_of_byte (get_u8 c) in
             let v_msg = get_str16 c in
-            { v_sid; v_via; v_detail = detail_of_via v_via; v_msg })
+            { v_sid; v_detail; v_msg })
       in
       Verdict { seq; status; verdicts }
-    end
-    else if ty = t_salt_reset then Salt_reset { salt0 = get_i64 c }
-    else if ty = t_rule_update then begin
+    | 7 -> Salt_reset { salt0 = get_i64 c }
+    | 8 ->
       let n = get_u16 c in
       let remove_sids = List.init n (fun _ -> get_u32 c) in
       let add_text = get_str32 c in
       let pairs = get_pairs c in
       Rule_update { remove_sids; add_text; pairs }
-    end
-    else if ty = t_update_ok then Update_ok { added = get_u32 c }
-    else if ty = t_stats_req then Stats_req
-    else if ty = t_stats then begin
+    | 9 -> Update_ok { added = get_u32 c }
+    | 10 -> Stats_req
+    | 11 ->
       let s_connections = get_i64 c in
       let s_total_tokens = get_i64 c in
       let s_total_keyword_hits = get_i64 c in
       let s_alerts = get_i64 c in
       let s_blocked = get_i64 c in
       Stats { s_connections; s_total_tokens; s_total_keyword_hits; s_alerts; s_blocked }
-    end
-    else if ty = t_bye then Bye
-    else if ty = t_metrics_req then Metrics_req { scope = scope_of_byte (get_u8 c) }
-    else if ty = t_metrics then begin
-      let scope = scope_of_byte (get_u8 c) in
-      let body = get_rest c in
-      Metrics { scope; body }
-    end
-    else if ty = t_record_stream then begin
-      let seq = get_u32 c in
-      let record = get_rest c in
-      Record_stream { seq; record }
-    end
-    else if ty = t_verdict_tiered then begin
-      let seq = get_u32 c in
-      let status = status_of_byte (get_u8 c) in
-      let n = get_u16 c in
-      let verdicts =
-        List.init n (fun _ ->
-            let v_sid = get_u32 c in
-            let v_via = via_of_byte (get_u8 c) in
-            let v_detail = detail_of_byte (get_u8 c) in
-            let v_msg = get_str16 c in
-            { v_sid; v_via; v_detail; v_msg })
-      in
-      Verdict_tiered { seq; status; verdicts }
-    end
-    else if ty = t_conn_export then Conn_export
-    else if ty = t_conn_state then Conn_state { state = get_rest c }
-    else if ty = t_conn_import then Conn_import { state = get_rest c }
-    else if ty = t_error then begin
+    | 12 -> Bye
+    | 13 ->
       let code = get_u16 c in
       let message = get_str16 c in
       Error { code; message }
-    end
-    else malformed "unknown message type %d" ty
+    | 14 -> Metrics_req { scope = scope_of_byte (get_u8 c) }
+    | 15 ->
+      let scope = scope_of_byte (get_u8 c) in
+      let body = get_rest c in
+      Metrics { scope; body }
+    | 16 ->
+      let seq = get_u32 c in
+      let record = get_rest c in
+      Record_stream { seq; record }
+    | 18 -> Conn_export
+    | 19 -> Conn_state { state = get_rest c }
+    | 20 -> Conn_import { state = get_rest c }
+    | ty -> malformed "unknown message type %d" ty
   in
   finish c "frame";
   msg

@@ -32,28 +32,25 @@
     verbatim.  [STATS_REQ] is honoured in any connection state, so a
     monitoring client can query a daemon without a handshake.
 
-    {b Feature negotiation}: [HELLO] may carry one trailing feature-bits
-    byte.  [features = 0] encodes as the legacy 11-byte body, so old
-    daemons keep accepting new clients with no feature needs; a daemon
-    that parses the byte implicitly supports every feature it echoes no
-    error for.  [METRICS_REQ]/[METRICS] ({!feature_metrics}) expose the
-    full {!Bbx_obs} registry — Prometheus text, JSONL, or a flight-recorder
-    trace window — from a running daemon; like [STATS_REQ] it is honoured
-    in any connection state.  Against an old daemon a [METRICS_REQ] draws
-    an [ERROR{err_malformed}] (unknown type byte), which clients treat as
-    "not supported".  [RECORD_STREAM]/[VERDICT_TIERED] ({!feature_tiered})
-    carry the tiered-inspection extension: a client that advertised the
-    bit may ship sealed SSL records ahead of each token delivery (so the
-    daemon's engines can run Protocol III probable-cause escalation) and
-    receives its verdicts as [VERDICT_TIERED] — identical to [VERDICT]
-    plus one {!detail} byte per verdict.  Clients that did not advertise
-    it keep receiving legacy [VERDICT] frames.
-    [CONN_EXPORT]/[CONN_STATE]/[CONN_IMPORT] ({!feature_migrate}) carry
-    live connection migration: a streaming client asks the daemon to
-    drain and serialise its connection ([CONN_EXPORT] -> [CONN_STATE]),
-    then resumes it on another daemon by sending [CONN_IMPORT] in place
-    of [RULE_SETUP] — skipping rule setup entirely, since the snapshot
-    carries the prepared rule encryptions and every counter.
+    [METRICS_REQ]/[METRICS] expose the full {!Bbx_obs} registry —
+    Prometheus text, JSONL, or a flight-recorder trace window — from a
+    running daemon; like [STATS_REQ] they are honoured in any connection
+    state.  [RECORD_STREAM] ships the connection's sealed SSL records
+    ahead of each token delivery, so the daemon's engines can run
+    Protocol III probable-cause escalation.  Every [VERDICT] entry
+    carries its {!detail}, so a composite match or a budget-exceeded
+    flag reads back as exactly that.  [CONN_EXPORT]/[CONN_STATE]/
+    [CONN_IMPORT] carry live connection migration: a streaming client
+    asks the daemon to drain and serialise its connection ([CONN_EXPORT]
+    -> [CONN_STATE]), then resumes it on another daemon by sending
+    [CONN_IMPORT] in place of [RULE_SETUP] — skipping rule setup
+    entirely, since the snapshot carries the prepared rule encryptions
+    and every counter.
+
+    There is one dialect and no feature negotiation.  [HELLO] has one
+    12-byte body (type, version, mode, salt0, features) and the daemon
+    ignores its features byte; a [HELLO] whose version is not
+    {!version} draws [ERROR{err_version}].
 
     Anything the decoder cannot parse raises {!Malformed}; servers answer
     with an [ERROR] frame and close that one connection. *)
@@ -67,7 +64,8 @@ exception Malformed of string
     server allocate unboundedly. *)
 val max_frame_bytes : int
 
-(** Protocol version spoken by this implementation. *)
+(** Protocol version spoken by this implementation (2: one [VERDICT]
+    layout carrying the detail byte, one 12-byte [HELLO] body). *)
 val version : int
 
 (** How a verdict was reached (the tiered engine's
@@ -76,19 +74,13 @@ val version : int
     stream, or escalation-budget exhaustion ("flagged, not matched"). *)
 type detail = [ `Exact_hit | `Composite_match | `Regex_match | `Budget_exceeded ]
 
-(** One rule-level verdict as reported over the wire. *)
+(** One rule-level verdict as reported over the wire: a [VERDICT] entry
+    is [sid u32 · detail u8 · msg str16]. *)
 type verdict = {
-  v_sid : int;                               (** rule sid (0 when absent) *)
-  v_via : [ `Exact_match | `Probable_cause ];
+  v_sid : int;         (** rule sid (0 when absent) *)
   v_detail : detail;
-  (** carried explicitly by [VERDICT_TIERED]; inferred from [v_via] when
-      decoding a legacy [VERDICT] ([`Exact_match] -> [`Exact_hit],
-      [`Probable_cause] -> [`Regex_match]) *)
-  v_msg : string;                            (** rule msg (may be empty) *)
+  v_msg : string;      (** rule msg (may be empty) *)
 }
-
-(** The legacy-inference mapping above, exposed for encoders. *)
-val detail_of_via : [ `Exact_match | `Probable_cause ] -> detail
 
 (** Reply status of a [VERDICT] frame. *)
 type status =
@@ -105,20 +97,10 @@ type stats = {
   s_blocked : int;
 }
 
-(** Feature bit advertised in the [HELLO] trailing byte: the client
-    understands [METRICS]/[METRICS_REQ]. *)
-val feature_metrics : int
-
-(** Feature bit advertised in the [HELLO] trailing byte: the client
-    speaks the tiered-inspection extension — it may ship [RECORD_STREAM]
-    frames and wants its verdicts as [VERDICT_TIERED] (explicit detail
-    byte) instead of legacy [VERDICT]. *)
+(** A value for [HELLO]'s features byte, accepted and ignored like any
+    other: the daemon speaks one dialect to every client.  It stays only
+    because [e2ebench/] still names it. *)
 val feature_tiered : int
-
-(** Feature bit advertised in the [HELLO] trailing byte: the client
-    speaks live connection migration ([CONN_EXPORT]/[CONN_STATE]/
-    [CONN_IMPORT]). *)
-val feature_migrate : int
 
 (** What a [METRICS_REQ] asks for: the metric registry as Prometheus text
     ({!Bbx_obs.Obs.render_prometheus}) or JSONL ({!Bbx_obs.Obs.dump_jsonl}),
@@ -131,7 +113,7 @@ type msg =
       version : int;
       mode : Bbx_dpienc.Dpienc.mode;
       salt0 : int;
-      features : int;  (** feature bits; [0] encodes as the legacy body *)
+      features : int;  (** one byte, accepted and ignored by the daemon *)
     }
   | Hello_ok of { conn_id : int; mode : Bbx_dpienc.Dpienc.mode; rules_text : string }
   | Rule_setup of { pairs : (string * string) array }
@@ -158,18 +140,14 @@ type msg =
   | Record_stream of { seq : int; record : string }
       (** one sealed SSL record of the connection's stream, shipped ahead
           of the [TOKEN_STREAM] carrying the matching tokens so the
-          middlebox can run Protocol III probable-cause escalation
-          ({!feature_tiered}).  No reply; an old daemon answers
-          [ERROR{err_malformed}] (unknown type byte), like [METRICS_REQ]. *)
-  | Verdict_tiered of { seq : int; status : status; verdicts : verdict list }
-      (** [VERDICT] with an explicit per-verdict {!detail} byte; sent in
-          place of [VERDICT] to clients that advertised {!feature_tiered}. *)
+          middlebox can run Protocol III probable-cause escalation.  No
+          reply. *)
   | Conn_export
       (** drain my connection through its shard mailbox, serialise it and
-          send it back ({!feature_migrate}).  The daemon replies with any
-          still-pending [VERDICT]s, then one [CONN_STATE]; the connection
-          is gone from this daemon afterwards (further traffic frames
-          draw [ERROR{err_protocol}]). *)
+          send it back.  The daemon replies with any still-pending
+          [VERDICT]s, then one [CONN_STATE]; the connection is gone from
+          this daemon afterwards (further traffic frames draw
+          [ERROR{err_protocol}]). *)
   | Conn_state of { state : string }
       (** the serialised connection ({!Bbx_mbox.Shard.export_conn} blob,
           rest of frame, verbatim) *)
@@ -192,6 +170,11 @@ val err_version : int
 val err_setup : int
 
 val err_internal : int
+
+(** The message's type byte, [payload.[0]]: 1 [HELLO] to 16
+    [RECORD_STREAM], then 18 [CONN_EXPORT] to 20 [CONN_IMPORT].  Type 17
+    is retired and decodes as an unknown type. *)
+val type_byte : msg -> int
 
 (** [encode_frame buf msg] appends the framed encoding (length prefix
     included) to [buf]. *)

@@ -13,6 +13,7 @@ module Daemon = Bbx_daemon.Daemon
 module Client = Bbx_daemon.Client
 module Loadgen = Bbx_daemon.Loadgen
 module Wire = Bbx_wire.Wire
+module Sockio = Bbx_wire.Sockio
 module Dpienc = Bbx_dpienc.Dpienc
 module Rule = Bbx_rules.Rule
 module Classify = Bbx_rules.Classify
@@ -40,21 +41,17 @@ let with_daemon ?(rules = rules) ?(mode = Dpienc.Exact) ?(domains = 2)
   let handle = Daemon.start (Daemon.config ~inspect ~domains ~endpoint ~rules ()) in
   Fun.protect ~finally:(fun () -> Daemon.stop handle) (fun () -> f endpoint)
 
-(* (sid, via) pairs, the daemon's view and the engine's view *)
-let wire_sigs verdicts =
-  List.map (fun v -> (v.Wire.v_sid, v.Wire.v_via)) verdicts
+(* (sid, detail) pairs, the daemon's view and the engine's view *)
+let wire_sigs verdicts = List.map (fun v -> (v.Wire.v_sid, v.Wire.v_detail)) verdicts
 
 let engine_sigs verdicts =
   List.map
-    (fun v ->
-      (Option.value v.Bbx_mbox.Engine.rule.Rule.sid ~default:0,
-       v.Bbx_mbox.Engine.via))
+    (fun v -> (Option.value v.Engine.rule.Rule.sid ~default:0, v.Engine.detail))
     verdicts
 
-let sig_list = Alcotest.(list (pair int (testable
-  (fun fmt v -> Format.pp_print_string fmt
-     (match v with `Exact_match -> "exact" | `Probable_cause -> "probable"))
-  ( = ))))
+let sig_list =
+  Alcotest.(list (pair int (testable
+    (fun fmt d -> Format.pp_print_string fmt (Engine.detail_name d)) ( = ))))
 
 (* One payload's wire, delimiter-tokenized. *)
 let wire_of ?k_ssl sender payload =
@@ -205,12 +202,10 @@ let addition_stays_with_its_connection () =
 
 (* ---------- tiered escalation over the wire ----------
 
-   A feature_tiered client ships each delivery's sealed SSL record
-   (RECORD_STREAM) before its token stream and gets VERDICT_TIERED
-   frames back, whose detail byte says which protocol fired.  The same
-   deliveries replay against an in-process Shard at the same tier,
-   and a legacy client (features = 0) on the same daemon must keep
-   getting legacy VERDICT frames with via-inferred details. *)
+   A client ships each delivery's sealed SSL record (RECORD_STREAM)
+   before its token stream and gets VERDICT frames back, whose detail
+   byte says which protocol fired.  The same deliveries replay against
+   an in-process Shard at the same tier. *)
 
 module Record = Bbx_tls.Record
 
@@ -228,31 +223,13 @@ let tiered_payloads =
     "GET /?userquery=42' HTTP/1.1";
     "plain benign traffic" ]
 
-let detail_testable =
-  Alcotest.testable
-    (fun fmt d -> Format.pp_print_string fmt (Bbx_mbox.Engine.detail_name d))
-    ( = )
-
-let detail_list = Alcotest.(list (pair int detail_testable))
-
-let wire_details verdicts =
-  List.map (fun v -> (v.Wire.v_sid, v.Wire.v_detail)) verdicts
-
-let engine_details verdicts =
-  List.map
-    (fun v ->
-      (Option.value v.Bbx_mbox.Engine.rule.Rule.sid ~default:0,
-       v.Bbx_mbox.Engine.detail))
-    verdicts
-
 let tiered_differential () =
   List.iter
     (fun tier ->
       with_daemon ~rules:tiered_rules ~mode:Dpienc.Probable ~tier
       @@ fun endpoint ->
       let s =
-        Client.establish ~features:Wire.feature_tiered endpoint
-          ~mode:Dpienc.Probable ~salt0:0
+        Client.establish endpoint ~mode:Dpienc.Probable ~salt0:0
           ~seed:(Printf.sprintf "tiered-%d" (Classify.rank tier))
       in
       Fun.protect ~finally:(fun () -> Client.close s.Client.sc_client)
@@ -280,11 +257,10 @@ let tiered_differential () =
           Shard.record_stream reference ~conn_id:0
             (Record.seal writer_r ("T" ^ payload));
           let ref_verdicts = Shard.process_wire reference ~conn_id:0 wire in
-          Alcotest.check detail_list
+          Alcotest.check sig_list
             (Printf.sprintf "tier %d delivery %d" (Classify.rank tier) i)
-            (engine_details ref_verdicts)
-            (wire_details verdicts);
-          all := !all @ wire_details verdicts)
+            (engine_sigs ref_verdicts) (wire_sigs verdicts);
+          all := !all @ wire_sigs verdicts)
         tiered_payloads;
       (* absolute expectation per tier, not just reference parity *)
       let expected =
@@ -293,23 +269,20 @@ let tiered_differential () =
         | 2 -> [ (1, `Exact_hit); (2, `Composite_match) ]
         | _ -> [ (1, `Exact_hit); (2, `Composite_match); (3, `Regex_match) ]
       in
-      Alcotest.check detail_list
+      Alcotest.check sig_list
         (Printf.sprintf "tier %d fired classes" (Classify.rank tier))
         expected
         (List.sort compare !all))
     [ Classify.Protocol_I; Classify.Protocol_II; Classify.Protocol_III ]
 
-(* A features=0 client on the same daemon: verdicts arrive as legacy
-   VERDICT frames, so the decoded detail is via-inferred — the composite
-   rule reads back as [`Exact_hit], never [`Composite_match], which is
-   exactly what distinguishes the frame types on the client side. *)
-let tiered_legacy_fallback () =
+(* [Client.establish] sends HELLO with features = 0: the client that
+   used to get detail-less frames, and read the composite rule back as an
+   exact hit.  Every client now reads the detail the engine decided. *)
+let features_zero_reads_details () =
   with_daemon ~rules:tiered_rules ~mode:Dpienc.Probable @@ fun endpoint ->
   let s = Client.establish endpoint ~mode:Dpienc.Probable ~salt0:0 ~seed:"leg" in
   Fun.protect ~finally:(fun () -> Client.close s.Client.sc_client)
   @@ fun () ->
-  Alcotest.(check int) "legacy HELLO carries no feature bits" 0
-    s.Client.sc_features;
   let sender = Dpienc.sender_create Dpienc.Probable s.Client.sc_key ~salt0:0 in
   let all = ref [] in
   List.iteri
@@ -317,10 +290,10 @@ let tiered_legacy_fallback () =
       Client.send_records s.Client.sc_client ~seq:i
         (wire_of sender ~k_ssl:s.Client.sc_k_ssl payload);
       let _, _, verdicts = Client.recv_verdict s.Client.sc_client in
-      all := !all @ wire_details verdicts)
+      all := !all @ wire_sigs verdicts)
     [ "x=alertkw1 benign"; "y=firstkey then z=secondkey" ];
-  Alcotest.check detail_list "details inferred from via, not carried"
-    [ (1, `Exact_hit); (2, `Exact_hit) ]
+  Alcotest.check sig_list "details carried, not inferred"
+    [ (1, `Exact_hit); (2, `Composite_match) ]
     (List.sort compare !all)
 
 (* Two clients; one dies mid-stream, the other must be unaffected. *)
@@ -348,7 +321,7 @@ let isolation () =
       let _, status, verdicts = Client.recv_verdict b.Client.sc_client in
       if i = 0 then
         Alcotest.(check bool) "b alerts" true
-          (status = Wire.Alerts && wire_sigs verdicts = [ (1, `Exact_match) ])
+          (status = Wire.Alerts && wire_sigs verdicts = [ (1, `Exact_hit) ])
       else Alcotest.(check bool) "b clean" true (status = Wire.Clean))
     (wires_for sender_b [ "alertkw1 here"; "benign" ])
 
@@ -420,6 +393,40 @@ let malformed_fuzz () =
       Alcotest.(check bool) "healthy after fuzz" true (status <> Wire.Dropped))
     (wires_for sender [ "alertkw1"; "benign" ])
 
+(* A version-1 client is refused at HELLO, and only that connection
+   dies.  Its 12-byte body (a features byte set) draws err_version; its
+   features-less 11-byte body no longer parses at all. *)
+let version_one_hello_refused () =
+  with_daemon @@ fun endpoint ->
+  let reply_code frame =
+    let t = Client.connect endpoint in
+    Fun.protect ~finally:(fun () -> Client.close t) @@ fun () ->
+    Sockio.write_string (Client.fd t) frame;
+    match Client.recv_verdict t with
+    | exception Client.Server_error { code; _ } -> code
+    | _ -> -1
+  in
+  let v1 = Wire.Hello { version = 1; mode = Dpienc.Exact; salt0 = 0; features = 4 } in
+  Alcotest.(check int) "version 1 draws err_version" Wire.err_version
+    (reply_code (Wire.encode_frame_string v1));
+  let eleven =
+    let p = Wire.encode_frame_string v1 in
+    "\x00\x00\x00\x0b" ^ String.sub p 4 11
+  in
+  Alcotest.(check int) "11-byte body draws err_malformed" Wire.err_malformed
+    (reply_code eleven);
+  let s = Client.establish endpoint ~mode:Dpienc.Exact ~salt0:0 ~seed:"v2" in
+  Fun.protect ~finally:(fun () -> Client.close s.Client.sc_client)
+  @@ fun () ->
+  let sender = Dpienc.sender_create Dpienc.Exact s.Client.sc_key ~salt0:0 in
+  List.iteri
+    (fun i wire ->
+      Client.send_records s.Client.sc_client ~seq:i wire;
+      let _, status, verdicts = Client.recv_verdict s.Client.sc_client in
+      Alcotest.(check bool) "daemon healthy after the refusals" true
+        (status = Wire.Alerts && wire_sigs verdicts = [ (1, `Exact_hit) ]))
+    (wires_for sender [ "alertkw1 still inspected" ])
+
 (* the loadgen's own pipeline over a real daemon, exact + probable *)
 let loadgen_smoke mode () =
   with_daemon ~mode @@ fun endpoint ->
@@ -440,6 +447,25 @@ let loadgen_smoke mode () =
   Alcotest.(check int) "token parity" report.Loadgen.rp_tokens
     stats.Wire.s_total_tokens
 
+(* Each loadgen connection is one stream, so a depth constraint counts
+   from the start of the stream, not of the frame.  At 10% hits the
+   keyword first lands in frame 9, cut in at byte 128: stream offset
+   9 * 256 + 128 = 2432, past depth 300, so nothing may fire.  A sender
+   that restarts every frame at offset 0 puts it at 128 and alerts. *)
+let loadgen_stream_offsets () =
+  let rules =
+    [ Bbx_rules.Parser.parse_rule
+        "alert tcp any any -> any any (msg:\"deep\"; content:\"alertkw1\"; depth:300; sid:1;)" ]
+  in
+  with_daemon ~rules @@ fun endpoint ->
+  let report =
+    Loadgen.run
+      (Loadgen.cfg ~conns:3 ~sends:20 ~payload_bytes:256 ~hit_rate:0.1 ~seed:"lg-depth"
+         endpoint)
+  in
+  Alcotest.(check int) "all frames answered" 60 report.Loadgen.rp_sends;
+  Alcotest.(check int) "no alert past depth" 0 report.Loadgen.rp_alert_frames
+
 (* ---------- live migration across daemons ---------- *)
 
 (* CONN_EXPORT / CONN_STATE / CONN_IMPORT over real sockets: a session
@@ -455,10 +481,7 @@ let migrate_between_daemons () =
   with_daemon @@ fun endpoint_a ->
   with_daemon @@ fun endpoint_b ->
   let base = Bbx_obs.Obs.gauge_value obs_active in
-  let s =
-    Client.establish ~features:Wire.feature_migrate endpoint_a
-      ~mode:Dpienc.Exact ~salt0:0 ~seed:"mig"
-  in
+  let s = Client.establish endpoint_a ~mode:Dpienc.Exact ~salt0:0 ~seed:"mig" in
   let sender = Dpienc.sender_create Dpienc.Exact s.Client.sc_key ~salt0:0 in
   let wires =
     wires_for sender
@@ -471,7 +494,7 @@ let migrate_between_daemons () =
   Client.send_records s.Client.sc_client ~seq:0 (List.nth wires 0);
   let _, status0, v0 = Client.recv_verdict s.Client.sc_client in
   Alcotest.(check bool) "alert on A before the move" true
-    (status0 = Wire.Alerts && wire_sigs v0 = [ (1, `Exact_match) ]);
+    (status0 = Wire.Alerts && wire_sigs v0 = [ (1, `Exact_hit) ]);
   let stats_of endpoint =
     let t = Client.connect endpoint in
     Fun.protect ~finally:(fun () -> Client.close t) (fun () -> Client.stats t)
@@ -493,7 +516,7 @@ let migrate_between_daemons () =
   Client.send_records s2.Client.sc_client ~seq:2 (List.nth wires 2);
   let _, status2, v2 = Client.recv_verdict s2.Client.sc_client in
   Alcotest.(check bool) "fresh rule still fires on B" true
-    (status2 = Wire.Alerts && wire_sigs v2 = [ (2, `Exact_match) ]);
+    (status2 = Wire.Alerts && wire_sigs v2 = [ (2, `Exact_hit) ]);
   (* migration moves the future, not the history *)
   let stats_a1 = stats_of endpoint_a in
   Alcotest.(check int) "A keeps its token history"
@@ -505,41 +528,12 @@ let migrate_between_daemons () =
   Alcotest.(check int) "deduped re-report is not an alert on B" 1
     stats_b.Wire.s_alerts
 
-(* CONN_EXPORT without feature_migrate in the HELLO is a protocol error
-   that kills only that connection — the daemon keeps serving. *)
-let export_requires_feature () =
-  with_daemon @@ fun endpoint ->
-  let s = Client.establish endpoint ~mode:Dpienc.Exact ~salt0:0 ~seed:"nof" in
-  Alcotest.(check bool) "export rejected without the feature bit" true
-    (match Client.export_conn s.Client.sc_client with
-     | exception Client.Server_error _ -> true
-     | exception End_of_file -> true
-     | _ -> false);
-  Client.close s.Client.sc_client;
-  let s2 =
-    Client.establish ~features:Wire.feature_migrate endpoint ~mode:Dpienc.Exact
-      ~salt0:0 ~seed:"yesf"
-  in
-  Fun.protect ~finally:(fun () -> Client.close s2.Client.sc_client)
-  @@ fun () ->
-  let sender = Dpienc.sender_create Dpienc.Exact s2.Client.sc_key ~salt0:0 in
-  List.iteri
-    (fun i wire ->
-      Client.send_records s2.Client.sc_client ~seq:i wire;
-      let _, status, verdicts = Client.recv_verdict s2.Client.sc_client in
-      Alcotest.(check bool) "daemon healthy after the rejection" true
-        (status = Wire.Alerts && wire_sigs verdicts = [ (1, `Exact_match) ]))
-    (wires_for sender [ "alertkw1 still inspected" ])
-
 (* A corrupted snapshot must be refused at CONN_IMPORT without harming
    the daemon, and a genuine export must round-trip back into the same
    daemon (self-migration: the degenerate rebalance case). *)
 let import_rejects_garbage () =
   with_daemon @@ fun endpoint ->
-  let s =
-    Client.establish ~features:Wire.feature_migrate endpoint ~mode:Dpienc.Exact
-      ~salt0:0 ~seed:"self"
-  in
+  let s = Client.establish endpoint ~mode:Dpienc.Exact ~salt0:0 ~seed:"self" in
   let sender = Dpienc.sender_create Dpienc.Exact s.Client.sc_key ~salt0:0 in
   let wires = wires_for sender [ "alertkw1 first"; "then otherkw2" ] in
   Client.send_records s.Client.sc_client ~seq:0 (List.nth wires 0);
@@ -550,9 +544,7 @@ let import_rejects_garbage () =
   let t = Client.connect endpoint in
   Alcotest.(check bool) "garbage snapshot refused" true
     (match
-       ignore
-         (Client.hello ~features:Wire.feature_migrate t ~mode:Dpienc.Exact
-            ~salt0:0);
+       ignore (Client.hello t ~mode:Dpienc.Exact ~salt0:0);
        Client.import_conn t ~state:(String.sub state 0 (String.length state / 2))
      with
      | exception Client.Server_error _ -> true
@@ -563,13 +555,12 @@ let import_rejects_garbage () =
   let t2 = Client.connect endpoint in
   Fun.protect ~finally:(fun () -> Client.close t2)
   @@ fun () ->
-  ignore
-    (Client.hello ~features:Wire.feature_migrate t2 ~mode:Dpienc.Exact ~salt0:0);
+  ignore (Client.hello t2 ~mode:Dpienc.Exact ~salt0:0);
   Client.import_conn t2 ~state;
   Client.send_records t2 ~seq:1 (List.nth wires 1);
   let _, status, verdicts = Client.recv_verdict t2 in
   Alcotest.(check bool) "resumed stream alerts on sid 2" true
-    (status = Wire.Alerts && wire_sigs verdicts = [ (2, `Exact_match) ])
+    (status = Wire.Alerts && wire_sigs verdicts = [ (2, `Exact_hit) ])
 
 (* ---------- observability plane ---------- *)
 
@@ -754,23 +745,25 @@ let () =
             differential_update_and_reset;
           Alcotest.test_case "tiered differential: detail bytes at tiers 1/2/3"
             `Quick tiered_differential;
-          Alcotest.test_case "legacy client falls back to VERDICT frames" `Quick
-            tiered_legacy_fallback;
+          Alcotest.test_case "a features=0 client reads every detail" `Quick
+            features_zero_reads_details;
           Alcotest.test_case "stop unlinks the socket" `Quick stop_unlinks_socket ] );
       ( "hardening",
         [ Alcotest.test_case "a poisoned connection leaves others alone" `Quick
             isolation;
           Alcotest.test_case "malformed-frame fuzz never kills the daemon" `Quick
-            malformed_fuzz ] );
+            malformed_fuzz;
+          Alcotest.test_case "a version-1 HELLO draws err_version" `Quick
+            version_one_hello_refused ] );
       ( "loadgen",
         [ Alcotest.test_case "exact mode" `Quick (loadgen_smoke Dpienc.Exact);
           Alcotest.test_case "probable-cause mode" `Quick
-            (loadgen_smoke Dpienc.Probable) ] );
+            (loadgen_smoke Dpienc.Probable);
+          Alcotest.test_case "frames carry running stream offsets" `Quick
+            loadgen_stream_offsets ] );
       ( "migration",
         [ Alcotest.test_case "live migration between two daemons" `Quick
             migrate_between_daemons;
-          Alcotest.test_case "CONN_EXPORT gated on feature_migrate" `Quick
-            export_requires_feature;
           Alcotest.test_case "corrupt snapshot refused, intact one resumes"
             `Quick import_rejects_garbage ] );
       ( "observability",

@@ -297,7 +297,8 @@ let wires_of_trace trace =
 
 let conns_of_trace trace = List.sort_uniq compare (List.map fst trace)
 
-let obs_of_verdicts vs = List.map (fun v -> (v.Engine.rule_idx, v.Engine.via)) vs
+let obs_of_verdicts vs =
+  List.map (fun v -> (v.Engine.rule_idx, Engine.via v.Engine.detail)) vs
 
 (* Rule index -> the id of its one chunk in the detector's keyword array. *)
 let rule_chunk =

@@ -48,7 +48,7 @@ let engine_tests =
         (match Engine.verdicts e with
          | [ v ] ->
            Alcotest.(check int) "rule 0" 0 v.Engine.rule_idx;
-           Alcotest.(check bool) "exact" true (v.Engine.via = `Exact_match)
+           Alcotest.(check bool) "exact" true (Engine.via v.Engine.detail = `Exact_match)
          | vs -> Alcotest.fail (Printf.sprintf "expected 1 verdict, got %d" (List.length vs))));
     Alcotest.test_case "protocol I: long keyword needs all chunks" `Quick (fun () ->
         let kw = "maliciouspayload" (* 16 bytes = 2 chunks *) in
@@ -123,7 +123,9 @@ let engine_tests =
         (* the sealed record is the plaintext the recovered key opens *)
         Engine.record_stream e (seal (mk_writer k_ssl) payload);
         (match Engine.verdicts e with
-         | [ v ] -> Alcotest.(check bool) "probable cause" true (v.Engine.via = `Probable_cause)
+         | [ v ] ->
+           Alcotest.(check bool) "probable cause" true
+             (Engine.via v.Engine.detail = `Probable_cause)
          | vs -> Alcotest.fail (Printf.sprintf "expected 1 verdict, got %d" (List.length vs))));
     Alcotest.test_case "probable cause does not fire on benign pcre" `Quick (fun () ->
         let r = rule_of_string
@@ -183,7 +185,9 @@ let engine_tests =
         feed e (encrypt_payload ~k_ssl s payload);
         Alcotest.(check bool) "rematch counted" true (Engine.hit_count e > hits_before);
         (match Engine.verdicts e with
-         | [ v ] -> Alcotest.(check bool) "probable cause" true (v.Engine.via = `Probable_cause)
+         | [ v ] ->
+           Alcotest.(check bool) "probable cause" true
+             (Engine.via v.Engine.detail = `Probable_cause)
          | vs -> Alcotest.fail (Printf.sprintf "expected 1 verdict, got %d" (List.length vs))));
     Alcotest.test_case "keyword hits carry stream offsets" `Quick (fun () ->
         let rules = [ Rule.make [ Rule.make_content "evilword" ] ] in
@@ -416,7 +420,8 @@ let tiered_tests =
           (Engine.decrypted_stream e);
         (match Engine.verdicts e with
          | [ v ] ->
-           Alcotest.(check bool) "probable cause" true (v.Engine.via = `Probable_cause);
+           Alcotest.(check bool) "probable cause" true
+             (Engine.via v.Engine.detail = `Probable_cause);
            Alcotest.(check string) "regex-match detail" "regex-match"
              (Engine.detail_name v.Engine.detail)
          | vs -> Alcotest.fail (Printf.sprintf "expected 1 verdict, got %d" (List.length vs))));

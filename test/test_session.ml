@@ -203,7 +203,7 @@ let session_tests =
         let d2 = Session.send t "q=thirdkww" in
         Alcotest.(check int) "new rule fires" 1 (List.length d2.Session.verdicts));
     Alcotest.test_case "window tokenization catches mid-word keywords" `Quick (fun () ->
-        let cfg_window = { cfg_exact with Session.tokenization = Session.Window } in
+        let cfg_window = { cfg_exact with Session.tokenization = Bbx_dpienc.Dpienc.Window } in
         let t, _ = establish ~config:cfg_window rules_basic in
         (* keyword glued inside a word: invisible to delimiter tokenization *)
         let d = Session.send t "zzattackkwzz" in

@@ -167,7 +167,8 @@ let wires_of_trace trace =
 let conns_of_trace trace = List.sort_uniq compare (List.map fst trace)
 
 (* verdict lists compared by (rule index, via) *)
-let obs_of_verdicts vs = List.map (fun v -> (v.Engine.rule_idx, v.Engine.via)) vs
+let obs_of_verdicts vs =
+  List.map (fun v -> (v.Engine.rule_idx, Engine.via v.Engine.detail)) vs
 
 let run_sequential trace =
   let mb = Shard.create Engine.default_config in

@@ -16,8 +16,7 @@ let samples : Wire.msg list =
       { version = Wire.version; mode = Bbx_dpienc.Dpienc.Exact; salt0 = 42; features = 0 };
     Wire.Hello { version = 7; mode = Bbx_dpienc.Dpienc.Probable; salt0 = 0; features = 0 };
     Wire.Hello
-      { version = Wire.version; mode = Bbx_dpienc.Dpienc.Exact; salt0 = 1;
-        features = Wire.feature_metrics };
+      { version = Wire.version; mode = Bbx_dpienc.Dpienc.Exact; salt0 = 1; features = 1 };
     Wire.Hello
       { version = Wire.version; mode = Bbx_dpienc.Dpienc.Probable; salt0 = 2; features = 255 };
     Wire.Hello_ok { conn_id = 12345; mode = Bbx_dpienc.Dpienc.Exact;
@@ -28,28 +27,14 @@ let samples : Wire.msg list =
     Wire.Token_stream { seq = 0; records = "" };
     Wire.Token_stream { seq = max_int land 0xFFFFFFFF; records = String.init 30 Char.chr };
     Wire.Verdict { seq = 9; status = Wire.Clean; verdicts = [] };
-    (* legacy VERDICT carries no detail byte: it only roundtrips when
-       each detail is exactly what decode infers from the via *)
     Wire.Verdict
       { seq = 10; status = Wire.Alerts;
         verdicts =
-          [ { Wire.v_sid = 1; v_via = `Exact_match; v_detail = `Exact_hit;
-              v_msg = "hit" };
-            { Wire.v_sid = 0; v_via = `Probable_cause; v_detail = `Regex_match;
-              v_msg = "" } ] };
+          [ { Wire.v_sid = 1; v_detail = `Exact_hit; v_msg = "hit" };
+            { Wire.v_sid = 7; v_detail = `Composite_match; v_msg = "composite" };
+            { Wire.v_sid = 8; v_detail = `Budget_exceeded; v_msg = "flagged" };
+            { Wire.v_sid = 0; v_detail = `Regex_match; v_msg = "" } ] };
     Wire.Verdict { seq = 11; status = Wire.Dropped; verdicts = [] };
-    Wire.Verdict_tiered { seq = 12; status = Wire.Clean; verdicts = [] };
-    (* VERDICT_TIERED carries the detail explicitly, so details the legacy
-       frame cannot express roundtrip here *)
-    Wire.Verdict_tiered
-      { seq = 13; status = Wire.Alerts;
-        verdicts =
-          [ { Wire.v_sid = 7; v_via = `Exact_match; v_detail = `Composite_match;
-              v_msg = "composite" };
-            { Wire.v_sid = 8; v_via = `Probable_cause; v_detail = `Budget_exceeded;
-              v_msg = "flagged" };
-            { Wire.v_sid = 9; v_via = `Probable_cause; v_detail = `Regex_match;
-              v_msg = "" } ] };
     Wire.Record_stream { seq = 0; record = "" };
     Wire.Record_stream { seq = 77; record = String.init 45 Char.chr };
     Wire.Salt_reset { salt0 = 1 lsl 30 };
@@ -151,16 +136,15 @@ let unit_tests =
         rejects "unknown type byte" "\x00";
         rejects "unknown type byte 99" (String.make 1 (Char.chr 99));
         rejects "hello truncated" "\x01\x01";
+        rejects "retired type 17" (String.make 1 (Char.chr 17));
         List.iter
           (fun msg ->
             match msg with
             (* rules_text / records / metrics / record bodies are
-               rest-encoded and HELLO's features byte is optional: any
-               suffix length is a valid (different) message, so skip the
-               mutation checks *)
-            | Wire.Hello_ok _ | Wire.Token_stream _ | Wire.Hello _
-            | Wire.Metrics _ | Wire.Record_stream _ | Wire.Conn_state _
-            | Wire.Conn_import _ -> ()
+               rest-encoded: any suffix length is a valid (different)
+               message, so skip the mutation checks *)
+            | Wire.Hello_ok _ | Wire.Token_stream _ | Wire.Metrics _
+            | Wire.Record_stream _ | Wire.Conn_state _ | Wire.Conn_import _ -> ()
             | _ ->
               let p = payload_of msg in
               if String.length p > 1 then
@@ -181,58 +165,47 @@ let unit_tests =
           (Wire.Verdict { seq = 1; status = Wire.Clean; verdicts = [] })) in
         Bytes.set verdict 5 '\x09';    (* status byte *)
         rejects "bad status byte" (Bytes.to_string verdict);
-        let vt = Bytes.of_string (payload_of
-          (Wire.Verdict_tiered
+        let va = Bytes.of_string (payload_of
+          (Wire.Verdict
              { seq = 1; status = Wire.Alerts;
-               verdicts =
-                 [ { Wire.v_sid = 1; v_via = `Exact_match;
-                     v_detail = `Exact_hit; v_msg = "" } ] })) in
-        (* per-verdict layout: u32 sid, via byte, detail byte, str16 msg *)
-        Bytes.set vt (5 + 1 + 2 + 4 + 1) '\x09';
-        rejects "bad detail byte" (Bytes.to_string vt));
-    Alcotest.test_case "legacy VERDICT infers detail from via" `Quick (fun () ->
-        (* the legacy frame drops the detail byte on encode; decode must
-           restore the canonical via->detail mapping, so a tiered verdict
-           downgraded to VERDICT comes back with the inferred detail *)
-        let downgraded =
-          Wire.Verdict
-            { seq = 3; status = Wire.Alerts;
-              verdicts =
-                [ { Wire.v_sid = 8; v_via = `Probable_cause;
-                    v_detail = `Budget_exceeded; v_msg = "m" } ] }
+               verdicts = [ { Wire.v_sid = 1; v_detail = `Exact_hit; v_msg = "" } ] })) in
+        (* per-verdict layout: u32 sid, detail byte, str16 msg *)
+        Bytes.set va (5 + 1 + 2 + 4) '\x09';
+        rejects "bad detail byte" (Bytes.to_string va));
+    Alcotest.test_case "VERDICT carries every detail" `Quick (fun () ->
+        (* one entry per detail: each reads back as itself, so a composite
+           match never reads as an exact hit and a budget-exceeded flag
+           never reads as a regex match *)
+        let details = [ `Exact_hit; `Composite_match; `Regex_match; `Budget_exceeded ] in
+        let verdicts =
+          List.mapi (fun i d -> { Wire.v_sid = i; v_detail = d; v_msg = "m" }) details
         in
-        match roundtrip downgraded with
-        | Wire.Verdict { verdicts = [ v ]; _ } ->
-          Alcotest.(check bool) "via preserved" true (v.Wire.v_via = `Probable_cause);
-          Alcotest.(check bool) "detail inferred from via" true
-            (v.Wire.v_detail = Wire.detail_of_via `Probable_cause)
-        | _ -> Alcotest.fail "expected VERDICT with one verdict");
-    Alcotest.test_case "hello feature negotiation stays wire-compatible" `Quick (fun () ->
-        (* features = 0 must encode as the legacy 11-byte body, so old
-           daemons keep accepting new clients *)
-        let legacy =
+        let msg = Wire.Verdict { seq = 3; status = Wire.Alerts; verdicts } in
+        (match roundtrip msg with
+         | Wire.Verdict { verdicts = back; _ } ->
+           Alcotest.(check bool) "each detail reads back as itself" true
+             (List.map (fun v -> v.Wire.v_detail) back = details)
+         | _ -> Alcotest.fail "expected VERDICT");
+        (* type 6; seq u32, status u8, count u16, then per entry
+           sid u32, detail u8, msg str16 *)
+        let p = payload_of msg in
+        Alcotest.(check int) "type byte" 6 (Char.code p.[0]);
+        Alcotest.(check int) "body length" (1 + 4 + 1 + 2 + (4 * (4 + 1 + 2 + 1)))
+          (String.length p));
+    Alcotest.test_case "HELLO has one 12-byte layout" `Quick (fun () ->
+        let hello features =
           payload_of
             (Wire.Hello
                { version = Wire.version; mode = Bbx_dpienc.Dpienc.Exact; salt0 = 9;
-                 features = 0 })
+                 features })
         in
-        Alcotest.(check int) "legacy body length" 11 (String.length legacy);
-        (* and a legacy 11-byte body must decode to features = 0, so new
-           daemons keep accepting old clients *)
-        Alcotest.(check bool) "legacy decodes features=0" true
-          (Wire.decode legacy
-           = Wire.Hello
-               { version = Wire.version; mode = Bbx_dpienc.Dpienc.Exact; salt0 = 9;
-                 features = 0 });
-        let featured =
-          payload_of
-            (Wire.Hello
-               { version = Wire.version; mode = Bbx_dpienc.Dpienc.Exact; salt0 = 9;
-                 features = Wire.feature_metrics })
-        in
-        Alcotest.(check int) "featured body length" 12 (String.length featured);
-        rejects "hello with two trailing bytes" (featured ^ "\x00");
-        rejects "hello truncated below legacy" (String.sub legacy 0 10));
+        Alcotest.(check int) "features 0" 12 (String.length (hello 0));
+        Alcotest.(check int) "features 255" 12 (String.length (hello 255));
+        Alcotest.(check int) "version byte" Wire.version (Char.code (hello 0).[1]);
+        (* the features-less body of version 1 is gone, and so is any
+           trailing extension *)
+        rejects "11-byte hello" (String.sub (hello 0) 0 11);
+        rejects "13-byte hello" (hello 0 ^ "\x00"));
     Alcotest.test_case "rule_setup enforces pair lengths at encode" `Quick (fun () ->
         Alcotest.(check bool) "short chunk" true
           (match Wire.encode_frame_string (Wire.Rule_setup { pairs = [| ("ab", enc16 'x') |] }) with
@@ -245,28 +218,13 @@ let unit_tests =
 
 (* ---------- qcheck ---------- *)
 
-(* legacy VERDICT drops the detail byte, so its verdicts only roundtrip
-   with the canonical via->detail inference baked in *)
 let gen_verdict =
   QCheck.Gen.(
     map3
-      (fun sid via msg ->
-        { Wire.v_sid = sid; v_via = via; v_detail = Wire.detail_of_via via;
-          v_msg = msg })
+      (fun sid detail msg -> { Wire.v_sid = sid; v_detail = detail; v_msg = msg })
       (int_bound 0xFFFF)
-      (oneofl [ `Exact_match; `Probable_cause ])
+      (oneofl [ `Exact_hit; `Composite_match; `Regex_match; `Budget_exceeded ])
       (string_size (int_bound 40)))
-
-(* VERDICT_TIERED carries the detail explicitly: any combination goes *)
-let gen_verdict_tiered =
-  QCheck.Gen.(
-    map2
-      (fun (sid, via) (detail, msg) ->
-        { Wire.v_sid = sid; v_via = via; v_detail = detail; v_msg = msg })
-      (pair (int_bound 0xFFFF) (oneofl [ `Exact_match; `Probable_cause ]))
-      (pair
-         (oneofl [ `Exact_hit; `Composite_match; `Regex_match; `Budget_exceeded ])
-         (string_size (int_bound 40))))
 
 let gen_msg =
   QCheck.Gen.(
@@ -298,11 +256,6 @@ let gen_msg =
           (int_bound 0xFFFFFF)
           (oneofl [ Wire.Clean; Wire.Alerts; Wire.Dropped ])
           (list_size (int_bound 8) gen_verdict);
-        map3
-          (fun seq status verdicts -> Wire.Verdict_tiered { seq; status; verdicts })
-          (int_bound 0xFFFFFF)
-          (oneofl [ Wire.Clean; Wire.Alerts; Wire.Dropped ])
-          (list_size (int_bound 8) gen_verdict_tiered);
         map2
           (fun seq record -> Wire.Record_stream { seq; record })
           (int_bound 0xFFFFFF)
