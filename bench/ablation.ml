@@ -29,7 +29,7 @@ let run () =
              Ref_detect.process_token det ~cipher:miss ~offset:0)
        in
        (* linear scan over the same precomputed per-keyword ciphertexts *)
-       let current = Array.map (fun enc -> Dpienc.encrypt (Dpienc.token_key_of_enc enc) ~salt:0) encs in
+       let current = Array.map (fun enc -> Token_keys.encrypt (Token_keys.token_key_of_enc enc) ~salt:0) encs in
        let scan_ns =
          Bench_util.bechamel_ns ~name:"scan" (fun () ->
              let hit = ref false in
@@ -60,7 +60,7 @@ let run () =
   in
   let table = Hashtbl.create n_kw in
   Array.iteri
-    (fun i enc -> Hashtbl.replace table (Dpienc.encrypt (Dpienc.token_key_of_enc enc) ~salt:0) i)
+    (fun i enc -> Hashtbl.replace table (Token_keys.encrypt (Token_keys.token_key_of_enc enc) ~salt:0) i)
     encs2;
   let det_ns =
     Bench_util.bechamel_ns ~name:"determ" (fun () -> Hashtbl.find_opt table miss2)

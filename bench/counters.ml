@@ -1,5 +1,5 @@
-(* Exact-counter gate for the rule-level verdict step and the detection
-   index.
+(* Exact-counter gate for the rule-level verdict step, the detection
+   index and DPIEnc's two key-expansion paths.
 
    Wall clock on a shared 1-2 vCPU host moves by +-30% between repeats;
    the rows here do not move at all, so a regression shows as a changed
@@ -21,6 +21,17 @@
    - detect-miss: index probe slots per lookup on the 0%-hit stream, from
      the 1-in-64 sampled [bbx_detect_probe_len] histogram;
    - detect-hit50: bytes allocated per token on the 50%-hit stream.
+
+   The key rows price the two paths that expand one AES key per token
+   value:
+   - sender-html: one DPIEnc sender over a pool of 64 generated 16 KiB
+     HTML writes (1 MiB, window tokens: the e2ebench bulk-window shape),
+     sent once, then again in reverse order after a salt reset; bytes
+     allocated per token in the second period, where every distinct
+     token is first-seen again;
+   - keys-3k: one [Engine.keys] on 3 000 Emerging Threats rules, from
+     precomputed chunk encryptions — bytes allocated and
+     [Engine.keys_bytes] per chunk.
 
    Informational lines (not gated) give [verdicts] wall time and
    allocation at 50, 300 and 3 000 rules.
@@ -166,6 +177,48 @@ let detect_counters () =
   let a1 = Gc.allocated_bytes () in
   (probes, (a1 -. a0 -. alloc_overhead) /. float_of_int n_tok)
 
+(* Bytes allocated per token by the second salt period of [sender_html]
+   (see the header), and the token count. *)
+let sender_html () =
+  let write_bytes = 16_384 in
+  let drbg = Drbg.create "bench-counters/html" in
+  let pool =
+    Array.init 64 (fun _ ->
+        let h = Bbx_net.Page.gen_html drbg ~bytes:write_bytes in
+        String.sub h 0 (min write_bytes (String.length h)))
+  in
+  let sender = Dpienc.sender_create Dpienc.Exact key ~salt0:0 in
+  let buf = Buffer.create (Dpienc.exact_record_bytes * write_bytes) in
+  let send n payload =
+    Buffer.clear buf;
+    n + Dpienc.sender_encrypt_into sender ~tokenization:Dpienc.Window payload buf
+  in
+  let send_back p n = send n p in
+  ignore (Array.fold_left send 0 pool : int);
+  ignore (Dpienc.sender_reset sender : int);
+  (* empty the minor heap first: a minor collection inside the window
+     would otherwise bill earlier young words to the measured calls *)
+  Gc.minor ();
+  let a0 = Gc.allocated_bytes () in
+  let tokens = Array.fold_right send_back pool 0 in
+  let a1 = Gc.allocated_bytes () in
+  ((a1 -. a0 -. alloc_overhead) /. float_of_int tokens, tokens)
+
+(* Bytes allocated by [Engine.keys] and its [keys_bytes], per chunk. *)
+let keys_counters rules =
+  let rs = Engine.ruleset rules in
+  let chunks = Engine.chunks rs in
+  let encs = Hashtbl.create (Array.length chunks) in
+  Array.iter (fun c -> Hashtbl.replace encs c (enc_chunk c)) chunks;
+  Gc.minor ();  (* as in [sender_html] *)
+  let a0 = Gc.allocated_bytes () in
+  let keys = Engine.keys rs ~enc_chunk:(Hashtbl.find encs) in
+  let a1 = Gc.allocated_bytes () in
+  let per x = x /. float_of_int (Array.length chunks) in
+  ( per (a1 -. a0 -. alloc_overhead),
+    per (float_of_int (Engine.keys_bytes keys)),
+    Array.length chunks )
+
 (* ---------- baseline file: one row per line ---------- *)
 
 type row = { name : string; unit_ : string; value : float }
@@ -263,6 +316,21 @@ let run () =
     @ hist_rows
     @ [ { name = "detect-miss.probe_slots"; unit_ = "slots/lookup"; value = probes };
         { name = "detect-hit50.alloc_bytes"; unit_ = "B/token"; value = hit_alloc } ]
+  in
+  let html_alloc, html_tokens = sender_html () in
+  Printf.printf
+    "  sender (64 x 16 KiB HTML window writes, second salt period, %d tokens): \
+     %.1f B allocated/token\n%!"
+    html_tokens html_alloc;
+  let keys_alloc, keys_bytes, nchunks = keys_counters rules3k in
+  Printf.printf
+    "  keys (3 000 ET rules, %d chunks): %.1f B allocated/chunk, keys_bytes %.1f B/chunk\n%!"
+    nchunks keys_alloc keys_bytes;
+  let rows =
+    rows
+    @ [ { name = "sender-html.alloc_bytes"; unit_ = "B/token"; value = html_alloc };
+        { name = "keys-3k.alloc_bytes"; unit_ = "B/chunk"; value = keys_alloc };
+        { name = "keys-3k.keys_bytes"; unit_ = "B/chunk"; value = keys_bytes } ]
   in
   if Array.mem "--write-baseline" Sys.argv then begin
     Out_channel.with_open_bin baseline_path (fun oc -> output_string oc (render rows));

@@ -53,7 +53,7 @@ let make_wire ~tkeys ~n_tok ~hit_rate ~seed =
     let cipher =
       if hit then begin
         let j = rand () mod n_kw in
-        let c = Dpienc.encrypt tkeys.(j) ~salt:counts.(j) in
+        let c = Token_keys.encrypt tkeys.(j) ~salt:counts.(j) in
         counts.(j) <- counts.(j) + 1;
         c
       end
@@ -73,7 +73,7 @@ let workload ~n_kw =
     Array.init n_kw (fun _ ->
         Dpienc.token_enc dpi (Drbg.bytes drbg Bbx_tokenizer.Tokenizer.token_len))
   in
-  (encs, Array.map Dpienc.token_key_of_enc encs)
+  (encs, Array.map Token_keys.token_key_of_enc encs)
 
 let stream ~tkeys ~n_tok hit_rate =
   make_wire ~tkeys ~n_tok ~hit_rate ~seed:(0x9e3779b9 + int_of_float (hit_rate *. 1e4))

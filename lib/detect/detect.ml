@@ -23,22 +23,12 @@ type keyword_id = int
 
 type event = { kw_id : keyword_id; offset : int; salt : int }
 
-(* An immutable array of expanded per-keyword token keys.  Expanding the
-   AES key schedule of every rule chunk is the dominant per-connection
-   setup cost and footprint at fleet scale, and the schedules depend only
-   on the encrypted chunk values — so one keyset per (tenant, rule
-   generation) is shared read-only by every connection's detector.  The
-   array is never written after [keyset] returns; cross-domain publication
-   happens through the shard pool's mailbox locks. *)
-type keyset = Dpienc.token_key array
-
-let keyset encs = Array.map Dpienc.token_key_of_enc encs
-
-(* Per-keyword state lives in parallel arrays indexed by keyword id:
-   [counts] is the flat salt-counter table, [ciphers] the current 40-bit
-   index key per keyword, [tkeys] the expanded AES schedules (possibly a
-   shared {!keyset}, never written).  [index] maps each current cipher
-   back to its keyword.
+(* Per-keyword state is indexed by keyword id: [counts] is the flat
+   salt-counter table, [ciphers] the current 40-bit index key per
+   keyword, [keys] the expanded token keys, slot [id] per keyword (one
+   arena, possibly a keyset shared by every connection on a rule
+   generation, never written).  [index] maps each current cipher back to
+   its keyword.
    [probe_tick]/[probe_steps] are the sampling state for the probe-length
    estimator.  They live on [t] (not at module level) so that indices
    owned by different domains — one per Shardpool shard — never share
@@ -47,7 +37,7 @@ type t = {
   mode : Dpienc.mode;
   stride : int;
   mutable salt0 : int;
-  tkeys : Dpienc.token_key array;
+  keys : Dpienc.keyset;
   keys_shared : bool;
   counts : int array;
   ciphers : int array;
@@ -61,7 +51,7 @@ let[@inline] current_salt t id = t.salt0 + (t.stride * t.counts.(id))
 let rebuild t =
   Cindex.clear t.index;
   for id = 0 to Array.length t.counts - 1 do
-    t.ciphers.(id) <- Dpienc.encrypt t.tkeys.(id) ~salt:(current_salt t id);
+    t.ciphers.(id) <- Dpienc.cipher t.keys id ~salt:(current_salt t id);
     Cindex.insert t.index t.ciphers.(id) id
   done
 
@@ -69,17 +59,17 @@ let create ?keys ~mode ~salt0 encs =
   if mode = Dpienc.Probable && salt0 land 1 <> 0 then
     invalid_arg "Detect.create: salt0 must be even";
   let n = Array.length encs in
-  let tkeys, keys_shared =
+  let keys, keys_shared =
     match keys with
     | Some ks ->
-      if Array.length ks <> n then
+      if Dpienc.keyset_size ks <> n then
         invalid_arg "Detect.create: keyset size mismatch";
       (ks, true)
-    | None -> (keyset encs, false)
+    | None -> (Dpienc.keyset encs, false)
   in
   let t =
     { mode; stride = Dpienc.salt_stride mode; salt0;
-      tkeys; keys_shared;
+      keys; keys_shared;
       counts = Array.make n 0; ciphers = Array.make n 0;
       index = Cindex.create ~capacity:n ();
       probe_tick = 0; probe_steps = ref 0 }
@@ -110,7 +100,7 @@ let process_token t ~cipher ~offset =
     Obs.incr obs_matches;
     let salt = current_salt t found in
     t.counts.(found) <- t.counts.(found) + 1;
-    let next = Dpienc.encrypt t.tkeys.(found) ~salt:(current_salt t found) in
+    let next = Dpienc.cipher t.keys found ~salt:(current_salt t found) in
     Cindex.remove t.index t.ciphers.(found);
     Cindex.insert t.index next found;
     t.ciphers.(found) <- next;
@@ -137,8 +127,7 @@ let recover_key t ~event ~embed =
   if t.mode <> Dpienc.Probable then
     invalid_arg "Detect.recover_key: not in probable-cause mode";
   if String.length embed <> 16 then invalid_arg "Detect.recover_key: embed must be 16 bytes";
-  let mask = Dpienc.encrypt_full t.tkeys.(event.kw_id) ~salt:(event.salt + 1) in
-  Bbx_crypto.Util.xor embed mask
+  Dpienc.mask_xor t.keys event.kw_id ~salt:(event.salt + 1) embed
 
 let reset t ~salt0 =
   if t.mode = Dpienc.Probable && salt0 land 1 <> 0 then
@@ -151,7 +140,7 @@ let reset t ~salt0 =
    flat salt-counter table plus the base salt.  Keys, ciphers and the
    index are all derivable from (encs, salt0, counts) — [restore_counts]
    rebuilds them — so connection snapshots carry one int per keyword, not
-   key schedules. *)
+   expanded keys. *)
 let salt_counts t = Array.copy t.counts
 
 let restore_counts t ~salt0 counts =
@@ -169,14 +158,13 @@ let size t = Cindex.size t.index
 
 (* Approximate resident bytes of the per-connection half of the detector:
    the counter/cipher arrays and the index.  Shared keysets are charged to
-   their owner (the fleet / rule generation), not to each connection;
-   private key schedules are charged here (~1.4 KB each: a 176-slot int
-   array plus headers). *)
+   their owner (the fleet / rule generation), not to each connection; a
+   private keyset is charged here, exactly (48 words per key). *)
 let word = Sys.word_size / 8
 
 let footprint_bytes t =
   let n = Array.length t.counts in
   let arrays = 2 * (n + 1) * word in
   let index = 2 * (Cindex.capacity t.index + 1) * word in
-  let keys = if t.keys_shared then 0 else n * ((176 + 1) * word + 3 * word) in
+  let keys = if t.keys_shared then 0 else Dpienc.keyset_bytes t.keys in
   arrays + index + keys

@@ -26,29 +26,17 @@ type event = {
 
 type t
 
-(** An immutable array of expanded per-keyword AES key schedules.  Key
-    expansion is the dominant per-connection setup cost and footprint at
-    fleet scale, and the schedules depend only on the encrypted chunk
-    values — build one keyset per (tenant, rule generation) with
-    {!keyset} and pass it to every connection's {!create} via [?keys].
-    Never mutated after construction; safe to share across domains when
-    published through a synchronised channel (the shard pool's mailboxes
-    qualify). *)
-type keyset
-
-(** [keyset encs] expands the key schedule of each encrypted rule token
-    once. *)
-val keyset : string array -> keyset
-
 (** [create ?keys ~mode ~salt0 keywords] — [keywords] are the encrypted
     rule tokens [AES_k(token)] (16 bytes each); keyword ids are their
     indices.  Duplicate encrypted values are allowed but only the last
     one's id is reported (callers dedup by token value).  [keys], when
-    given, must be [keyset keywords] (checked by length only); the
-    detector then borrows the shared schedules instead of re-expanding
-    them. *)
+    given, must be [Dpienc.keyset keywords] (checked by size only); the
+    detector then borrows that shared keyset instead of expanding its
+    own.  Key expansion is the dominant per-connection setup cost at
+    fleet scale and depends only on the encrypted chunk values, so one
+    keyset per (tenant, rule generation) serves every connection. *)
 val create :
-  ?keys:keyset ->
+  ?keys:Bbx_dpienc.Dpienc.keyset ->
   mode:Bbx_dpienc.Dpienc.mode -> salt0:int -> string array -> t
 
 (** [process_stream t wire ~f] decodes a wire-encoded token stream
@@ -87,8 +75,8 @@ val salt_counts : t -> int array
 val restore_counts : t -> salt0:int -> int array -> unit
 
 (** Approximate resident bytes of this detector's per-connection state
-    (counter/cipher arrays + index; private key schedules are included,
-    shared keysets are not — they are charged to their owner). *)
+    (counter/cipher arrays + index; a private keyset is included, a
+    shared one is not — it is charged to its owner). *)
 val footprint_bytes : t -> int
 
 (** Number of distinct index entries (= number of keywords, minus any

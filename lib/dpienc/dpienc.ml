@@ -26,16 +26,12 @@ let raw_key_of_secret s = Kdf.derive ~secret:s ~label:"dpienc-key" 16
 
 let key_of_secret s = Aes.expand_key (raw_key_of_secret s)
 
-(* Constant pad, hoisted off the hot path (one shared string instead of a
-   fresh [String.make] per call). *)
-let salt_pad = String.make 8 '\000'
-
 (* The padded token block [t || 0^(16 - token_len)] is built in a reused
-   per-domain scratch: [token_enc] runs per *distinct* token on the sender
-   but per chunk in rule preparation, where the old [t ^ pad] concat was a
-   measurable slice of fleet establish.  Bytes past [token_len] are zeroed
-   at creation and never written, so only the token bytes are blitted per
-   call.  Domain-local because rule prep runs on the setup worker pool. *)
+   per-domain scratch: [token_enc] runs per chunk in rule preparation,
+   where a fresh [t ^ pad] concat was a measurable slice of fleet
+   establish.  Bytes past [token_len] are zeroed at creation and never
+   written, so only the token bytes are blitted per call.  Domain-local
+   because rule prep runs on the setup worker pool. *)
 let token_block_scratch =
   Domain.DLS.new_key (fun () -> (Bytes.make 16 '\000', Bytes.create 16))
 
@@ -44,34 +40,45 @@ let token_enc key t =
     invalid_arg "Dpienc: token must be Tokenizer.token_len bytes";
   let src, dst = Domain.DLS.get token_block_scratch in
   Bytes.blit_string t 0 src 0 Tokenizer.token_len;
-  Aes.encrypt_block_into key ~src ~src_off:0 ~dst ~dst_off:0;
+  Aes.encrypt_block_into (Aes.key_arena key) 0 ~src ~src_off:0 ~dst ~dst_off:0;
   Bytes.to_string dst
 
-type token_key = Aes.key
+(* ---- keysets ----
 
-let token_key_of_enc e = Aes.expand_key e
-let token_key key t = token_key_of_enc (token_enc key t)
+   The token keys [AES_{AES_k(t)}] of a set of tokens, expanded into one
+   flat arena (slot [id] = the key of token [id]): the middlebox's per
+   rule chunk keys, and the sender's per distinct token keys. *)
+type keyset = Aes.arena
 
-(* Placeholder schedule for the empty slots of a sender's counter table;
-   never used to encrypt. *)
-let empty_tkey : token_key = Aes.expand_key (String.make 16 '\000')
+let keyset encs =
+  let ks = Array.make (Array.length encs * Aes.key_words) 0 in
+  Array.iteri (fun id e -> Aes.expand_into ks id e) encs;
+  ks
 
-let encrypt tk ~salt = Aes.encrypt_u64 tk salt land rs_mask
+let keyset_size ks = Array.length ks / Aes.key_words
+let keyset_bytes ks = (Array.length ks + 1) * (Sys.word_size / 8)
 
-let encrypt_full tk ~salt = Aes.encrypt_block tk (salt_pad ^ Util.u64_be salt)
+let cipher ks id ~salt = Aes.encrypt_u64 ks id salt land rs_mask
 
-(* [encrypt_full] xor k_ssl, written straight into [dst]: the mask block
-   0^8 || BE64(salt) is produced by [Aes.encrypt_u64_into] (which bounds-
-   checks the 16-byte range once) and k_ssl is folded over it in place.
-   [k_ssl] is 16 bytes ([check_k_ssl] below). *)
-let embed_into tk ~salt ~k_ssl ~dst ~dst_off =
-  Aes.encrypt_u64_into tk salt ~dst ~dst_off;
+(* AES_{ks[id]}(0^8 || BE64(salt)) xor [x], written straight into [dst]:
+   the mask block is produced by [Aes.encrypt_u64_into] (which bounds-
+   checks the 16-byte range once) and [x] is folded over it in place.
+   With [x = k_ssl] this is the Probable-mode embed; with [x] the embed
+   it recovers [k_ssl].  [x] is 16 bytes. *)
+let mask_xor_into ks id ~salt x ~dst ~dst_off =
+  Aes.encrypt_u64_into ks id salt ~dst ~dst_off;
   for i = 0 to 15 do
     Bytes.unsafe_set dst (dst_off + i)
       (Char.unsafe_chr
          (Char.code (Bytes.unsafe_get dst (dst_off + i))
-          lxor Char.code (String.unsafe_get k_ssl i)))
+          lxor Char.code (String.unsafe_get x i)))
   done
+
+let mask_xor ks id ~salt x =
+  if String.length x <> 16 then invalid_arg "Dpienc.mask_xor: need 16 bytes";
+  let dst = Bytes.create 16 in
+  mask_xor_into ks id ~salt x ~dst ~dst_off:0;
+  Bytes.unsafe_to_string dst
 
 type mode = Exact | Probable
 
@@ -91,27 +98,38 @@ let probable_record_bytes = 26
    losslessly into two 32-bit ints (big-endian halves of the zero-padded
    token), so a lookup is an integer hash, a linear probe and two compares
    — no key string, no closure dispatch through [Hashtbl.Make].  The two
-   key words and the counter of a slot are interleaved in ONE int array
-   ([ptab], three words per slot) so the steady-state hit touches a single
-   cache line where parallel arrays would touch three.  A first-seen
-   token's key [AES_{AES_k(t)}] is expanded when its slot is claimed.
-   Per-token wire output is staged in [wire] and appended with one
+   key words, the counter and the key id of a slot are interleaved in ONE
+   int array ([ptab], four words per slot) so the steady-state hit
+   touches a single cache line where parallel arrays would touch four.
+
+   A first-seen token's key [AES_{AES_k(t)}] is expanded when its slot is
+   claimed, into the next free slot of the sender's keyset [pkeys]: key
+   ids run in insertion order, so table growth moves slots but never a
+   schedule, and the keyset holds exactly the distinct tokens (half the
+   words of a keyset indexed by table slot at load <= 1/2).  [pkeys] is
+   allocated on the first insert and doubles as it fills; a reset rewinds
+   the id counter and keeps the keyset, as it keeps [ptab].  Per-token
+   wire output is staged in [wire] and appended with one
    [Buffer.add_subbytes] per sweep of [sweep_cap] records. *)
 
 let sweep_cap = 256
 let init_slots = 256 (* power of two; grows at load 1/2 *)
+let init_keys = 32
 
 type sender = {
   mode : mode;
   key : key;
   mutable salt0 : int;
   mutable max_count : int;
-  (* slot i at 3i: token bytes 0-3 big-endian (-1 = empty), bytes 4-7,
-     occurrence count *)
+  (* slot i at 4i: token bytes 0-3 big-endian (-1 = empty), bytes 4-7,
+     occurrence count, key id *)
   mutable ptab : int array;
-  mutable ptkeys : token_key array;   (* [empty_tkey] in empty slots *)
   mutable pmask : int;                (* slot count - 1 *)
-  mutable poccupied : int;
+  mutable poccupied : int;            (* = the next key id *)
+  mutable pkeys : keyset;             (* key id -> AES_{AES_k(t)}; [||] until
+                                         the first insert *)
+  tblk : Bytes.t;                     (* scratch: the padded token t || 0^8 *)
+  kblk : Bytes.t;                     (* scratch: AES_k(t) *)
   wire : Bytes.t;                     (* [sweep_cap] staged wire records *)
   mutable sw_n : int;                 (* records staged in [wire] *)
 }
@@ -125,18 +143,14 @@ let sender_create ?kernel:_ mode key ~salt0 =
     match mode with Exact -> exact_record_bytes | Probable -> probable_record_bytes
   in
   { mode; key; salt0; max_count = 0;
-    ptab = Array.make (3 * init_slots) (-1);
-    ptkeys = Array.make init_slots empty_tkey;
+    ptab = Array.make (4 * init_slots) (-1);
     pmask = init_slots - 1;
     poccupied = 0;
+    pkeys = [||];
+    tblk = Bytes.make 16 '\000';
+    kblk = Bytes.create 16;
     wire = Bytes.create (sweep_cap * rec_bytes);
     sw_n = 0 }
-
-(* Materialise the (padded) token value of a slice — first occurrence of a
-   distinct token value only. *)
-let materialize src off len =
-  if len = Tokenizer.token_len then String.sub src off len
-  else Tokenizer.pad_short (String.sub src off len)
 
 (* The zero-padded token as two big-endian 32-bit words.  Two scalar
    results rather than one pair — the tuple would be a per-token
@@ -178,7 +192,7 @@ let[@inline] pfind s h1 h2 =
   let t = s.ptab in
   let i = ref (phash h1 h2 land mask) in
   while
-    (let b = 3 * !i in
+    (let b = 4 * !i in
      let v = Array.unsafe_get t b in
      v >= 0 && not (v = h1 && Array.unsafe_get t (b + 1) = h2))
   do
@@ -186,39 +200,58 @@ let[@inline] pfind s h1 h2 =
   done;
   !i
 
-(* Double the table.  Every slot index changes. *)
+(* Double the table.  Every slot index changes; key ids travel with
+   their slots. *)
 let pgrow s =
   let ncap = 2 * (s.pmask + 1) in
   let nmask = ncap - 1 in
-  let ntab = Array.make (3 * ncap) (-1) in
-  let nt = Array.make ncap empty_tkey in
+  let ntab = Array.make (4 * ncap) (-1) in
   for i = 0 to s.pmask do
-    let h1 = s.ptab.(3 * i) in
+    let h1 = s.ptab.(4 * i) in
     if h1 >= 0 then begin
-      let h2 = s.ptab.((3 * i) + 1) in
+      let h2 = s.ptab.((4 * i) + 1) in
       let j = ref (phash h1 h2 land nmask) in
-      while ntab.(3 * !j) >= 0 do
+      while ntab.(4 * !j) >= 0 do
         j := (!j + 1) land nmask
       done;
-      ntab.(3 * !j) <- h1;
-      ntab.((3 * !j) + 1) <- h2;
-      ntab.((3 * !j) + 2) <- s.ptab.((3 * i) + 2);
-      nt.(!j) <- s.ptkeys.(i)
+      Array.blit s.ptab (4 * i) ntab (4 * !j) 4
     end
   done;
   s.ptab <- ntab;
-  s.ptkeys <- nt;
   s.pmask <- nmask
 
-(* Claim empty slot [i] for the token [src.[off..off+len-1]] (packed as
-   [h1], [h2]) with count 0 and its token key.  Returns the token's slot,
-   re-probed if the insert grew the table. *)
-let insert s i h1 h2 src off len =
-  s.ptab.(3 * i) <- h1;
-  s.ptab.((3 * i) + 1) <- h2;
-  s.ptab.((3 * i) + 2) <- 0;
-  s.ptkeys.(i) <- token_key s.key (materialize src off len);
-  s.poccupied <- s.poccupied + 1;
+external set_64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+external bswap_64 : int64 -> int64 = "%bswap_int64"
+
+(* Expand the key of the token packed as [h1], [h2] into key id [id]:
+   the padded token t || 0^8 is [h1], [h2] big-endian, so it is written
+   into [tblk] with one store and encrypted under k into [kblk], which is
+   expanded in place — the string view of [kblk] lives only for the
+   [expand_into] call, which reads it and keeps nothing. *)
+let expand_token_key s id h1 h2 =
+  let cap = Array.length s.pkeys / Aes.key_words in
+  if id >= cap then begin
+    let nk = Array.make (max init_keys (2 * cap) * Aes.key_words) 0 in
+    Array.blit s.pkeys 0 nk 0 (Array.length s.pkeys);
+    s.pkeys <- nk
+  end;
+  set_64u s.tblk 0
+    (bswap_64 (Int64.logor (Int64.shift_left (Int64.of_int h1) 32) (Int64.of_int h2)));
+  Aes.encrypt_block_into (Aes.key_arena s.key) 0 ~src:s.tblk ~src_off:0 ~dst:s.kblk ~dst_off:0;
+  Aes.expand_into s.pkeys id (Bytes.unsafe_to_string s.kblk)
+
+(* Claim empty slot [i] for the token packed as [h1], [h2] with count 0
+   and the next key id.  Returns the token's slot, re-probed if the
+   insert grew the table. *)
+let insert s i h1 h2 =
+  let id = s.poccupied in
+  let b = 4 * i in
+  s.ptab.(b) <- h1;
+  s.ptab.(b + 1) <- h2;
+  s.ptab.(b + 2) <- 0;
+  s.ptab.(b + 3) <- id;
+  expand_token_key s id h1 h2;
+  s.poccupied <- id + 1;
   if 2 * s.poccupied > s.pmask + 1 then begin
     pgrow s;
     pfind s h1 h2
@@ -229,7 +262,7 @@ let insert s i h1 h2 src off len =
 let[@inline] slot s src off len =
   let h1 = slice_hi src off len and h2 = slice_lo src off len in
   let i = pfind s h1 h2 in
-  if Array.unsafe_get s.ptab (3 * i) >= 0 then i else insert s i h1 h2 src off len
+  if Array.unsafe_get s.ptab (4 * i) >= 0 then i else insert s i h1 h2
 
 (* ---- wire format ----
 
@@ -238,9 +271,6 @@ let[@inline] slot s src off len =
    a bounds check and a potential resize per byte.  The writers are unsafe
    because every call site writes a statically in-range span of its
    (private, fixed-size) buffer. *)
-
-external set_64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
-external bswap_64 : int64 -> int64 = "%bswap_int64"
 
 (* Flag byte, top cipher byte, then the low 32 cipher bits and the 32-bit
    stream offset as ONE byte-swapped 64-bit store over pos+2..pos+9 — the
@@ -256,20 +286,22 @@ let[@inline] put_record_at b pos flag cipher stream_off =
           (Int64.shift_left (Int64.of_int (cipher land 0xffffffff)) 32)
           (Int64.of_int (stream_off land 0xffffffff))))
 
+(* The embed key of this call: [""] in Exact mode, where records carry
+   no embed. *)
 let check_k_ssl s k_ssl =
   match s.mode with
-  | Exact -> None
+  | Exact -> ""
   | Probable ->
     (match k_ssl with
      | None -> invalid_arg "Dpienc.sender_encrypt_into: Probable mode needs ~k_ssl"
      | Some k ->
        if String.length k <> 16 then
          invalid_arg "Dpienc.sender_encrypt_into: k_ssl must be 16 bytes";
-       Some k)
+       k)
 
 (* This occurrence's salt for slot [i], bumping its counter. *)
 let[@inline] take_salt s i =
-  let b = (3 * i) + 2 in
+  let b = (4 * i) + 2 in
   let c = Array.unsafe_get s.ptab b in
   Array.unsafe_set s.ptab b (c + 1);
   if c + 1 > s.max_count then s.max_count <- c + 1;
@@ -279,96 +311,94 @@ let sender_reset s =
   let stride = salt_stride s.mode in
   s.salt0 <- s.salt0 + (stride * (s.max_count + 1));
   s.max_count <- 0;
-  Array.fill s.ptab 0 (3 * (s.pmask + 1)) (-1);
-  (* drop the expanded schedules so a reset returns the memory *)
-  Array.fill s.ptkeys 0 (s.pmask + 1) empty_tkey;
+  Array.fill s.ptab 0 (4 * (s.pmask + 1)) (-1);
+  (* rewind the key ids; the keyset keeps its size, as [ptab] does *)
   s.poccupied <- 0;
   Obs.incr obs_resets;
   s.salt0
 
 type tokenization = Window | Delimiter of { short_units : bool }
 
-(* The fold pass: each token's cipher (and embed) is written straight into
-   the sweep's wire block at its wire position; the block is appended to
-   [buf] whenever it fills and once at the end.  Salts are assigned in
-   token order. *)
+(* The per-token output path.  Each token's cipher (and embed) is written
+   straight into the sweep's wire block at its wire position; the block
+   is appended to [buf] whenever it fills and once at the end of a call.
+   These are top-level functions with the call's state as arguments, not
+   closures over it, so a window call allocates nothing at all. *)
+let[@inline] rec_bytes_of k_ssl =
+  if String.length k_ssl = 0 then exact_record_bytes else probable_record_bytes
+
+let flush s buf k_ssl =
+  Buffer.add_subbytes buf s.wire 0 (s.sw_n * rec_bytes_of k_ssl);
+  s.sw_n <- 0
+
+let[@inline] emit s buf k_ssl id salt off =
+  let pos = s.sw_n * rec_bytes_of k_ssl in
+  if String.length k_ssl = 0 then
+    put_record_at s.wire pos '\000' (cipher s.pkeys id ~salt) off
+  else begin
+    put_record_at s.wire pos '\001' (cipher s.pkeys id ~salt) off;
+    mask_xor_into s.pkeys id ~salt:(salt + 1) k_ssl ~dst:s.wire ~dst_off:(pos + 10)
+  end;
+  s.sw_n <- s.sw_n + 1;
+  if s.sw_n = sweep_cap then flush s buf k_ssl
+
+(* Window tokenization, specialized: windows are always [token_len]
+   bytes at stride 1, so the halves ROLL one byte per step instead of
+   re-reading eight, and the next window's probe runs before the current
+   token's encryption — its cache miss (the slot line, which also holds
+   the key id) resolves under the ~140-lookup T-table chain instead of in
+   front of it.  The look-ahead probe runs after the current token's
+   insert, so it always sees the current table shape, even when the
+   insert occupies the very slot the probe would stop at, or grows the
+   table. *)
+let window_pass s buf k_ssl base payload =
+  let last = String.length payload - Tokenizer.token_len in
+  if last < 0 then 0
+  else begin
+    let h1 = ref (slice_hi payload 0 8) and h2 = ref (slice_lo payload 0 8) in
+    let ni = ref (pfind s !h1 !h2) in
+    let nid = ref (Array.unsafe_get s.ptab ((4 * !ni) + 3)) in
+    for off = 0 to last do
+      let ch1 = !h1 and ch2 = !h2 in
+      let i = !ni in
+      let fresh = Array.unsafe_get s.ptab (4 * i) < 0 in
+      let i = if fresh then insert s i ch1 ch2 else i in
+      let id = if fresh then Array.unsafe_get s.ptab ((4 * i) + 3) else !nid in
+      let salt = take_salt s i in
+      (* look ahead one window before the encrypt below *)
+      if off < last then begin
+        let b = Char.code (String.unsafe_get payload (off + 8)) in
+        let nh1 = ((ch1 lsl 8) lor (ch2 lsr 24)) land 0xffffffff in
+        let nh2 = ((ch2 lsl 8) lor b) land 0xffffffff in
+        h1 := nh1;
+        h2 := nh2;
+        let k = pfind s nh1 nh2 in
+        ni := k;
+        nid := Array.unsafe_get s.ptab ((4 * k) + 3)
+      end;
+      emit s buf k_ssl id salt (base + off)
+    done;
+    last + 1
+  end
+
+(* Salts are assigned in token order. *)
 let sender_encrypt_into s ?k_ssl ?(base = 0) ?(tokenization = Window) payload buf =
   let k_ssl = check_k_ssl s k_ssl in
   let wire0 = Buffer.length buf in
-  let rec_bytes =
-    if k_ssl = None then exact_record_bytes else probable_record_bytes
-  in
-  let flag = if k_ssl = None then '\000' else '\001' in
-  let wire = s.wire in
-  let flush () =
-    Buffer.add_subbytes buf wire 0 (s.sw_n * rec_bytes);
-    s.sw_n <- 0
-  in
-  let[@inline] emit tkey salt off =
-    let pos = s.sw_n * rec_bytes in
-    put_record_at wire pos flag (Aes.encrypt_u64 tkey salt land rs_mask) off;
-    (match k_ssl with
-     | None -> ()
-     | Some k ->
-       embed_into tkey ~salt:(salt + 1) ~k_ssl:k ~dst:wire ~dst_off:(pos + 10));
-    s.sw_n <- s.sw_n + 1;
-    if s.sw_n = sweep_cap then flush ()
-  in
-  (* Window tokenization, specialized: windows are always [token_len]
-     bytes at stride 1, so the halves ROLL one byte per step instead of
-     re-reading eight, and the next window's probe runs before the
-     current token's encryption — its cache misses (slot line, tkey
-     pointer) resolve under the ~140-lookup T-table chain instead of in
-     front of it.  The look-ahead probe runs after the current token's
-     insert, so it always sees the current table shape, even when the
-     insert occupies the very slot the probe would stop at, or grows the
-     table. *)
-  let window_pass () =
-    let last = String.length payload - Tokenizer.token_len in
-    if last < 0 then 0
-    else begin
-      let h1 = ref (slice_hi payload 0 8) and h2 = ref (slice_lo payload 0 8) in
-      let ni = ref (pfind s !h1 !h2) in
-      let ntk = ref (Array.unsafe_get s.ptkeys !ni) in
-      for off = 0 to last do
-        let ch1 = !h1 and ch2 = !h2 in
-        let i = !ni in
-        let fresh = Array.unsafe_get s.ptab (3 * i) < 0 in
-        let i = if fresh then insert s i ch1 ch2 payload off 8 else i in
-        let tk = if fresh then Array.unsafe_get s.ptkeys i else !ntk in
-        let salt = take_salt s i in
-        (* look ahead one window before the encrypt below *)
-        if off < last then begin
-          let b = Char.code (String.unsafe_get payload (off + 8)) in
-          let nh1 = ((ch1 lsl 8) lor (ch2 lsr 24)) land 0xffffffff in
-          let nh2 = ((ch2 lsl 8) lor b) land 0xffffffff in
-          h1 := nh1;
-          h2 := nh2;
-          let k = pfind s nh1 nh2 in
-          ni := k;
-          ntk := Array.unsafe_get s.ptkeys k
-        end;
-        emit tk salt (base + off)
-      done;
-      last + 1
-    end
-  in
-  let f count ~off ~len =
-    let i = slot s payload off len in
-    let salt = take_salt s i in
-    emit (Array.unsafe_get s.ptkeys i) salt (base + off);
-    count + 1
-  in
   let count =
     match tokenization with
     | Window ->
-      let c = window_pass () in
+      let c = window_pass s buf k_ssl base payload in
       Tokenizer.note_window_scan payload;
       c
     | Delimiter { short_units } ->
-      Tokenizer.fold_delimiter ~short_units payload ~init:0 ~f
+      Tokenizer.fold_delimiter ~short_units payload ~init:0 ~f:(fun count ~off ~len ->
+          let i = slot s payload off len in
+          let salt = take_salt s i in
+          emit s buf k_ssl (Array.unsafe_get s.ptab ((4 * i) + 3)) salt (base + off);
+          count + 1)
   in
-  flush ();
+  flush s buf k_ssl;
   Obs.add obs_bytes_in (String.length payload);
   Obs.add obs_wire_bytes (Buffer.length buf - wire0);
   Obs.add obs_tokens count;

@@ -40,22 +40,38 @@ type aes_kernel = Bbx_crypto.Aes.kernel = Bitsliced
     encryption.  Raises [Invalid_argument] on wrong token length. *)
 val token_enc : key -> string -> string
 
-(** A token key is the expanded [AES_{AES_k(t)}] cipher; building one is the
-    expensive step so both sides cache it per token value. *)
-type token_key
+(** {2 Keysets}
 
-val token_key : key -> string -> token_key
+    A token key [AES_{AES_k(t)}] is expensive to build, so both sides
+    expand it once per token value: the sender per distinct token, the
+    middlebox per rule chunk.  A keyset holds a whole set of them in one
+    flat arena ({!Bbx_crypto.Aes.arena}); key [id] is slot [id].  A
+    keyset is never written after {!keyset} returns, so connections on
+    different domains may share one once it is published through a
+    synchronised channel (the shard pool's mailboxes qualify). *)
 
-(** [token_key_of_enc e] builds a token key directly from [AES_k(t)] — this
-    is what the middlebox does with encrypted rules, never holding [k]. *)
-val token_key_of_enc : string -> token_key
+type keyset
 
-(** [encrypt tk ~salt] is [AES_{AES_k(t)}(salt) mod RS] as a 40-bit int. *)
-val encrypt : token_key -> salt:int -> int
+(** [keyset encs] expands [encs.(id)] — [AES_k(t)] as the middlebox
+    obtains it through obfuscated rule encryption, never holding [k] —
+    into slot [id]. *)
+val keyset : string array -> keyset
 
-(** [encrypt_full tk ~salt] is the unreduced 16-byte block, used as the
-    probable-cause mask. *)
-val encrypt_full : token_key -> salt:int -> string
+(** Number of keys in a keyset. *)
+val keyset_size : keyset -> int
+
+(** Resident bytes of a keyset: [Aes.key_words] words per key plus one
+    array header. *)
+val keyset_bytes : keyset -> int
+
+(** [cipher ks id ~salt] is [AES_{ks.(id)}(salt) mod RS] as a 40-bit
+    int. *)
+val cipher : keyset -> int -> salt:int -> int
+
+(** [mask_xor ks id ~salt x] is the unreduced block [AES_{ks.(id)}(salt)]
+    XOR the 16-byte [x]: the probable-cause embed of [x = k_ssl] at salt
+    [salt], and, applied to an embed, the recovered [k_ssl]. *)
+val mask_xor : keyset -> int -> salt:int -> string -> string
 
 type mode = Exact | Probable
 

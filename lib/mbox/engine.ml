@@ -146,13 +146,14 @@ type ruleset = {
   npats : int;
 }
 
-(* One key's chunk encryptions over one ruleset, with their expanded AES
-   schedules; [encs.(i) = AES_k(ruleset.chunks.(i))]. *)
+(* One key's chunk encryptions over one ruleset, with their token keys
+   expanded into one arena; [encs.(i) = AES_k(ruleset.chunks.(i))], and
+   keyset slot [i] is its key. *)
 type keys = {
   k_id : int;
   ruleset : ruleset;
   encs : string array;
-  keyset : Bbx_detect.Detect.keyset;
+  keyset : Dpienc.keyset;
 }
 
 type t = {
@@ -302,7 +303,7 @@ let keys_of_encs ruleset encs =
   { k_id = Atomic.fetch_and_add next_id 1;
     ruleset;
     encs;
-    keyset = Bbx_detect.Detect.keyset encs }
+    keyset = Dpienc.keyset encs }
 
 let keys ruleset ~enc_chunk = keys_of_encs ruleset (Array.map enc_chunk ruleset.chunks)
 
@@ -828,10 +829,12 @@ let ruleset_bytes rs =
   + arr (Array.length rs.decrypt_rules)
   + (match rs.ac with None -> 0 | Some (ac, _) -> Bbx_ac.Aho_corasick.footprint_bytes ac)
 
-(* an expanded schedule is a 176-slot int array plus headers, as
-   [Detect.footprint_bytes] charges a private one *)
+(* Exact: the record (4 fields + header), the encs array, each enc
+   string, and the keyset arena. *)
 let keys_bytes k =
-  Array.fold_left (fun a e -> a + str_bytes e + (176 + 4) * word) (2 * word) k.encs
+  Array.fold_left (fun a e -> a + str_bytes e)
+    ((5 + Array.length k.encs + 1) * word + Dpienc.keyset_bytes k.keyset)
+    k.encs
 
 let footprint_bytes t =
   let hits =

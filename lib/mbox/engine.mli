@@ -89,7 +89,8 @@ val distinct_chunks : Bbx_rules.Rule.t list -> string array
       decrypt-tier content patterns, whose dense transition tables are
       the largest rules-only structure);
     - {!keys} hold one key's chunk encryptions [AES_k(chunk)] and their
-      expanded AES key schedules, built against one ruleset.
+      token keys, expanded into one {!Bbx_dpienc.Dpienc.keyset} arena,
+      built against one ruleset.
 
     Nothing writes to either after construction, so engines on different
     domains may share them once published through a synchronised channel
@@ -123,15 +124,17 @@ val ruleset_bytes : ruleset -> int
 type keys
 
 (** [keys rs ~enc_chunk] asks [enc_chunk] for [AES_k(chunk)] once per
-    chunk of [rs] and expands every key schedule.  In production the
-    oracle is obfuscated rule encryption (garbled circuits + OT, see
-    {!Blindbox.Session}); tests may pass the direct encryption. *)
+    chunk of [rs] and expands every chunk's token key into one keyset
+    arena.  In production the oracle is obfuscated rule encryption
+    (garbled circuits + OT, see {!Blindbox.Session}); tests may pass the
+    direct encryption. *)
 val keys : ruleset -> enc_chunk:(string -> string) -> keys
 
 (** The ruleset [keys] were built against. *)
 val ruleset_of : keys -> ruleset
 
-(** Approximate resident bytes of the encryptions and key schedules. *)
+(** Resident bytes of the key material, exactly: the encryptions, their
+    array, the keyset arena and the record. *)
 val keys_bytes : keys -> int
 
 (** Identities for charging a shared value once: distinct for every

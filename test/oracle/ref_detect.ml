@@ -12,7 +12,7 @@ module Detect = Bbx_detect.Detect
 type t = {
   stride : int;
   mutable salt0 : int;
-  tkeys : Dpienc.token_key array;
+  tkeys : Token_keys.token_key array;
   counts : int array;
   ciphers : int array;       (* each keyword's current index key *)
   mutable tree : int Avl.t;  (* cipher -> keyword id *)
@@ -24,7 +24,7 @@ let rebuild t =
   t.tree <- Avl.empty;
   Array.iteri
     (fun id tk ->
-       t.ciphers.(id) <- Dpienc.encrypt tk ~salt:(current_salt t id);
+       t.ciphers.(id) <- Token_keys.encrypt tk ~salt:(current_salt t id);
        t.tree <- Avl.insert t.ciphers.(id) id t.tree)
     t.tkeys
 
@@ -32,7 +32,7 @@ let create ~mode ~salt0 encs =
   let n = Array.length encs in
   let t =
     { stride = Dpienc.salt_stride mode; salt0;
-      tkeys = Array.map Dpienc.token_key_of_enc encs;
+      tkeys = Array.map Token_keys.token_key_of_enc encs;
       counts = Array.make n 0; ciphers = Array.make n 0; tree = Avl.empty }
   in
   rebuild t;
@@ -44,7 +44,7 @@ let process_token t ~cipher ~offset =
   | Some id ->
     let salt = current_salt t id in
     t.counts.(id) <- t.counts.(id) + 1;
-    let next = Dpienc.encrypt t.tkeys.(id) ~salt:(current_salt t id) in
+    let next = Token_keys.encrypt t.tkeys.(id) ~salt:(current_salt t id) in
     t.tree <- Avl.replace ~old_key:t.ciphers.(id) next id t.tree;
     t.ciphers.(id) <- next;
     Some { Detect.kw_id = id; offset; salt }
@@ -66,7 +66,7 @@ let process_batch t (toks : Records.enc_token list) =
     toks
 
 let recover_key t ~(event : Detect.event) ~embed =
-  let mask = Dpienc.encrypt_full t.tkeys.(event.kw_id) ~salt:(event.salt + 1) in
+  let mask = Token_keys.encrypt_full t.tkeys.(event.kw_id) ~salt:(event.salt + 1) in
   Bbx_crypto.Util.xor embed mask
 
 let reset t ~salt0 =

@@ -1,8 +1,9 @@
 (* The DPIEnc sender of §3.2 spelled out: a [Hashtbl] of occurrence
    counters keyed by padded token value, the i-th occurrence salted
    [salt0 + stride * i] (stride 2 in Probable mode, whose odd salts carry
-   the embed), and a reset that moves [salt0] past every salt used.  The
-   production sender's packed table, rolling window and staged output may
+   the embed), a reset that moves [salt0] past every salt used, and one
+   boxed token key per distinct token ([Token_keys]).  The production
+   sender's packed table, key arena, rolling window and staged output may
    not change a wire byte against it. *)
 
 module Dpienc = Bbx_dpienc.Dpienc
@@ -11,7 +12,7 @@ type t = {
   mode : Dpienc.mode;
   key : Dpienc.key;
   mutable salt0 : int;
-  seen : (string, int ref * Dpienc.token_key) Hashtbl.t;  (* occurrences, token key *)
+  seen : (string, int ref * Token_keys.token_key) Hashtbl.t;  (* occurrences, token key *)
 }
 
 let create mode key ~salt0 = { mode; key; salt0; seen = Hashtbl.create 64 }
@@ -23,16 +24,16 @@ let encrypt_token t ~k_ssl (tok : Tokens.token) : Records.enc_token =
     match Hashtbl.find_opt t.seen tok.content with
     | Some e -> e
     | None ->
-      let e = (ref 0, Dpienc.token_key t.key tok.content) in
+      let e = (ref 0, Token_keys.token_key t.key tok.content) in
       Hashtbl.add t.seen tok.content e;
       e
   in
   let salt = t.salt0 + (stride t * !n) in
   incr n;
-  { cipher = Dpienc.encrypt tk ~salt;
+  { cipher = Token_keys.encrypt tk ~salt;
     embed =
       Option.map
-        (fun k -> Bbx_crypto.Util.xor (Dpienc.encrypt_full tk ~salt:(salt + 1)) k)
+        (fun k -> Bbx_crypto.Util.xor (Token_keys.encrypt_full tk ~salt:(salt + 1)) k)
         k_ssl;
     offset = tok.offset }
 

@@ -39,7 +39,90 @@ let aes_tests =
         let salt = 0x123456789ab in
         let block = String.make 8 '\000' ^ Util.u64_be salt in
         let full = Aes.encrypt_block key block in
-        Alcotest.(check int) "prefix" (Util.read_u64_be full 0) (Aes.encrypt_u64 key salt));
+        Alcotest.(check int) "prefix" (Util.read_u64_be full 0) (Aes.encrypt_u64 (Aes.key_arena key) 0 salt));
+  ]
+
+(* FIPS-197 Appendix A.1: the expansion of key 2b7e1516 28aed2a6
+   abf71588 09cf4f3c, w0..w43 as the standard prints them (big-endian
+   words; an arena packs each column little-endian). *)
+let fips_a1_words =
+  [| 0x2b7e1516; 0x28aed2a6; 0xabf71588; 0x09cf4f3c; 0xa0fafe17; 0x88542cb1;
+     0x23a33939; 0x2a6c7605; 0xf2c295f2; 0x7a96b943; 0x5935807a; 0x7359f67f;
+     0x3d80477d; 0x4716fe3e; 0x1e237e44; 0x6d7a883b; 0xef44a541; 0xa8525b7f;
+     0xb671253b; 0xdb0bad00; 0xd4d1c6f8; 0x7c839d87; 0xcaf2b8bc; 0x11f915bc;
+     0x6d88a37a; 0x110b3efd; 0xdbf98641; 0xca0093fd; 0x4e54f70e; 0x5f5fc9f3;
+     0x84a64fb2; 0x4ea6dc4f; 0xead27321; 0xb58dbad2; 0x312bf560; 0x7f8d292f;
+     0xac7766f3; 0x19fadc21; 0x28d12941; 0x575c006e; 0xd014f9a8; 0xc9ee2589;
+     0xe13f0cc8; 0xb6630ca6 |]
+
+let bswap32 v =
+  ((v land 0xff) lsl 24) lor ((v land 0xff00) lsl 8)
+  lor ((v lsr 8) land 0xff00) lor ((v lsr 24) land 0xff)
+
+let key16 = QCheck.Gen.(string_size ~gen:char (return 16))
+
+(* Salts [encrypt_u64] must agree on: both sides of the 2^32 fast-path
+   boundary, and one random salt below and above it. *)
+let salt_cases lo hi = [ 0; 1; (1 lsl 32) - 1; 1 lsl 32; lo; hi ]
+
+(* [encrypt_u64] is the first 8 bytes of [encrypt_block] on
+   0^8 || BE64(v) (62-bit mask), and [encrypt_u64_into] the whole
+   block, under the key at ([arena], [slot]). *)
+let u64_agrees key arena slot v =
+  let full = Aes.encrypt_block key (String.make 8 '\000' ^ Util.u64_be v) in
+  let dst = Bytes.make 20 '\000' in
+  Aes.encrypt_u64_into arena slot v ~dst ~dst_off:3;
+  Aes.encrypt_u64 arena slot v = Util.read_u64_be full 0
+  && Bytes.sub_string dst 3 16 = full
+
+let arena_tests =
+  let prop name ?(count = 200) gen f =
+    QCheck_alcotest.to_alcotest (QCheck.Test.make ~name ~count (QCheck.make gen) f)
+  in
+  [ Alcotest.test_case "FIPS-197 A.1 schedule in an arena slot" `Quick (fun () ->
+        let a = Array.make (3 * Aes.key_words) (-1) in
+        Aes.expand_into a 1 (hex "2b7e151628aed2a6abf7158809cf4f3c");
+        Array.iteri
+          (fun i w ->
+             Alcotest.(check int) (Printf.sprintf "w%d" i) w (bswap32 a.(Aes.key_words + i)))
+          fips_a1_words;
+        let untouched o = Array.for_all (( = ) (-1)) (Array.sub a o Aes.key_words) in
+        Alcotest.(check bool) "slot 0 untouched" true (untouched 0);
+        Alcotest.(check bool) "slot 2 untouched" true (untouched (2 * Aes.key_words));
+        Alcotest.(check (array int)) "matches the byte-wise reference"
+          (Bbx_oracle.Ref_aes.arena_words (hex "2b7e151628aed2a6abf7158809cf4f3c"))
+          (Array.sub a Aes.key_words Aes.key_words));
+    Alcotest.test_case "arena slot and key length are checked" `Quick (fun () ->
+        let a = Array.make (2 * Aes.key_words) 0 in
+        let k = String.make 16 'k' in
+        Alcotest.check_raises "slot past the end"
+          (Invalid_argument "Aes.expand_into: slot out of range")
+          (fun () -> Aes.expand_into a 2 k);
+        Alcotest.check_raises "short key" (Invalid_argument "Aes.expand_into: key must be 16 bytes")
+          (fun () -> Aes.expand_into a 0 "short");
+        Alcotest.check_raises "encrypt past the end"
+          (Invalid_argument "Aes.encrypt_u64: slot out of range")
+          (fun () -> ignore (Aes.encrypt_u64 a 2 0 : int));
+        Alcotest.check_raises "negative slot"
+          (Invalid_argument "Aes.encrypt_u64_into: slot out of range")
+          (fun () -> Aes.encrypt_u64_into a (-1) 0 ~dst:(Bytes.create 16) ~dst_off:0));
+    prop "word-wise expansion equals the byte-wise reference" ~count:500
+      QCheck.Gen.(pair key16 (int_bound 3))
+      (fun (k, slot) ->
+         let a = Array.make (4 * Aes.key_words) 0 in
+         Aes.expand_into a slot k;
+         Array.sub a (slot * Aes.key_words) Aes.key_words = Bbx_oracle.Ref_aes.arena_words k);
+    prop "encrypt_u64 agrees with encrypt_block, boxed and in slot 2" ~count:300
+      QCheck.Gen.(quad key16 key16 (int_bound ((1 lsl 32) - 1)) (int_range (1 lsl 32) max_int))
+      (fun (k, other, lo, hi) ->
+         let key = Aes.expand_key k in
+         let a = Array.make (3 * Aes.key_words) 0 in
+         Aes.expand_into a 0 other;
+         Aes.expand_into a 1 other;
+         Aes.expand_into a 2 k;
+         List.for_all
+           (fun v -> u64_agrees key (Aes.key_arena key) 0 v && u64_agrees key a 2 v)
+           (salt_cases lo hi));
   ]
 
 let sha_tests =
@@ -175,6 +258,7 @@ let util_props =
 let () =
   Alcotest.run "crypto"
     [ ("aes", aes_tests);
+      ("aes-arena", arena_tests);
       ("sha256", sha_tests);
       ("hmac", hmac_tests);
       ("kdf", kdf_tests);

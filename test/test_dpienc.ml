@@ -1,6 +1,7 @@
 open Bbx_dpienc.Dpienc
 open Bbx_oracle
 open Records
+open Token_keys
 
 let key = key_of_secret "session-key-k"
 

@@ -388,6 +388,25 @@ let stats_tests =
         register mb 1;
         Alcotest.(check int) "fresh flow" 0
           (Shard.flow_stats mb ~conn_id:1).Shard.flow_tokens);
+    Alcotest.test_case "keys_bytes counts the encs and the keyset exactly" `Quick (fun () ->
+        let rs = Engine.ruleset (Datasets.generate Datasets.Emerging_threats ~n:20) in
+        let keys = Engine.keys rs ~enc_chunk in
+        let word = Sys.word_size / 8 in
+        let n = Array.length (Engine.chunks rs) in
+        (* a string is its bytes rounded up to whole words (always one
+           padding byte) plus a header word *)
+        let str_bytes s = (((String.length s + word) / word) + 1) * word in
+        let encs =
+          Array.fold_left (fun a c -> a + str_bytes (enc_chunk c)) 0 (Engine.chunks rs)
+        in
+        let arena = ((n * Bbx_crypto.Aes.key_words) + 1) * word in
+        let headers = ((n + 1) * word) (* encs array *) + (5 * word) (* keys record *) in
+        Alcotest.(check int) "encs + arena + headers" (encs + arena + headers)
+          (Engine.keys_bytes keys);
+        (* ... which is what the heap holds beyond the borrowed ruleset *)
+        Alcotest.(check int) "reachable words"
+          (word * (Obj.reachable_words (Obj.repr keys) - Obj.reachable_words (Obj.repr rs)))
+          (Engine.keys_bytes keys));
   ]
 
 (* ---------- tiered escalation over recovered record streams ---------- *)

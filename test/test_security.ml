@@ -6,6 +6,7 @@
 
 open Bbx_dpienc.Dpienc
 open Bbx_oracle.Records
+open Bbx_oracle.Token_keys
 
 let key = key_of_secret "security-suite-k"
 

@@ -71,9 +71,10 @@ let shape_tests =
           Unix.gettimeofday () -. t0
         in
         let dpi_key = Bbx_dpienc.Dpienc.key_of_secret "k" in
-        let tk = Bbx_dpienc.Dpienc.token_key dpi_key (t8 "word") in
+        let tk = Bbx_oracle.Token_keys.token_key dpi_key (t8 "word") in
         let dpi_t =
-          time (fun () -> for salt = 0 to 999 do ignore (Bbx_dpienc.Dpienc.encrypt tk ~salt) done)
+          time (fun () ->
+              for salt = 0 to 999 do ignore (Bbx_oracle.Token_keys.encrypt tk ~salt) done)
           /. 1000.0
         in
         let fe_key = Fe.key_of_secret "k" in
