@@ -1,5 +1,5 @@
 (* Exact-counter gate for the rule-level verdict step, the detection
-   index and DPIEnc's two key-expansion paths.
+   index, DPIEnc's two key-expansion paths and its wire bytes.
 
    Wall clock on a shared 1-2 vCPU host moves by +-30% between repeats;
    the rows here do not move at all, so a regression shows as a changed
@@ -29,9 +29,22 @@
      sent once, then again in reverse order after a salt reset; bytes
      allocated per token in the second period, where every distinct
      token is first-seen again;
+   - sender-delim: the same measure for a delimiter-tokenized sender
+     over benign-3k's 600 B writes;
    - keys-3k: one [Engine.keys] on 3 000 Emerging Threats rules, from
      precomputed chunk encryptions — bytes allocated and
      [Engine.keys_bytes] per chunk.
+
+   The wire rows count the TOKEN_STREAM body bytes a fresh sender emits
+   per token, one call per write with running stream offsets:
+   - wire-window: Exact mode, sender-html's 1 MiB of 16 KiB window writes;
+   - wire-delim: Exact mode, benign-3k's 600 B delimiter writes;
+   - wire-delim-probable: Probable mode, 64 generated 8 KiB HTML
+     delimiter writes (the e2ebench probable-escalate shape).
+
+   Every allocation row reads [allocated_bytes] (below) after a
+   [Gc.minor ()], so each measured window starts from an empty minor
+   heap.
 
    Informational lines (not gated) give [verdicts] wall time and
    allocation at 50, 300 and 3 000 rules.
@@ -58,20 +71,29 @@ let obs_probe_len = Obs.histogram "bbx_detect_probe_len" ~buckets:[||]
 let key = Dpienc.key_of_secret "bench-counters"
 let enc_chunk = Dpienc.token_enc key
 
-(* Bytes [Gc.allocated_bytes] itself allocates between two reads. *)
+(* Bytes allocated so far.  [Gc.allocated_bytes] (OCaml 5.1) counts the
+   words allocated since the last minor collection at an eighth of their
+   size, so a window with no minor collection in it under-reads its
+   minor-heap allocation eightfold; [Gc.minor_words] counts them exactly. *)
+let allocated_bytes () =
+  let _, promoted, major = Gc.counters () in
+  (Gc.minor_words () +. major -. promoted) *. float_of_int (Sys.word_size / 8)
+
+(* Bytes [allocated_bytes] itself allocates between two reads. *)
 let alloc_overhead =
-  let a0 = Gc.allocated_bytes () in
-  let a1 = Gc.allocated_bytes () in
+  let a0 = allocated_bytes () in
+  let a1 = allocated_bytes () in
   a1 -. a0
 
 (* One [verdicts] call: (fresh verdicts, rules evaluated, candidates
    visited, bytes allocated, ns). *)
 let measured e =
   let r0 = Obs.counter_value obs_evaluated and c0 = Obs.counter_value obs_visited in
+  Gc.minor ();
   let t0 = Bbx_obs.Trace.now_ns () in
-  let a0 = Gc.allocated_bytes () in
+  let a0 = allocated_bytes () in
   let vs = Engine.verdicts e in
-  let a1 = Gc.allocated_bytes () in
+  let a1 = allocated_bytes () in
   let t1 = Bbx_obs.Trace.now_ns () in
   ( vs,
     Obs.counter_value obs_evaluated - r0,
@@ -86,27 +108,34 @@ let wire sender ~base ~tokenization payload =
 
 let delimiter = Dpienc.Delimiter { short_units = false }
 
+(* [n] generated HTML writes of (at most) [bytes] bytes each. *)
+let html_writes seed ~n ~bytes =
+  let drbg = Drbg.create seed in
+  Array.init n (fun _ ->
+      let h = Bbx_net.Page.gen_html drbg ~bytes in
+      String.sub h 0 (min bytes (String.length h)))
+
+let benign_writes deliveries = html_writes "bench-counters/benign" ~n:deliveries ~bytes:600
+
 (* [deliveries] benign 600 B writes through one connection on [rules]:
    per-delivery means of the three counters and of the wall time (the
    clock ticks in microseconds; the mean over many calls resolves less). *)
 let benign rules ~deliveries =
   let e = Engine.create ~mode:Dpienc.Exact ~salt0:0 ~rules ~enc_chunk () in
   let sender = Dpienc.sender_create Dpienc.Exact key ~salt0:0 in
-  let drbg = Drbg.create "bench-counters/benign" in
   let base = ref 0 in
   let ev = ref 0 and vis = ref 0 and alloc = ref 0 and ns = ref 0 and fired = ref 0 in
-  for _ = 1 to deliveries do
-    let html = Bbx_net.Page.gen_html drbg ~bytes:600 in
-    let payload = String.sub html 0 (min 600 (String.length html)) in
-    ignore (Engine.process_wire e (wire sender ~base:!base ~tokenization:delimiter payload) : int);
-    base := !base + String.length payload;
-    let vs, r, c, a, t = measured e in
-    fired := !fired + List.length vs;
-    ev := !ev + r;
-    vis := !vis + c;
-    alloc := !alloc + a;
-    ns := !ns + t
-  done;
+  Array.iter
+    (fun payload ->
+       ignore (Engine.process_wire e (wire sender ~base:!base ~tokenization:delimiter payload) : int);
+       base := !base + String.length payload;
+       let vs, r, c, a, t = measured e in
+       fired := !fired + List.length vs;
+       ev := !ev + r;
+       vis := !vis + c;
+       alloc := !alloc + a;
+       ns := !ns + t)
+    (benign_writes deliveries);
   let per x = float_of_int x /. float_of_int deliveries in
   (per !ev, per !vis, per !alloc, per !ns, Engine.hit_count e, !fired)
 
@@ -172,37 +201,47 @@ let detect_counters () =
   in
   let hit = Detect.stream ~tkeys ~n_tok 0.5 in
   Bbx_detect.Detect.reset det ~salt0:0;
-  let a0 = Gc.allocated_bytes () in
+  Gc.minor ();
+  let a0 = allocated_bytes () in
   run hit;
-  let a1 = Gc.allocated_bytes () in
+  let a1 = allocated_bytes () in
   (probes, (a1 -. a0 -. alloc_overhead) /. float_of_int n_tok)
 
-(* Bytes allocated per token by the second salt period of [sender_html]
-   (see the header), and the token count. *)
-let sender_html () =
-  let write_bytes = 16_384 in
-  let drbg = Drbg.create "bench-counters/html" in
-  let pool =
-    Array.init 64 (fun _ ->
-        let h = Bbx_net.Page.gen_html drbg ~bytes:write_bytes in
-        String.sub h 0 (min write_bytes (String.length h)))
-  in
+(* Bytes allocated per token by the second salt period of a sender over
+   [pool] (see the header), and the token count. *)
+let sender_alloc ~tokenization pool =
   let sender = Dpienc.sender_create Dpienc.Exact key ~salt0:0 in
-  let buf = Buffer.create (Dpienc.exact_record_bytes * write_bytes) in
+  let buf = Buffer.create (Dpienc.exact_record_bytes * 16_384) in
+  (* boxed once: an optional argument passed as [~tokenization] would box
+     it again on every call, inside the measured window *)
+  let tokenization = Some tokenization in
   let send n payload =
     Buffer.clear buf;
-    n + Dpienc.sender_encrypt_into sender ~tokenization:Dpienc.Window payload buf
+    n + Dpienc.sender_encrypt_into sender ?tokenization payload buf
   in
   let send_back p n = send n p in
   ignore (Array.fold_left send 0 pool : int);
   ignore (Dpienc.sender_reset sender : int);
-  (* empty the minor heap first: a minor collection inside the window
-     would otherwise bill earlier young words to the measured calls *)
   Gc.minor ();
-  let a0 = Gc.allocated_bytes () in
+  let a0 = allocated_bytes () in
   let tokens = Array.fold_right send_back pool 0 in
-  let a1 = Gc.allocated_bytes () in
+  let a1 = allocated_bytes () in
   ((a1 -. a0 -. alloc_overhead) /. float_of_int tokens, tokens)
+
+(* TOKEN_STREAM bytes per token of a fresh sender over [writes]. *)
+let wire_bytes_per_token mode ~tokenization writes =
+  let sender = Dpienc.sender_create mode key ~salt0:0 in
+  let k_ssl = if mode = Dpienc.Probable then Some (String.make 16 'k') else None in
+  let buf = Buffer.create (1 lsl 16) in
+  let base = ref 0 and bytes = ref 0 and tokens = ref 0 in
+  Array.iter
+    (fun p ->
+       Buffer.clear buf;
+       tokens := !tokens + Dpienc.sender_encrypt_into sender ?k_ssl ~base:!base ~tokenization p buf;
+       bytes := !bytes + Buffer.length buf;
+       base := !base + String.length p)
+    writes;
+  float_of_int !bytes /. float_of_int !tokens
 
 (* Bytes allocated by [Engine.keys] and its [keys_bytes], per chunk. *)
 let keys_counters rules =
@@ -210,10 +249,10 @@ let keys_counters rules =
   let chunks = Engine.chunks rs in
   let encs = Hashtbl.create (Array.length chunks) in
   Array.iter (fun c -> Hashtbl.replace encs c (enc_chunk c)) chunks;
-  Gc.minor ();  (* as in [sender_html] *)
-  let a0 = Gc.allocated_bytes () in
+  Gc.minor ();
+  let a0 = allocated_bytes () in
   let keys = Engine.keys rs ~enc_chunk:(Hashtbl.find encs) in
-  let a1 = Gc.allocated_bytes () in
+  let a1 = allocated_bytes () in
   let per x = x /. float_of_int (Array.length chunks) in
   ( per (a1 -. a0 -. alloc_overhead),
     per (float_of_int (Engine.keys_bytes keys)),
@@ -317,11 +356,27 @@ let run () =
     @ [ { name = "detect-miss.probe_slots"; unit_ = "slots/lookup"; value = probes };
         { name = "detect-hit50.alloc_bytes"; unit_ = "B/token"; value = hit_alloc } ]
   in
-  let html_alloc, html_tokens = sender_html () in
+  let html = html_writes "bench-counters/html" ~n:64 ~bytes:16_384 in
+  let benign_600 = benign_writes 200 in
+  let html_alloc, html_tokens = sender_alloc ~tokenization:Dpienc.Window html in
   Printf.printf
     "  sender (64 x 16 KiB HTML window writes, second salt period, %d tokens): \
      %.1f B allocated/token\n%!"
     html_tokens html_alloc;
+  let delim_alloc, delim_tokens = sender_alloc ~tokenization:delimiter benign_600 in
+  Printf.printf
+    "  sender (200 x 600 B HTML delimiter writes, second salt period, %d tokens): \
+     %.1f B allocated/token\n%!"
+    delim_tokens delim_alloc;
+  let wire_window = wire_bytes_per_token Dpienc.Exact ~tokenization:Dpienc.Window html in
+  let wire_delim = wire_bytes_per_token Dpienc.Exact ~tokenization:delimiter benign_600 in
+  let wire_probable =
+    wire_bytes_per_token Dpienc.Probable ~tokenization:delimiter
+      (html_writes "bench-counters/probable" ~n:64 ~bytes:8192)
+  in
+  Printf.printf
+    "  wire bytes/token: exact window %.2f, exact delimiter %.2f, probable delimiter %.2f\n%!"
+    wire_window wire_delim wire_probable;
   let keys_alloc, keys_bytes, nchunks = keys_counters rules3k in
   Printf.printf
     "  keys (3 000 ET rules, %d chunks): %.1f B allocated/chunk, keys_bytes %.1f B/chunk\n%!"
@@ -329,8 +384,13 @@ let run () =
   let rows =
     rows
     @ [ { name = "sender-html.alloc_bytes"; unit_ = "B/token"; value = html_alloc };
+        { name = "sender-delim.alloc_bytes"; unit_ = "B/token"; value = delim_alloc };
         { name = "keys-3k.alloc_bytes"; unit_ = "B/chunk"; value = keys_alloc };
-        { name = "keys-3k.keys_bytes"; unit_ = "B/chunk"; value = keys_bytes } ]
+        { name = "keys-3k.keys_bytes"; unit_ = "B/chunk"; value = keys_bytes };
+        { name = "wire-window.bytes_per_token"; unit_ = "B/token"; value = wire_window };
+        { name = "wire-delim.bytes_per_token"; unit_ = "B/token"; value = wire_delim };
+        { name = "wire-delim-probable.bytes_per_token"; unit_ = "B/token";
+          value = wire_probable } ]
   in
   if Array.mem "--write-baseline" Sys.argv then begin
     Out_channel.with_open_bin baseline_path (fun oc -> output_string oc (render rows));

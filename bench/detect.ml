@@ -61,7 +61,7 @@ let make_wire ~tkeys ~n_tok ~hit_rate ~seed =
     in
     toks := { Records.cipher; embed = None; offset = i } :: !toks
   done;
-  Records.encode_tokens (List.rev !toks)
+  Records.encode_tokens ~explicit:false (List.rev !toks)
 
 (* The keyword set of [n_kw] encrypted random tokens, and the stream of
    [n_tok] tokens at [hit_rate] against it.  [counters] gates exact

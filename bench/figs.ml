@@ -1,15 +1,24 @@
 (* Figures 3-6: page-load times and bandwidth overheads.
 
    Figs. 3-4 combine a link model with per-byte CPU costs measured on the
-   real sender pipeline (Record.seal + tokenize + DPIEnc); Figs. 5-6 count
-   real token emissions over the synthetic top-50 corpus. *)
+   real sender pipeline (Record.seal + tokenize + DPIEnc); every figure
+   charges the token bytes the DPIEnc sender really emits
+   ([sender_encrypt_into], Exact mode, one write per page text) over the
+   synthetic top-50 corpus. *)
 
 open Bbx_crypto
 open Bbx_dpienc
 open Bbx_net
-open Bbx_tokenizer
 
-let cipher_bytes_per_token = 5 (* the 40-bit DPIEnc ciphertext, paper §3.1 *)
+let dpi_key = Dpienc.key_of_secret "figs-k"
+let delimiter = Dpienc.Delimiter { short_units = false }
+
+(* The TOKEN_STREAM bytes a fresh sender emits for [text] in one write. *)
+let token_wire_bytes tokenization text =
+  let sender = Dpienc.sender_create Dpienc.Exact dpi_key ~salt0:0 in
+  let buf = Buffer.create (Dpienc.exact_record_bytes * String.length text) in
+  ignore (Dpienc.sender_encrypt_into sender ~tokenization text buf : int);
+  Buffer.length buf
 
 (* ---- measured cost model ------------------------------------------- *)
 
@@ -20,24 +29,18 @@ let measure_cost_model () =
   let text = String.sub text 0 sample_bytes in
   let writer = Bbx_tls.Record.create ~key:"figs" ~direction:"d" () in
   let tls_s = Bench_util.time_per ~min_time:0.5 (fun () -> ignore (Bbx_tls.Record.seal writer text)) in
-  let dpi_key = Dpienc.key_of_secret "figs-k" in
-  let n_tokens = Tokenizer.delimiter_count text in
   let bb_s =
     let sender = Dpienc.sender_create Dpienc.Exact dpi_key ~salt0:0 in
-    let wire = Buffer.create (Dpienc.exact_record_bytes * n_tokens) in
+    let wire = Buffer.create (Dpienc.exact_record_bytes * sample_bytes) in
     Bench_util.time_per ~min_time:0.5 (fun () ->
         ignore (Bbx_tls.Record.seal writer text);
         Buffer.clear wire;
-        ignore
-          (Dpienc.sender_encrypt_into sender
-             ~tokenization:(Dpienc.Delimiter { short_units = false }) text wire
-           : int))
+        ignore (Dpienc.sender_encrypt_into sender ~tokenization:delimiter text wire : int))
   in
   let fb = float_of_int sample_bytes in
   { Linksim.tls_cpu_per_byte = tls_s /. fb;
     bb_text_cpu_per_byte = bb_s /. fb;
-    token_wire_per_text_byte =
-      float_of_int (n_tokens * cipher_bytes_per_token) /. fb }
+    token_wire_per_text_byte = float_of_int (token_wire_bytes delimiter text) /. fb }
 
 let model = lazy (measure_cost_model ())
 
@@ -58,7 +61,7 @@ let page_load_fig link ~label ~paper_note =
        let model =
          { model with
            Linksim.token_wire_per_text_byte =
-             float_of_int (Tokenizer.delimiter_count body * cipher_bytes_per_token)
+             float_of_int (token_wire_bytes delimiter body)
              /. float_of_int (max 1 (String.length body)) }
        in
        let t_whole_tls = Linksim.page_load link model Linksim.Tls ~text_bytes:text ~binary_bytes:binary in
@@ -88,8 +91,8 @@ type page_overhead = {
   site : string;
   text : int;
   binary : int;
-  window_tokens : int;
-  delim_tokens : int;
+  window_wire : int;  (* token bytes on the wire, window tokenization *)
+  delim_wire : int;   (* token bytes on the wire, delimiter tokenization *)
 }
 
 let corpus_overheads =
@@ -100,25 +103,25 @@ let corpus_overheads =
           { site = Printf.sprintf "site%02d" i;
             text = Page.text_bytes page;
             binary = Page.binary_bytes page;
-            window_tokens = Tokenizer.window_count body;
-            delim_tokens = Tokenizer.delimiter_count body })
+            window_wire = token_wire_bytes Dpienc.Window body;
+            delim_wire = token_wire_bytes delimiter body })
        (Corpus.top50 ()))
 
-let overhead_ratio p tokens =
+let overhead_ratio p token_bytes =
   let total = p.text + p.binary in
-  float_of_int (total + (tokens * cipher_bytes_per_token)) /. float_of_int total
+  float_of_int (total + token_bytes) /. float_of_int total
 
 let run_fig5 () =
   let pages = Lazy.force corpus_overheads in
   Bench_util.section "Fig 5a/5b: bytes and overhead across the top-50 corpus";
   Printf.printf "%-8s %10s %10s | %12s %8s | %12s %8s\n" "page" "text" "binary"
-    "window toks" "ovh" "delim toks" "ovh";
+    "window wire" "ovh" "delim wire" "ovh";
   List.iter
     (fun p ->
-       Printf.printf "%-8s %10s %10s | %12d %7.2fx | %12d %7.2fx\n" p.site
+       Printf.printf "%-8s %10s %10s | %12s %7.2fx | %12s %7.2fx\n" p.site
          (Bench_util.fmt_bytes p.text) (Bench_util.fmt_bytes p.binary)
-         p.window_tokens (overhead_ratio p p.window_tokens)
-         p.delim_tokens (overhead_ratio p p.delim_tokens))
+         (Bench_util.fmt_bytes p.window_wire) (overhead_ratio p p.window_wire)
+         (Bench_util.fmt_bytes p.delim_wire) (overhead_ratio p p.delim_wire))
     pages;
   let summarize name f =
     let l = List.map f pages in
@@ -127,8 +130,8 @@ let run_fig5 () =
     Printf.printf "  %-22s median %.2fx  min %.2fx  max %.2fx\n" name
       (Bench_util.percentile a 0.5) a.(0) a.(Array.length a - 1)
   in
-  summarize "window overhead" (fun p -> overhead_ratio p p.window_tokens);
-  summarize "delimiter overhead" (fun p -> overhead_ratio p p.delim_tokens);
+  summarize "window overhead" (fun p -> overhead_ratio p p.window_wire);
+  summarize "delimiter overhead" (fun p -> overhead_ratio p p.delim_wire);
   Bench_util.note "paper: window median 4x (worst 24x); delimiter median 2.5x (best 1.1x, worst 14x)"
 
 (* ---- Fig 6: CDF vs plaintext and vs gzip ---------------------------- *)
@@ -142,19 +145,19 @@ let run_fig6 () =
     List.map (fun page -> Bbx_compress.Compress.compressed_size (Page.text_body page)) corpus
   in
   let series =
-    [ ("delim : plaintext", List.map (fun p -> overhead_ratio p p.delim_tokens) pages);
-      ("window : plaintext", List.map (fun p -> overhead_ratio p p.window_tokens) pages);
+    [ ("delim : plaintext", List.map (fun p -> overhead_ratio p p.delim_wire) pages);
+      ("window : plaintext", List.map (fun p -> overhead_ratio p p.window_wire) pages);
       ("delim : gzip",
        List.map2
          (fun p ctext ->
             let base = ctext + p.binary in
-            float_of_int (base + (p.delim_tokens * cipher_bytes_per_token)) /. float_of_int base)
+            float_of_int (base + p.delim_wire) /. float_of_int base)
          pages compressed);
       ("window : gzip",
        List.map2
          (fun p ctext ->
             let base = ctext + p.binary in
-            float_of_int (base + (p.window_tokens * cipher_bytes_per_token)) /. float_of_int base)
+            float_of_int (base + p.window_wire) /. float_of_int base)
          pages compressed);
     ]
   in

@@ -32,7 +32,7 @@ let experiments =
     ("fleet", "Fleet-scale state: shared rule prep, bytes/conn, migration under load", Fleet.run);
     ("setup-parallel", "Rule-setup scaling across OCaml domains (Ruleprep at 1/2/4 workers)", Setup_parallel.run);
     ("daemon", "blindboxd end to end: loadgen over Unix sockets at 1/2/4/8 connections", Daemon_bench.run);
-    ("counters", "Exact counters (verdict step, detection index, sender and keyset keys) vs bench/baseline.json (10% gate)", Counters.run);
+    ("counters", "Exact counters (verdict step, detection index, sender and keyset keys, wire bytes) vs bench/baseline.json (10% gate)", Counters.run);
   ]
 
 let () =

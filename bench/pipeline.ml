@@ -49,7 +49,7 @@ let run () =
   let legacy () =
     let toks = Tokens.window packet in
     let enc = Ref_sender.encrypt sender_legacy toks in
-    let wire = Records.encode_tokens enc in
+    let wire = Records.encode_tokens ~explicit:false enc in
     ignore (Ref_detect.process_batch detect_legacy (Records.decode_tokens wire) : _ list);
     wire
   in

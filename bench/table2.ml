@@ -158,7 +158,7 @@ let run () =
     let encs = Array.map (fun k -> Dpienc.token_enc dpi k) kws in
     let det = Bbx_detect.Detect.create ~mode:Dpienc.Exact ~salt0:0 encs in
     let misses =
-      Bbx_oracle.Records.encode_tokens
+      Bbx_oracle.Records.encode_tokens ~explicit:false
         (List.init tokens_per_packet (fun i ->
              { Bbx_oracle.Records.cipher = 0x123456789a + i; embed = None; offset = i }))
     in

@@ -110,7 +110,10 @@ let tokenize_cmd =
   let run window short_units metrics =
     with_metrics metrics @@ fun () ->
     let payload = read_stdin () in
-    let fold = if window then Tokenizer.fold_window else Tokenizer.fold_delimiter ~short_units in
+    let fold s ~init ~f =
+      if window then Tokenizer.fold_window s ~init ~f
+      else Tokenizer.fold_delimiter ~short_units s ~init ~f
+    in
     let printable c =
       if c >= ' ' && c <= '~' then String.make 1 c else Printf.sprintf "\\x%02x" (Char.code c)
     in

@@ -105,7 +105,7 @@ let make_session ?rg config keys ~prep ~mb_keys ~label =
     prep;
     rg }
 
-(* Size hint for the wire buffer: exact for window tokenization, a
+(* Size hint for the wire buffer: a bound for window tokenization, a
    text-typical guess for delimiter (Buffer grows as needed either way). *)
 let wire_buf_estimate config payload =
   let per =
@@ -113,9 +113,11 @@ let wire_buf_estimate config payload =
     | Dpienc.Exact -> Dpienc.exact_record_bytes
     | Dpienc.Probable -> Dpienc.probable_record_bytes
   in
+  Dpienc.max_header_bytes
+  +
   match config.tokenization with
   | Dpienc.Window -> per * (max 1 (String.length payload - Tokenizer.token_len + 1))
-  | Dpienc.Delimiter _ -> per * (max 16 (String.length payload / 4))
+  | Dpienc.Delimiter _ -> (per + 1) * (max 16 (String.length payload / 2))
 
 (* Handshake between the two endpoints; the middlebox observes only the
    public key shares. *)

@@ -84,12 +84,28 @@ type mode = Exact | Probable
 
 let salt_stride = function Exact -> 1 | Probable -> 2
 
-(* Wire record sizes (defined ahead of the sender, whose sweep buffer is
-   sized by them): per token a flag byte, 5-byte big-endian cipher, 4-byte
-   big-endian stream offset, then the 16-byte embed iff the flag is 1 —
-   10 bytes in Exact mode, 26 in Probable. *)
-let exact_record_bytes = 10
-let probable_record_bytes = 26
+(* ---- wire format (Wire.version 3) ----
+
+   A token stream is zero or more runs.  A run is a header — a layout
+   byte, the record count and the base offset, both LEB128 varints —
+   then [count] records.  Layout bit 0 set: each record carries the
+   16-byte embed; bit 1 set: offsets are explicit; every other bit is 0.
+   A record is the 5-byte big-endian cipher, plus the embed.  In an
+   implicit-offset run (window tokens) record [i] sits at offset
+   [base + i]; in an explicit-offset run (delimiter tokens) each record
+   starts with a zigzag varint, the delta from the previous record's
+   offset (from the base for the first).  Offsets are mod 2^32; every
+   varint is at most 5 bytes and below 2^32, and a count is at least 1.
+   One [sender_encrypt_into] call that emits tokens writes one run, so
+   per-call outputs put end to end are a stream.  The record sizes are
+   defined ahead of the sender, whose sweep buffer is sized by them. *)
+let exact_record_bytes = 5
+let probable_record_bytes = 21
+let layout_embed = 1
+let layout_explicit = 2
+let max_varint_bytes = 5
+let max_header_bytes = 1 + (2 * max_varint_bytes)
+let offset_mask = 0xffffffff
 
 (* ---- the counter table ----
 
@@ -109,8 +125,9 @@ let probable_record_bytes = 26
    words of a keyset indexed by table slot at load <= 1/2).  [pkeys] is
    allocated on the first insert and doubles as it fills; a reset rewinds
    the id counter and keeps the keyset, as it keeps [ptab].  Per-token
-   wire output is staged in [wire] and appended with one
-   [Buffer.add_subbytes] per sweep of [sweep_cap] records. *)
+   wire output (and the run header before the first record) is staged in
+   [wire] and appended with one [Buffer.add_subbytes] per sweep of
+   [sweep_cap] records. *)
 
 let sweep_cap = 256
 let init_slots = 256 (* power of two; grows at load 1/2 *)
@@ -130,8 +147,10 @@ type sender = {
                                          the first insert *)
   tblk : Bytes.t;                     (* scratch: the padded token t || 0^8 *)
   kblk : Bytes.t;                     (* scratch: AES_k(t) *)
-  wire : Bytes.t;                     (* [sweep_cap] staged wire records *)
+  wire : Bytes.t;                     (* staged run header and records *)
+  mutable sw_pos : int;               (* bytes staged in [wire] *)
   mutable sw_n : int;                 (* records staged in [wire] *)
+  mutable sw_off : int;               (* explicit runs: the previous offset *)
 }
 
 let sender_create ?kernel:_ mode key ~salt0 =
@@ -139,8 +158,11 @@ let sender_create ?kernel:_ mode key ~salt0 =
     invalid_arg "Dpienc.sender_create: salt0 must be even";
   if Tokenizer.token_len > 8 then
     invalid_arg "Dpienc.sender_create: packed table needs token_len <= 8";
-  let rec_bytes =
-    match mode with Exact -> exact_record_bytes | Probable -> probable_record_bytes
+  (* the longest record is a 5-byte delta, the cipher and the embed; the
+     last cipher's 64-bit store runs 3 bytes past its record *)
+  let max_record =
+    max_varint_bytes
+    + (match mode with Exact -> exact_record_bytes | Probable -> probable_record_bytes)
   in
   { mode; key; salt0; max_count = 0;
     ptab = Array.make (4 * init_slots) (-1);
@@ -149,8 +171,10 @@ let sender_create ?kernel:_ mode key ~salt0 =
     pkeys = [||];
     tblk = Bytes.make 16 '\000';
     kblk = Bytes.create 16;
-    wire = Bytes.create (sweep_cap * rec_bytes);
-    sw_n = 0 }
+    wire = Bytes.create (max_header_bytes + (sweep_cap * max_record) + 8);
+    sw_pos = 0;
+    sw_n = 0;
+    sw_off = 0 }
 
 (* The zero-padded token as two big-endian 32-bit words.  Two scalar
    results rather than one pair — the tuple would be a per-token
@@ -264,27 +288,31 @@ let[@inline] slot s src off len =
   let i = pfind s h1 h2 in
   if Array.unsafe_get s.ptab (4 * i) >= 0 then i else insert s i h1 h2
 
-(* ---- wire format ----
+(* ---- staging ----
 
-   Records are built in place in a private [Bytes.t] and appended with one
+   Runs are built in place in a private [Bytes.t] and appended with one
    [Buffer.add_subbytes] — per-character [Buffer.add_char] loops would pay
    a bounds check and a potential resize per byte.  The writers are unsafe
    because every call site writes a statically in-range span of its
    (private, fixed-size) buffer. *)
 
-(* Flag byte, top cipher byte, then the low 32 cipher bits and the 32-bit
-   stream offset as ONE byte-swapped 64-bit store over pos+2..pos+9 — the
-   unboxed-primitive chain replaces eight char stores on the per-token
-   path.  Every caller writes into a private buffer with at least 10
-   bytes headroom at [pos]. *)
-let[@inline] put_record_at b pos flag cipher stream_off =
-  Bytes.unsafe_set b pos flag;
-  Bytes.unsafe_set b (pos + 1) (Char.unsafe_chr ((cipher lsr 32) land 0xff));
-  set_64u b (pos + 2)
-    (bswap_64
-       (Int64.logor
-          (Int64.shift_left (Int64.of_int (cipher land 0xffffffff)) 32)
-          (Int64.of_int (stream_off land 0xffffffff))))
+(* The 5 cipher bytes as ONE byte-swapped 64-bit store of [cipher lsl 24]
+   over pos..pos+7: the 3 zero bytes past the cipher are overwritten by
+   whatever is staged next, and never flushed.  Every caller writes into
+   a private buffer with at least 8 bytes headroom at [pos]. *)
+let[@inline] put_cipher b pos cipher =
+  set_64u b pos (bswap_64 (Int64.shift_left (Int64.of_int cipher) 24))
+
+(* LEB128 [v] (>= 0) at [pos]; the position after it. *)
+let put_varint b pos v =
+  let pos = ref pos and v = ref v in
+  while !v >= 0x80 do
+    Bytes.unsafe_set b !pos (Char.unsafe_chr (!v land 0x7f lor 0x80));
+    v := !v lsr 7;
+    incr pos
+  done;
+  Bytes.unsafe_set b !pos (Char.unsafe_chr !v);
+  !pos + 1
 
 (* The embed key of this call: [""] in Exact mode, where records carry
    no embed. *)
@@ -324,23 +352,46 @@ type tokenization = Window | Delimiter of { short_units : bool }
    is appended to [buf] whenever it fills and once at the end of a call.
    These are top-level functions with the call's state as arguments, not
    closures over it, so a window call allocates nothing at all. *)
-let[@inline] rec_bytes_of k_ssl =
-  if String.length k_ssl = 0 then exact_record_bytes else probable_record_bytes
-
-let flush s buf k_ssl =
-  Buffer.add_subbytes buf s.wire 0 (s.sw_n * rec_bytes_of k_ssl);
+let flush s buf =
+  Buffer.add_subbytes buf s.wire 0 s.sw_pos;
+  s.sw_pos <- 0;
   s.sw_n <- 0
 
-let[@inline] emit s buf k_ssl id salt off =
-  let pos = s.sw_n * rec_bytes_of k_ssl in
-  if String.length k_ssl = 0 then
-    put_record_at s.wire pos '\000' (cipher s.pkeys id ~salt) off
+(* Stage the header of this call's run of [count] records, whose offsets
+   start from [base]; nothing when the call emits no token. *)
+let open_run s k_ssl ~explicit ~count base =
+  if count > 0 then begin
+    let layout =
+      (if String.length k_ssl = 0 then 0 else layout_embed)
+      lor if explicit then layout_explicit else 0
+    in
+    Bytes.unsafe_set s.wire s.sw_pos (Char.unsafe_chr layout);
+    let pos = put_varint s.wire (s.sw_pos + 1) count in
+    s.sw_pos <- put_varint s.wire pos (base land offset_mask);
+    s.sw_off <- base land offset_mask
+  end
+
+(* Stage a record's cipher and embed at [pos], then count it. *)
+let[@inline] emit_at s buf k_ssl id salt pos =
+  put_cipher s.wire pos (cipher s.pkeys id ~salt);
+  if String.length k_ssl = 0 then s.sw_pos <- pos + exact_record_bytes
   else begin
-    put_record_at s.wire pos '\001' (cipher s.pkeys id ~salt) off;
-    mask_xor_into s.pkeys id ~salt:(salt + 1) k_ssl ~dst:s.wire ~dst_off:(pos + 10)
+    mask_xor_into s.pkeys id ~salt:(salt + 1) k_ssl ~dst:s.wire ~dst_off:(pos + 5);
+    s.sw_pos <- pos + probable_record_bytes
   end;
   s.sw_n <- s.sw_n + 1;
-  if s.sw_n = sweep_cap then flush s buf k_ssl
+  if s.sw_n = sweep_cap then flush s buf
+
+(* An explicit-offset record: the offset's delta from the previous one,
+   taken mod 2^32 as a signed 32-bit int and zigzag-coded (short units
+   follow the full tokens, so offsets run backwards once), then the
+   cipher and embed. *)
+let emit_explicit s buf k_ssl id salt off =
+  let off = off land offset_mask in
+  let d = (off - s.sw_off) land offset_mask in
+  let d = if d > 0x7fffffff then d - (offset_mask + 1) else d in
+  s.sw_off <- off;
+  emit_at s buf k_ssl id salt (put_varint s.wire s.sw_pos ((d lsl 1) lxor (d asr 62)))
 
 (* Window tokenization, specialized: windows are always [token_len]
    bytes at stride 1, so the halves ROLL one byte per step instead of
@@ -355,6 +406,7 @@ let window_pass s buf k_ssl base payload =
   let last = String.length payload - Tokenizer.token_len in
   if last < 0 then 0
   else begin
+    open_run s k_ssl ~explicit:false ~count:(last + 1) base;
     let h1 = ref (slice_hi payload 0 8) and h2 = ref (slice_lo payload 0 8) in
     let ni = ref (pfind s !h1 !h2) in
     let nid = ref (Array.unsafe_get s.ptab ((4 * !ni) + 3)) in
@@ -376,7 +428,7 @@ let window_pass s buf k_ssl base payload =
         ni := k;
         nid := Array.unsafe_get s.ptab ((4 * k) + 3)
       end;
-      emit s buf k_ssl id salt (base + off)
+      emit_at s buf k_ssl id salt s.sw_pos
     done;
     last + 1
   end
@@ -392,13 +444,15 @@ let sender_encrypt_into s ?k_ssl ?(base = 0) ?(tokenization = Window) payload bu
       Tokenizer.note_window_scan payload;
       c
     | Delimiter { short_units } ->
-      Tokenizer.fold_delimiter ~short_units payload ~init:0 ~f:(fun count ~off ~len ->
+      Tokenizer.fold_delimiter ~short_units payload
+        ~on_count:(fun count -> open_run s k_ssl ~explicit:true ~count base)
+        ~init:0 ~f:(fun count ~off ~len ->
           let i = slot s payload off len in
           let salt = take_salt s i in
-          emit s buf k_ssl (Array.unsafe_get s.ptab ((4 * i) + 3)) salt (base + off);
+          emit_explicit s buf k_ssl (Array.unsafe_get s.ptab ((4 * i) + 3)) salt (base + off);
           count + 1)
   in
-  flush s buf k_ssl;
+  flush s buf;
   Obs.add obs_bytes_in (String.length payload);
   Obs.add obs_wire_bytes (Buffer.length buf - wire0);
   Obs.add obs_tokens count;
@@ -408,61 +462,201 @@ let sender_encrypt_into s ?k_ssl ?(base = 0) ?(tokenization = Window) payload bu
 
 let[@inline] u8 s i = Char.code (String.unsafe_get s i)
 
+let[@inline] cipher_at s p =
+  (u8 s p lsl 32) lor (u8 s (p + 1) lsl 24) lor (u8 s (p + 2) lsl 16)
+  lor (u8 s (p + 3) lsl 8) lor u8 s (p + 4)
+
+(* The varint at [p] of [s], which ends at [n], packed as [(value lsl 3)
+   lor length]: -1 when [n] cuts it, -2 when it runs past
+   [max_varint_bytes] or is not below 2^32.  One int, so the walks below
+   read a varint with no allocation and no closure. *)
+let varint s p n =
+  let v = ref 0 and q = ref p and more = ref true in
+  while !more && !q < n && !q - p < max_varint_bytes do
+    let b = u8 s !q in
+    v := !v lor ((b land 0x7f) lsl (7 * (!q - p)));
+    incr q;
+    more := b >= 0x80
+  done;
+  if !more then if !q < n then -2 else -1
+  else if !v > offset_mask then -2
+  else (!v lsl 3) lor (!q - p)
+
+(* [varint] with the one-byte case — nearly every delimiter delta —
+   inline. *)
+let[@inline] varint_fast s p n =
+  if p < n && String.unsafe_get s p < '\x80' then (u8 s p lsl 3) lor 1 else varint s p n
+
+let[@inline] zigzag_decode z = (z lsr 1) lxor (-(z land 1))
+
+let bad_varint v =
+  invalid_arg (if v = -1 then "Dpienc.decode_iter: truncated" else "Dpienc.decode_iter: bad varint")
+
+(* The run at [pos]: (layout, count, base, position of its first
+   record).  Raises [Invalid_argument] on a bad header. *)
+let run_header s pos =
+  let n = String.length s in
+  let layout = u8 s pos in
+  if layout > layout_embed lor layout_explicit then
+    invalid_arg "Dpienc.decode_iter: bad layout";
+  let c = varint s (pos + 1) n in
+  if c < 0 then bad_varint c;
+  if c lsr 3 = 0 then invalid_arg "Dpienc.decode_iter: empty run";
+  let b = varint s (pos + 1 + (c land 7)) n in
+  if b < 0 then bad_varint b;
+  (layout, c lsr 3, b lsr 3, pos + 1 + (c land 7) + (b land 7))
+
+let[@inline] record_bytes layout =
+  if layout land layout_embed = 0 then exact_record_bytes else probable_record_bytes
+
 (* Streaming decode: one callback per record, no list, no substrings.
    [embed_pos] is the byte position of the 16-byte embed inside [s], or
-   [-1] when the record carries none.  The truncation check at the top of
-   each iteration covers the whole 10-byte record head, so the field reads
-   use unsafe indexing. *)
+   [-1] when the record carries none.  A run's records are bounds-checked
+   before they are read (all at once in an implicit run, one by one in an
+   explicit run, after each delta), so the field reads use unsafe
+   indexing.  The record walks are flat loops: no closure or allocation
+   per record. *)
 let decode_iter s ~f =
   let n = String.length s in
   let pos = ref 0 in
   while !pos < n do
-    let p = !pos in
-    if p + exact_record_bytes > n then invalid_arg "Dpienc.decode_iter: truncated";
-    let has_embed = String.unsafe_get s p = '\001' in
-    let cipher =
-      (u8 s (p + 1) lsl 32) lor (u8 s (p + 2) lsl 24) lor (u8 s (p + 3) lsl 16)
-      lor (u8 s (p + 4) lsl 8) lor u8 s (p + 5)
-    in
-    let offset =
-      (u8 s (p + 6) lsl 24) lor (u8 s (p + 7) lsl 16) lor (u8 s (p + 8) lsl 8)
-      lor u8 s (p + 9)
-    in
-    let p = p + exact_record_bytes in
-    if has_embed then begin
-      if p + 16 > n then invalid_arg "Dpienc.decode_iter: truncated embed";
-      f ~cipher ~offset ~embed_pos:p;
-      pos := p + 16
+    let layout, count, base, p = run_header s !pos in
+    let rec_bytes = record_bytes layout in
+    (* the embed follows the cipher *)
+    let embed_off = if rec_bytes = exact_record_bytes then -1 else exact_record_bytes in
+    if layout land layout_explicit = 0 then begin
+      if count > (n - p) / rec_bytes then invalid_arg "Dpienc.decode_iter: truncated";
+      for i = 0 to count - 1 do
+        let r = p + (i * rec_bytes) in
+        f ~cipher:(cipher_at s r) ~offset:((base + i) land offset_mask)
+          ~embed_pos:(if embed_off < 0 then -1 else r + embed_off)
+      done;
+      pos := p + (count * rec_bytes)
     end
     else begin
-      f ~cipher ~offset ~embed_pos:(-1);
-      pos := p
+      let q = ref p and off = ref base in
+      for _ = 1 to count do
+        let z = varint_fast s !q n in
+        if z < 0 then bad_varint z;
+        let r = !q + (z land 7) in
+        if r + rec_bytes > n then invalid_arg "Dpienc.decode_iter: truncated";
+        off := (!off + zigzag_decode (z lsr 3)) land offset_mask;
+        f ~cipher:(cipher_at s r) ~offset:!off
+          ~embed_pos:(if embed_off < 0 then -1 else r + embed_off);
+        q := r + rec_bytes
+      done;
+      pos := !q
     end
   done
 
 (* The daemon front's check before a stream goes to a worker domain,
-   where an exception would poison the pool: stricter than [decode_iter],
-   which reads any flag but 1 as "no embed". *)
+   where an exception would poison the pool: [decode_iter]'s walk without
+   the callback or an exception, plus the embed bit [mode] implies in
+   every run.  An implicit run is checked in O(1); an explicit run reads
+   its deltas. *)
 let wire_valid ~mode s =
-  let want = if mode = Probable then '\001' else '\000' in
-  let rec_bytes = if mode = Probable then probable_record_bytes else exact_record_bytes in
+  let want, rec_bytes =
+    match mode with
+    | Exact -> (0, exact_record_bytes)
+    | Probable -> (layout_embed, probable_record_bytes)
+  in
   let n = String.length s in
-  let pos = ref 0 in
-  while !pos + rec_bytes <= n && String.unsafe_get s !pos = want do
-    pos := !pos + rec_bytes
+  let pos = ref 0 and ok = ref true in
+  while !ok && !pos < n do
+    let layout = u8 s !pos in
+    let c = varint s (!pos + 1) n in
+    let b = if c < 0 then -1 else varint s (!pos + 1 + (c land 7)) n in
+    (* [lnot layout_explicit] also rejects every layout above 3 *)
+    if layout land lnot layout_explicit <> want || c lsr 3 = 0 || b < 0 then ok := false
+    else begin
+      let count = c lsr 3 in
+      let p = !pos + 1 + (c land 7) + (b land 7) in
+      if layout land layout_explicit = 0 then begin
+        ok := count <= (n - p) / rec_bytes;
+        pos := p + (count * rec_bytes)
+      end
+      else begin
+        (* A record past the end makes the next delta read fail, or the
+           last record end past [n]. *)
+        let q = ref p and left = ref count in
+        while !left > 0 do
+          let q0 = !q in
+          if q0 < n && String.unsafe_get s q0 < '\x80' then begin
+            (* a one-byte delta: nearly every delimiter token *)
+            q := q0 + 1 + rec_bytes;
+            decr left
+          end
+          else begin
+            (* [varint]'s checks inline, as a call would spill the loop's
+               registers: [e] stops at the delta's last byte, and the
+               delta is valid when that byte is in [s], within 5 bytes,
+               and a 5th byte adds at most 4 bits *)
+            let e = ref q0 in
+            while !e < n && !e - q0 < max_varint_bytes && String.unsafe_get s !e >= '\x80' do
+              incr e
+            done;
+            let len = !e - q0 in
+            if !e < n && (len < max_varint_bytes - 1 || (len = max_varint_bytes - 1 && u8 s !e < 0x10))
+            then begin
+              q := !e + 1 + rec_bytes;
+              decr left
+            end
+            else begin
+              ok := false;
+              left := 0
+            end
+          end
+        done;
+        if !q > n then ok := false;
+        pos := !q
+      end
+    end
   done;
-  !pos = n
+  !ok
 
 let wire_token_count s =
   let count = ref 0 in
   decode_iter s ~f:(fun ~cipher:_ ~offset:_ ~embed_pos:_ -> incr count);
   !count
 
-let drop_records s n =
-  let len = String.length s in
-  let pos = ref 0 in
-  for _ = 1 to n do
-    if !pos < len then
-      pos := !pos + (if s.[!pos] = '\001' then probable_record_bytes else exact_record_bytes)
-  done;
-  if !pos >= len then "" else String.sub s !pos (len - !pos)
+(* Skip [k] records of the explicit run whose records start at [p] and
+   whose offsets start from [off]: (position of record [k], offset of
+   record [k - 1]). *)
+let rec skip_explicit s ~rec_bytes p off k =
+  if k = 0 then (p, off)
+  else begin
+    let z = varint s p (String.length s) in
+    if z < 0 then bad_varint z;
+    let r = p + (z land 7) + rec_bytes in
+    if r > String.length s then invalid_arg "Dpienc.decode_iter: truncated";
+    skip_explicit s ~rec_bytes r ((off + zigzag_decode (z lsr 3)) land offset_mask) (k - 1)
+  end
+
+(* Whole runs are skipped; the first run that keeps records gets a new
+   header (implicit: [base + k], [count - k]; explicit: the base becomes
+   the offset of the last dropped record, so the surviving deltas still
+   hold), and every surviving record's bytes are copied unchanged. *)
+let drop_records s k =
+  let n = String.length s in
+  let rec go pos k =
+    if k <= 0 then String.sub s pos (n - pos)
+    else if pos >= n then ""
+    else begin
+      let layout, count, base, p = run_header s pos in
+      let rec_bytes = record_bytes layout in
+      let dropped = min k count in
+      let q, base =
+        if layout land layout_explicit <> 0 then skip_explicit s ~rec_bytes p base dropped
+        else (p + (dropped * rec_bytes), (base + dropped) land offset_mask)
+      in
+      if q > n then invalid_arg "Dpienc.decode_iter: truncated";
+      if dropped = count then go q (k - count)
+      else begin
+        let hdr = Bytes.create max_header_bytes in
+        Bytes.set hdr 0 (Char.chr layout);
+        let h = put_varint hdr (put_varint hdr 1 (count - dropped)) base in
+        Bytes.sub_string hdr 0 h ^ String.sub s q (n - q)
+      end
+    end
+  in
+  go 0 k

@@ -99,10 +99,19 @@ val salt_stride : mode -> int
     [(payload, off)] slices packed into two integer words, and wire bytes
     go straight into the caller's [Buffer].
 
-    The wire format, per token: a flag byte (1 iff an embed follows), the
-    5-byte big-endian cipher and the 4-byte big-endian stream offset,
-    plus the 16-byte embed in [Probable] mode — 10 or 26 bytes per
-    record. *)
+    The wire format ([Wire.version] 3) is a sequence of runs.  A run is
+    a layout byte (bit 0: records carry the 16-byte embed; bit 1: offsets
+    are explicit; other bits 0), the record count (at least 1) and the
+    base offset as LEB128 varints, then the records.  A record is the
+    5-byte big-endian cipher, plus the embed in [Probable] mode.  Window
+    tokens go in implicit-offset runs, where record [i] sits at
+    [base + i]; delimiter tokens in explicit-offset runs, where each
+    record starts with the zigzag varint delta from the previous offset
+    (from the base for the first).  Offsets are mod 2^32, and every
+    varint is at most 5 bytes and below 2^32.  Each
+    {!sender_encrypt_into} call that emits a token writes one run, so a
+    window token costs 5 bytes (21 with the embed) and a delimiter token
+    one more per delta byte. *)
 
 (** Which tokenizer drives {!sender_encrypt_into}. *)
 type tokenization = Window | Delimiter of { short_units : bool }
@@ -120,22 +129,33 @@ val sender_encrypt_into :
 (** [decode_iter s ~f] walks the wire format: [f ~cipher ~offset
     ~embed_pos] once per record, where [embed_pos] is the position of the
     record's 16-byte embed inside [s], or [-1] when absent.  Raises
-    [Invalid_argument] on truncated input. *)
+    [Invalid_argument] on malformed input: a truncated run, a bad layout
+    byte, an empty run or a varint longer than 5 bytes or not below
+    2^32. *)
 val decode_iter :
   string -> f:(cipher:int -> offset:int -> embed_pos:int -> unit) -> unit
 
-(** [wire_valid ~mode s] — [s] is a whole number of records, each with
-    the flag [mode] implies (0 in [Exact], 1 in [Probable]).  Never
-    raises; {!decode_iter} accepts every stream it accepts. *)
+(** [wire_valid ~mode s] — {!decode_iter} accepts [s], and every run's
+    embed bit is the one [mode] implies (clear in [Exact], set in
+    [Probable]).  Never raises; an implicit-offset run is checked in
+    O(1). *)
 val wire_valid : mode:mode -> string -> bool
 
 (** [wire_token_count s] — number of records in a wire encoding. *)
 val wire_token_count : string -> int
 
-(** [drop_records s n] — the wire [s] without its first [n] records. *)
+(** [drop_records s n] — the wire [s] without its first [n] records: the
+    run that keeps the first surviving record gets a new header, and the
+    surviving records' bytes are unchanged, so they decode to the same
+    offsets. *)
 val drop_records : string -> int -> string
 
-(** Wire record sizes (without / with embed), exposed for sizing buffers
-    and for the truncation tests. *)
+(** Wire record sizes without an offset delta (without / with embed): the
+    bytes of a window token, exposed for sizing buffers and for the wire
+    tests. *)
 val exact_record_bytes : int
 val probable_record_bytes : int
+
+(** The longest run header: a call's wire is at most this plus its
+    records. *)
+val max_header_bytes : int

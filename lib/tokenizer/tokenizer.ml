@@ -50,86 +50,101 @@ let pad_short s =
   if n = 0 || n > token_len then invalid_arg "Tokenizer.pad_short: bad length";
   s ^ String.make (token_len - n) '\000'
 
-(* forward declaration resolved below: keyword chunking consults the
-   delimiter tokenizer's emission plan so that every chunk the middlebox
-   searches for is actually emitted when the keyword appears on a
-   boundary. *)
-
-(* Keyword boundary positions: the start/end of the stream and every
-   position adjacent to a delimiter character (a keyword may itself contain
-   or consist of delimiters, e.g. "?user=", so positions of delimiters count
-   as boundaries too). *)
-let boundaries s =
-  let n = String.length s in
-  let mark = Array.make (n + 1) false in
-  mark.(0) <- true;
-  mark.(n) <- true;
-  for i = 0 to n - 1 do
-    if is_delimiter s.[i] then begin
-      mark.(i) <- true;
-      mark.(i + 1) <- true
-    end
-  done;
-  mark
-
 (* The delimiter tokenizer's emission plan: which full-token offsets get a
    token, and which short delimiter-bounded units get a padded one (the
    latter only when [short_units] is set: the paper's tokenizer detects
-   keywords of 8+ bytes only, so padded short tokens are an extension). *)
+   keywords of 8+ bytes only, so padded short tokens are an extension).
+   Keyword chunking consults the same plan, so that every chunk the
+   middlebox searches for is actually emitted when the keyword appears on
+   a boundary.
+
+   The plan is one byte per payload position [i] (and one for the end of
+   the payload): bit 0 marks a keyword boundary at [i] — the start/end of
+   the stream and every position adjacent to a delimiter character (a
+   keyword may itself contain or consist of delimiters, e.g. "?user=", so
+   positions of delimiters count as boundaries too); bit 1 a full token
+   at offset [i]; bits 2-4 the length of a short unit starting at [i].
+   It is returned with its token count, full and short. *)
+let boundary = 1
+let full = 2
+
+(* Set the full-token bit at [i]: 1 if it was clear, else 0. *)
+let[@inline] set_full plan i =
+  let v = Char.code (Bytes.unsafe_get plan i) in
+  if v land full <> 0 then 0
+  else begin
+    Bytes.unsafe_set plan i (Char.unsafe_chr (v lor full));
+    1
+  end
+
+let[@inline] bits plan i = Char.code (Bytes.unsafe_get plan i)
+
 let delimiter_plan ~short_units s =
   let n = String.length s in
-  let mark = boundaries s in
-  let emit = Array.make (max 0 (n - token_len + 1)) false in
-  (* One chunk at every start boundary... *)
+  let plan = Bytes.make (n + 1) '\000' in
+  Bytes.unsafe_set plan 0 (Char.unsafe_chr boundary);
+  Bytes.unsafe_set plan n (Char.unsafe_chr boundary);
   for i = 0 to n - 1 do
-    if mark.(i) && i + token_len <= n then emit.(i) <- true
+    if is_delimiter (String.unsafe_get s i) then begin
+      Bytes.unsafe_set plan i (Char.unsafe_chr boundary);
+      Bytes.unsafe_set plan (i + 1) (Char.unsafe_chr boundary)
+    end
+  done;
+  let fulls = ref 0 and shorts = ref 0 in
+  (* One chunk at every start boundary... *)
+  for i = 0 to n - token_len do
+    if bits plan i land boundary <> 0 then fulls := !fulls + set_full plan i
   done;
   (* ...continuation chunks at stride [token_len] inside long
      non-delimiter runs (covering keywords longer than one token)... *)
-  let shorts = ref [] in
   let run_start = ref 0 in
   for i = 0 to n do
-    if i = n || is_delimiter s.[i] then begin
+    if i = n || is_delimiter (String.unsafe_get s i) then begin
       let a = !run_start in
-      let rec go off =
-        if off + token_len <= i && off - a < max_keyword_len then begin
-          emit.(off) <- true;
-          go (off + token_len)
-        end
-      in
-      if i - a > token_len then go (a + token_len);
+      if i - a > token_len then begin
+        let off = ref (a + token_len) in
+        while !off + token_len <= i && !off - a < max_keyword_len do
+          fulls := !fulls + set_full plan !off;
+          off := !off + token_len
+        done
+      end;
       (* short delimiter-bounded units are emitted zero-padded *)
-      if short_units && i - a > 0 && i - a < token_len then shorts := (a, i - a) :: !shorts;
+      if short_units && i - a > 0 && i - a < token_len then begin
+        Bytes.unsafe_set plan a (Char.unsafe_chr (bits plan a lor ((i - a) lsl 2)));
+        incr shorts
+      end;
       run_start := i + 1
     end
   done;
   (* ...plus end-aligned tails for every end boundary. *)
   for j = token_len to n do
-    if mark.(j) then emit.(j - token_len) <- true
+    if bits plan j land boundary <> 0 then fulls := !fulls + set_full plan (j - token_len)
   done;
-  (emit, List.rev !shorts)
+  (plan, !fulls, !shorts)
 
 (* Emission order (full tokens ascending, then short units ascending) is
    part of the wire contract: the receiver's §3.4 validation re-tokenizes
    the plaintext and compares bytes. *)
-let fold_delimiter ?(short_units = false) s ~init ~f =
-  let emit, shorts = delimiter_plan ~short_units s in
+let fold_delimiter ?(short_units = false) ?on_count s ~init ~f =
+  let plan, fulls, shorts = delimiter_plan ~short_units s in
+  (match on_count with Some g -> g (fulls + shorts) | None -> ());
   let acc = ref init in
-  let full = ref 0 in
-  for off = 0 to Array.length emit - 1 do
-    if emit.(off) then begin
-      incr full;
-      acc := f !acc ~off ~len:token_len
-    end
+  for off = 0 to String.length s - token_len do
+    if bits plan off land full <> 0 then acc := f !acc ~off ~len:token_len
   done;
-  List.iter (fun (off, len) -> acc := f !acc ~off ~len) shorts;
-  Obs.add obs_delim_tokens !full;
-  Obs.add obs_short_tokens (List.length shorts);
+  if shorts > 0 then
+    for off = 0 to String.length s - 1 do
+      let len = bits plan off lsr 2 in
+      if len > 0 then acc := f !acc ~off ~len
+    done;
+  Obs.add obs_delim_tokens fulls;
+  Obs.add obs_short_tokens shorts;
   Obs.add obs_bytes (String.length s);
   !acc
 
-let delimiter_count ?short_units s =
-  fold_delimiter ?short_units s ~init:0 ~f:(fun acc ~off:_ ~len:_ -> acc + 1)
+let delimiter_count ?(short_units = false) s =
+  let _, fulls, shorts = delimiter_plan ~short_units s in
+  fulls + shorts
 
 (* Split a rule keyword into chunks the middlebox will search for.  Chunk
    offsets are picked from the delimiter tokenizer's own emission plan for
@@ -147,10 +162,10 @@ let keyword_chunks kw =
   if n = 0 then []
   else if n <= token_len then [ (pad_short kw, 0) ]
   else begin
-    let emit, _ = delimiter_plan ~short_units:false kw in
+    let plan, _, _ = delimiter_plan ~short_units:false kw in
     let offsets = ref [] in
-    for i = Array.length emit - 1 downto 0 do
-      if emit.(i) then offsets := i :: !offsets
+    for i = n - token_len downto 0 do
+      if bits plan i land full <> 0 then offsets := i :: !offsets
     done;
     let emittable = !offsets in (* sorted ascending; contains 0 and n - token_len *)
     let rec cover frontier acc =

@@ -43,13 +43,18 @@ val fold_window : string -> init:'a -> f:('a -> off:int -> len:int -> 'a) -> 'a
     re-reading them). *)
 val note_window_scan : string -> unit
 
-(** [fold_delimiter ?short_units s ~init ~f] folds [f] over the delimiter
-    tokenizer's emission plan: full tokens in ascending offset order, then
-    (with [short_units]) padded short units in ascending offset order.
-    [short_units] (default false — the paper detects keywords of 8+ bytes
-    only) makes short keywords detectable at a bandwidth cost. *)
+(** [fold_delimiter ?short_units ?on_count s ~init ~f] folds [f] over the
+    delimiter tokenizer's emission plan: full tokens in ascending offset
+    order, then (with [short_units]) padded short units in ascending
+    offset order.  [short_units] (default false — the paper detects
+    keywords of 8+ bytes only) makes short keywords detectable at a
+    bandwidth cost.  [on_count n], if given, is called once with the
+    number of visits to come, before the first: the plan is built before
+    any visit, so a length-prefixed encoder learns its count without a
+    second pass. *)
 val fold_delimiter :
-  ?short_units:bool -> string -> init:'a -> f:('a -> off:int -> len:int -> 'a) -> 'a
+  ?short_units:bool -> ?on_count:(int -> unit) -> string -> init:'a ->
+  f:('a -> off:int -> len:int -> 'a) -> 'a
 
 (** [keyword_chunks kw] splits a rule keyword into [(chunk, relative
     offset)] pairs: stride-[token_len] chunks plus an end-aligned tail.

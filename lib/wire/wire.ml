@@ -7,7 +7,7 @@ let malformed fmt = Printf.ksprintf (fun s -> raise (Malformed s)) fmt
 
 let max_frame_bytes = 16 * 1024 * 1024
 
-let version = 2
+let version = 3
 
 let chunk_len = Tokenizer.token_len
 let enc_len = 16

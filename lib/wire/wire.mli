@@ -28,8 +28,9 @@
     [RULE_SETUP] carries the per-connection obfuscated rule encryptions
     — the [(chunk, AES_k(chunk))] pairs {!Blindbox.Ruleprep} produces on
     the endpoint — so the middlebox never holds [k].  [TOKEN_STREAM]
-    bodies are the existing {!Bbx_dpienc.Dpienc} 10/26-byte records,
-    verbatim.  [STATS_REQ] is honoured in any connection state, so a
+    bodies are {!Bbx_dpienc.Dpienc}'s token stream verbatim: runs of
+    5-byte ciphers (21 with the Probable-mode embed) under a short
+    header, window offsets implicit and delimiter offsets delta-coded.  [STATS_REQ] is honoured in any connection state, so a
     monitoring client can query a daemon without a handshake.
 
     [METRICS_REQ]/[METRICS] expose the full {!Bbx_obs} registry —
@@ -64,8 +65,9 @@ exception Malformed of string
     server allocate unboundedly. *)
 val max_frame_bytes : int
 
-(** Protocol version spoken by this implementation (2: one [VERDICT]
-    layout carrying the detail byte, one 12-byte [HELLO] body). *)
+(** Protocol version spoken by this implementation (3: [TOKEN_STREAM]
+    bodies in run-headed DPIEnc records, one [VERDICT] layout carrying
+    the detail byte, one 12-byte [HELLO] body). *)
 val version : int
 
 (** How a verdict was reached (the tiered engine's

@@ -40,7 +40,8 @@ let encrypt_token t ~k_ssl (tok : Tokens.token) : Records.enc_token =
 (* The list path: one record per token, in order. *)
 let encrypt t ?k_ssl toks = List.map (encrypt_token t ~k_ssl) toks
 
-(* [Dpienc.sender_encrypt_into]'s contract through the list path. *)
+(* [Dpienc.sender_encrypt_into]'s contract through the list path: one
+   run per call that emits a token, implicit offsets for window tokens. *)
 let encrypt_into t ?k_ssl ?(base = 0) ?(tokenization = Dpienc.Window) payload buf =
   let toks =
     match tokenization with
@@ -49,7 +50,8 @@ let encrypt_into t ?k_ssl ?(base = 0) ?(tokenization = Dpienc.Window) payload bu
   in
   let shift (tok : Tokens.token) = { tok with offset = base + tok.offset } in
   let recs = encrypt t ?k_ssl (List.map shift toks) in
-  Buffer.add_string buf (Records.encode_tokens recs);
+  Buffer.add_string buf
+    (Records.encode_tokens ~explicit:(tokenization <> Dpienc.Window) ~base recs);
   List.length recs
 
 let reset t =

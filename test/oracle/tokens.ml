@@ -15,9 +15,9 @@ let slice_token s ~off ~len =
   { content = (if len = Tokenizer.token_len then content else Tokenizer.pad_short content);
     offset = off }
 
-let collect fold s =
-  List.rev (fold s ~init:[] ~f:(fun acc ~off ~len -> slice_token s ~off ~len :: acc))
+let visit s acc ~off ~len = slice_token s ~off ~len :: acc
 
-let window s = collect Tokenizer.fold_window s
+let window s = List.rev (Tokenizer.fold_window s ~init:[] ~f:(visit s))
 
-let delimiter ?short_units s = collect (Tokenizer.fold_delimiter ?short_units) s
+let delimiter ?short_units s =
+  List.rev (Tokenizer.fold_delimiter ?short_units s ~init:[] ~f:(visit s))

@@ -314,6 +314,19 @@ let isolation () =
      | exception Client.Server_error _ -> true
      | exception End_of_file -> true
      | _ -> false);
+  (* one malformed token stream per class, each on its own connection,
+     each refused with an ERROR *)
+  List.iter
+    (fun (name, body) ->
+      let c = Client.establish endpoint ~mode:Dpienc.Exact ~salt0:0 ~seed:name in
+      Fun.protect ~finally:(fun () -> Client.close c.Client.sc_client) @@ fun () ->
+      Client.send_records c.Client.sc_client ~seq:0 body;
+      Alcotest.(check bool) (name ^ " draws an ERROR") true
+        (match Client.recv_verdict c.Client.sc_client with
+         | exception Client.Server_error { code; _ } -> code = Wire.err_malformed
+         | _ -> false))
+    (("embed bit contradicts the mode", Bbx_oracle.Records.one_record_run ~embed:true)
+     :: Bbx_oracle.Records.undecodable);
   (* b still works end to end *)
   List.iteri
     (fun i wire ->

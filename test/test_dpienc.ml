@@ -80,7 +80,7 @@ let unit_tests =
         let s = sender_create Probable key ~salt0:0 in
         let k_ssl = String.make 16 'K' in
         let toks = sender_encrypt s ~k_ssl (mk_tokens [ t8 "a"; t8 "b"; t8 "c" ]) in
-        let decoded = decode_tokens (encode_tokens toks) in
+        let decoded = decode_tokens (encode_tokens ~explicit:true toks) in
         Alcotest.(check int) "count" (List.length toks) (List.length decoded);
         List.iter2
           (fun a b ->
@@ -133,6 +133,23 @@ let encrypt_stream mode contents =
   let k_ssl = if mode = Probable then Some (String.make 16 'K') else None in
   String.concat "" (List.mapi (fun i c -> wire s ?k_ssl ~base:(8 * i) (t8 c)) contents)
 
+(* Two sender calls on one sender: a two-run stream in [tokenization]'s
+   layout, and the length of its first run. *)
+let two_runs mode tokenization =
+  let s = sender_create mode key ~salt0:0 in
+  let k_ssl = if mode = Probable then Some (String.make 16 'K') else None in
+  let first = wire s ?k_ssl ~tokenization "the first, run." in
+  (first ^ wire s ?k_ssl ~base:15 ~tokenization "and then. the second", String.length first)
+
+let layouts =
+  [ (Exact, Window); (Exact, Delimiter { short_units = true }); (Probable, Window);
+    (Probable, Delimiter { short_units = false }) ]
+
+let offsets wire =
+  let acc = ref [] in
+  decode_iter wire ~f:(fun ~cipher ~offset ~embed_pos -> acc := (cipher, offset, embed_pos) :: !acc);
+  List.rev !acc
+
 let wire_tests =
   [ QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"encode/decode round trip (both modes)" ~count:100
@@ -142,9 +159,9 @@ let wire_tests =
             List.for_all
               (fun mode ->
                  let w = encrypt_stream mode contents in
-                 let decoded = decode_tokens w in
-                 List.length decoded = List.length contents
-                 && String.equal (encode_tokens decoded) w)
+                 let runs = decode_runs w in
+                 List.length runs = List.length contents
+                 && String.equal (encode_runs runs) w)
               [ Exact; Probable ]));
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"decode_iter agrees with decode_tokens" ~count:100
@@ -166,20 +183,35 @@ let wire_tests =
                  && via_iter = via_list)
               [ Exact; Probable ]));
     Alcotest.test_case "record sizes match the wire" `Quick (fun () ->
-        Alcotest.(check int) "exact" exact_record_bytes
+        (* a one-token run: layout byte, count 1 and base 0 as one-byte
+           varints, then the record *)
+        Alcotest.(check int) "exact" (3 + exact_record_bytes)
           (String.length (encrypt_stream Exact [ "a" ]));
-        Alcotest.(check int) "probable" probable_record_bytes
-          (String.length (encrypt_stream Probable [ "a" ])));
+        Alcotest.(check int) "probable" (3 + probable_record_bytes)
+          (String.length (encrypt_stream Probable [ "a" ]));
+        (* a window token costs its record; a delimiter token one more
+           byte for a delta below 64 *)
+        let s = sender_create Exact key ~salt0:0 in
+        let payload = String.concat " " (List.init 12 (fun i -> Printf.sprintf "word%04d" i)) in
+        Alcotest.(check int) "window" (3 + (100 * exact_record_bytes))
+          (String.length (wire s (String.sub payload 0 107)));
+        let n = Bbx_tokenizer.Tokenizer.delimiter_count payload in
+        Alcotest.(check int) "delimiter" (3 + (n * (1 + exact_record_bytes)))
+          (String.length (wire s ~tokenization:(Delimiter { short_units = false }) payload)));
     Alcotest.test_case "truncation rejected at every byte boundary" `Quick (fun () ->
-        (* one full record then a partial one, cut at every possible point:
-           the decoder must raise, never return a short read or crash *)
+        (* a two-run stream of each layout cut at every byte: only the cut
+           between the runs is a stream; every other cut must fail
+           validation and make the decoder raise, never return a short read
+           or crash *)
         List.iter
-          (fun mode ->
-             let wire = encrypt_stream mode [ "a"; "b" ] in
-             let record = String.length wire / 2 in
+          (fun (mode, tokenization) ->
+             let wire, first = two_runs mode tokenization in
+             Alcotest.(check bool) "whole stream valid" true (wire_valid ~mode wire);
              for cut = 1 to String.length wire - 1 do
-               if cut mod record <> 0 then begin
-                 let truncated = String.sub wire 0 cut in
+               let truncated = String.sub wire 0 cut in
+               if cut = first then
+                 Alcotest.(check bool) "first run alone valid" true (wire_valid ~mode truncated)
+               else begin
                  Alcotest.(check bool) (Printf.sprintf "cut %d fails validation" cut) false
                    (wire_valid ~mode truncated);
                  match decode_iter truncated ~f:(fun ~cipher:_ ~offset:_ ~embed_pos:_ -> ()) with
@@ -191,7 +223,45 @@ let wire_tests =
                      (String.starts_with ~prefix:"Dpienc.decode_iter:" msg)
                end
              done)
-          [ Exact; Probable ]);
+          layouts);
+    Alcotest.test_case "drop_records keeps the tail's bytes and offsets" `Quick (fun () ->
+        List.iter
+          (fun (mode, tokenization) ->
+             let wire, first_len = two_runs mode tokenization in
+             let all = offsets wire in
+             let total = List.length all in
+             let first = List.length (offsets (String.sub wire 0 first_len)) in
+             List.iter
+               (fun k ->
+                  let dropped = drop_records wire k in
+                  let tail = List.filteri (fun i _ -> i >= k) all in
+                  let strip = List.map (fun (c, o, _) -> (c, o)) in
+                  Alcotest.(check (list (pair int int)))
+                    (Printf.sprintf "drop %d of %d" k total) (strip tail) (strip (offsets dropped));
+                  Alcotest.(check bool) "valid" true (wire_valid ~mode dropped);
+                  if k = 0 then Alcotest.(check string) "k = 0 is the identity" wire dropped)
+               [ 0; 1; first - 1; first; first + 1; total - 1; total; total + 5 ])
+          layouts);
+    Alcotest.test_case "offsets wrap mod 2^32 from base 2^32 - 3" `Quick (fun () ->
+        let base = (1 lsl 32) - 3 in
+        List.iter
+          (fun (mode, tokenization) ->
+             let s = sender_create mode key ~salt0:0 in
+             let k_ssl = if mode = Probable then Some (String.make 16 'K') else None in
+             let payload = "wrap around the top, of the offsets" in
+             let w = wire s ?k_ssl ~base ~tokenization payload in
+             let visits =
+               match tokenization with
+               | Window -> Tokens.window payload
+               | Delimiter { short_units } -> Tokens.delimiter ~short_units payload
+             in
+             Alcotest.(check (list int)) "wrapped offsets"
+               (List.map (fun (t : Tokens.token) -> (base + t.offset) land 0xffffffff) visits)
+               (List.map (fun (_, o, _) -> o) (offsets w));
+             Alcotest.(check bool) "offsets wrapped" true
+               (List.exists (fun (_, o, _) -> o < 8) (offsets w));
+             Alcotest.(check bool) "valid" true (wire_valid ~mode w))
+          layouts);
   ]
 
 (* ---- reference sender differentials ----

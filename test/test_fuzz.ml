@@ -58,29 +58,89 @@ let regex_fuzz =
             true));
   ]
 
-(* The daemon front's validator never raises, and no stream it accepts
-   makes the decoder raise; the decoder fails only with
+module Dpienc = Bbx_dpienc.Dpienc
+
+(* The daemon front's validator never raises and accepts, per mode,
+   exactly the streams the decoder accepts whose records all carry that
+   mode's embed (or none, in Exact); the decoder fails only with
    [Invalid_argument]. *)
 let decode_validated s =
-  let module Dpienc = Bbx_dpienc.Dpienc in
-  let valid = List.exists (fun mode -> Dpienc.wire_valid ~mode s) [ Dpienc.Exact; Dpienc.Probable ] in
-  match Dpienc.decode_iter s ~f:(fun ~cipher:_ ~offset:_ ~embed_pos:_ -> ()) with
-  | () -> ()
+  let valid mode = Dpienc.wire_valid ~mode s in
+  let embeds = ref 0 and plain = ref 0 in
+  match
+    Dpienc.decode_iter s ~f:(fun ~cipher:_ ~offset:_ ~embed_pos ->
+        if embed_pos < 0 then incr plain else incr embeds)
+  with
+  | () ->
+    if valid Dpienc.Exact <> (!embeds = 0) || valid Dpienc.Probable <> (!plain = 0) then
+      failwith "validator and decoder disagree on a decodable stream"
   | exception (Invalid_argument _ as e) ->
-    if valid then failwith "validator accepted an undecodable stream" else raise e
+    if valid Dpienc.Exact || valid Dpienc.Probable then
+      failwith "validator accepted an undecodable stream"
+    else raise e
+
+(* Two sender calls (two runs) for each mode and tokenization, taken in
+   turn by the mutation property. *)
+let valid_streams =
+  let key = Dpienc.key_of_secret "fuzz" in
+  List.map
+    (fun (mode, tokenization) ->
+       let s = Dpienc.sender_create mode key ~salt0:0 in
+       let k_ssl = if mode = Dpienc.Probable then Some (String.make 16 'k') else None in
+       let buf = Buffer.create 256 in
+       ignore (Dpienc.sender_encrypt_into s ?k_ssl ~tokenization "some payload, bytes here" buf : int);
+       ignore
+         (Dpienc.sender_encrypt_into s ?k_ssl ~base:300 ~tokenization "and. a second one" buf : int);
+       Buffer.contents buf)
+    [ (Dpienc.Exact, Dpienc.Window); (Dpienc.Exact, Dpienc.Delimiter { short_units = true });
+      (Dpienc.Probable, Dpienc.Window); (Dpienc.Probable, Dpienc.Delimiter { short_units = false }) ]
+
+let next_valid_stream =
+  let i = ref 0 in
+  fun () ->
+    incr i;
+    List.nth valid_streams (!i mod List.length valid_streams)
+
+(* Each class of malformed stream is refused by both validators and makes
+   the decoder raise; a run whose embed bit contradicts the mode decodes
+   but is refused for that mode. *)
+let malformed_cases =
+  List.map
+    (fun (name, body) ->
+       Alcotest.test_case ("malformed: " ^ name) `Quick (fun () ->
+           List.iter
+             (fun mode ->
+                Alcotest.(check bool) "refused" false (Dpienc.wire_valid ~mode body))
+             [ Dpienc.Exact; Dpienc.Probable ];
+           match decode_validated body with
+           | () -> Alcotest.fail "decoded"
+           | exception Invalid_argument _ -> ()))
+    Bbx_oracle.Records.undecodable
+  @ [ Alcotest.test_case "malformed: embed bit contradicts the mode" `Quick (fun () ->
+        List.iter
+          (fun (mode, embed) ->
+             let body = Bbx_oracle.Records.one_record_run ~embed in
+             decode_validated body;
+             Alcotest.(check bool) "refused" false (Dpienc.wire_valid ~mode body))
+          [ (Dpienc.Exact, true); (Dpienc.Probable, false) ]);
+      Alcotest.test_case "5-byte varints: below 2^32 accepted, above refused" `Quick (fun () ->
+        let run base = "\x00\x01" ^ base ^ "\x00\x00\x00\x00\x01" in
+        Alcotest.(check bool) "2^32 - 1" true
+          (Dpienc.wire_valid ~mode:Dpienc.Exact (run "\xff\xff\xff\xff\x0f"));
+        let delta z = "\x02\x01\x00" ^ z ^ "\x00\x00\x00\x00\x01" in
+        Alcotest.(check bool) "delta 2^32 - 1" true
+          (Dpienc.wire_valid ~mode:Dpienc.Exact (delta "\xff\xff\xff\xff\x0f"));
+        Alcotest.(check bool) "delta 2^32" false
+          (Dpienc.wire_valid ~mode:Dpienc.Exact (delta "\x80\x80\x80\x80\x10"));
+        decode_validated (run "\xff\xff\xff\xff\x0f");
+        decode_validated (delta "\xff\xff\xff\xff\x0f")) ]
 
 let token_fuzz =
   [ no_crash ~name:"token decoder on random bytes" ~expected:is_invalid_arg decode_validated;
-    mutate_prop ~name:"token decoder on mutated valid streams" ~count:300
-      (fun () ->
-         let module Dpienc = Bbx_dpienc.Dpienc in
-         let key = Dpienc.key_of_secret "fuzz" in
-         let s = Dpienc.sender_create Dpienc.Exact key ~salt0:0 in
-         let buf = Buffer.create 256 in
-         ignore (Dpienc.sender_encrypt_into s "some payload bytes here" buf : int);
-         Buffer.contents buf)
+    mutate_prop ~name:"token decoder on mutated valid streams" ~count:300 next_valid_stream
       ~expected:is_invalid_arg decode_validated;
   ]
+  @ malformed_cases
 
 let compress_fuzz =
   [ no_crash ~name:"decompressor on random bytes" ~expected:is_invalid_arg

@@ -53,7 +53,7 @@ let run_both mode tokenization packets =
   List.for_all
     (fun payload ->
        let wire_legacy =
-         Records.encode_tokens
+         Records.encode_tokens ~explicit:(tokenization <> Window)
            (Ref_sender.encrypt s_legacy ?k_ssl (tokenize tokenization payload))
        in
        Buffer.clear buf;
@@ -111,7 +111,7 @@ let engine_tests =
         let records =
           Ref_sender.encrypt (Ref_sender.create Exact key ~salt0:0) (Tokens.delimiter payload)
         in
-        let n_list = Bbx_mbox.Engine.process_wire e_list (Records.encode_tokens records) in
+        let n_list = Bbx_mbox.Engine.process_wire e_list (Records.encode_tokens ~explicit:true records) in
         let s2 = sender_create Exact key ~salt0:0 in
         let buf = Buffer.create 1024 in
         let n =

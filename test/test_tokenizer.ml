@@ -159,7 +159,7 @@ let streaming_tests =
          (fun s ->
             same_tokens (collect (fun s -> fold_delimiter s) s) (delimiter s)
             && same_tokens
-                 (collect (fold_delimiter ~short_units:true) s)
+                 (collect (fun s -> fold_delimiter ~short_units:true s) s)
                  (delimiter ~short_units:true s)));
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"fold visit counts equal the count API" ~count:200
@@ -168,7 +168,7 @@ let streaming_tests =
             let visits fold s = fold s ~init:0 ~f:(fun n ~off:_ ~len:_ -> n + 1) in
             visits fold_window s = window_count s
             && visits (fun s -> fold_delimiter s) s = delimiter_count s
-            && visits (fold_delimiter ~short_units:true) s
+            && visits (fun s -> fold_delimiter ~short_units:true s) s
                = delimiter_count ~short_units:true s));
     Alcotest.test_case "slice_token pads short slices" `Quick (fun () ->
         let t = slice_token "run cmd now" ~off:4 ~len:3 in
