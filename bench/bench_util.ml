@@ -56,6 +56,31 @@ let fmt_bytes b =
 let fmt_rate bytes seconds =
   Printf.sprintf "%.0f Mbps" (float_of_int bytes *. 8.0 /. seconds /. 1e6)
 
+(* Bytes allocated so far, exactly: minor words plus words allocated
+   directly in the major heap.  [Gc.allocated_bytes] (OCaml 5.1) counts
+   the words allocated since the last minor collection at an eighth of
+   their size, so a window with no minor collection in it under-reads its
+   minor-heap allocation up to eightfold; [Gc.minor_words] counts them
+   exactly.  Read a window after a [Gc.minor ()] so it starts from an
+   empty minor heap, and subtract [alloc_overhead]. *)
+let allocated_bytes () =
+  let _, promoted, major = Gc.counters () in
+  (Gc.minor_words () +. major -. promoted) *. float_of_int (Sys.word_size / 8)
+
+(* Bytes [allocated_bytes] itself allocates between two reads. *)
+let alloc_overhead =
+  let a0 = allocated_bytes () in
+  let a1 = allocated_bytes () in
+  a1 -. a0
+
+(* [f ()] and the bytes it allocated, read from an empty minor heap. *)
+let metered f =
+  Gc.minor ();
+  let a0 = allocated_bytes () in
+  let r = f () in
+  let a1 = allocated_bytes () in
+  (r, a1 -. a0 -. alloc_overhead)
+
 let section title =
   Printf.printf "\n=== %s ===\n%!" title
 

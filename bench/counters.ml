@@ -24,13 +24,15 @@
 
    The key rows price the two paths that expand one AES key per token
    value:
-   - sender-html: one DPIEnc sender over a pool of 64 generated 16 KiB
-     HTML writes (1 MiB, window tokens: the e2ebench bulk-window shape),
-     sent once, then again in reverse order after a salt reset; bytes
-     allocated per token in the second period, where every distinct
-     token is first-seen again;
-   - sender-delim: the same measure for a delimiter-tokenized sender
-     over benign-3k's 600 B writes;
+   - sender-cold: a fresh DPIEnc sender's first pass over a pool of 64
+     generated 16 KiB HTML writes (1 MiB, window tokens: the e2ebench
+     bulk-window shape); bytes allocated per token, where the sender
+     grows its counter table and key pages from nothing;
+   - sender-html: the same sender sends the pool again, in reverse
+     order, after a salt reset; bytes allocated per token in this second
+     period, where every distinct token is first-seen again;
+   - sender-delim: bytes per token of the second period for a
+     delimiter-tokenized sender over benign-3k's 600 B writes;
    - keys-3k: one [Engine.keys] on 3 000 Emerging Threats rules, from
      precomputed chunk encryptions — bytes allocated and
      [Engine.keys_bytes] per chunk.
@@ -42,7 +44,7 @@
    - wire-delim-probable: Probable mode, 64 generated 8 KiB HTML
      delimiter writes (the e2ebench probable-escalate shape).
 
-   Every allocation row reads [allocated_bytes] (below) after a
+   Every allocation row reads [Bench_util.allocated_bytes] after a
    [Gc.minor ()], so each measured window starts from an empty minor
    heap.
 
@@ -71,34 +73,20 @@ let obs_probe_len = Obs.histogram "bbx_detect_probe_len" ~buckets:[||]
 let key = Dpienc.key_of_secret "bench-counters"
 let enc_chunk = Dpienc.token_enc key
 
-(* Bytes allocated so far.  [Gc.allocated_bytes] (OCaml 5.1) counts the
-   words allocated since the last minor collection at an eighth of their
-   size, so a window with no minor collection in it under-reads its
-   minor-heap allocation eightfold; [Gc.minor_words] counts them exactly. *)
-let allocated_bytes () =
-  let _, promoted, major = Gc.counters () in
-  (Gc.minor_words () +. major -. promoted) *. float_of_int (Sys.word_size / 8)
-
-(* Bytes [allocated_bytes] itself allocates between two reads. *)
-let alloc_overhead =
-  let a0 = allocated_bytes () in
-  let a1 = allocated_bytes () in
-  a1 -. a0
-
 (* One [verdicts] call: (fresh verdicts, rules evaluated, candidates
    visited, bytes allocated, ns). *)
 let measured e =
   let r0 = Obs.counter_value obs_evaluated and c0 = Obs.counter_value obs_visited in
   Gc.minor ();
   let t0 = Bbx_obs.Trace.now_ns () in
-  let a0 = allocated_bytes () in
+  let a0 = Bench_util.allocated_bytes () in
   let vs = Engine.verdicts e in
-  let a1 = allocated_bytes () in
+  let a1 = Bench_util.allocated_bytes () in
   let t1 = Bbx_obs.Trace.now_ns () in
   ( vs,
     Obs.counter_value obs_evaluated - r0,
     Obs.counter_value obs_visited - c0,
-    int_of_float (a1 -. a0 -. alloc_overhead),
+    int_of_float (a1 -. a0 -. Bench_util.alloc_overhead),
     t1 - t0 )
 
 let wire sender ~base ~tokenization payload =
@@ -201,15 +189,15 @@ let detect_counters () =
   in
   let hit = Detect.stream ~tkeys ~n_tok 0.5 in
   Bbx_detect.Detect.reset det ~salt0:0;
-  Gc.minor ();
-  let a0 = allocated_bytes () in
-  run hit;
-  let a1 = allocated_bytes () in
-  (probes, (a1 -. a0 -. alloc_overhead) /. float_of_int n_tok)
+  let (), alloc = Bench_util.metered (fun () -> run hit) in
+  (probes, alloc /. float_of_int n_tok)
 
-(* Bytes allocated per token by the second salt period of a sender over
-   [pool] (see the header), and the token count. *)
-let sender_alloc ~tokenization pool =
+(* A sender over [pool] (see the header): bytes allocated per token by
+   its first salt period and by its second, and the token count of a
+   period. *)
+type sender_counts = { cold : float; warm : float; tokens : int }
+
+let sender_counts ~tokenization pool =
   let sender = Dpienc.sender_create Dpienc.Exact key ~salt0:0 in
   let buf = Buffer.create (Dpienc.exact_record_bytes * 16_384) in
   (* boxed once: an optional argument passed as [~tokenization] would box
@@ -220,13 +208,11 @@ let sender_alloc ~tokenization pool =
     n + Dpienc.sender_encrypt_into sender ?tokenization payload buf
   in
   let send_back p n = send n p in
-  ignore (Array.fold_left send 0 pool : int);
+  let tokens, cold = Bench_util.metered (fun () -> Array.fold_left send 0 pool) in
   ignore (Dpienc.sender_reset sender : int);
-  Gc.minor ();
-  let a0 = allocated_bytes () in
-  let tokens = Array.fold_right send_back pool 0 in
-  let a1 = allocated_bytes () in
-  ((a1 -. a0 -. alloc_overhead) /. float_of_int tokens, tokens)
+  let (_ : int), warm = Bench_util.metered (fun () -> Array.fold_right send_back pool 0) in
+  let per x = x /. float_of_int tokens in
+  { cold = per cold; warm = per warm; tokens }
 
 (* TOKEN_STREAM bytes per token of a fresh sender over [writes]. *)
 let wire_bytes_per_token mode ~tokenization writes =
@@ -249,12 +235,9 @@ let keys_counters rules =
   let chunks = Engine.chunks rs in
   let encs = Hashtbl.create (Array.length chunks) in
   Array.iter (fun c -> Hashtbl.replace encs c (enc_chunk c)) chunks;
-  Gc.minor ();
-  let a0 = allocated_bytes () in
-  let keys = Engine.keys rs ~enc_chunk:(Hashtbl.find encs) in
-  let a1 = allocated_bytes () in
+  let keys, alloc = Bench_util.metered (fun () -> Engine.keys rs ~enc_chunk:(Hashtbl.find encs)) in
   let per x = x /. float_of_int (Array.length chunks) in
-  ( per (a1 -. a0 -. alloc_overhead),
+  ( per alloc,
     per (float_of_int (Engine.keys_bytes keys)),
     Array.length chunks )
 
@@ -358,16 +341,16 @@ let run () =
   in
   let html = html_writes "bench-counters/html" ~n:64 ~bytes:16_384 in
   let benign_600 = benign_writes 200 in
-  let html_alloc, html_tokens = sender_alloc ~tokenization:Dpienc.Window html in
+  let sender_html = sender_counts ~tokenization:Dpienc.Window html in
   Printf.printf
-    "  sender (64 x 16 KiB HTML window writes, second salt period, %d tokens): \
-     %.1f B allocated/token\n%!"
-    html_tokens html_alloc;
-  let delim_alloc, delim_tokens = sender_alloc ~tokenization:delimiter benign_600 in
+    "  sender (64 x 16 KiB HTML window writes, %d tokens per salt period): \
+     %.1f B allocated/token in the first period, %.1f in the second\n%!"
+    sender_html.tokens sender_html.cold sender_html.warm;
+  let sender_delim = sender_counts ~tokenization:delimiter benign_600 in
   Printf.printf
-    "  sender (200 x 600 B HTML delimiter writes, second salt period, %d tokens): \
-     %.1f B allocated/token\n%!"
-    delim_tokens delim_alloc;
+    "  sender (200 x 600 B HTML delimiter writes, %d tokens per salt period): \
+     %.1f B allocated/token in the first period, %.1f in the second\n%!"
+    sender_delim.tokens sender_delim.cold sender_delim.warm;
   let wire_window = wire_bytes_per_token Dpienc.Exact ~tokenization:Dpienc.Window html in
   let wire_delim = wire_bytes_per_token Dpienc.Exact ~tokenization:delimiter benign_600 in
   let wire_probable =
@@ -383,14 +366,15 @@ let run () =
     nchunks keys_alloc keys_bytes;
   let rows =
     rows
-    @ [ { name = "sender-html.alloc_bytes"; unit_ = "B/token"; value = html_alloc };
-        { name = "sender-delim.alloc_bytes"; unit_ = "B/token"; value = delim_alloc };
+    @ [ { name = "sender-html.alloc_bytes"; unit_ = "B/token"; value = sender_html.warm };
+        { name = "sender-delim.alloc_bytes"; unit_ = "B/token"; value = sender_delim.warm };
         { name = "keys-3k.alloc_bytes"; unit_ = "B/chunk"; value = keys_alloc };
         { name = "keys-3k.keys_bytes"; unit_ = "B/chunk"; value = keys_bytes };
         { name = "wire-window.bytes_per_token"; unit_ = "B/token"; value = wire_window };
         { name = "wire-delim.bytes_per_token"; unit_ = "B/token"; value = wire_delim };
         { name = "wire-delim-probable.bytes_per_token"; unit_ = "B/token";
-          value = wire_probable } ]
+          value = wire_probable };
+        { name = "sender-cold.alloc_bytes"; unit_ = "B/token"; value = sender_html.cold } ]
   in
   if Array.mem "--write-baseline" Sys.argv then begin
     Out_channel.with_open_bin baseline_path (fun oc -> output_string oc (render rows));

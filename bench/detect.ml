@@ -145,18 +145,14 @@ let run () =
            best := min !best t)
         order
     done;
-    (* allocation per token, min of 3 (minor-GC noise does not survive a
-       min); the reset outside the measured window *)
+    (* exact allocation per token; the reset outside the measured
+       window *)
     let alloc det =
-      let best = ref infinity in
-      for _ = 1 to 3 do
-        if needs_reset then det.reset ();
-        let a0 = Gc.allocated_bytes () in
-        ignore (det.stream wire ~f:(fun _ ~embed_pos:_ -> ()) : int);
-        let a1 = Gc.allocated_bytes () in
-        best := min !best ((a1 -. a0) /. float_of_int n_tok)
-      done;
-      !best
+      if needs_reset then det.reset ();
+      let (), bytes =
+        Bench_util.metered (fun () -> ignore (det.stream wire ~f:(fun _ ~embed_pos:_ -> ()) : int))
+      in
+      bytes /. float_of_int n_tok
     in
     let avl_alloc = alloc det_avl and hash_alloc = alloc det_hash in
     let tps t = float_of_int n_tok /. t in

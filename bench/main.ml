@@ -5,7 +5,8 @@
    Usage: dune exec bench/main.exe [experiment ...] [--smoke] [--metrics FILE]
    Experiments: table1 table2 fig3 fig4 fig5 fig6 accuracy tiered throughput
                 setup ablation detect pipeline obs-overhead trace-overhead
-                parallel fleet setup-parallel daemon counters all (default: all)
+                parallel fleet setup-parallel daemon sender counters all
+                (default: all)
 
    After the requested experiments run, the full bbx_obs metric registry is
    written to BENCH_obs.json (override with --metrics FILE) so every bench
@@ -32,6 +33,7 @@ let experiments =
     ("fleet", "Fleet-scale state: shared rule prep, bytes/conn, migration under load", Fleet.run);
     ("setup-parallel", "Rule-setup scaling across OCaml domains (Ruleprep at 1/2/4 workers)", Setup_parallel.run);
     ("daemon", "blindboxd end to end: loadgen over Unix sockets at 1/2/4/8 connections", Daemon_bench.run);
+    ("sender", "DPIEnc sender: ns/token per salt period in the bulk-window shape", Sender.run);
     ("counters", "Exact counters (verdict step, detection index, sender and keyset keys, wire bytes) vs bench/baseline.json (10% gate)", Counters.run);
   ]
 

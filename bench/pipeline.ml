@@ -5,9 +5,10 @@
    tokenization — the paper's worst case of one token per payload byte.
 
    Reports tokens/sec and GC-allocated bytes per token for both paths
-   (Gc.allocated_bytes deltas), so the streaming design's win is
-   measured, not asserted.  `--smoke` runs a quick sanity pass (streaming
-   and reference paths must produce identical wire bytes) for CI. *)
+   (the exact meter of [Bench_util.metered]), so the streaming design's
+   win is measured, not asserted.  `--smoke` runs a quick sanity pass
+   (streaming and reference paths must produce identical wire bytes) for
+   CI. *)
 
 open Bbx_crypto
 open Bbx_dpienc
@@ -20,10 +21,8 @@ let packet_bytes = 1500
 let alloc_per_token ~reps ~tokens f =
   f ();
   (* warmup: first call populates counter tables / token keys *)
-  let a0 = Gc.allocated_bytes () in
-  for _ = 1 to reps do f () done;
-  let a1 = Gc.allocated_bytes () in
-  (a1 -. a0) /. float_of_int (reps * tokens)
+  let (), bytes = Bench_util.metered (fun () -> for _ = 1 to reps do f () done) in
+  bytes /. float_of_int (reps * tokens)
 
 let run () =
   let smoke = Array.exists (fun a -> a = "--smoke") Sys.argv in

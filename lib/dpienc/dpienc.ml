@@ -119,19 +119,23 @@ let offset_mask = 0xffffffff
    touches a single cache line where parallel arrays would touch four.
 
    A first-seen token's key [AES_{AES_k(t)}] is expanded when its slot is
-   claimed, into the next free slot of the sender's keyset [pkeys]: key
-   ids run in insertion order, so table growth moves slots but never a
-   schedule, and the keyset holds exactly the distinct tokens (half the
-   words of a keyset indexed by table slot at load <= 1/2).  [pkeys] is
-   allocated on the first insert and doubles as it fills; a reset rewinds
-   the id counter and keeps the keyset, as it keeps [ptab].  Per-token
-   wire output (and the run header before the first record) is staged in
-   [wire] and appended with one [Buffer.add_subbytes] per sweep of
-   [sweep_cap] records. *)
+   claimed, under the next key id: key ids run in insertion order, so
+   table growth moves slots but never a schedule, and the keys held are
+   exactly the distinct tokens (half the words of a keyset indexed by
+   table slot at load <= 1/2).  Key id [i] lives in page
+   [i lsr page_bits] of [pkeys], at slot [i land (page_keys - 1)].  A
+   page is allocated when the id counter first reaches it, so an idle
+   sender holds no keys and no key is ever copied (a single doubling
+   arena would allocate about three times the bytes of the keys it ends
+   up holding).  A reset rewinds the id counter and keeps the pages, as
+   it keeps [ptab].  Per-token wire output (and the run header
+   before the first record) is staged in [wire] and appended with one
+   [Buffer.add_subbytes] per sweep of [sweep_cap] records. *)
 
 let sweep_cap = 256
 let init_slots = 256 (* power of two; grows at load 1/2 *)
-let init_keys = 32
+let page_bits = 10
+let page_keys = 1 lsl page_bits (* 384 KiB of expanded keys *)
 
 type sender = {
   mode : mode;
@@ -143,8 +147,8 @@ type sender = {
   mutable ptab : int array;
   mutable pmask : int;                (* slot count - 1 *)
   mutable poccupied : int;            (* = the next key id *)
-  mutable pkeys : keyset;             (* key id -> AES_{AES_k(t)}; [||] until
-                                         the first insert *)
+  mutable pkeys : keyset array;       (* pages of key id -> AES_{AES_k(t)};
+                                         [||] until the first insert *)
   tblk : Bytes.t;                     (* scratch: the padded token t || 0^8 *)
   kblk : Bytes.t;                     (* scratch: AES_k(t) *)
   wire : Bytes.t;                     (* staged run header and records *)
@@ -247,22 +251,27 @@ let pgrow s =
 external set_64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 external bswap_64 : int64 -> int64 = "%bswap_int64"
 
+(* The page holding key id [id], whose slot there is
+   [id land (page_keys - 1)]. *)
+let[@inline] key_page s id = s.pkeys.(id lsr page_bits)
+
+(* Room for key id [id], the next one: ids are claimed one at a time, so
+   [id] falls outside the pages only as the first id of the next page. *)
+let reserve_key s id =
+  if id lsr page_bits = Array.length s.pkeys then
+    s.pkeys <- Array.append s.pkeys [| Array.make (page_keys * Aes.key_words) 0 |]
+
 (* Expand the key of the token packed as [h1], [h2] into key id [id]:
    the padded token t || 0^8 is [h1], [h2] big-endian, so it is written
    into [tblk] with one store and encrypted under k into [kblk], which is
    expanded in place — the string view of [kblk] lives only for the
    [expand_into] call, which reads it and keeps nothing. *)
 let expand_token_key s id h1 h2 =
-  let cap = Array.length s.pkeys / Aes.key_words in
-  if id >= cap then begin
-    let nk = Array.make (max init_keys (2 * cap) * Aes.key_words) 0 in
-    Array.blit s.pkeys 0 nk 0 (Array.length s.pkeys);
-    s.pkeys <- nk
-  end;
+  reserve_key s id;
   set_64u s.tblk 0
     (bswap_64 (Int64.logor (Int64.shift_left (Int64.of_int h1) 32) (Int64.of_int h2)));
   Aes.encrypt_block_into (Aes.key_arena s.key) 0 ~src:s.tblk ~src_off:0 ~dst:s.kblk ~dst_off:0;
-  Aes.expand_into s.pkeys id (Bytes.unsafe_to_string s.kblk)
+  Aes.expand_into (key_page s id) (id land (page_keys - 1)) (Bytes.unsafe_to_string s.kblk)
 
 (* Claim empty slot [i] for the token packed as [h1], [h2] with count 0
    and the next key id.  Returns the token's slot, re-probed if the
@@ -340,7 +349,7 @@ let sender_reset s =
   s.salt0 <- s.salt0 + (stride * (s.max_count + 1));
   s.max_count <- 0;
   Array.fill s.ptab 0 (4 * (s.pmask + 1)) (-1);
-  (* rewind the key ids; the keyset keeps its size, as [ptab] does *)
+  (* rewind the key ids; the pages stay, as [ptab] does *)
   s.poccupied <- 0;
   Obs.incr obs_resets;
   s.salt0
@@ -373,10 +382,11 @@ let open_run s k_ssl ~explicit ~count base =
 
 (* Stage a record's cipher and embed at [pos], then count it. *)
 let[@inline] emit_at s buf k_ssl id salt pos =
-  put_cipher s.wire pos (cipher s.pkeys id ~salt);
+  let page = key_page s id and k = id land (page_keys - 1) in
+  put_cipher s.wire pos (cipher page k ~salt);
   if String.length k_ssl = 0 then s.sw_pos <- pos + exact_record_bytes
   else begin
-    mask_xor_into s.pkeys id ~salt:(salt + 1) k_ssl ~dst:s.wire ~dst_off:(pos + 5);
+    mask_xor_into page k ~salt:(salt + 1) k_ssl ~dst:s.wire ~dst_off:(pos + 5);
     s.sw_pos <- pos + probable_record_bytes
   end;
   s.sw_n <- s.sw_n + 1;

@@ -159,3 +159,8 @@ val probable_record_bytes : int
 (** The longest run header: a call's wire is at most this plus its
     records. *)
 val max_header_bytes : int
+
+(** Keys per page of a sender's token-key arena: a sender holds one page
+    per [page_keys] distinct tokens of its busiest salt period, none until
+    its first token.  Exposed for the page-boundary tests. *)
+val page_keys : int

@@ -311,14 +311,27 @@ let kernel_tests =
     case "wire equality: probable / window" Probable Window;
     case "wire equality: probable / delimiter" Probable (Delimiter { short_units = false });
     Alcotest.test_case "packed table growth survives (many distinct tokens)" `Quick (fun () ->
-        (* >2048 distinct tokens forces several grows in mid-payload;
-           equality with the reference proves no slot or look-ahead went
-           stale *)
-        let payload =
+        (* >2048 distinct tokens forces several table grows in mid-payload,
+           and the key ids run over more than three key pages.  The reset
+           after the first payload rewinds the ids onto pages the sender
+           already owns; the third payload, without a reset, claims ids
+           past them.  Probable mode reads each token's page twice (cipher
+           and embed).  Equality with the reference proves no slot,
+           look-ahead or key page went stale. *)
+        let numbers from =
           String.concat ""
-            (List.init 3000 (fun i -> Printf.sprintf "%08d" i))
+            (List.init 3000 (fun i -> Printf.sprintf "%08d" (from + i)))
         in
-        drive_pair ~mode:Exact ~tokenization:Window ~payloads:[ payload ] ~resets_at:[]);
+        let payloads = [ numbers 0; numbers 50_000; numbers 1_000 ] in
+        let distinct = Hashtbl.create 4096 in
+        List.iter
+          (fun (t : Tokens.token) -> Hashtbl.replace distinct t.content ())
+          (Tokens.window (List.hd payloads));
+        Alcotest.(check bool) "more than three key pages" true
+          (Hashtbl.length distinct > 3 * page_keys);
+        List.iter
+          (fun mode -> drive_pair ~mode ~tokenization:Window ~payloads ~resets_at:[ 0 ])
+          [ Exact; Probable ]);
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"qcheck wire equality vs reference sender" ~count:60
          QCheck.(
