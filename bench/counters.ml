@@ -37,6 +37,15 @@
      precomputed chunk encryptions — bytes allocated and
      [Engine.keys_bytes] per chunk.
 
+   The set-up rows price what an endpoint and the daemon redo on every
+   connection over the daemon's HELLO_OK text for those 3 000 rules:
+   - setup-3k: bytes allocated per chunk by a warm client's
+     [Client.rules_of_text] (a text it already holds) plus
+     [Client.pairs_for] on the list it returns — the pairs themselves
+     are 64 B per chunk;
+   - frame-hello-3k: bytes allocated per text byte by
+     [Wire.encode_frame_string] on that HELLO_OK frame.
+
    The wire rows count the TOKEN_STREAM body bytes a fresh sender emits
    per token, one call per write with running stream offsets:
    - wire-window: Exact mode, sender-html's 1 MiB of 16 KiB window writes;
@@ -60,6 +69,8 @@
 open Bbx_rules
 open Bbx_dpienc
 module Engine = Bbx_mbox.Engine
+module Client = Bbx_daemon.Client
+module Wire = Bbx_wire.Wire
 module Obs = Bbx_obs.Obs
 module Drbg = Bbx_crypto.Drbg
 
@@ -241,6 +252,29 @@ let keys_counters rules =
     per (float_of_int (Engine.keys_bytes keys)),
     Array.length chunks )
 
+(* A client's set-up over the HELLO_OK text of [rules] (see the header):
+   bytes per chunk on a warm entry and, informational, on a cold one (a
+   changed text: parse, chunk derivation, pairs — every connection's cost
+   before the entry existed), then bytes per text byte to encode the
+   frame.  Returns the chunk count and the text's length too. *)
+let setup_counters rules =
+  let announce rules = String.concat "\n" (List.map Rule.to_string rules) in
+  let text = announce rules and other = announce (List.tl rules) in
+  let setup () = Client.pairs_for ~key (Client.rules_of_text text) in
+  ignore (Client.rules_of_text other : Rule.t list);
+  let pairs, cold = Bench_util.metered setup in
+  let (_ : (string * string) array), warm = Bench_util.metered setup in
+  let frame = Wire.Hello_ok { conn_id = 1; mode = Dpienc.Exact; rules_text = text } in
+  let (_ : string), frame_alloc =
+    Bench_util.metered (fun () -> Wire.encode_frame_string frame)
+  in
+  let n = float_of_int (Array.length pairs) in
+  ( warm /. n,
+    cold /. n,
+    frame_alloc /. float_of_int (String.length text),
+    Array.length pairs,
+    String.length text )
+
 (* ---------- baseline file: one row per line ---------- *)
 
 type row = { name : string; unit_ : string; value : float }
@@ -364,6 +398,11 @@ let run () =
   Printf.printf
     "  keys (3 000 ET rules, %d chunks): %.1f B allocated/chunk, keys_bytes %.1f B/chunk\n%!"
     nchunks keys_alloc keys_bytes;
+  let setup_warm, setup_cold, frame_hello, setup_chunks, text_bytes = setup_counters rules3k in
+  Printf.printf
+    "  client set-up (3 000 ET rules, %d chunks, %d B HELLO_OK text): %.1f B allocated/chunk \
+     on a warm entry, %.1f on a changed text; HELLO_OK frame %.2f B allocated/text byte\n%!"
+    setup_chunks text_bytes setup_warm setup_cold frame_hello;
   let rows =
     rows
     @ [ { name = "sender-html.alloc_bytes"; unit_ = "B/token"; value = sender_html.warm };
@@ -374,7 +413,9 @@ let run () =
         { name = "wire-delim.bytes_per_token"; unit_ = "B/token"; value = wire_delim };
         { name = "wire-delim-probable.bytes_per_token"; unit_ = "B/token";
           value = wire_probable };
-        { name = "sender-cold.alloc_bytes"; unit_ = "B/token"; value = sender_html.cold } ]
+        { name = "sender-cold.alloc_bytes"; unit_ = "B/token"; value = sender_html.cold };
+        { name = "setup-3k.client_alloc_bytes"; unit_ = "B/chunk"; value = setup_warm };
+        { name = "frame-hello-3k.alloc_bytes"; unit_ = "B/text byte"; value = frame_hello } ]
   in
   if Array.mem "--write-baseline" Sys.argv then begin
     Out_channel.with_open_bin baseline_path (fun oc -> output_string oc (render rows));

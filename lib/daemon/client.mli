@@ -23,15 +23,26 @@ type t
 val connect : Daemon.endpoint -> t
 
 (** [hello t ~mode ~salt0] — returns the assigned connection id and the
-    daemon's ruleset.  [features] is accepted and ignored: the HELLO
-    features byte goes out as [0], and the daemon ignores it anyway.  It
-    stays only because [e2ebench/] still passes it. *)
+    daemon's ruleset, read from the HELLO_OK text by {!rules_of_text}.
+    [features] is accepted and ignored: the HELLO features byte goes out
+    as [0], and the daemon ignores it anyway.  It stays only because
+    [e2ebench/] still passes it. *)
 val hello :
   ?features:int -> t -> mode:Bbx_dpienc.Dpienc.mode -> salt0:int ->
   int * Bbx_rules.Rule.t list
 
+(** [rules_of_text text] — the rules of an announced HELLO_OK text.  The
+    process keeps one entry: the last text parsed, its rules and their
+    {!Bbx_mbox.Engine.distinct_chunks}.  A text [String.equal] to the
+    entry's returns the entry's list itself (physically); any other text
+    is parsed, its chunks derived, and the entry replaced.  Safe to call
+    from several domains at once: each caller gets its own text's rules. *)
+val rules_of_text : string -> Bbx_rules.Rule.t list
+
 (** [rule_setup t ~pairs] ships the [(chunk, enc)] table and waits for
-    [SETUP_OK]. *)
+    [SETUP_OK].  The daemon accepts only its announced ruleset's chunks,
+    each once, in {!Bbx_mbox.Engine.distinct_chunks} order — the table
+    {!pairs_for} builds. *)
 val rule_setup : t -> pairs:(string * string) array -> unit
 
 (** [send_records t ~seq records] frames one TOKEN_STREAM (does not wait
@@ -53,7 +64,9 @@ val recv_verdict : t -> int * Bbx_wire.Wire.status * Bbx_wire.Wire.verdict list
 val salt_reset : t -> salt0:int -> unit
 
 (** [update_rules t ~remove_sids ~add ~pairs] — ships a live rule update
-    ([pairs] must cover the full post-update chunk set) and waits for
+    ([pairs] must pair the post-update rules' chunks in
+    {!Bbx_mbox.Engine.distinct_chunks} order, as {!pairs_for} on
+    {!Bbx_mbox.Engine.next_rules} does) and waits for
     [UPDATE_OK]; returns the added-rule count.  Outstanding verdicts are
     collected and returned too (they arrive before the ack). *)
 val update_rules :
@@ -131,7 +144,10 @@ val migrate :
   session * (int * Bbx_wire.Wire.status * Bbx_wire.Wire.verdict list) list
 
 (** [pairs_for ~key rules] — the RULE_SETUP table for [rules] under
-    [key]: every distinct chunk paired with its direct encryption
-    ([AES_k(chunk)]).  Exposed for rule updates and tests. *)
+    [key]: every distinct chunk, in {!Bbx_mbox.Engine.distinct_chunks}
+    order, paired with its direct encryption ([AES_k(chunk)]).  When
+    [rules] is physically the list {!rules_of_text} last returned, the
+    chunks come from its entry and only the encryptions are computed.
+    Exposed for rule updates and tests. *)
 val pairs_for :
   key:Bbx_dpienc.Dpienc.key -> Bbx_rules.Rule.t list -> (string * string) array

@@ -308,13 +308,13 @@ let flush_pool t =
     done
   end
 
-(* Does [pairs] cover every chunk in [needed]?  Builds the lookup table
-   the [enc_chunk] oracle reads from on the owning worker. *)
-let enc_table_for ~needed pairs =
-  let tbl = Hashtbl.create (max 16 (Array.length pairs)) in
-  Array.iter (fun (chunk, enc) -> Hashtbl.replace tbl chunk enc) pairs;
-  let missing = Array.exists (fun c -> not (Hashtbl.mem tbl c)) needed in
-  if missing then None else Some tbl
+(* Is [pairs] the table for [chunks]: pair [i] carries chunk [i], no pair
+   missing or extra?  Both ends derive [chunks] from the same rules with
+   [Engine.distinct_chunks], so a valid table's enc column is already the
+   keys' encryption array. *)
+let table_matches chunks pairs =
+  Array.length pairs = Array.length chunks
+  && Array.for_all2 (fun c (c', _) -> String.equal c c') chunks pairs
 
 let handle_msg t cl msg =
   match (msg, cl.state) with
@@ -335,22 +335,21 @@ let handle_msg t cl msg =
       enqueue t cl
         (Wire.Hello_ok { conn_id = cl.conn_id; mode; rules_text = t.rules_text })
     end
-  | Wire.Rule_setup { pairs }, Awaiting_setup { salt0 } -> begin
-      let needed = Engine.chunks t.ruleset in
-      match enc_table_for ~needed pairs with
-      | None ->
-        error_close t cl Wire.err_setup
-          "rule setup does not cover the ruleset's %d chunks"
-          (Array.length needed)
-      | Some tbl ->
-        (* the connection's keys are expanded on its owning worker *)
-        let ruleset = t.ruleset in
-        Shardpool.register t.pool ~conn_id:cl.conn_id ~salt0 ~direction (fun () ->
-            Engine.keys ruleset ~enc_chunk:(Hashtbl.find tbl));
-        cl.registered <- true;
-        cl.state <- Streaming;
-        Obs.add_gauge obs_active 1;
-        enqueue t cl Wire.Setup_ok
+  | Wire.Rule_setup { pairs }, Awaiting_setup { salt0 } ->
+    let chunks = Engine.chunks t.ruleset in
+    if not (table_matches chunks pairs) then
+      error_close t cl Wire.err_setup
+        "rule setup must pair the ruleset's %d chunks in announced order"
+        (Array.length chunks)
+    else begin
+      (* the connection's keys are expanded on its owning worker *)
+      let ruleset = t.ruleset in
+      Shardpool.register t.pool ~conn_id:cl.conn_id ~salt0 ~direction (fun () ->
+          Engine.keys_of_encs ruleset (Array.map snd pairs));
+      cl.registered <- true;
+      cl.state <- Streaming;
+      Obs.add_gauge obs_active 1;
+      enqueue t cl Wire.Setup_ok
     end
   | Wire.Conn_import { state }, Awaiting_setup _ -> begin
       (* takes RULE_SETUP's place: the snapshot already carries the
@@ -416,17 +415,18 @@ let handle_msg t cl msg =
         error_close t cl Wire.err_setup "rule update parse error: %s" m
       | add ->
         let new_rules = Engine.next_rules cl.rules ~remove_sids ~add in
-        (match enc_table_for ~needed:(Engine.distinct_chunks new_rules) pairs with
-         | None ->
-           error_close t cl Wire.err_setup
-             "rule update does not cover the post-update chunk set"
-         | Some tbl ->
-           (* the next generation is this connection's alone: built on
-              its owning worker, never written into the shared one *)
-           Shardpool.update_rules t.pool ~conn_id:cl.conn_id (fun () ->
-               Engine.keys (Engine.ruleset new_rules) ~enc_chunk:(Hashtbl.find tbl));
-           cl.rules <- new_rules;
-           enqueue t cl (Wire.Update_ok { added = List.length add }))
+        if not (table_matches (Engine.distinct_chunks new_rules) pairs) then
+          error_close t cl Wire.err_setup
+            "rule update must pair the post-update chunks in order"
+        else begin
+          (* the next generation is this connection's alone: built on its
+             owning worker, never written into the shared one; its
+             [Engine.ruleset] derives the chunks in the order just checked *)
+          Shardpool.update_rules t.pool ~conn_id:cl.conn_id (fun () ->
+              Engine.keys_of_encs (Engine.ruleset new_rules) (Array.map snd pairs));
+          cl.rules <- new_rules;
+          enqueue t cl (Wire.Update_ok { added = List.length add })
+        end
     end
   | Wire.Stats_req, _ ->
     (* honoured in any state so a monitoring client needs no handshake *)

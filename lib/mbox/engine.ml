@@ -300,6 +300,8 @@ let next_rules rules ~remove_sids ~add =
 let chunks rs = rs.chunks
 
 let keys_of_encs ruleset encs =
+  if Array.length encs <> Array.length ruleset.chunks then
+    invalid_arg "Engine.keys_of_encs: one encryption per chunk";
   { k_id = Atomic.fetch_and_add next_id 1;
     ruleset;
     encs;

@@ -130,6 +130,15 @@ type keys
     direct encryption. *)
 val keys : ruleset -> enc_chunk:(string -> string) -> keys
 
+(** [keys_of_encs rs encs] — {!keys} from the encryptions themselves:
+    [encs.(i)] is [AES_k(chunk)] for chunk [i] of [chunks rs], and the
+    array is kept, not copied.  Raises [Invalid_argument] when [encs]
+    and [chunks rs] differ in length or an entry is not 16 bytes.  The
+    daemon builds a connection's keys this way from
+    its RULE_SETUP table, after checking the table's chunk column
+    against [chunks rs] position by position. *)
+val keys_of_encs : ruleset -> string array -> keys
+
 (** The ruleset [keys] were built against. *)
 val ruleset_of : keys -> ruleset
 

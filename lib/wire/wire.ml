@@ -287,18 +287,41 @@ let encode_payload buf msg =
   | Conn_state { state } | Conn_import { state } -> Buffer.add_string buf state
   | Setup_ok | Stats_req | Bye | Conn_export -> ()
 
-let encode_frame buf msg =
-  let body = Buffer.create 64 in
-  encode_payload body msg;
-  let n = Buffer.length body in
-  if n > max_frame_bytes then invalid_arg "Wire.encode_frame: frame too large";
-  put_u32 buf n;
-  Buffer.add_buffer buf body
+let pair_bytes pairs = Array.length pairs * (chunk_len + enc_len)
 
+(* The payload's size: the type byte, the fixed fields and the bulk
+   (text, records, pairs), so one buffer holds the frame without
+   growing. *)
+let payload_bytes = function
+  | Hello _ -> 12
+  | Hello_ok { rules_text; _ } -> 6 + String.length rules_text
+  | Rule_setup { pairs } -> 5 + pair_bytes pairs
+  | Token_stream { records; _ } -> 5 + String.length records
+  | Verdict { verdicts; _ } ->
+    List.fold_left (fun n v -> n + 7 + String.length v.v_msg) 8 verdicts
+  | Salt_reset _ -> 9
+  | Rule_update { remove_sids; add_text; pairs } ->
+    11 + (4 * List.length remove_sids) + String.length add_text + pair_bytes pairs
+  | Update_ok _ -> 5
+  | Stats _ -> 41
+  | Error { message; _ } -> 5 + String.length message
+  | Metrics_req _ -> 2
+  | Metrics { body; _ } -> 2 + String.length body
+  | Record_stream { record; _ } -> 5 + String.length record
+  | Conn_state { state } | Conn_import { state } -> 1 + String.length state
+  | Setup_ok | Stats_req | Bye | Conn_export -> 1
+
+(* One buffer per frame: the length prefix is reserved, the payload
+   encoded after it, and the prefix patched into the one copy out. *)
 let encode_frame_string msg =
-  let buf = Buffer.create 64 in
-  encode_frame buf msg;
-  Buffer.contents buf
+  let buf = Buffer.create (4 + payload_bytes msg) in
+  Buffer.add_string buf "\000\000\000\000";
+  encode_payload buf msg;
+  let n = Buffer.length buf - 4 in
+  if n > max_frame_bytes then invalid_arg "Wire.encode_frame_string: frame too large";
+  let frame = Buffer.to_bytes buf in
+  Bytes.set_int32_be frame 0 (Int32.of_int n);
+  Bytes.unsafe_to_string frame
 
 let decode payload =
   if String.length payload = 0 then malformed "empty frame";

@@ -6,8 +6,8 @@
     {v u32_be payload_length | payload v}
 
     where [payload.[0]] is the message type byte and the rest is the
-    message body ({!decode} / {!encode} work on whole payloads; the
-    4-byte length prefix is handled by {!encode_frame} on the way out and
+    message body ({!decode} works on whole payloads; the 4-byte length
+    prefix is handled by {!encode_frame_string} on the way out and
     {!Framer} on the way in).  All integers are big-endian and unsigned
     unless noted.  A connection's lifecycle is
 
@@ -120,7 +120,10 @@ type msg =
   | Hello_ok of { conn_id : int; mode : Bbx_dpienc.Dpienc.mode; rules_text : string }
   | Rule_setup of { pairs : (string * string) array }
       (** [(chunk, enc)] pairs: chunk is [Tokenizer.token_len] bytes, enc
-          is the 16-byte [AES_k(chunk)] *)
+          is the 16-byte [AES_k(chunk)].  The daemon takes exactly the
+          announced ruleset's distinct chunks, in
+          {!Bbx_mbox.Engine.distinct_chunks} order, and answers any other
+          table with [ERROR{err_setup}]. *)
   | Setup_ok
   | Token_stream of { seq : int; records : string }
       (** [records] is a {!Bbx_dpienc.Dpienc} wire encoding, verbatim *)
@@ -129,7 +132,9 @@ type msg =
   | Rule_update of {
       remove_sids : int list;
       add_text : string;                  (** added rules, Snort syntax *)
-      pairs : (string * string) array;    (** full post-update enc table *)
+      pairs : (string * string) array;
+          (** full post-update enc table, in the post-update rules'
+              chunk order *)
     }
   | Update_ok of { added : int }
   | Stats_req
@@ -178,11 +183,9 @@ val err_internal : int
     is retired and decodes as an unknown type. *)
 val type_byte : msg -> int
 
-(** [encode_frame buf msg] appends the framed encoding (length prefix
-    included) to [buf]. *)
-val encode_frame : Buffer.t -> msg -> unit
-
-(** [encode_frame_string msg] — the framed encoding as a fresh string. *)
+(** [encode_frame_string msg] — the framed encoding (length prefix
+    included) as a fresh string.  Raises [Invalid_argument] when the
+    payload exceeds {!max_frame_bytes}. *)
 val encode_frame_string : msg -> string
 
 (** [decode payload] parses one frame payload (without its length

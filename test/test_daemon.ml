@@ -440,6 +440,181 @@ let version_one_hello_refused () =
         (status = Wire.Alerts && wire_sigs verdicts = [ (1, `Exact_hit) ]))
     (wires_for sender [ "alertkw1 still inspected" ])
 
+(* ---------- rule tables ----------
+
+   A RULE_SETUP or RULE_UPDATE table is valid only in the chunk order
+   both ends derive with [Engine.distinct_chunks]: pair [i] carries chunk
+   [i], none missing, none extra.  Every other table draws err_setup and
+   closes its own connection, on a one-domain daemon whose other
+   connections all share that one shard. *)
+
+let err_code f =
+  match f () with
+  | _ -> -1
+  | exception Client.Server_error { code; _ } -> code
+
+(* the daemon closes a connection right after its ERROR frame *)
+let closed t =
+  match Client.recv_verdict t with
+  | exception (End_of_file | Unix.Unix_error _) -> true
+  | _ -> false
+
+(* The announced table's defects, each a table the daemon must refuse. *)
+let bad_tables pairs =
+  let n = Array.length pairs in
+  let swapped = Array.copy pairs in
+  swapped.(0) <- pairs.(1);
+  swapped.(1) <- pairs.(0);
+  let altered = Array.copy pairs in
+  let chunk, enc = pairs.(n - 1) in
+  altered.(n - 1) <- ("x" ^ String.sub chunk 1 (String.length chunk - 1), enc);
+  [ ("missing its last pair", Array.sub pairs 0 (n - 1));
+    ("with one extra pair", Array.append pairs [| ("extrakw9", enc) |]);
+    ("with two pairs swapped", swapped);
+    ("with one chunk altered", altered) ]
+
+(* [healthy]'s next delivery of [payload] reports exactly [sids] *)
+let still_served healthy sender ~seq payload sids =
+  Client.send_records healthy.Client.sc_client ~seq (wire_of sender payload);
+  let _, _, verdicts = Client.recv_verdict healthy.Client.sc_client in
+  Alcotest.(check (list int)) "healthy client keeps its verdicts" sids
+    (List.map (fun v -> v.Wire.v_sid) verdicts)
+
+let bad_setup_tables () =
+  with_daemon ~domains:1 @@ fun endpoint ->
+  let healthy = Client.establish endpoint ~mode:Dpienc.Exact ~salt0:0 ~seed:"healthy" in
+  Fun.protect ~finally:(fun () -> Client.close healthy.Client.sc_client) @@ fun () ->
+  let sender = Dpienc.sender_create Dpienc.Exact healthy.Client.sc_key ~salt0:0 in
+  let key = Dpienc.key_of_secret "bad-setup" in
+  List.iteri
+    (fun i (name, table) ->
+      let t = Client.connect endpoint in
+      Fun.protect ~finally:(fun () -> Client.close t) @@ fun () ->
+      ignore (Client.hello t ~mode:Dpienc.Exact ~salt0:0 : int * Rule.t list);
+      Alcotest.(check int) ("a table " ^ name ^ " draws err_setup") Wire.err_setup
+        (err_code (fun () -> Client.rule_setup t ~pairs:table));
+      Alcotest.(check bool) (name ^ ": its connection closed") true (closed t);
+      still_served healthy sender ~seq:i
+        (if i = 0 then "q=alertkw1 x" else "benign") (if i = 0 then [ 1 ] else []))
+    (bad_tables (Client.pairs_for ~key rules));
+  let monitor = Client.connect endpoint in
+  Fun.protect ~finally:(fun () -> Client.close monitor) @@ fun () ->
+  Alcotest.(check int) "only the healthy client registered" 1
+    (Client.stats monitor).Wire.s_connections
+
+let bad_update_table () =
+  with_daemon ~domains:1 @@ fun endpoint ->
+  let healthy = Client.establish endpoint ~mode:Dpienc.Exact ~salt0:0 ~seed:"healthy" in
+  Fun.protect ~finally:(fun () -> Client.close healthy.Client.sc_client) @@ fun () ->
+  let sender = Dpienc.sender_create Dpienc.Exact healthy.Client.sc_key ~salt0:0 in
+  let s = Client.establish endpoint ~mode:Dpienc.Exact ~salt0:0 ~seed:"bad-update" in
+  Fun.protect ~finally:(fun () -> Client.close s.Client.sc_client) @@ fun () ->
+  let add = [ Rule.make ~sid:9 [ Rule.make_content "freshkw9" ] ] in
+  let pairs =
+    Client.pairs_for ~key:s.Client.sc_key (Engine.next_rules rules ~remove_sids:[] ~add)
+  in
+  Alcotest.(check int) "a table missing a post-update chunk draws err_setup" Wire.err_setup
+    (err_code (fun () ->
+         Client.update_rules s.Client.sc_client ~remove_sids:[] ~add
+           ~pairs:(Array.sub pairs 0 (Array.length pairs - 1))));
+  Alcotest.(check bool) "its connection closed" true (closed s.Client.sc_client);
+  still_served healthy sender ~seq:0 "q=otherkw2 x" [ 2 ]
+
+(* ---------- the endpoint's announced-ruleset entry ---------- *)
+
+module Parser = Bbx_rules.Parser
+
+let announce rules = String.concat "\n" (List.map Rule.to_string rules)
+
+let other_rules =
+  [ Rule.make ~sid:11 ~msg:"beta" [ Rule.make_content "betakw11" ];
+    Rule.make ~sid:12 [ Rule.make_content "gammakw2" ] ]
+
+let et_text seed =
+  announce (Bbx_rules.Datasets.generate ~seed Bbx_rules.Datasets.Emerging_threats ~n:200)
+
+let cold_pairs ~key rules =
+  Array.map (fun c -> (c, Dpienc.token_enc key c)) (Engine.distinct_chunks rules)
+
+let pair_table = Alcotest.(array (pair string string))
+
+let one_parse_per_text () =
+  let text = et_text "cache-one" in
+  let first = Client.rules_of_text text in
+  Alcotest.(check bool) "the text's parse" true (first = Parser.parse_ruleset text);
+  Alcotest.(check bool) "the same text: physically the same list" true
+    (Client.rules_of_text text == first)
+
+let another_text_its_own_parse () =
+  let text = announce rules in
+  let changed =
+    (* one rule's content changed, every other byte the same *)
+    let rec at i = if String.sub text i 8 = "otherkw2" then i else at (i + 1) in
+    let i = at 0 in
+    String.sub text 0 i ^ "otherkw7" ^ String.sub text (i + 8) (String.length text - i - 8)
+  in
+  let first = Client.rules_of_text text in
+  List.iter
+    (fun (name, t) ->
+      let got = Client.rules_of_text t in
+      Alcotest.(check bool) (name ^ ": its own parse") true (got = Parser.parse_ruleset t);
+      Alcotest.(check bool) (name ^ ": not the cached rules") false (got = first))
+    [ ("a second ruleset", announce other_rules); ("one content changed", changed) ];
+  Alcotest.(check bool) "the first text again" true
+    (Client.rules_of_text text = Parser.parse_ruleset text)
+
+let pairs_match_cold_derivation () =
+  let key = Dpienc.key_of_secret "cache-pairs" in
+  let text = et_text "cache-pairs" in
+  let cached = Client.rules_of_text text in
+  Alcotest.check pair_table "the cached list" (cold_pairs ~key cached)
+    (Client.pairs_for ~key cached);
+  let equal_copy = Parser.parse_ruleset text in
+  Alcotest.check pair_table "an equal list that is not the entry's"
+    (cold_pairs ~key equal_copy) (Client.pairs_for ~key equal_copy);
+  ignore (Client.rules_of_text (announce other_rules) : Rule.t list);
+  Alcotest.check pair_table "a list the entry no longer holds" (cold_pairs ~key cached)
+    (Client.pairs_for ~key cached)
+
+(* One process, two daemons with different rulesets, connections taking
+   turns: every connection gets its daemon's rules and verdicts. *)
+let alternating_daemons () =
+  with_daemon @@ fun endpoint_a ->
+  with_daemon ~rules:other_rules @@ fun endpoint_b ->
+  for round = 0 to 2 do
+    List.iter
+      (fun (name, endpoint, rules, sids) ->
+        let s =
+          Client.establish endpoint ~mode:Dpienc.Exact ~salt0:0
+            ~seed:(Printf.sprintf "alt-%s-%d" name round)
+        in
+        Fun.protect ~finally:(fun () -> Client.close s.Client.sc_client) @@ fun () ->
+        Alcotest.(check bool) (name ^ " announced its rules") true (s.Client.sc_rules = rules);
+        Alcotest.(check (list int)) (name ^ " verdicts") sids
+          (verdict_sids s "q=alertkw1 and betakw11 x"))
+      [ ("A", endpoint_a, rules, [ 1 ]); ("B", endpoint_b, other_rules, [ 11 ]) ]
+  done
+
+let two_domains_two_texts () =
+  let key = Dpienc.key_of_secret "cache-domains" in
+  let texts = [| et_text "cache-domain-0"; et_text "cache-domain-1" |] in
+  let expected = Array.map Parser.parse_ruleset texts in
+  let tables = Array.map (cold_pairs ~key) expected in
+  let worker i () =
+    let ok = ref true in
+    for _ = 1 to 50 do
+      let rules = Client.rules_of_text texts.(i) in
+      ok := !ok && rules = expected.(i) && Client.pairs_for ~key rules = tables.(i)
+    done;
+    !ok
+  in
+  let domains = Array.init 2 (fun i -> Domain.spawn (worker i)) in
+  Array.iteri
+    (fun i d ->
+      Alcotest.(check bool) (Printf.sprintf "domain %d got its own text's rules" i) true
+        (Domain.join d))
+    domains
+
 (* the loadgen's own pipeline over a real daemon, exact + probable *)
 let loadgen_smoke mode () =
   with_daemon ~mode @@ fun endpoint ->
@@ -767,7 +942,21 @@ let () =
           Alcotest.test_case "malformed-frame fuzz never kills the daemon" `Quick
             malformed_fuzz;
           Alcotest.test_case "a version-1 HELLO draws err_version" `Quick
-            version_one_hello_refused ] );
+            version_one_hello_refused;
+          Alcotest.test_case "a RULE_SETUP table out of order draws err_setup" `Quick
+            bad_setup_tables;
+          Alcotest.test_case "a RULE_UPDATE table short a chunk draws err_setup" `Quick
+            bad_update_table ] );
+      ( "cache",
+        [ Alcotest.test_case "one text, one parse" `Quick one_parse_per_text;
+          Alcotest.test_case "another text gets its own parse" `Quick
+            another_text_its_own_parse;
+          Alcotest.test_case "pairs_for equals the cold derivation" `Quick
+            pairs_match_cold_derivation;
+          Alcotest.test_case "alternating daemons keep their rulesets" `Quick
+            alternating_daemons;
+          Alcotest.test_case "two domains, two texts at once" `Quick
+            two_domains_two_texts ] );
       ( "loadgen",
         [ Alcotest.test_case "exact mode" `Quick (loadgen_smoke Dpienc.Exact);
           Alcotest.test_case "probable-cause mode" `Quick

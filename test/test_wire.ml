@@ -214,6 +214,22 @@ let unit_tests =
         Alcotest.(check bool) "short enc" true
           (match Wire.encode_frame_string (Wire.Rule_setup { pairs = [| (chunk 'a', "xy") |] }) with
            | exception Invalid_argument _ -> true
+           | _ -> false));
+    Alcotest.test_case "length prefix and the 16 MiB encode cap" `Quick (fun () ->
+        List.iter
+          (fun msg ->
+            let framed = Wire.encode_frame_string msg in
+            Alcotest.(check int) "prefix = payload length" (String.length framed - 4)
+              (Int32.to_int (String.get_int32_be framed 0)))
+          samples;
+        let stream n = Wire.Token_stream { seq = 0; records = String.make n 'r' } in
+        (* a TOKEN_STREAM payload is the type byte, the seq and the records *)
+        let at_cap = Wire.max_frame_bytes - 5 in
+        Alcotest.(check int) "a payload at the cap encodes" (4 + Wire.max_frame_bytes)
+          (String.length (Wire.encode_frame_string (stream at_cap)));
+        Alcotest.(check bool) "one byte over is refused" true
+          (match Wire.encode_frame_string (stream (at_cap + 1)) with
+           | exception Invalid_argument _ -> true
            | _ -> false)) ]
 
 (* ---------- qcheck ---------- *)
