@@ -1,5 +1,6 @@
 (* Exact-counter gate for the rule-level verdict step, the detection
-   index, DPIEnc's two key-expansion paths and its wire bytes.
+   index, DPIEnc's key expansion, the middlebox's per-connection set-up
+   and the wire bytes.
 
    Wall clock on a shared 1-2 vCPU host moves by +-30% between repeats;
    the rows here do not move at all, so a regression shows as a changed
@@ -22,8 +23,9 @@
      the 1-in-64 sampled [bbx_detect_probe_len] histogram;
    - detect-hit50: bytes allocated per token on the 50%-hit stream.
 
-   The key rows price the two paths that expand one AES key per token
-   value:
+   The key rows price the sender, which expands one AES key per token
+   value, and the middlebox's key material, which keeps only
+   [AES_k(chunk)]:
    - sender-cold: a fresh DPIEnc sender's first pass over a pool of 64
      generated 16 KiB HTML writes (1 MiB, window tokens: the e2ebench
      bulk-window shape); bytes allocated per token, where the sender
@@ -35,7 +37,9 @@
      delimiter-tokenized sender over benign-3k's 600 B writes;
    - keys-3k: one [Engine.keys] on 3 000 Emerging Threats rules, from
      precomputed chunk encryptions — bytes allocated and
-     [Engine.keys_bytes] per chunk.
+     [Engine.keys_bytes] per chunk;
+   - engine-3k: bytes allocated per chunk by one [Engine.make] on those
+     keys, a connection's engine as the daemon registers it.
 
    The set-up rows price what an endpoint and the daemon redo on every
    connection over the daemon's HELLO_OK text for those 3 000 rules:
@@ -240,16 +244,22 @@ let wire_bytes_per_token mode ~tokenization writes =
     writes;
   float_of_int !bytes /. float_of_int !tokens
 
-(* Bytes allocated by [Engine.keys] and its [keys_bytes], per chunk. *)
+(* Bytes allocated by [Engine.keys] and its [keys_bytes], then bytes
+   allocated by an [Engine.make] on those keys, per chunk. *)
 let keys_counters rules =
   let rs = Engine.ruleset rules in
   let chunks = Engine.chunks rs in
   let encs = Hashtbl.create (Array.length chunks) in
   Array.iter (fun c -> Hashtbl.replace encs c (enc_chunk c)) chunks;
   let keys, alloc = Bench_util.metered (fun () -> Engine.keys rs ~enc_chunk:(Hashtbl.find encs)) in
+  let (_ : Engine.t), make_alloc =
+    Bench_util.metered (fun () ->
+        Engine.make Engine.default_config keys ~direction:"client->server" ~salt0:0)
+  in
   let per x = x /. float_of_int (Array.length chunks) in
   ( per alloc,
     per (float_of_int (Engine.keys_bytes keys)),
+    per make_alloc,
     Array.length chunks )
 
 (* A client's set-up over the HELLO_OK text of [rules] (see the header):
@@ -394,10 +404,11 @@ let run () =
   Printf.printf
     "  wire bytes/token: exact window %.2f, exact delimiter %.2f, probable delimiter %.2f\n%!"
     wire_window wire_delim wire_probable;
-  let keys_alloc, keys_bytes, nchunks = keys_counters rules3k in
+  let keys_alloc, keys_bytes, make_alloc, nchunks = keys_counters rules3k in
   Printf.printf
-    "  keys (3 000 ET rules, %d chunks): %.1f B allocated/chunk, keys_bytes %.1f B/chunk\n%!"
-    nchunks keys_alloc keys_bytes;
+    "  keys (3 000 ET rules, %d chunks): %.1f B allocated/chunk, keys_bytes %.1f B/chunk; \
+     Engine.make %.1f B allocated/chunk\n%!"
+    nchunks keys_alloc keys_bytes make_alloc;
   let setup_warm, setup_cold, frame_hello, setup_chunks, text_bytes = setup_counters rules3k in
   Printf.printf
     "  client set-up (3 000 ET rules, %d chunks, %d B HELLO_OK text): %.1f B allocated/chunk \
@@ -409,6 +420,7 @@ let run () =
         { name = "sender-delim.alloc_bytes"; unit_ = "B/token"; value = sender_delim.warm };
         { name = "keys-3k.alloc_bytes"; unit_ = "B/chunk"; value = keys_alloc };
         { name = "keys-3k.keys_bytes"; unit_ = "B/chunk"; value = keys_bytes };
+        { name = "engine-3k.make_alloc_bytes"; unit_ = "B/chunk"; value = make_alloc };
         { name = "wire-window.bytes_per_token"; unit_ = "B/token"; value = wire_window };
         { name = "wire-delim.bytes_per_token"; unit_ = "B/token"; value = wire_delim };
         { name = "wire-delim-probable.bytes_per_token"; unit_ = "B/token";

@@ -34,7 +34,7 @@ let experiments =
     ("setup-parallel", "Rule-setup scaling across OCaml domains (Ruleprep at 1/2/4 workers)", Setup_parallel.run);
     ("daemon", "blindboxd end to end: loadgen over Unix sockets at 1/2/4/8 connections", Daemon_bench.run);
     ("sender", "DPIEnc sender: ns/token per salt period in the bulk-window shape", Sender.run);
-    ("counters", "Exact counters (verdict step, detection index, sender and keyset keys, wire bytes) vs bench/baseline.json (10% gate)", Counters.run);
+    ("counters", "Exact counters (verdict step, detection index, sender keys, middlebox keys and engine, wire bytes) vs bench/baseline.json (10% gate)", Counters.run);
   ]
 
 let () =

@@ -80,8 +80,8 @@ let[@inline] look (t : int array) x = Array.unsafe_get t (x land 0xff)
 
    An expanded key is [key_words] consecutive words of a flat int array
    owned by the caller, so a party holding thousands of token keys (the
-   DPIEnc sender, a middlebox keyset) holds one array, not one heap block
-   per key.  Slot [i] starts at word [48 i]:
+   DPIEnc sender) holds one array, not one heap block per key.  Slot [i]
+   starts at word [48 i]:
 
    - words 0-43: the schedule's 44 round-key columns w0..w43, each packed
      little-endian (row 0 in the low byte), so the T-table rounds fetch a

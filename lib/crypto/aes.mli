@@ -7,13 +7,14 @@
 
 (** {2 Key arenas}
 
-    A party holding many keys — the DPIEnc sender one per distinct token,
-    the middlebox one per rule chunk — expands them into one flat
-    [int array] it owns instead of one heap block per key.  Slot [i] of
-    an arena is words [key_words * i] to [key_words * (i + 1) - 1]: the
-    44 round-key columns [w0..w43], each packed little-endian (row 0 in
-    the low byte), then four round-1 constants for the small-salt blocks
-    of {!encrypt_u64}. *)
+    A party holding many keys — the DPIEnc sender, one per distinct
+    token — expands them into one flat [int array] it owns instead of one
+    heap block per key; the middlebox expands one rule chunk's key at a
+    time into a one-slot scratch.  Slot [i] of an arena is words
+    [key_words * i] to [key_words * (i + 1) - 1]: the 44 round-key
+    columns [w0..w43], each packed little-endian (row 0 in the low byte),
+    then four round-1 constants for the small-salt blocks of
+    {!encrypt_u64}. *)
 
 type arena = int array
 

@@ -25,7 +25,8 @@ let obs_paused = Obs.counter "bbx_daemon_read_pauses_total"
 (* Front-loop pipeline stages, microseconds.  Together with Shardpool's
    queue_wait/service pair these decompose a frame's daemon residency:
    read (decode) -> validate -> queue wait -> shard service -> write
-   (output-queue residency incl. the socket write). *)
+   (output-queue residency up to the hand-off of the frame's last bytes
+   to the socket). *)
 let us_buckets =
   [| 1; 5; 10; 25; 50; 100; 250; 500; 1000; 2500; 5000; 10000; 25000;
      50000; 100000; 250000; 1000000 |]
@@ -101,11 +102,13 @@ type conn_state =
 type client = {
   fd : Unix.file_descr;
   framer : Wire.Framer.t;
-  (* frames awaiting the socket, each with the frame id it answers (the
-     wire seq; -1 for control replies) and its enqueue timestamp so the
-     write phase covers output-queue residency plus the socket write *)
+  (* frame bytes awaiting the socket, each entry with the frame id it
+     answers (the wire seq; -1 for control replies) and, on a frame's
+     last entry, its enqueue timestamp (-1 on the others and when timing
+     is off), so the write phase covers output-queue residency up to the
+     frame's hand-off to the socket *)
   outq : (string * int * int) Queue.t;
-  mutable outq_head_off : int;   (* written prefix of the head frame *)
+  mutable outq_head_off : int;   (* written prefix of the head entry *)
   mutable outq_bytes : int;
   mutable state : conn_state;
   mutable conn_id : int;         (* -1 until HELLO *)
@@ -198,12 +201,24 @@ let connect endpoint =
 
 (* ---------- output ---------- *)
 
+let push_out cl s seq enq_ns =
+  Queue.add (s, seq, enq_ns) cl.outq;
+  cl.outq_bytes <- cl.outq_bytes + String.length s
+
+(* Queue one frame.  A HELLO_OK goes as two entries, its 10-byte head and
+   the start-up rules text itself, so the text is never copied per
+   connection. *)
 let enqueue ?(seq = -1) _t cl msg =
   if not (cl.closed || cl.closing) then begin
-    let s = Wire.encode_frame_string msg in
-    let enq_ns = if timing_on () then Trace.now_ns () else -1 in
-    Queue.add (s, seq, enq_ns) cl.outq;
-    cl.outq_bytes <- cl.outq_bytes + String.length s;
+    let stamp () = if timing_on () then Trace.now_ns () else -1 in
+    (match msg with
+     | Wire.Hello_ok { conn_id; mode; rules_text } ->
+       let text_bytes = String.length rules_text in
+       push_out cl (Wire.hello_ok_head ~conn_id ~mode ~text_bytes) seq (-1);
+       push_out cl rules_text seq (stamp ())
+     | msg ->
+       let s = Wire.encode_frame_string msg in
+       push_out cl s seq (stamp ()));
     Obs.incr obs_frames_out
   end
 
@@ -231,7 +246,10 @@ let error_close t cl code fmt =
     fmt
 
 (* Flush as much queued output as the socket accepts; close on a dead
-   peer.  Returns [true] while the client is still open. *)
+   peer.  Returns [true] while the client is still open.  The write phase
+   ends when a frame's last bytes are handed to the socket: the stamp is
+   taken before the syscall, because by the time it returns the peer may
+   already hold the reply and be running its next request. *)
 let flush_out t cl =
   if cl.closed then false
   else begin
@@ -240,6 +258,7 @@ let flush_out t cl =
        while !progress && not (Queue.is_empty cl.outq) do
          let head, seq, enq_ns = Queue.peek cl.outq in
          let len = String.length head - cl.outq_head_off in
+         let handed_ns = if enq_ns >= 0 then Trace.now_ns () else -1 in
          let n =
            Sockio.retry (fun () ->
                Unix.write_substring cl.fd head cl.outq_head_off len)
@@ -250,10 +269,9 @@ let flush_out t cl =
            ignore (Queue.pop cl.outq : string * int * int);
            cl.outq_head_off <- 0;
            if enq_ns >= 0 then begin
-             let now = Trace.now_ns () in
-             Obs.observe obs_write_us ((now - enq_ns) / 1000);
+             Obs.observe obs_write_us ((handed_ns - enq_ns) / 1000);
              Trace.record ph_write ~id:seq ~conn:cl.conn_id ~start_ns:enq_ns
-               ~dur_ns:(now - enq_ns)
+               ~dur_ns:(handed_ns - enq_ns)
            end
          end
          else begin

@@ -1,4 +1,5 @@
 open Bbx_dpienc
+module Aes = Bbx_crypto.Aes
 module Obs = Bbx_obs.Obs
 
 (* Lookup accounting (§3.2's per-token cost, measured).  Lookups are added
@@ -23,22 +24,22 @@ type keyword_id = int
 
 type event = { kw_id : keyword_id; offset : int; salt : int }
 
-(* Per-keyword state is indexed by keyword id: [counts] is the flat
-   salt-counter table, [ciphers] the current 40-bit index key per
-   keyword, [keys] the expanded token keys, slot [id] per keyword (one
-   arena, possibly a keyset shared by every connection on a rule
-   generation, never written).  [index] maps each current cipher back to
-   its keyword.
-   [probe_tick]/[probe_steps] are the sampling state for the probe-length
-   estimator.  They live on [t] (not at module level) so that indices
-   owned by different domains — one per Shardpool shard — never share
-   mutable detection-path state. *)
+(* Per-keyword state is indexed by keyword id: [encs] holds each
+   keyword's [AES_k(token)] (borrowed from the caller, never written),
+   [counts] the flat salt-counter table and [ciphers] the current 40-bit
+   index key per keyword.  [index] maps each current cipher back to its
+   keyword.  A keyword's token key is expanded into [scratch] only when
+   its next cipher is computed (rebuild, match, key recovery), so a
+   detector holds one expanded key, not one per keyword.
+   [scratch], [probe_tick] and [probe_steps] live on [t] (not at module
+   level) so that detectors owned by different domains — one per
+   Shardpool shard — never share mutable detection-path state. *)
 type t = {
   mode : Dpienc.mode;
   stride : int;
   mutable salt0 : int;
-  keys : Dpienc.keyset;
-  keys_shared : bool;
+  encs : string array;
+  scratch : Aes.arena;
   counts : int array;
   ciphers : int array;
   index : Cindex.t;
@@ -48,28 +49,23 @@ type t = {
 
 let[@inline] current_salt t id = t.salt0 + (t.stride * t.counts.(id))
 
+(* Keyword [id]'s cipher under its current salt. *)
+let[@inline] current_cipher t id = Dpienc.cipher t.scratch t.encs.(id) ~salt:(current_salt t id)
+
 let rebuild t =
   Cindex.clear t.index;
   for id = 0 to Array.length t.counts - 1 do
-    t.ciphers.(id) <- Dpienc.cipher t.keys id ~salt:(current_salt t id);
+    t.ciphers.(id) <- current_cipher t id;
     Cindex.insert t.index t.ciphers.(id) id
   done
 
-let create ?keys ~mode ~salt0 encs =
+let create ~mode ~salt0 encs =
   if mode = Dpienc.Probable && salt0 land 1 <> 0 then
     invalid_arg "Detect.create: salt0 must be even";
   let n = Array.length encs in
-  let keys, keys_shared =
-    match keys with
-    | Some ks ->
-      if Dpienc.keyset_size ks <> n then
-        invalid_arg "Detect.create: keyset size mismatch";
-      (ks, true)
-    | None -> (Dpienc.keyset encs, false)
-  in
   let t =
     { mode; stride = Dpienc.salt_stride mode; salt0;
-      keys; keys_shared;
+      encs; scratch = Array.make Aes.key_words 0;
       counts = Array.make n 0; ciphers = Array.make n 0;
       index = Cindex.create ~capacity:n ();
       probe_tick = 0; probe_steps = ref 0 }
@@ -100,7 +96,7 @@ let process_token t ~cipher ~offset =
     Obs.incr obs_matches;
     let salt = current_salt t found in
     t.counts.(found) <- t.counts.(found) + 1;
-    let next = Dpienc.cipher t.keys found ~salt:(current_salt t found) in
+    let next = current_cipher t found in
     Cindex.remove t.index t.ciphers.(found);
     Cindex.insert t.index next found;
     t.ciphers.(found) <- next;
@@ -127,7 +123,7 @@ let recover_key t ~event ~embed =
   if t.mode <> Dpienc.Probable then
     invalid_arg "Detect.recover_key: not in probable-cause mode";
   if String.length embed <> 16 then invalid_arg "Detect.recover_key: embed must be 16 bytes";
-  Dpienc.mask_xor t.keys event.kw_id ~salt:(event.salt + 1) embed
+  Dpienc.mask_xor t.scratch t.encs.(event.kw_id) ~salt:(event.salt + 1) embed
 
 let reset t ~salt0 =
   if t.mode = Dpienc.Probable && salt0 land 1 <> 0 then
@@ -137,10 +133,9 @@ let reset t ~salt0 =
   rebuild t
 
 (* Snapshot/restore of the per-connection half of the detector state: the
-   flat salt-counter table plus the base salt.  Keys, ciphers and the
-   index are all derivable from (encs, salt0, counts) — [restore_counts]
-   rebuilds them — so connection snapshots carry one int per keyword, not
-   expanded keys. *)
+   flat salt-counter table plus the base salt.  Ciphers and the index are
+   derivable from (encs, salt0, counts) — [restore_counts] rebuilds them —
+   so connection snapshots carry one int per keyword. *)
 let salt_counts t = Array.copy t.counts
 
 let restore_counts t ~salt0 counts =
@@ -157,14 +152,12 @@ let restore_counts t ~salt0 counts =
 let size t = Cindex.size t.index
 
 (* Approximate resident bytes of the per-connection half of the detector:
-   the counter/cipher arrays and the index.  Shared keysets are charged to
-   their owner (the fleet / rule generation), not to each connection; a
-   private keyset is charged here, exactly (48 words per key). *)
+   the counter/cipher arrays, the index and the one-key scratch.  The
+   borrowed [encs] are charged to their owner. *)
 let word = Sys.word_size / 8
 
 let footprint_bytes t =
   let n = Array.length t.counts in
   let arrays = 2 * (n + 1) * word in
   let index = 2 * (Cindex.capacity t.index + 1) * word in
-  let keys = if t.keys_shared then 0 else Dpienc.keyset_bytes t.keys in
-  arrays + index + keys
+  arrays + index + ((Aes.key_words + 1) * word)

@@ -26,18 +26,17 @@ type event = {
 
 type t
 
-(** [create ?keys ~mode ~salt0 keywords] — [keywords] are the encrypted
-    rule tokens [AES_k(token)] (16 bytes each); keyword ids are their
-    indices.  Duplicate encrypted values are allowed but only the last
-    one's id is reported (callers dedup by token value).  [keys], when
-    given, must be [Dpienc.keyset keywords] (checked by size only); the
-    detector then borrows that shared keyset instead of expanding its
-    own.  Key expansion is the dominant per-connection setup cost at
-    fleet scale and depends only on the encrypted chunk values, so one
-    keyset per (tenant, rule generation) serves every connection. *)
-val create :
-  ?keys:Bbx_dpienc.Dpienc.keyset ->
-  mode:Bbx_dpienc.Dpienc.mode -> salt0:int -> string array -> t
+(** [create ~mode ~salt0 keywords] — [keywords] are the encrypted rule
+    tokens [AES_k(token)] (16 bytes each); keyword ids are their indices.
+    Duplicate encrypted values are allowed but only the last one's id is
+    reported (callers dedup by token value).  The array is kept, not
+    copied, and never written, so detectors on different domains may
+    borrow one.  A keyword's token key is expanded into the detector's
+    own one-key scratch only when its next cipher is needed: once per
+    keyword here and at {!reset} and {!restore_counts}, once per match,
+    and once per {!recover_key}.  Raises [Invalid_argument] on a keyword
+    that is not 16 bytes. *)
+val create : mode:Bbx_dpienc.Dpienc.mode -> salt0:int -> string array -> t
 
 (** [process_stream t wire ~f] decodes a wire-encoded token stream
     ({!Bbx_dpienc.Dpienc.decode_iter}) and processes each record in
@@ -61,9 +60,9 @@ val reset : t -> salt0:int -> unit
 (** {1 Snapshot / restore}
 
     The per-connection half of a detector is exactly (salt0, one int per
-    keyword): keys, current ciphertexts and the index are all derivable
-    from it plus the encrypted rule tokens.  Connection migration
-    serialises {!salt_counts} and rebuilds with {!restore_counts}. *)
+    keyword): current ciphertexts and the index are derivable from it
+    plus the encrypted rule tokens.  Connection migration serialises
+    {!salt_counts} and rebuilds with {!restore_counts}. *)
 
 (** The live salt-counter table, one entry per keyword id. *)
 val salt_counts : t -> int array
@@ -74,9 +73,9 @@ val salt_counts : t -> int array
     odd [salt0] in probable mode. *)
 val restore_counts : t -> salt0:int -> int array -> unit
 
-(** Approximate resident bytes of this detector's per-connection state
-    (counter/cipher arrays + index; a private keyset is included, a
-    shared one is not — it is charged to its owner). *)
+(** Approximate resident bytes of this detector's per-connection state:
+    the counter/cipher arrays, the index and the one-key scratch.  The
+    borrowed keyword array is charged to its owner. *)
 val footprint_bytes : t -> int
 
 (** Number of distinct index entries (= number of keywords, minus any

@@ -43,30 +43,23 @@ let token_enc key t =
   Aes.encrypt_block_into (Aes.key_arena key) 0 ~src ~src_off:0 ~dst ~dst_off:0;
   Bytes.to_string dst
 
-(* ---- keysets ----
+(* ---- token keys ----
 
-   The token keys [AES_{AES_k(t)}] of a set of tokens, expanded into one
-   flat arena (slot [id] = the key of token [id]): the middlebox's per
-   rule chunk keys, and the sender's per distinct token keys. *)
-type keyset = Aes.arena
+   A token key [AES_{AES_k(t)}] lives in a slot of an [Aes.arena].  The
+   sender keeps one per distinct token of a salt period in its key pages
+   (below).  The middlebox keeps only [AES_k(t)] per rule chunk and
+   expands a chunk's key into slot 0 of a one-key scratch whenever it
+   needs that chunk's next cipher. *)
 
-let keyset encs =
-  let ks = Array.make (Array.length encs * Aes.key_words) 0 in
-  Array.iteri (fun id e -> Aes.expand_into ks id e) encs;
-  ks
+let arena_cipher a slot ~salt = Aes.encrypt_u64 a slot salt land rs_mask
 
-let keyset_size ks = Array.length ks / Aes.key_words
-let keyset_bytes ks = (Array.length ks + 1) * (Sys.word_size / 8)
-
-let cipher ks id ~salt = Aes.encrypt_u64 ks id salt land rs_mask
-
-(* AES_{ks[id]}(0^8 || BE64(salt)) xor [x], written straight into [dst]:
+(* AES_{a[slot]}(0^8 || BE64(salt)) xor [x], written straight into [dst]:
    the mask block is produced by [Aes.encrypt_u64_into] (which bounds-
    checks the 16-byte range once) and [x] is folded over it in place.
    With [x = k_ssl] this is the Probable-mode embed; with [x] the embed
    it recovers [k_ssl].  [x] is 16 bytes. *)
-let mask_xor_into ks id ~salt x ~dst ~dst_off =
-  Aes.encrypt_u64_into ks id salt ~dst ~dst_off;
+let mask_xor_into a slot ~salt x ~dst ~dst_off =
+  Aes.encrypt_u64_into a slot salt ~dst ~dst_off;
   for i = 0 to 15 do
     Bytes.unsafe_set dst (dst_off + i)
       (Char.unsafe_chr
@@ -74,10 +67,15 @@ let mask_xor_into ks id ~salt x ~dst ~dst_off =
           lxor Char.code (String.unsafe_get x i)))
   done
 
-let mask_xor ks id ~salt x =
+let cipher scratch enc ~salt =
+  Aes.expand_into scratch 0 enc;
+  arena_cipher scratch 0 ~salt
+
+let mask_xor scratch enc ~salt x =
   if String.length x <> 16 then invalid_arg "Dpienc.mask_xor: need 16 bytes";
+  Aes.expand_into scratch 0 enc;
   let dst = Bytes.create 16 in
-  mask_xor_into ks id ~salt x ~dst ~dst_off:0;
+  mask_xor_into scratch 0 ~salt x ~dst ~dst_off:0;
   Bytes.unsafe_to_string dst
 
 type mode = Exact | Probable
@@ -121,7 +119,7 @@ let offset_mask = 0xffffffff
    A first-seen token's key [AES_{AES_k(t)}] is expanded when its slot is
    claimed, under the next key id: key ids run in insertion order, so
    table growth moves slots but never a schedule, and the keys held are
-   exactly the distinct tokens (half the words of a keyset indexed by
+   exactly the distinct tokens (half the words of an arena indexed by
    table slot at load <= 1/2).  Key id [i] lives in page
    [i lsr page_bits] of [pkeys], at slot [i land (page_keys - 1)].  A
    page is allocated when the id counter first reaches it, so an idle
@@ -147,7 +145,7 @@ type sender = {
   mutable ptab : int array;
   mutable pmask : int;                (* slot count - 1 *)
   mutable poccupied : int;            (* = the next key id *)
-  mutable pkeys : keyset array;       (* pages of key id -> AES_{AES_k(t)};
+  mutable pkeys : Aes.arena array;    (* pages of key id -> AES_{AES_k(t)};
                                          [||] until the first insert *)
   tblk : Bytes.t;                     (* scratch: the padded token t || 0^8 *)
   kblk : Bytes.t;                     (* scratch: AES_k(t) *)
@@ -383,7 +381,7 @@ let open_run s k_ssl ~explicit ~count base =
 (* Stage a record's cipher and embed at [pos], then count it. *)
 let[@inline] emit_at s buf k_ssl id salt pos =
   let page = key_page s id and k = id land (page_keys - 1) in
-  put_cipher s.wire pos (cipher page k ~salt);
+  put_cipher s.wire pos (arena_cipher page k ~salt);
   if String.length k_ssl = 0 then s.sw_pos <- pos + exact_record_bytes
   else begin
     mask_xor_into page k ~salt:(salt + 1) k_ssl ~dst:s.wire ~dst_off:(pos + 5);

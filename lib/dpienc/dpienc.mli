@@ -40,38 +40,28 @@ type aes_kernel = Bbx_crypto.Aes.kernel = Bitsliced
     encryption.  Raises [Invalid_argument] on wrong token length. *)
 val token_enc : key -> string -> string
 
-(** {2 Keysets}
+(** {2 Token keys on demand}
 
-    A token key [AES_{AES_k(t)}] is expensive to build, so both sides
-    expand it once per token value: the sender per distinct token, the
-    middlebox per rule chunk.  A keyset holds a whole set of them in one
-    flat arena ({!Bbx_crypto.Aes.arena}); key [id] is slot [id].  A
-    keyset is never written after {!keyset} returns, so connections on
-    different domains may share one once it is published through a
-    synchronised channel (the shard pool's mailboxes qualify). *)
+    A token key [AES_{AES_k(t)}] costs one AES key expansion.  The sender
+    keeps one per distinct token of a salt period.  The middlebox keeps
+    only [AES_k(t)] per rule chunk, as obfuscated rule encryption hands it
+    over (never holding [k]), and expands a chunk's key whenever it needs
+    that chunk's next cipher: at set-up, after a match and at a salt
+    reset.  The two calls below expand [enc = AES_k(t)] into slot 0 of
+    [scratch], an {!Bbx_crypto.Aes.arena} of at least
+    {!Bbx_crypto.Aes.key_words} words that the caller owns and that only
+    one domain uses at a time.  Both raise [Invalid_argument] unless [enc]
+    is 16 bytes. *)
 
-type keyset
-
-(** [keyset encs] expands [encs.(id)] — [AES_k(t)] as the middlebox
-    obtains it through obfuscated rule encryption, never holding [k] —
-    into slot [id]. *)
-val keyset : string array -> keyset
-
-(** Number of keys in a keyset. *)
-val keyset_size : keyset -> int
-
-(** Resident bytes of a keyset: [Aes.key_words] words per key plus one
-    array header. *)
-val keyset_bytes : keyset -> int
-
-(** [cipher ks id ~salt] is [AES_{ks.(id)}(salt) mod RS] as a 40-bit
+(** [cipher scratch enc ~salt] is [AES_{enc}(salt) mod RS] as a 40-bit
     int. *)
-val cipher : keyset -> int -> salt:int -> int
+val cipher : Bbx_crypto.Aes.arena -> string -> salt:int -> int
 
-(** [mask_xor ks id ~salt x] is the unreduced block [AES_{ks.(id)}(salt)]
-    XOR the 16-byte [x]: the probable-cause embed of [x = k_ssl] at salt
-    [salt], and, applied to an embed, the recovered [k_ssl]. *)
-val mask_xor : keyset -> int -> salt:int -> string -> string
+(** [mask_xor scratch enc ~salt x] is the unreduced block
+    [AES_{enc}(salt)] XOR the 16-byte [x]: the probable-cause embed of
+    [x = k_ssl] at salt [salt], and, applied to an embed, the recovered
+    [k_ssl]. *)
+val mask_xor : Bbx_crypto.Aes.arena -> string -> salt:int -> string -> string
 
 type mode = Exact | Probable
 

@@ -53,6 +53,12 @@ type hitvec = {
 
 let hitvec () = { ha = [||]; hn = 0; sorted = true }
 
+(* The hit vector of every chunk that has not hit yet, shared by all
+   engines on every domain and never written: [record_hit] gives a chunk
+   its own vector on its first hit, so an engine over 12 045 chunks
+   allocates none up front. *)
+let no_hits = hitvec ()
+
 (* [a] with [x] stored at index [n], grown when full: the growable int
    vectors of hit offsets and of the dirty queues *)
 let append a n x =
@@ -146,14 +152,13 @@ type ruleset = {
   npats : int;
 }
 
-(* One key's chunk encryptions over one ruleset, with their token keys
-   expanded into one arena; [encs.(i) = AES_k(ruleset.chunks.(i))], and
-   keyset slot [i] is its key. *)
+(* One key's chunk encryptions over one ruleset:
+   [encs.(i) = AES_k(ruleset.chunks.(i))].  A chunk's token key is
+   expanded from its enc by the detector, each time it is needed. *)
 type keys = {
   k_id : int;
   ruleset : ruleset;
   encs : string array;
-  keyset : Dpienc.keyset;
 }
 
 type t = {
@@ -163,7 +168,8 @@ type t = {
   mutable keys : keys;                         (* borrowed generation *)
   mutable detect : Bbx_detect.Detect.t;
   mutable salt0 : int;                         (* current salt epoch *)
-  mutable hits : hitvec array;                 (* chunk_id -> stream offsets *)
+  mutable hits : hitvec array;                 (* chunk_id -> stream offsets,
+                                                  [no_hits] until its first *)
   mutable hit_count : int;                     (* monotonic, survives [reset] *)
   mutable recovered : string option;
   (* --- escalation state (all of it survives [reset]: probable cause and
@@ -302,10 +308,11 @@ let chunks rs = rs.chunks
 let keys_of_encs ruleset encs =
   if Array.length encs <> Array.length ruleset.chunks then
     invalid_arg "Engine.keys_of_encs: one encryption per chunk";
-  { k_id = Atomic.fetch_and_add next_id 1;
-    ruleset;
+  Array.iter
+    (fun e ->
+       if String.length e <> 16 then invalid_arg "Engine.keys_of_encs: encryptions are 16 bytes")
     encs;
-    keyset = Dpienc.keyset encs }
+  { k_id = Atomic.fetch_and_add next_id 1; ruleset; encs }
 
 let keys ruleset ~enc_chunk = keys_of_encs ruleset (Array.map enc_chunk ruleset.chunks)
 
@@ -322,10 +329,9 @@ let make config keys ~direction ~salt0 =
   { config;
     direction;
     keys;
-    detect =
-      Bbx_detect.Detect.create ~keys:keys.keyset ~mode:config.mode ~salt0 keys.encs;
+    detect = Bbx_detect.Detect.create ~mode:config.mode ~salt0 keys.encs;
     salt0;
-    hits = Array.init (Array.length rs.chunks) (fun _ -> hitvec ());
+    hits = Array.make (Array.length rs.chunks) no_hits;
     hit_count = 0;
     recovered = None;
     decided = Bytes.make nrules '\000';
@@ -393,7 +399,16 @@ let mark_exhausted t =
 let record_hit t chunk_id offset =
   t.hit_count <- t.hit_count + 1;
   Obs.incr obs_hits;
-  hitvec_push t.hits.(chunk_id) offset;
+  let hv = t.hits.(chunk_id) in
+  let hv =
+    if hv != no_hits then hv
+    else begin
+      let own = hitvec () in
+      t.hits.(chunk_id) <- own;
+      own
+    end
+  in
+  hitvec_push hv offset;
   (* queued rules stay queued until [verdicts] evaluates them, so one walk
      of the posting list between two calls is enough, however often the
      chunk hits *)
@@ -768,12 +783,10 @@ let update t next =
          | Some i ->
            counts.(j) <- old_counts.(i);
            t.hits.(i)
-         | None -> hitvec ())
+         | None -> no_hits)
       rs.chunks
   in
-  let detect =
-    Bbx_detect.Detect.create ~keys:next.keyset ~mode:t.config.mode ~salt0:t.salt0 next.encs
-  in
+  let detect = Bbx_detect.Detect.create ~mode:t.config.mode ~salt0:t.salt0 next.encs in
   Bbx_detect.Detect.restore_counts detect ~salt0:t.salt0 counts;
   t.keys <- next;
   t.detect <- detect;
@@ -805,7 +818,7 @@ let update t next =
 let reset t ~salt0 =
   t.salt0 <- salt0;
   Bbx_detect.Detect.reset t.detect ~salt0;
-  Array.iter (fun hv -> hv.hn <- 0; hv.sorted <- true) t.hits
+  Array.iter (fun hv -> if hv != no_hits then begin hv.hn <- 0; hv.sorted <- true end) t.hits
 
 (* ---------- footprint accounting -------------------------------------- *)
 
@@ -831,16 +844,19 @@ let ruleset_bytes rs =
   + arr (Array.length rs.decrypt_rules)
   + (match rs.ac with None -> 0 | Some (ac, _) -> Bbx_ac.Aho_corasick.footprint_bytes ac)
 
-(* Exact: the record (4 fields + header), the encs array, each enc
-   string, and the keyset arena. *)
+(* Exact: the record (3 fields + header), the encs array and each enc
+   string. *)
 let keys_bytes k =
-  Array.fold_left (fun a e -> a + str_bytes e)
-    ((5 + Array.length k.encs + 1) * word + Dpienc.keyset_bytes k.keyset)
-    k.encs
+  Array.fold_left (fun a e -> a + str_bytes e) ((4 + Array.length k.encs + 1) * word) k.encs
 
+(* The hit vectors: the array of them, plus each vector a chunk owns
+   since its first hit (record and offsets); the shared [no_hits] is
+   charged to nobody. *)
 let footprint_bytes t =
   let hits =
-    Array.fold_left (fun a hv -> a + (Array.length hv.ha + 4) * word) 0 t.hits
+    Array.fold_left
+      (fun a hv -> if hv == no_hits then a else a + (Array.length hv.ha + 4) * word)
+      ((Array.length t.hits + 1) * word) t.hits
   in
   let pending = List.fold_left (fun a r -> a + str_bytes r) 0 t.pending in
   let tables =
@@ -953,7 +969,7 @@ let restore blob =
        [Array.init]/[List.init] do not guarantee evaluation order *)
     let encs = Array.make n_chunks "" in
     let counts = Array.make n_chunks 0 in
-    let hits = Array.make n_chunks (hitvec ()) in
+    let hits = Array.make n_chunks no_hits in
     for i = 0 to n_chunks - 1 do
       let e = Codec.get_str32 cur in
       if String.length e <> 16 then fail "chunk encryption must be 16 bytes";
@@ -961,12 +977,14 @@ let restore blob =
       counts.(i) <- Codec.get_i64 cur;
       let k = Codec.get_u32 cur in
       guard_count k 8;
-      let hv = { ha = Array.make k 0; hn = k; sorted = true } in
-      for j = 0 to k - 1 do
-        hv.ha.(j) <- Codec.get_i64 cur;
-        if j > 0 && hv.ha.(j) < hv.ha.(j - 1) then hv.sorted <- false
-      done;
-      hits.(i) <- hv
+      if k > 0 then begin
+        let hv = { ha = Array.make k 0; hn = k; sorted = true } in
+        for j = 0 to k - 1 do
+          hv.ha.(j) <- Codec.get_i64 cur;
+          if j > 0 && hv.ha.(j) < hv.ha.(j - 1) then hv.sorted <- false
+        done;
+        hits.(i) <- hv
+      end
     done;
     let hit_count = Codec.get_i64 cur in
     if hit_count < 0 then fail "negative hit count";

@@ -88,9 +88,10 @@ val distinct_chunks : Bbx_rules.Rule.t list -> string array
       Protocol III prefilter (an Aho-Corasick automaton over the
       decrypt-tier content patterns, whose dense transition tables are
       the largest rules-only structure);
-    - {!keys} hold one key's chunk encryptions [AES_k(chunk)] and their
-      token keys, expanded into one {!Bbx_dpienc.Dpienc.keyset} arena,
-      built against one ruleset.
+    - {!keys} hold one key's chunk encryptions [AES_k(chunk)], 16 bytes
+      per chunk, built against one ruleset.  No token key is kept: an
+      engine's detector expands a chunk's key from its encryption each
+      time it computes that chunk's next cipher.
 
     Nothing writes to either after construction, so engines on different
     domains may share them once published through a synchronised channel
@@ -124,8 +125,7 @@ val ruleset_bytes : ruleset -> int
 type keys
 
 (** [keys rs ~enc_chunk] asks [enc_chunk] for [AES_k(chunk)] once per
-    chunk of [rs] and expands every chunk's token key into one keyset
-    arena.  In production the oracle is obfuscated rule encryption
+    chunk of [rs].  In production the oracle is obfuscated rule encryption
     (garbled circuits + OT, see {!Blindbox.Session}); tests may pass the
     direct encryption. *)
 val keys : ruleset -> enc_chunk:(string -> string) -> keys
@@ -143,7 +143,7 @@ val keys_of_encs : ruleset -> string array -> keys
 val ruleset_of : keys -> ruleset
 
 (** Resident bytes of the key material, exactly: the encryptions, their
-    array, the keyset arena and the record. *)
+    array and the record. *)
 val keys_bytes : keys -> int
 
 (** Identities for charging a shared value once: distinct for every
@@ -264,9 +264,12 @@ val update : t -> keys -> unit
 val reset : t -> salt0:int -> unit
 
 (** Approximate resident bytes of this connection's own engine state
-    (the [bbx_conn_bytes] accounting input).  The borrowed ruleset and
-    key material are not included: {!ruleset_bytes} and {!keys_bytes}
-    charge them once to whoever holds them. *)
+    (the [bbx_conn_bytes] accounting input): the detector and its
+    one-key scratch, the per-rule and per-chunk tables, and the hit
+    vector of each chunk that has hit (a chunk owns none before its
+    first hit).  The borrowed ruleset and key material are not included:
+    {!ruleset_bytes} and {!keys_bytes} charge them once to whoever holds
+    them. *)
 val footprint_bytes : t -> int
 
 (** {1 Snapshot / restore (connection migration)}

@@ -235,6 +235,21 @@ let finish c msg_name =
 
 (* ---------- codec ---------- *)
 
+(* HELLO_OK's payload before the text: type, conn_id, mode. *)
+let hello_ok_fixed = 6
+
+(* The one encoder of HELLO_OK's head: [encode_payload] copies it into a
+   whole frame, and the daemon sends it ahead of a text it holds. *)
+let hello_ok_head ~conn_id ~mode ~text_bytes =
+  let n = hello_ok_fixed + text_bytes in
+  if n > max_frame_bytes then invalid_arg "Wire.hello_ok_head: frame too large";
+  let buf = Buffer.create (4 + hello_ok_fixed) in
+  put_u32 buf n;
+  put_u8 buf (type_byte (Hello_ok { conn_id; mode; rules_text = "" }));
+  put_u32 buf conn_id;
+  put_u8 buf (mode_byte mode);
+  Buffer.contents buf
+
 let encode_payload buf msg =
   put_u8 buf (type_byte msg);
   match msg with
@@ -244,8 +259,9 @@ let encode_payload buf msg =
     put_i64 buf salt0;
     put_u8 buf features
   | Hello_ok { conn_id; mode; rules_text } ->
-    put_u32 buf conn_id;
-    put_u8 buf (mode_byte mode);
+    (* conn_id and mode: the head past its length prefix and type byte *)
+    let head = hello_ok_head ~conn_id ~mode ~text_bytes:(String.length rules_text) in
+    Buffer.add_substring buf head 5 (hello_ok_fixed - 1);
     Buffer.add_string buf rules_text
   | Rule_setup { pairs } -> put_pairs buf pairs
   | Token_stream { seq; records } ->
@@ -294,7 +310,7 @@ let pair_bytes pairs = Array.length pairs * (chunk_len + enc_len)
    growing. *)
 let payload_bytes = function
   | Hello _ -> 12
-  | Hello_ok { rules_text; _ } -> 6 + String.length rules_text
+  | Hello_ok { rules_text; _ } -> hello_ok_fixed + String.length rules_text
   | Rule_setup { pairs } -> 5 + pair_bytes pairs
   | Token_stream { records; _ } -> 5 + String.length records
   | Verdict { verdicts; _ } ->

@@ -185,8 +185,19 @@ val type_byte : msg -> int
 
 (** [encode_frame_string msg] — the framed encoding (length prefix
     included) as a fresh string.  Raises [Invalid_argument] when the
-    payload exceeds {!max_frame_bytes}. *)
+    payload exceeds {!max_frame_bytes}.  A [HELLO_OK] frame is
+    [hello_ok_head ~conn_id ~mode ~text_bytes ^ rules_text], built from
+    that head. *)
 val encode_frame_string : msg -> string
+
+(** [hello_ok_head ~conn_id ~mode ~text_bytes] — the first 10 bytes of
+    a [HELLO_OK] frame whose rules text is [text_bytes] long: the length
+    prefix, the type byte, [conn_id] and the mode byte.  The text follows
+    verbatim, so a server may send one text it holds after each
+    connection's head without copying it.  Raises [Invalid_argument] when
+    the payload would exceed {!max_frame_bytes} or [conn_id] does not fit
+    in 32 bits. *)
+val hello_ok_head : conn_id:int -> mode:Bbx_dpienc.Dpienc.mode -> text_bytes:int -> string
 
 (** [decode payload] parses one frame payload (without its length
     prefix).  Raises {!Malformed}. *)

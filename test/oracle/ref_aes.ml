@@ -1,7 +1,8 @@
 (* The AES-128 key schedule as FIPS-197 §5.2 writes it, byte by byte:
    RotWord, SubWord and Rcon on 4-byte words held as four bytes.  The
    reference for [Aes.expand_into]'s word-wise expansion, together with
-   the arena words derived from it. *)
+   the arena words derived from it, and for the T-table rounds through
+   the byte-wise cipher at the end. *)
 
 module Aes = Bbx_crypto.Aes
 
@@ -64,3 +65,40 @@ let round1_constants w =
 let arena_words s =
   let w = schedule s in
   Array.append (Array.init 44 (col w)) (round1_constants w)
+
+(* AES-128 on one 16-byte block as FIPS-197 §5.1 writes it, on the
+   byte-wise schedule: the state is 16 bytes, column-major. *)
+let encrypt_block key block =
+  if String.length block <> 16 then invalid_arg "Ref_aes.encrypt_block: block must be 16 bytes";
+  let w = schedule key in
+  let st = Array.init 16 (fun i -> Char.code block.[i] lxor w.(i)) in
+  let add_round_key round = for i = 0 to 15 do st.(i) <- st.(i) lxor w.((16 * round) + i) done in
+  let sub_bytes () = Array.iteri (fun i v -> st.(i) <- Aes.sbox.(v)) st in
+  (* row r rotates left by r columns *)
+  let shift_rows () =
+    let old = Array.copy st in
+    for i = 0 to 15 do
+      let r = i mod 4 and c = i / 4 in
+      st.(i) <- old.(r + (4 * ((c + r) mod 4)))
+    done
+  in
+  let mix_columns () =
+    for c = 0 to 3 do
+      let a = Array.init 4 (fun r -> st.((4 * c) + r)) in
+      for r = 0 to 3 do
+        let a1 = a.((r + 1) mod 4) in
+        st.((4 * c) + r) <-
+          xtime a.(r) lxor xtime a1 lxor a1 lxor a.((r + 2) mod 4) lxor a.((r + 3) mod 4)
+      done
+    done
+  in
+  for round = 1 to 9 do
+    sub_bytes ();
+    shift_rows ();
+    mix_columns ();
+    add_round_key round
+  done;
+  sub_bytes ();
+  shift_rows ();
+  add_round_key 10;
+  String.init 16 (fun i -> Char.chr st.(i))

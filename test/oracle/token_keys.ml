@@ -1,8 +1,8 @@
 (* DPIEnc token keys one heap block each: [token_key] expands
    [AES_{AES_k(t)}] into its own boxed [Aes.key].  The reference sender
    and detector encrypt through these, so the differentials check the
-   sender's and the middlebox's keyset arenas against independently
-   expanded keys. *)
+   sender's key arena and the middlebox's on-demand scratch against
+   independently expanded keys. *)
 
 module Aes = Bbx_crypto.Aes
 module Dpienc = Bbx_dpienc.Dpienc

@@ -790,9 +790,11 @@ let metrics_over_wire () =
     (String.length trace >= 15 && String.sub trace 0 15 = "{\"traceEvents\":")
 
 (* The flight recorder must decompose each frame's round trip into the
-   five pipeline phases, all keyed by (conn, seq), with the phase
-   durations summing to no more than the client-observed RTT (plus
-   scheduling slack — phases exclude select sleeps, so less is fine). *)
+   five pipeline phases, all keyed by (conn, seq).  Every phase lies
+   inside the client's window from just before its send to just after
+   its receipt, read on the recorder's own clock, and the phases sum to
+   at most that window: the write phase ends when the reply is handed to
+   the socket, before the client can hold it. *)
 let trace_decomposition () =
   Trace.reset ();
   let was = Trace.enabled () in
@@ -808,7 +810,7 @@ let trace_decomposition () =
     Daemon.start (Daemon.config ~endpoint ~rules ~trace_out:trace_path ())
   in
   let n = 5 in
-  let rtts = Array.make n 0.0 in
+  let windows = Array.make n (0, 0) in
   let conn_id =
     Fun.protect
       ~finally:(fun () -> Daemon.stop handle)
@@ -819,10 +821,10 @@ let trace_decomposition () =
         let sender = Dpienc.sender_create Dpienc.Exact s.Client.sc_key ~salt0:0 in
         List.iteri
           (fun i wire ->
-            let t0 = Unix.gettimeofday () in
+            let sent = Trace.now_ns () in
             Client.send_records s.Client.sc_client ~seq:i wire;
             ignore (Client.recv_verdict s.Client.sc_client);
-            rtts.(i) <- Unix.gettimeofday () -. t0)
+            windows.(i) <- (sent, Trace.now_ns ()))
           (wires_for sender
              (List.init n (fun i -> Printf.sprintf "payload %d alertkw1" i)));
         s.Client.sc_conn_id)
@@ -841,24 +843,29 @@ let trace_decomposition () =
           true
           (List.exists (fun e -> Trace.phase_name e.Trace.e_phase = ph) mine))
       expected;
+    let sent, received = windows.(seq) in
+    let phases =
+      List.filter (fun e -> List.mem (Trace.phase_name e.Trace.e_phase) expected) mine
+    in
     List.iter
       (fun e ->
         Alcotest.(check bool) "duration non-negative" true (e.Trace.e_dur_ns >= 0))
       mine;
-    let sum_ns =
-      List.fold_left
-        (fun acc e ->
-          if List.mem (Trace.phase_name e.Trace.e_phase) expected then
-            acc + e.Trace.e_dur_ns
-          else acc)
-        0 mine
-    in
-    let rtt_ns = rtts.(seq) *. 1e9 in
+    List.iter
+      (fun e ->
+        let name = Trace.phase_name e.Trace.e_phase in
+        Alcotest.(check bool)
+          (Printf.sprintf "seq %d %s [%d, %d] inside the client's [%d, %d]" seq name
+             e.Trace.e_start_ns (e.Trace.e_start_ns + e.Trace.e_dur_ns) sent received)
+          true
+          (e.Trace.e_start_ns >= sent && e.Trace.e_start_ns + e.Trace.e_dur_ns <= received))
+      phases;
+    let sum_ns = List.fold_left (fun acc e -> acc + e.Trace.e_dur_ns) 0 phases in
     Alcotest.(check bool)
-      (Printf.sprintf "seq %d phases sum within RTT (sum %d ns, rtt %.0f ns)"
-         seq sum_ns rtt_ns)
+      (Printf.sprintf "seq %d phases sum within the window (sum %d ns, window %d ns)" seq
+         sum_ns (received - sent))
       true
-      (float_of_int sum_ns <= (rtt_ns *. 1.5) +. 2e6)
+      (sum_ns <= received - sent)
   done;
   (* --trace-out wrote a Chrome trace on teardown *)
   let ic = open_in trace_path in
@@ -912,6 +919,63 @@ let http_scrape () =
   Alcotest.(check bool) "404 for unknown path" true
     (String.length missing > 16 && String.sub missing 0 16 = "HTTP/1.0 404 Not")
 
+(* Two clients of a daemon announcing 3 000 rules: the daemon queues
+   each HELLO_OK as its head and the one start-up text, and the text is
+   larger than a socket's send buffer, so it leaves in partial writes
+   while the other connection's copy waits.  Both clients read the text
+   byte for byte under distinct conn_ids, and the frame after it (a
+   STATS reply) starts where the text ends. *)
+let hello_ok_text_by_reference () =
+  let rules = Bbx_rules.Datasets.generate Bbx_rules.Datasets.Emerging_threats ~n:3000 in
+  let text = announce rules in
+  let sndbuf =
+    let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    let n = Unix.getsockopt_int a Unix.SO_SNDBUF in
+    Unix.close a;
+    Unix.close b;
+    n
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "the %d-byte text outgrows a %d-byte send buffer" (String.length text) sndbuf)
+    true (String.length text > sndbuf);
+  with_daemon ~rules @@ fun endpoint ->
+  let a = Client.connect endpoint and b = Client.connect endpoint in
+  Fun.protect ~finally:(fun () -> Client.close a; Client.close b) @@ fun () ->
+  let hello c =
+    Sockio.write_string (Client.fd c)
+      (Wire.encode_frame_string
+         (Wire.Hello { version = Wire.version; mode = Dpienc.Exact; salt0 = 0; features = 0 }))
+  in
+  let scratch = Bytes.create 4096 in
+  let rec frame c =
+    match Wire.Framer.next (Client.framer c) with
+    | Some payload -> payload
+    | None ->
+      let n = Sockio.read (Client.fd c) scratch 0 (Bytes.length scratch) in
+      if n = 0 then raise End_of_file;
+      Wire.Framer.feed (Client.framer c) scratch 0 n;
+      frame c
+  in
+  let hello_ok c =
+    match Wire.decode (frame c) with
+    | Wire.Hello_ok { conn_id; mode; rules_text } ->
+      Alcotest.(check bool) "exact mode" true (mode = Dpienc.Exact);
+      (conn_id, rules_text)
+    | _ -> Alcotest.fail "expected HELLO_OK"
+  in
+  hello a;
+  hello b;
+  (* b reads first, in 4 KiB steps, while a's copy waits in its queue *)
+  let id_b, text_b = hello_ok b in
+  let id_a, text_a = hello_ok a in
+  Alcotest.(check bool) "distinct conn_ids" true (id_a <> id_b);
+  Alcotest.(check bool) "a's text byte for byte" true (String.equal text text_a);
+  Alcotest.(check bool) "b's text byte for byte" true (String.equal text text_b);
+  List.iter
+    (fun c ->
+      Alcotest.(check int) "STATS after the text" 0 (Client.stats c).Wire.s_blocked)
+    [ a; b ]
+
 let stop_unlinks_socket () =
   let endpoint = temp_endpoint () in
   let path = match endpoint with Daemon.Unix_path p -> p | _ -> assert false in
@@ -935,7 +999,9 @@ let () =
             `Quick tiered_differential;
           Alcotest.test_case "a features=0 client reads every detail" `Quick
             features_zero_reads_details;
-          Alcotest.test_case "stop unlinks the socket" `Quick stop_unlinks_socket ] );
+          Alcotest.test_case "stop unlinks the socket" `Quick stop_unlinks_socket;
+          Alcotest.test_case "two clients read the 3 000-rule HELLO_OK text" `Quick
+            hello_ok_text_by_reference ] );
       ( "hardening",
         [ Alcotest.test_case "a poisoned connection leaves others alone" `Quick
             isolation;

@@ -231,6 +231,131 @@ let stream_tests =
         | l -> Alcotest.fail (Printf.sprintf "expected 1 hit, got %d" (List.length l)));
   ]
 
+(* ---------- token keys on demand ----------
+
+   A detector keeps only each keyword's 16-byte enc and expands its token
+   key into a one-key scratch whenever it computes a next cipher.  These
+   cases pin that every index entry is the reference cipher at the
+   keyword's current salt after each kind of re-keying, and that two
+   detectors on two domains at once, borrowing one enc array, match the
+   sequential run. *)
+
+let kw_words = List.init 48 (fun i -> Printf.sprintf "kw%06d" i)
+
+(* [AES_{enc}(salt) mod RS] through a boxed key expanded on its own. *)
+let reference_cipher enc ~salt = Token_keys.encrypt (Token_keys.token_key_of_enc enc) ~salt
+
+(* One explicit-offset run of records, each at the reference cipher of
+   keyword [id] under [salt] (and with a fixed embed in Probable mode). *)
+let records_at mode encs hits =
+  Records.encode_tokens ~explicit:true
+    (List.mapi
+       (fun i (id, salt) ->
+          { Records.cipher = reference_cipher encs.(id) ~salt;
+            offset = i;
+            embed = (if mode = Probable then Some (String.make 16 'e') else None) })
+       hits)
+
+(* Send keyword [id] at its next reference cipher for each id of [ids],
+   in order, tracking the expected counters in [counts]; the detector
+   must report exactly these hits. *)
+let hit_in_order mode d encs ~salt0 counts ids =
+  let stride = salt_stride mode in
+  let hits =
+    List.map
+      (fun id ->
+         let salt = salt0 + (stride * counts.(id)) in
+         counts.(id) <- counts.(id) + 1;
+         (id, salt))
+      ids
+  in
+  Alcotest.(check (list (triple int int int)))
+    "hits at the reference ciphers"
+    (List.mapi (fun i (id, salt) -> (id, i, salt)) hits)
+    (List.map
+       (fun ev -> (ev.Detect.kw_id, ev.Detect.offset, ev.Detect.salt))
+       (events d (records_at mode encs hits)))
+
+(* The index holds exactly the reference cipher of every keyword: one
+   entry per keyword, and each keyword found at its cipher under its
+   current salt.  The probe hits every keyword once, as [counts] records. *)
+let check_index what mode d encs ~salt0 counts =
+  Alcotest.(check (array int)) (what ^ ": counters") counts (Detect.salt_counts d);
+  Alcotest.(check int) (what ^ ": one entry per keyword") (Array.length encs) (Detect.size d);
+  hit_in_order mode d encs ~salt0 counts (List.init (Array.length encs) Fun.id)
+
+let index_after_rekeying mode () =
+  let encs = encs kw_words in
+  let salt0 = 0 in
+  let d = Detect.create ~mode ~salt0 encs in
+  let counts = Array.make (Array.length encs) 0 in
+  check_index "fresh" mode d encs ~salt0 counts;
+  hit_in_order mode d encs ~salt0 counts [ 7; 7; 31; 7; 0 ];
+  check_index "after hits" mode d encs ~salt0 counts;
+  let salt0 = 1000 in
+  Detect.reset d ~salt0;
+  Array.fill counts 0 (Array.length counts) 0;
+  check_index "after a reset" mode d encs ~salt0 counts;
+  hit_in_order mode d encs ~salt0 counts [ 3; 3; 3 ];
+  let restored = Array.mapi (fun i c -> c + (i mod 5)) counts in
+  Detect.restore_counts d ~salt0 restored;
+  check_index "after restore_counts" mode d encs ~salt0 restored
+
+(* The events of one detector run [rounds] times over [wire], each with
+   the key recovered from its embed, and the final counters.  A reset
+   back to salt 0 (every key expanded again) ends each round. *)
+let drive d wire ~rounds =
+  let log = ref [] in
+  for _ = 1 to rounds do
+    ignore
+      (Detect.process_stream d wire ~f:(fun ev ~embed_pos ->
+           log := (ev, Detect.recover_key d ~event:ev ~embed:(String.sub wire embed_pos 16))
+                   :: !log)
+        : int);
+    Detect.reset d ~salt0:0
+  done;
+  (List.rev !log, Detect.salt_counts d)
+
+let two_domains_match_sequential () =
+  let encs = encs kw_words in
+  let k_ssl = String.make 16 'K' in
+  let sender = mk_sender ~mode:Probable () in
+  (* each keyword of the first 16 several times, among benign words *)
+  let words =
+    List.concat (List.init 6 (fun r -> List.filteri (fun i _ -> i < 16 && i mod 6 <> r) kw_words))
+    @ [ "benign"; "words"; "between" ]
+  in
+  let wire = stream sender ~k_ssl words in
+  let rounds = 30 in
+  let fresh () = Detect.create ~mode:Probable ~salt0:0 encs in
+  let ((evs, _) as sequential) = drive (fresh ()) wire ~rounds in
+  Alcotest.(check int) "80 hits a round" (80 * rounds) (List.length evs);
+  Alcotest.(check bool) "every match recovers k_ssl" true
+    (List.for_all (fun (_, k) -> String.equal k k_ssl) evs);
+  let ready = Atomic.make 0 in
+  let racer () =
+    let d = fresh () in
+    Atomic.incr ready;
+    while Atomic.get ready < 2 do Domain.cpu_relax () done;
+    drive d wire ~rounds
+  in
+  let a = Domain.spawn racer and b = Domain.spawn racer in
+  let ra = Domain.join a and rb = Domain.join b in
+  List.iter
+    (fun (name, r) ->
+       Alcotest.(check bool) (name ^ ": the sequential events, keys and counters") true
+         (r = sequential))
+    [ ("domain a", ra); ("domain b", rb) ]
+
+let on_demand_tests =
+  [ Alcotest.test_case "exact index at reference ciphers" `Quick
+      (index_after_rekeying Exact);
+    Alcotest.test_case "probable index at reference ciphers" `Quick
+      (index_after_rekeying Probable);
+    Alcotest.test_case "two domains equal the sequential run" `Quick
+      two_domains_match_sequential ]
+
 let () =
   Alcotest.run "detect"
-    [ ("avl", avl_props); ("engine", detect_tests); ("streaming", stream_tests) ]
+    [ ("avl", avl_props); ("engine", detect_tests); ("streaming", stream_tests);
+      ("on-demand", on_demand_tests) ]

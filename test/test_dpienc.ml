@@ -28,7 +28,36 @@ let unit_tests =
         let enc = token_enc key (t8 "attack") in
         let mb_tk = token_key_of_enc enc in
         let sender_tk = token_key key (t8 "attack") in
-        Alcotest.(check int) "same cipher" (encrypt sender_tk ~salt:42) (encrypt mb_tk ~salt:42));
+        Alcotest.(check int) "same cipher" (encrypt sender_tk ~salt:42) (encrypt mb_tk ~salt:42);
+        (* The middlebox's on-demand path — the token key expanded from
+           the 16-byte enc into one reused scratch per call — against the
+           byte-wise reference cipher, itself pinned to FIPS-197 C.1. *)
+        let hex h =
+          String.init (String.length h / 2) (fun i ->
+              Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2)))
+        in
+        Alcotest.(check string) "reference cipher on FIPS-197 C.1"
+          (hex "69c4e0d86a7b0430d8cdb78070b4c55a")
+          (Ref_aes.encrypt_block (hex "000102030405060708090a0b0c0d0e0f")
+             (hex "00112233445566778899aabbccddeeff"));
+        let rng = Random.State.make [| 24 |] in
+        let bytes16 () = String.init 16 (fun _ -> Char.chr (Random.State.int rng 256)) in
+        let scratch = Array.make Bbx_crypto.Aes.key_words 0 in
+        for _ = 1 to 200 do
+          let enc = bytes16 () and k_ssl = bytes16 () in
+          List.iter
+            (fun salt ->
+              let block =
+                Ref_aes.encrypt_block enc (String.make 8 '\000' ^ Bbx_crypto.Util.u64_be salt)
+              in
+              (* the 40-bit cipher is the block's bytes 3..7, big-endian *)
+              let expect = Bbx_crypto.Util.read_u64_be block 0 land ((1 lsl rs_bits) - 1) in
+              Alcotest.(check int) (Printf.sprintf "cipher at salt %d" salt) expect
+                (cipher scratch enc ~salt);
+              Alcotest.(check string) (Printf.sprintf "k_ssl mask at salt %d" salt)
+                (Bbx_crypto.Util.xor block k_ssl) (mask_xor scratch enc ~salt k_ssl))
+            [ 0; 1; (1 lsl 32) - 1; 1 lsl 32; (1 lsl 32) + Random.State.bits rng; max_int ]
+        done);
     Alcotest.test_case "equal tokens never share a ciphertext (salt counters)" `Quick (fun () ->
         let s = sender_create Exact key ~salt0:0 in
         let toks = mk_tokens [ t8 "dup"; t8 "dup"; t8 "dup"; t8 "other"; t8 "dup" ] in

@@ -33,6 +33,21 @@ let mk_writer k_ssl = Record.create ~key:k_ssl ~direction ()
 
 let seal writer payload = Record.seal writer ("T" ^ payload)
 
+(* One Exact-mode record per chunk of [ids], in order, at the reference
+   cipher (a boxed key expanded on its own) of [chunks.(id)] under its
+   next salt from [salt0] and [counts], which the records advance. *)
+let reference_records chunks ~salt0 counts ~base ids =
+  Records.encode_tokens ~explicit:true
+    (List.mapi
+       (fun i id ->
+          let salt = salt0 + counts.(id) in
+          let tk = Token_keys.token_key_of_enc (enc_chunk chunks.(id)) in
+          counts.(id) <- counts.(id) + 1;
+          { Records.cipher = Token_keys.encrypt tk ~salt;
+            offset = base + i;
+            embed = None })
+       ids)
+
 let engine_tests =
   [ Alcotest.test_case "distinct chunks dedup across rules" `Quick (fun () ->
         let rules =
@@ -388,7 +403,7 @@ let stats_tests =
         register mb 1;
         Alcotest.(check int) "fresh flow" 0
           (Shard.flow_stats mb ~conn_id:1).Shard.flow_tokens);
-    Alcotest.test_case "keys_bytes counts the encs and the keyset exactly" `Quick (fun () ->
+    Alcotest.test_case "keys_bytes counts the encs and the keys record exactly" `Quick (fun () ->
         let rs = Engine.ruleset (Datasets.generate Datasets.Emerging_threats ~n:20) in
         let keys = Engine.keys rs ~enc_chunk in
         let word = Sys.word_size / 8 in
@@ -399,14 +414,27 @@ let stats_tests =
         let encs =
           Array.fold_left (fun a c -> a + str_bytes (enc_chunk c)) 0 (Engine.chunks rs)
         in
-        let arena = ((n * Bbx_crypto.Aes.key_words) + 1) * word in
-        let headers = ((n + 1) * word) (* encs array *) + (5 * word) (* keys record *) in
-        Alcotest.(check int) "encs + arena + headers" (encs + arena + headers)
-          (Engine.keys_bytes keys);
+        let headers = ((n + 1) * word) (* encs array *) + (4 * word) (* keys record *) in
+        Alcotest.(check int) "encs + headers" (encs + headers) (Engine.keys_bytes keys);
         (* ... which is what the heap holds beyond the borrowed ruleset *)
         Alcotest.(check int) "reachable words"
           (word * (Obj.reachable_words (Obj.repr keys) - Obj.reachable_words (Obj.repr rs)))
           (Engine.keys_bytes keys));
+    Alcotest.test_case "hit vectors are charged from a chunk's first hit" `Quick (fun () ->
+        let rs = Engine.ruleset (Datasets.generate Datasets.Emerging_threats ~n:3000) in
+        let keys = Engine.keys rs ~enc_chunk in
+        let word = Sys.word_size / 8 in
+        let fresh () = Engine.make Engine.default_config keys ~direction ~salt0:0 in
+        let idle = fresh () and hit = fresh () in
+        let counts = Array.make (Array.length (Engine.chunks rs)) 0 in
+        feed hit (reference_records (Engine.chunks rs) ~salt0:0 counts ~base:0 [ 0 ]);
+        Alcotest.(check int) "one hit" 1 (Engine.hit_count hit);
+        (* a restored engine queues every undecided rule, so two restored
+           engines differ by their hit evidence alone: one offset in one
+           vector (record and array of 4 words + 1) in [hit], and nothing
+           for the 12 045 chunks without a hit in either *)
+        let restored e = Engine.footprint_bytes (Engine.restore (Engine.snapshot e)) in
+        Alcotest.(check int) "one vector of one offset" (5 * word) (restored hit - restored idle));
   ]
 
 (* ---------- tiered escalation over recovered record streams ---------- *)
@@ -804,7 +832,62 @@ let update_tests =
     ignore (Shard.process_wire sh ~conn_id:1 (encrypt_payload s "q=alertkw1") : Engine.verdict list);
     Alcotest.(check int) "next occurrence after the update" 2 (hits ())
   in
-  [ Alcotest.test_case "add-only update keeps salt counters" `Quick
+  let index_holds_reference_ciphers () =
+    let rules_a =
+      [ Rule.make ~sid:1 [ Rule.make_content "alertkw1" ];
+        Rule.make ~sid:2 [ Rule.make_content "otherkw2"; Rule.make_content "sharedk3" ];
+        Rule.make ~sid:3 [ Rule.make_content "maliciouspayload" ] ]
+    in
+    let rules_b =
+      Engine.next_rules rules_a ~remove_sids:[ 1 ]
+        ~add:[ Rule.make ~sid:4 [ Rule.make_content "freshkw4"; Rule.make_content "sharedk3" ] ]
+    in
+    let chunks_a = Engine.chunks (Engine.ruleset rules_a) in
+    let e = mk_engine_with Engine.default_config rules_a in
+    (* every chunk found at its reference cipher under its current salt:
+       one hit per chunk, each at its own offset from [base] *)
+    let check_index what chunks ~salt0 counts ~base =
+      let n = Array.length chunks in
+      let before = Engine.hit_count e in
+      feed e (reference_records chunks ~salt0 counts ~base (List.init n Fun.id));
+      Alcotest.(check int) (what ^ ": a hit per chunk") n (Engine.hit_count e - before);
+      Alcotest.(check (list (pair string int)))
+        (what ^ ": every chunk at its offset")
+        (List.init n (fun j -> (chunks.(j), base + j)))
+        (List.filter (fun (_, off) -> off >= base) (Engine.keyword_hits e))
+    in
+    let counts = Array.make (Array.length chunks_a) 0 in
+    check_index "fresh" chunks_a ~salt0:0 counts ~base:100;
+    feed e (reference_records chunks_a ~salt0:0 counts ~base:200 [ 1; 1; 3; 1 ]);
+    check_index "after hits" chunks_a ~salt0:0 counts ~base:300;
+    Engine.reset e ~salt0:40;
+    Array.fill counts 0 (Array.length counts) 0;
+    feed e (reference_records chunks_a ~salt0:40 counts ~base:400 [ 2; 0 ]);
+    check_index "after a reset" chunks_a ~salt0:40 counts ~base:500;
+    (* shared chunks keep their counters; a new chunk starts at 0 under
+       the current salt epoch *)
+    let rs_b = Engine.ruleset rules_b in
+    let chunks_b = Engine.chunks rs_b in
+    let counts_b =
+      Array.map
+        (fun c ->
+           let rec find i =
+             if i = Array.length chunks_a then 0
+             else if chunks_a.(i) = c then counts.(i)
+             else find (i + 1)
+           in
+           find 0)
+        chunks_b
+    in
+    Alcotest.(check bool) "a new chunk and a dropped one" true
+      (Array.exists (fun c -> not (Array.mem c chunks_a)) chunks_b
+       && Array.exists (fun c -> not (Array.mem c chunks_b)) chunks_a);
+    Engine.update e (Engine.keys rs_b ~enc_chunk);
+    check_index "after an update" chunks_b ~salt0:40 counts_b ~base:600
+  in
+  [ Alcotest.test_case "index holds the reference ciphers: hit, reset, update" `Quick
+      index_holds_reference_ciphers;
+    Alcotest.test_case "add-only update keeps salt counters" `Quick
       (survivor_matches_after (rules @ [ Rule.make ~sid:3 [ Rule.make_content "freshkw3" ] ]));
     Alcotest.test_case "removing another rule keeps salt counters" `Quick
       (survivor_matches_after [ List.hd rules ]);

@@ -230,7 +230,41 @@ let unit_tests =
         Alcotest.(check bool) "one byte over is refused" true
           (match Wire.encode_frame_string (stream (at_cap + 1)) with
            | exception Invalid_argument _ -> true
-           | _ -> false)) ]
+           | _ -> false));
+    Alcotest.test_case "HELLO_OK is hello_ok_head and the text" `Quick (fun () ->
+        let text = "alert tcp any any -> any any (content:\"alertkw1\"; sid:1;)" in
+        List.iter
+          (fun conn_id ->
+            List.iter
+              (fun mode ->
+                List.iter
+                  (fun rules_text ->
+                    let head =
+                      Wire.hello_ok_head ~conn_id ~mode ~text_bytes:(String.length rules_text)
+                    in
+                    let msg = Wire.Hello_ok { conn_id; mode; rules_text } in
+                    let framed = head ^ rules_text in
+                    Alcotest.(check int) "10-byte head" 10 (String.length head);
+                    Alcotest.(check string) "the encoder's frame" (Wire.encode_frame_string msg)
+                      framed;
+                    Alcotest.(check int) "prefix = payload length" (String.length framed - 4)
+                      (Int32.to_int (String.get_int32_be framed 0));
+                    Alcotest.(check bool) "decodes to the message" true
+                      (Wire.decode (String.sub framed 4 (String.length framed - 4)) = msg))
+                  [ ""; text ])
+              [ Bbx_dpienc.Dpienc.Exact; Bbx_dpienc.Dpienc.Probable ])
+          [ 0; 1; (1 lsl 31) - 1 ];
+        (* the payload is the type byte, conn_id, the mode byte and the text *)
+        let at_cap = Wire.max_frame_bytes - 6 in
+        Alcotest.(check int) "a text at the cap" 10
+          (String.length
+             (Wire.hello_ok_head ~conn_id:0 ~mode:Bbx_dpienc.Dpienc.Exact ~text_bytes:at_cap));
+        Alcotest.check_raises "one byte over is refused"
+          (Invalid_argument "Wire.hello_ok_head: frame too large") (fun () ->
+            ignore
+              (Wire.hello_ok_head ~conn_id:0 ~mode:Bbx_dpienc.Dpienc.Exact
+                 ~text_bytes:(at_cap + 1)
+               : string))) ]
 
 (* ---------- qcheck ---------- *)
 
