@@ -1,6 +1,6 @@
 (* Exact-counter gate for the rule-level verdict step, the detection
-   index, DPIEnc's key expansion, the middlebox's per-connection set-up
-   and the wire bytes.
+   index, DPIEnc's key expansion, the middlebox's per-connection set-up,
+   garbling and the wire bytes.
 
    Wall clock on a shared 1-2 vCPU host moves by +-30% between repeats;
    the rows here do not move at all, so a regression shows as a changed
@@ -49,6 +49,14 @@
      are 64 B per chunk;
    - frame-hello-3k: bytes allocated per text byte by
      [Wire.encode_frame_string] on that HELLO_OK frame.
+
+   The garble rows price obfuscated rule encryption's garbling (§3.3) on
+   the tower AES circuit ([Aes_circuit.build_tower], 67 848 gates),
+   which hashes through [Aes.encrypt_block]:
+   - garble-tower: bytes allocated per gate by one [Garble.garble]
+     ([alloc_bytes]) and by one [Garble.eval] of the result
+     ([eval_alloc_bytes]); the circuit and the evaluator's input labels
+     are built outside the meter.
 
    The wire rows count the TOKEN_STREAM body bytes a fresh sender emits
    per token, one call per write with running stream offsets:
@@ -285,6 +293,24 @@ let setup_counters rules =
     Array.length pairs,
     String.length text )
 
+(* Bytes allocated per gate by one garbling and one evaluation of the
+   tower AES circuit, and its gate count. *)
+let garble_counters () =
+  let circuit = Bbx_circuit.Aes_circuit.build_tower () in
+  let drbg = Drbg.create "bench-counters/garble" in
+  let (g, secrets), garble_alloc =
+    Bench_util.metered (fun () -> Bbx_garble.Garble.garble drbg circuit)
+  in
+  let labels =
+    Bbx_garble.Garble.encode_inputs secrets
+      (Bbx_circuit.Circuit.bits_of_string (String.make 16 'k' ^ String.make 16 'm'))
+  in
+  let (_ : bool array), eval_alloc =
+    Bench_util.metered (fun () -> Bbx_garble.Garble.eval circuit g labels)
+  in
+  let gates = Bbx_circuit.Circuit.gate_count circuit in
+  (garble_alloc /. float_of_int gates, eval_alloc /. float_of_int gates, gates)
+
 (* ---------- baseline file: one row per line ---------- *)
 
 type row = { name : string; unit_ : string; value : float }
@@ -414,6 +440,11 @@ let run () =
     "  client set-up (3 000 ET rules, %d chunks, %d B HELLO_OK text): %.1f B allocated/chunk \
      on a warm entry, %.1f on a changed text; HELLO_OK frame %.2f B allocated/text byte\n%!"
     setup_chunks text_bytes setup_warm setup_cold frame_hello;
+  let garble_alloc, eval_alloc, gates = garble_counters () in
+  Printf.printf
+    "  garbling (tower AES circuit, %d gates): %.1f B allocated/gate to garble, %.1f to \
+     evaluate\n%!"
+    gates garble_alloc eval_alloc;
   let rows =
     rows
     @ [ { name = "sender-html.alloc_bytes"; unit_ = "B/token"; value = sender_html.warm };
@@ -427,7 +458,9 @@ let run () =
           value = wire_probable };
         { name = "sender-cold.alloc_bytes"; unit_ = "B/token"; value = sender_html.cold };
         { name = "setup-3k.client_alloc_bytes"; unit_ = "B/chunk"; value = setup_warm };
-        { name = "frame-hello-3k.alloc_bytes"; unit_ = "B/text byte"; value = frame_hello } ]
+        { name = "frame-hello-3k.alloc_bytes"; unit_ = "B/text byte"; value = frame_hello };
+        { name = "garble-tower.alloc_bytes"; unit_ = "B/gate"; value = garble_alloc };
+        { name = "garble-tower.eval_alloc_bytes"; unit_ = "B/gate"; value = eval_alloc } ]
   in
   if Array.mem "--write-baseline" Sys.argv then begin
     Out_channel.with_open_bin baseline_path (fun oc -> output_string oc (render rows));

@@ -9,8 +9,8 @@
 
     A party holding many keys — the DPIEnc sender, one per distinct
     token — expands them into one flat [int array] it owns instead of one
-    heap block per key; the middlebox expands one rule chunk's key at a
-    time into a one-slot scratch.  Slot [i] of an arena is words
+    heap block per key; the middlebox expands none and encrypts under a
+    rule chunk's key with {!encrypt_u64_once}.  Slot [i] of an arena is words
     [key_words * i] to [key_words * (i + 1) - 1]: the 44 round-key
     columns [w0..w43], each packed little-endian (row 0 in the low byte),
     then four round-1 constants for the small-salt blocks of
@@ -77,6 +77,14 @@ val encrypt_u64 : arena -> int -> int -> int
     buffer.  Raises [Invalid_argument] if the slot or range is out of
     bounds. *)
 val encrypt_u64_into : arena -> int -> int -> dst:Bytes.t -> dst_off:int -> unit
+
+(** [encrypt_u64_once s v] is [encrypt_u64] under the 16-byte key [s]
+    with the key schedule computed inside the rounds, round by round,
+    instead of expanded into an arena first: the one-shot cipher for a
+    key that encrypts one block at a time (the middlebox's rule-chunk
+    keys).  It allocates nothing.  Raises [Invalid_argument] on other key
+    lengths. *)
+val encrypt_u64_once : string -> int -> int
 
 (** The forward S-box, exposed for the AES boolean circuit tests. *)
 val sbox : int array

@@ -1,5 +1,4 @@
 open Bbx_dpienc
-module Aes = Bbx_crypto.Aes
 module Obs = Bbx_obs.Obs
 
 (* Lookup accounting (§3.2's per-token cost, measured).  Lookups are added
@@ -28,18 +27,17 @@ type event = { kw_id : keyword_id; offset : int; salt : int }
    keyword's [AES_k(token)] (borrowed from the caller, never written),
    [counts] the flat salt-counter table and [ciphers] the current 40-bit
    index key per keyword.  [index] maps each current cipher back to its
-   keyword.  A keyword's token key is expanded into [scratch] only when
-   its next cipher is computed (rebuild, match, key recovery), so a
-   detector holds one expanded key, not one per keyword.
-   [scratch], [probe_tick] and [probe_steps] live on [t] (not at module
-   level) so that detectors owned by different domains — one per
-   Shardpool shard — never share mutable detection-path state. *)
+   keyword.  A keyword's next cipher is computed straight from its
+   [AES_k(token)] ([Dpienc.cipher]) when it is needed (build, match,
+   reset), so a detector holds no expanded key.  [probe_tick] and
+   [probe_steps] live on [t] (not at module level) so that detectors
+   owned by different domains — one per Shardpool shard — never share
+   mutable detection-path state. *)
 type t = {
   mode : Dpienc.mode;
   stride : int;
   mutable salt0 : int;
   encs : string array;
-  scratch : Aes.arena;
   counts : int array;
   ciphers : int array;
   index : Cindex.t;
@@ -50,7 +48,7 @@ type t = {
 let[@inline] current_salt t id = t.salt0 + (t.stride * t.counts.(id))
 
 (* Keyword [id]'s cipher under its current salt. *)
-let[@inline] current_cipher t id = Dpienc.cipher t.scratch t.encs.(id) ~salt:(current_salt t id)
+let[@inline] current_cipher t id = Dpienc.cipher t.encs.(id) ~salt:(current_salt t id)
 
 let rebuild t =
   Cindex.clear t.index;
@@ -59,14 +57,21 @@ let rebuild t =
     Cindex.insert t.index t.ciphers.(id) id
   done
 
-let create ~mode ~salt0 encs =
+let create ?counts ~mode ~salt0 encs =
   if mode = Dpienc.Probable && salt0 land 1 <> 0 then
     invalid_arg "Detect.create: salt0 must be even";
   let n = Array.length encs in
+  let counts =
+    match counts with
+    | None -> Array.make n 0
+    | Some c ->
+      if Array.length c <> n then invalid_arg "Detect.create: count table size mismatch";
+      Array.iter (fun x -> if x < 0 then invalid_arg "Detect.create: negative count") c;
+      Array.copy c
+  in
   let t =
     { mode; stride = Dpienc.salt_stride mode; salt0;
-      encs; scratch = Array.make Aes.key_words 0;
-      counts = Array.make n 0; ciphers = Array.make n 0;
+      encs; counts; ciphers = Array.make n 0;
       index = Cindex.create ~capacity:n ();
       probe_tick = 0; probe_steps = ref 0 }
   in
@@ -123,7 +128,7 @@ let recover_key t ~event ~embed =
   if t.mode <> Dpienc.Probable then
     invalid_arg "Detect.recover_key: not in probable-cause mode";
   if String.length embed <> 16 then invalid_arg "Detect.recover_key: embed must be 16 bytes";
-  Dpienc.mask_xor t.scratch t.encs.(event.kw_id) ~salt:(event.salt + 1) embed
+  Dpienc.mask_xor t.encs.(event.kw_id) ~salt:(event.salt + 1) embed
 
 let reset t ~salt0 =
   if t.mode = Dpienc.Probable && salt0 land 1 <> 0 then
@@ -132,32 +137,21 @@ let reset t ~salt0 =
   Array.fill t.counts 0 (Array.length t.counts) 0;
   rebuild t
 
-(* Snapshot/restore of the per-connection half of the detector state: the
-   flat salt-counter table plus the base salt.  Ciphers and the index are
-   derivable from (encs, salt0, counts) — [restore_counts] rebuilds them —
+(* The per-connection half of the detector state is the flat
+   salt-counter table plus the base salt.  Ciphers and the index are
+   derivable from (encs, salt0, counts) — [create ~counts] builds them —
    so connection snapshots carry one int per keyword. *)
 let salt_counts t = Array.copy t.counts
-
-let restore_counts t ~salt0 counts =
-  if t.mode = Dpienc.Probable && salt0 land 1 <> 0 then
-    invalid_arg "Detect.restore_counts: salt0 must be even";
-  if Array.length counts <> Array.length t.counts then
-    invalid_arg "Detect.restore_counts: count table size mismatch";
-  Array.iter (fun c -> if c < 0 then
-                 invalid_arg "Detect.restore_counts: negative count") counts;
-  t.salt0 <- salt0;
-  Array.blit counts 0 t.counts 0 (Array.length counts);
-  rebuild t
 
 let size t = Cindex.size t.index
 
 (* Approximate resident bytes of the per-connection half of the detector:
-   the counter/cipher arrays, the index and the one-key scratch.  The
-   borrowed [encs] are charged to their owner. *)
+   the counter/cipher arrays and the index.  The borrowed [encs] are
+   charged to their owner. *)
 let word = Sys.word_size / 8
 
 let footprint_bytes t =
   let n = Array.length t.counts in
   let arrays = 2 * (n + 1) * word in
   let index = 2 * (Cindex.capacity t.index + 1) * word in
-  arrays + index + ((Aes.key_words + 1) * word)
+  arrays + index

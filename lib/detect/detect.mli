@@ -26,17 +26,22 @@ type event = {
 
 type t
 
-(** [create ~mode ~salt0 keywords] — [keywords] are the encrypted rule
-    tokens [AES_k(token)] (16 bytes each); keyword ids are their indices.
-    Duplicate encrypted values are allowed but only the last one's id is
-    reported (callers dedup by token value).  The array is kept, not
-    copied, and never written, so detectors on different domains may
-    borrow one.  A keyword's token key is expanded into the detector's
-    own one-key scratch only when its next cipher is needed: once per
-    keyword here and at {!reset} and {!restore_counts}, once per match,
-    and once per {!recover_key}.  Raises [Invalid_argument] on a keyword
-    that is not 16 bytes. *)
-val create : mode:Bbx_dpienc.Dpienc.mode -> salt0:int -> string array -> t
+(** [create ?counts ~mode ~salt0 keywords] — [keywords] are the
+    encrypted rule tokens [AES_k(token)] (16 bytes each); keyword ids are
+    their indices.  Duplicate encrypted values are allowed but only the
+    last one's id is reported (callers dedup by token value).  The array
+    is kept, not copied, and never written, so detectors on different
+    domains may borrow one.  [counts] (copied; default all zero) is the
+    salt-counter table the detector starts from, one entry per keyword,
+    as {!salt_counts} returned it: connection migration and rule updates
+    build the detector at the carried counters in one pass.  Every
+    keyword's current cipher is computed from its [AES_k(token)] once
+    here, and again only at {!reset} and after a match of that keyword;
+    the detector holds no expanded key ({!recover_key} expands one into
+    a fresh arena).  Raises [Invalid_argument] on a keyword
+    that is not 16 bytes, an odd [salt0] in probable mode, a [counts]
+    table of the wrong size or a negative count. *)
+val create : ?counts:int array -> mode:Bbx_dpienc.Dpienc.mode -> salt0:int -> string array -> t
 
 (** [process_stream t wire ~f] decodes a wire-encoded token stream
     ({!Bbx_dpienc.Dpienc.decode_iter}) and processes each record in
@@ -62,20 +67,14 @@ val reset : t -> salt0:int -> unit
     The per-connection half of a detector is exactly (salt0, one int per
     keyword): current ciphertexts and the index are derivable from it
     plus the encrypted rule tokens.  Connection migration serialises
-    {!salt_counts} and rebuilds with {!restore_counts}. *)
+    {!salt_counts} and rebuilds with [create ~counts]. *)
 
-(** The live salt-counter table, one entry per keyword id. *)
+(** The live salt-counter table, one entry per keyword id (a copy). *)
 val salt_counts : t -> int array
 
-(** [restore_counts t ~salt0 counts] overwrites the counter table and
-    base salt, then rebuilds every current ciphertext and the index.
-    Raises [Invalid_argument] on a size mismatch, a negative count, or an
-    odd [salt0] in probable mode. *)
-val restore_counts : t -> salt0:int -> int array -> unit
-
 (** Approximate resident bytes of this detector's per-connection state:
-    the counter/cipher arrays, the index and the one-key scratch.  The
-    borrowed keyword array is charged to its owner. *)
+    the counter/cipher arrays and the index.  The borrowed keyword array
+    is charged to its owner. *)
 val footprint_bytes : t -> int
 
 (** Number of distinct index entries (= number of keywords, minus any

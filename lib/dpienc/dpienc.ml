@@ -48,7 +48,7 @@ let token_enc key t =
    A token key [AES_{AES_k(t)}] lives in a slot of an [Aes.arena].  The
    sender keeps one per distinct token of a salt period in its key pages
    (below).  The middlebox keeps only [AES_k(t)] per rule chunk and
-   expands a chunk's key into slot 0 of a one-key scratch whenever it
+   encrypts under it with the one-shot [Aes.encrypt_u64_once] whenever it
    needs that chunk's next cipher. *)
 
 let arena_cipher a slot ~salt = Aes.encrypt_u64 a slot salt land rs_mask
@@ -67,15 +67,14 @@ let mask_xor_into a slot ~salt x ~dst ~dst_off =
           lxor Char.code (String.unsafe_get x i)))
   done
 
-let cipher scratch enc ~salt =
-  Aes.expand_into scratch 0 enc;
-  arena_cipher scratch 0 ~salt
+let cipher enc ~salt = Aes.encrypt_u64_once enc salt land rs_mask
 
-let mask_xor scratch enc ~salt x =
+let mask_xor enc ~salt x =
   if String.length x <> 16 then invalid_arg "Dpienc.mask_xor: need 16 bytes";
-  Aes.expand_into scratch 0 enc;
+  let a = Array.make Aes.key_words 0 in
+  Aes.expand_into a 0 enc;
   let dst = Bytes.create 16 in
-  mask_xor_into scratch 0 ~salt x ~dst ~dst_off:0;
+  mask_xor_into a 0 ~salt x ~dst ~dst_off:0;
   Bytes.unsafe_to_string dst
 
 type mode = Exact | Probable

@@ -45,23 +45,21 @@ val token_enc : key -> string -> string
     A token key [AES_{AES_k(t)}] costs one AES key expansion.  The sender
     keeps one per distinct token of a salt period.  The middlebox keeps
     only [AES_k(t)] per rule chunk, as obfuscated rule encryption hands it
-    over (never holding [k]), and expands a chunk's key whenever it needs
-    that chunk's next cipher: at set-up, after a match and at a salt
-    reset.  The two calls below expand [enc = AES_k(t)] into slot 0 of
-    [scratch], an {!Bbx_crypto.Aes.arena} of at least
-    {!Bbx_crypto.Aes.key_words} words that the caller owns and that only
-    one domain uses at a time.  Both raise [Invalid_argument] unless [enc]
-    is 16 bytes. *)
+    over (never holding [k]), and encrypts under it whenever it needs that
+    chunk's next cipher: at set-up, after a match and at a salt reset.
+    Both calls below raise [Invalid_argument] unless [enc = AES_k(t)] is
+    16 bytes. *)
 
-(** [cipher scratch enc ~salt] is [AES_{enc}(salt) mod RS] as a 40-bit
-    int. *)
-val cipher : Bbx_crypto.Aes.arena -> string -> salt:int -> int
+(** [cipher enc ~salt] is [AES_{enc}(salt) mod RS] as a 40-bit int,
+    computed in one pass with the key schedule inside the rounds
+    ({!Bbx_crypto.Aes.encrypt_u64_once}); it allocates nothing. *)
+val cipher : string -> salt:int -> int
 
-(** [mask_xor scratch enc ~salt x] is the unreduced block
-    [AES_{enc}(salt)] XOR the 16-byte [x]: the probable-cause embed of
-    [x = k_ssl] at salt [salt], and, applied to an embed, the recovered
-    [k_ssl]. *)
-val mask_xor : Bbx_crypto.Aes.arena -> string -> salt:int -> string -> string
+(** [mask_xor enc ~salt x] is the unreduced block [AES_{enc}(salt)] XOR
+    the 16-byte [x]: the probable-cause embed of [x = k_ssl] at salt
+    [salt], and, applied to an embed, the recovered [k_ssl].  It expands
+    [enc] into a fresh one-key arena. *)
+val mask_xor : string -> salt:int -> string -> string
 
 type mode = Exact | Probable
 

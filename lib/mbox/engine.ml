@@ -320,16 +320,16 @@ let ruleset_of k = k.ruleset
 let ruleset_id rs = rs.rs_id
 let keys_id k = k.k_id
 
-(* Every connection on a generation starts from zeroed counters and empty
-   evidence; [salt0] must be even in [Probable] mode ([Detect.create]
-   checks). *)
-let make config keys ~direction ~salt0 =
+(* A connection's engine on [keys] around [detect], which was built on
+   [keys.encs] at [salt0], with empty evidence.  [make] starts from zeroed
+   counters; [restore] from a snapshot's. *)
+let make_on config keys ~direction ~salt0 detect =
   let rs = keys.ruleset in
   let nrules = Array.length rs.rules in
   { config;
     direction;
     keys;
-    detect = Bbx_detect.Detect.create ~mode:config.mode ~salt0 keys.encs;
+    detect;
     salt0;
     hits = Array.make (Array.length rs.chunks) no_hits;
     hit_count = 0;
@@ -351,6 +351,11 @@ let make config keys ~direction ~salt0 =
     walked = Bytes.make (Array.length rs.chunks) '\000';
     wq = [||];
     wn = 0 }
+
+(* [salt0] must be even in [Probable] mode ([Detect.create] checks). *)
+let make config keys ~direction ~salt0 =
+  make_on config keys ~direction ~salt0
+    (Bbx_detect.Detect.create ~mode:config.mode ~salt0 keys.encs)
 
 let create ?kernel:_ ~mode ~salt0 ~rules ~enc_chunk () =
   make { default_config with mode } (keys (ruleset rules) ~enc_chunk)
@@ -786,8 +791,7 @@ let update t next =
          | None -> no_hits)
       rs.chunks
   in
-  let detect = Bbx_detect.Detect.create ~mode:t.config.mode ~salt0:t.salt0 next.encs in
-  Bbx_detect.Detect.restore_counts detect ~salt0:t.salt0 counts;
+  let detect = Bbx_detect.Detect.create ~counts ~mode:t.config.mode ~salt0:t.salt0 next.encs in
   t.keys <- next;
   t.detect <- detect;
   t.hits <- hits;
@@ -1028,14 +1032,11 @@ let restore blob =
     let exhausted = Codec.get_bool cur in
     Codec.finish cur;
     let config = { mode; tier; budget = { max_plain_bytes; max_scan_ms } } in
+    (* [Detect.create] validates the salt's parity and the counts *)
     let t =
-      make config (keys_of_encs rs encs) ~direction
-        ~salt0:(if mode = Dpienc.Probable then salt0 land lnot 1 else salt0)
+      make_on config (keys_of_encs rs encs) ~direction ~salt0
+        (Bbx_detect.Detect.create ~counts ~mode ~salt0 encs)
     in
-    (* [make] built the detector at a parity-safe salt; now install the
-       real per-connection counters (validates parity and counts). *)
-    Bbx_detect.Detect.restore_counts t.detect ~salt0 counts;
-    t.salt0 <- salt0;
     t.hits <- hits;
     t.hit_count <- hit_count;
     t.recovered <- recovered;

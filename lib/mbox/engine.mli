@@ -90,8 +90,9 @@ val distinct_chunks : Bbx_rules.Rule.t list -> string array
       the largest rules-only structure);
     - {!keys} hold one key's chunk encryptions [AES_k(chunk)], 16 bytes
       per chunk, built against one ruleset.  No token key is kept: an
-      engine's detector expands a chunk's key from its encryption each
-      time it computes that chunk's next cipher.
+      engine's detector encrypts under a chunk's encryption directly
+      ({!Bbx_dpienc.Dpienc.cipher}) each time it computes that chunk's
+      next cipher.
 
     Nothing writes to either after construction, so engines on different
     domains may share them once published through a synchronised channel
@@ -264,8 +265,8 @@ val update : t -> keys -> unit
 val reset : t -> salt0:int -> unit
 
 (** Approximate resident bytes of this connection's own engine state
-    (the [bbx_conn_bytes] accounting input): the detector and its
-    one-key scratch, the per-rule and per-chunk tables, and the hit
+    (the [bbx_conn_bytes] accounting input): the detector, the
+    per-rule and per-chunk tables, and the hit
     vector of each chunk that has hit (a chunk owns none before its
     first hit).  The borrowed ruleset and key material are not included:
     {!ruleset_bytes} and {!keys_bytes} charge them once to whoever holds

@@ -28,12 +28,13 @@ let rebuild t =
        t.tree <- Avl.insert t.ciphers.(id) id t.tree)
     t.tkeys
 
-let create ~mode ~salt0 encs =
+let create ?counts ~mode ~salt0 encs =
   let n = Array.length encs in
   let t =
     { stride = Dpienc.salt_stride mode; salt0;
       tkeys = Array.map Token_keys.token_key_of_enc encs;
-      counts = Array.make n 0; ciphers = Array.make n 0; tree = Avl.empty }
+      counts = (match counts with Some c -> Array.copy c | None -> Array.make n 0);
+      ciphers = Array.make n 0; tree = Avl.empty }
   in
   rebuild t;
   t
@@ -75,11 +76,6 @@ let reset t ~salt0 =
   rebuild t
 
 let salt_counts t = Array.copy t.counts
-
-let restore_counts t ~salt0 counts =
-  t.salt0 <- salt0;
-  Array.blit counts 0 t.counts 0 (Array.length t.counts);
-  rebuild t
 
 let size t = Avl.size t.tree
 let height t = Avl.height t.tree

@@ -100,6 +100,9 @@ let arena_tests =
           (fun () -> Aes.expand_into a 2 k);
         Alcotest.check_raises "short key" (Invalid_argument "Aes.expand_into: key must be 16 bytes")
           (fun () -> Aes.expand_into a 0 "short");
+        Alcotest.check_raises "one-shot short key"
+          (Invalid_argument "Aes.encrypt_u64_once: key must be 16 bytes")
+          (fun () -> ignore (Aes.encrypt_u64_once (String.make 17 'k') 0 : int));
         Alcotest.check_raises "encrypt past the end"
           (Invalid_argument "Aes.encrypt_u64: slot out of range")
           (fun () -> ignore (Aes.encrypt_u64 a 2 0 : int));
@@ -123,6 +126,41 @@ let arena_tests =
          List.for_all
            (fun v -> u64_agrees key (Aes.key_arena key) 0 v && u64_agrees key a 2 v)
            (salt_cases lo hi));
+    prop "one-shot cipher equals encrypt_u64 under expand_key" ~count:300
+      QCheck.Gen.(triple key16 (int_bound ((1 lsl 32) - 1)) (int_range (1 lsl 32) max_int))
+      (fun (k, lo, hi) ->
+         let a = Aes.key_arena (Aes.expand_key k) in
+         List.for_all
+           (fun v -> Aes.encrypt_u64_once k v = Aes.encrypt_u64 a 0 v)
+           (max_int :: salt_cases lo hi));
+    Alcotest.test_case "the block entry points allocate nothing" `Quick (fun () ->
+        let k = hex "000102030405060708090a0b0c0d0e0f" in
+        let a = Array.make (2 * Aes.key_words) 0 in
+        Aes.expand_into a 1 k;
+        let src = Bytes.make 16 'p' and dst = Bytes.create 16 in
+        (* minor words allocated by 1 000 calls of [f], less those of a
+           loop that calls nothing: the closure is built before the first
+           reading *)
+        let words f =
+          let w0 = Gc.minor_words () in
+          for i = 1 to 1000 do f i done;
+          Gc.minor_words () -. w0
+        in
+        let empty = words (fun _ -> ()) in
+        List.iter
+          (fun (name, f) -> Alcotest.(check (float 0.)) name empty (words f))
+          [ ("encrypt_u64 below 2^32", fun i ->
+                ignore (Sys.opaque_identity (Aes.encrypt_u64 a 1 i) : int));
+            ("encrypt_u64 above 2^32", fun i ->
+                ignore (Sys.opaque_identity (Aes.encrypt_u64 a 1 ((1 lsl 40) + i)) : int));
+            ("encrypt_u64_into below 2^32", fun i -> Aes.encrypt_u64_into a 1 i ~dst ~dst_off:0);
+            ("encrypt_u64_into above 2^32", fun i ->
+                Aes.encrypt_u64_into a 1 ((1 lsl 40) + i) ~dst ~dst_off:0);
+            ("encrypt_block_into", fun _ ->
+                Aes.encrypt_block_into a 1 ~src ~src_off:0 ~dst ~dst_off:0);
+            ("expand_into", fun _ -> Aes.expand_into a 0 k);
+            ("encrypt_u64_once", fun i ->
+                ignore (Sys.opaque_identity (Aes.encrypt_u64_once k i) : int)) ]);
   ]
 
 let sha_tests =

@@ -233,12 +233,12 @@ let stream_tests =
 
 (* ---------- token keys on demand ----------
 
-   A detector keeps only each keyword's 16-byte enc and expands its token
-   key into a one-key scratch whenever it computes a next cipher.  These
-   cases pin that every index entry is the reference cipher at the
-   keyword's current salt after each kind of re-keying, and that two
-   detectors on two domains at once, borrowing one enc array, match the
-   sequential run. *)
+   A detector keeps only each keyword's 16-byte enc and computes a next
+   cipher straight from it with the one-shot cipher.  These cases pin
+   that every index entry is the reference cipher at the keyword's
+   current salt after each kind of re-keying, including a detector
+   created at carried counters, and that two detectors on two domains at
+   once, borrowing one enc array, match the sequential run. *)
 
 let kw_words = List.init 48 (fun i -> Printf.sprintf "kw%06d" i)
 
@@ -298,8 +298,15 @@ let index_after_rekeying mode () =
   check_index "after a reset" mode d encs ~salt0 counts;
   hit_in_order mode d encs ~salt0 counts [ 3; 3; 3 ];
   let restored = Array.mapi (fun i c -> c + (i mod 5)) counts in
-  Detect.restore_counts d ~salt0 restored;
-  check_index "after restore_counts" mode d encs ~salt0 restored
+  let d = Detect.create ~counts:restored ~mode ~salt0 encs in
+  check_index "created at carried counts" mode d encs ~salt0 restored;
+  let rejects what ?(salt0 = salt0) counts =
+    Alcotest.check_raises what (Invalid_argument ("Detect.create: " ^ what)) (fun () ->
+        ignore (Detect.create ~counts ~mode ~salt0 encs : Detect.t))
+  in
+  rejects "count table size mismatch" (Array.sub restored 1 (Array.length restored - 1));
+  rejects "negative count" (Array.mapi (fun i c -> if i = 3 then -1 else c) restored);
+  if mode = Probable then rejects "salt0 must be even" ~salt0:(salt0 + 1) restored
 
 (* The events of one detector run [rounds] times over [wire], each with
    the key recovered from its embed, and the final counters.  A reset

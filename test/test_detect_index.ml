@@ -8,9 +8,9 @@
      backward-shift deletions), with [check_invariants] after every op;
    - [Detect] against the AVL reference detector [Bbx_oracle.Ref_detect]:
      same encrypted keyword set (duplicate ciphers included), same token
-     streams, both modes, interleaved [reset] and [restore_counts] into a
-     fresh detector — event-for-event equal, and [recover_key] byte-equal
-     in probable-cause mode;
+     streams, both modes, interleaved [reset] and moves of the counters
+     into a fresh detector ([create ~counts]) — event-for-event equal, and
+     [recover_key] byte-equal in probable-cause mode;
    - a random multi-connection trace through [Shardpool] at 1/2/4
      domains against a replay of the same wires through one AVL detector
      per connection, lifted to Protocol I verdicts: same per-delivery
@@ -153,19 +153,15 @@ let k_ssl = String.init 16 (fun i -> Char.chr (0x40 + i))
    reference both provide it. *)
 module type DETECTOR = sig
   type t
-  val create : mode:mode -> salt0:int -> string array -> t
+  val create : ?counts:int array -> mode:mode -> salt0:int -> string array -> t
   val process_stream : t -> string -> f:(Detect.event -> embed_pos:int -> unit) -> int
   val recover_key : t -> event:Detect.event -> embed:string -> string
   val reset : t -> salt0:int -> unit
   val salt_counts : t -> int array
-  val restore_counts : t -> salt0:int -> int array -> unit
   val size : t -> int
 end
 
-module Flat = struct
-  include Detect
-  let create ~mode ~salt0 encs = Detect.create ~mode ~salt0 encs
-end
+module Flat = Detect
 
 (* Replay one scenario; returns the observed events (full records), every
    recovered key, in order, and the final index size.  [`Restore] moves
@@ -197,9 +193,7 @@ let replay (module D : DETECTOR) mode encs ops =
                    :: !keys)
             : int)
       | `Restore ->
-        let fresh = D.create ~mode ~salt0:0 encs in
-        D.restore_counts fresh ~salt0:!salt0 (D.salt_counts !det);
-        det := fresh
+        det := D.create ~counts:(D.salt_counts !det) ~mode ~salt0:!salt0 encs
       | `Reset s0 ->
         D.reset !det ~salt0:s0;
         salt0 := s0;
