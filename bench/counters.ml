@@ -48,7 +48,10 @@
      [Client.pairs_for] on the list it returns — the pairs themselves
      are 64 B per chunk;
    - frame-hello-3k: bytes allocated per text byte by
-     [Wire.encode_frame_string] on that HELLO_OK frame.
+     [Wire.encode_frame_string] on that HELLO_OK frame;
+   - frame-decode-hello-3k: bytes allocated per text byte by the
+     [Wire.Framer.next] that turns that frame, already fed, into its
+     message: the text is copied once, out of the framer's buffer.
 
    The garble rows price obfuscated rule encryption's garbling (§3.3) on
    the tower AES circuit ([Aes_circuit.build_tower], 67 848 gates),
@@ -274,22 +277,29 @@ let keys_counters rules =
    bytes per chunk on a warm entry and, informational, on a cold one (a
    changed text: parse, chunk derivation, pairs — every connection's cost
    before the entry existed), then bytes per text byte to encode the
-   frame.  Returns the chunk count and the text's length too. *)
+   frame and to decode it out of a framer.  Returns the chunk count and
+   the text's length too. *)
 let setup_counters rules =
-  let announce rules = String.concat "\n" (List.map Rule.to_string rules) in
-  let text = announce rules and other = announce (List.tl rules) in
+  let text = Parser.render_ruleset rules
+  and other = Parser.render_ruleset (List.tl rules) in
   let setup () = Client.pairs_for ~key (Client.rules_of_text text) in
   ignore (Client.rules_of_text other : Rule.t list);
   let pairs, cold = Bench_util.metered setup in
   let (_ : (string * string) array), warm = Bench_util.metered setup in
   let frame = Wire.Hello_ok { conn_id = 1; mode = Dpienc.Exact; rules_text = text } in
-  let (_ : string), frame_alloc =
+  let framed, frame_alloc =
     Bench_util.metered (fun () -> Wire.encode_frame_string frame)
   in
-  let n = float_of_int (Array.length pairs) in
+  let framer = Wire.Framer.create () in
+  Wire.Framer.feed framer (Bytes.unsafe_of_string framed) 0 (String.length framed);
+  let (_ : Wire.msg option), decode_alloc =
+    Bench_util.metered (fun () -> Wire.Framer.next framer)
+  in
+  let n = float_of_int (Array.length pairs) and text_bytes = float_of_int (String.length text) in
   ( warm /. n,
     cold /. n,
-    frame_alloc /. float_of_int (String.length text),
+    frame_alloc /. text_bytes,
+    decode_alloc /. text_bytes,
     Array.length pairs,
     String.length text )
 
@@ -435,11 +445,14 @@ let run () =
     "  keys (3 000 ET rules, %d chunks): %.1f B allocated/chunk, keys_bytes %.1f B/chunk; \
      Engine.make %.1f B allocated/chunk\n%!"
     nchunks keys_alloc keys_bytes make_alloc;
-  let setup_warm, setup_cold, frame_hello, setup_chunks, text_bytes = setup_counters rules3k in
+  let setup_warm, setup_cold, frame_hello, frame_decode, setup_chunks, text_bytes =
+    setup_counters rules3k
+  in
   Printf.printf
     "  client set-up (3 000 ET rules, %d chunks, %d B HELLO_OK text): %.1f B allocated/chunk \
-     on a warm entry, %.1f on a changed text; HELLO_OK frame %.2f B allocated/text byte\n%!"
-    setup_chunks text_bytes setup_warm setup_cold frame_hello;
+     on a warm entry, %.1f on a changed text; HELLO_OK frame %.2f B allocated/text byte to \
+     encode, %.2f to decode\n%!"
+    setup_chunks text_bytes setup_warm setup_cold frame_hello frame_decode;
   let garble_alloc, eval_alloc, gates = garble_counters () in
   Printf.printf
     "  garbling (tower AES circuit, %d gates): %.1f B allocated/gate to garble, %.1f to \
@@ -459,6 +472,8 @@ let run () =
         { name = "sender-cold.alloc_bytes"; unit_ = "B/token"; value = sender_html.cold };
         { name = "setup-3k.client_alloc_bytes"; unit_ = "B/chunk"; value = setup_warm };
         { name = "frame-hello-3k.alloc_bytes"; unit_ = "B/text byte"; value = frame_hello };
+        { name = "frame-decode-hello-3k.alloc_bytes"; unit_ = "B/text byte";
+          value = frame_decode };
         { name = "garble-tower.alloc_bytes"; unit_ = "B/gate"; value = garble_alloc };
         { name = "garble-tower.eval_alloc_bytes"; unit_ = "B/gate"; value = eval_alloc } ]
   in

@@ -5,7 +5,6 @@
 type t = {
   next : int array array;     (* node -> byte -> node *)
   outputs : int list array;   (* node -> pattern indices ending here *)
-  n_patterns : int;
 }
 
 let build patterns =
@@ -64,7 +63,7 @@ let build patterns =
       end
     done
   done;
-  { next = goto; outputs; n_patterns = Array.length patterns }
+  { next = goto; outputs }
 
 let search t payload =
   let acc = ref [] in
@@ -100,9 +99,6 @@ let count_matches t payload =
        | l -> count := !count + List.length l)
     payload;
   !count
-
-let pattern_count t = t.n_patterns
-let node_count t = Array.length t.next
 
 let footprint_bytes t =
   let word = Sys.word_size / 8 in

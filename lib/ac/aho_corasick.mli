@@ -24,9 +24,6 @@ val search_first : t -> string -> (int * int) option
     list (for the throughput bench). *)
 val count_matches : t -> string -> int
 
-val pattern_count : t -> int
-val node_count : t -> int
-
 (** Approximate resident bytes of the automaton (the dense transition
     tables dominate: ~2 KiB per node). *)
 val footprint_bytes : t -> int

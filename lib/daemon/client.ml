@@ -26,11 +26,8 @@ let send t msg = Sockio.write_string t.fd (Wire.encode_frame_string msg)
 
 let rec recv t =
   match Wire.Framer.next t.framer with
-  | Some payload -> begin
-      match Wire.decode payload with
-      | Wire.Error { code; message } -> raise (Server_error { code; message })
-      | msg -> msg
-    end
+  | Some (Wire.Error { code; message }) -> raise (Server_error { code; message })
+  | Some msg -> msg
   | None ->
     let n = Sockio.read t.fd t.scratch 0 (Bytes.length t.scratch) in
     if n = 0 then raise End_of_file;
@@ -87,8 +84,7 @@ let salt_reset t ~salt0 = send t (Wire.Salt_reset { salt0 })
 
 let update_rules t ~remove_sids ~add ~pairs =
   send t
-    (Wire.Rule_update
-       { remove_sids; add_text = String.concat "\n" (List.map Rule.to_string add); pairs });
+    (Wire.Rule_update { remove_sids; add_text = Parser.render_ruleset add; pairs });
   (* verdicts for deliveries submitted before the update may land before
      the ack; hand them back rather than dropping them on the floor *)
   let rec await acc =

@@ -27,19 +27,15 @@ let obs_paused = Obs.counter "bbx_daemon_read_pauses_total"
    read (decode) -> validate -> queue wait -> shard service -> write
    (output-queue residency up to the hand-off of the frame's last bytes
    to the socket). *)
-let us_buckets =
-  [| 1; 5; 10; 25; 50; 100; 250; 500; 1000; 2500; 5000; 10000; 25000;
-     50000; 100000; 250000; 1000000 |]
-
-let obs_read_us = Obs.histogram "bbx_daemon_read_us" ~buckets:us_buckets
-let obs_validate_us = Obs.histogram "bbx_daemon_validate_us" ~buckets:us_buckets
-let obs_write_us = Obs.histogram "bbx_daemon_write_us" ~buckets:us_buckets
+let obs_read_us = Obs.histogram "bbx_daemon_read_us" ~buckets:Obs.us_buckets
+let obs_validate_us = Obs.histogram "bbx_daemon_validate_us" ~buckets:Obs.us_buckets
+let obs_write_us = Obs.histogram "bbx_daemon_write_us" ~buckets:Obs.us_buckets
 
 (* Event-loop health: the busy part of each iteration (select return to
    iteration end) plus a counter of iterations past the stall bound —
    a stalled front loop is invisible in per-frame latency but starves
    every connection at once. *)
-let obs_loop_us = Obs.histogram "bbx_daemon_loop_us" ~buckets:us_buckets
+let obs_loop_us = Obs.histogram "bbx_daemon_loop_us" ~buckets:Obs.us_buckets
 let obs_loop_stalls = Obs.counter "bbx_daemon_loop_stalls_total"
 
 let loop_stall_us = 100_000
@@ -481,13 +477,13 @@ let handle_readable t cl =
         Wire.Framer.feed cl.framer t.scratch 0 n;
         let continue = ref true in
         while !continue && not (cl.closed || cl.closing) do
+          (* the read phase is [Framer.next]: the frame's decode, in place *)
+          let timing = timing_on () in
+          let t0 = if timing then Trace.now_ns () else 0 in
           match Wire.Framer.next cl.framer with
           | None -> continue := false
-          | Some payload ->
+          | Some msg ->
             Obs.incr obs_frames_in;
-            let timing = timing_on () in
-            let t0 = if timing then Trace.now_ns () else 0 in
-            let msg = Wire.decode payload in
             if timing then begin
               let id =
                 match msg with Wire.Token_stream { seq; _ } -> seq | _ -> -1
@@ -702,7 +698,7 @@ let init cfg =
     listen_fd;
     clients = Hashtbl.create 64;
     pending = Queue.create ();
-    rules_text = String.concat "\n" (List.map Rule.to_string cfg.rules);
+    rules_text = Parser.render_ruleset cfg.rules;
     ruleset;
     next_conn_id = 0;
     last_rebalance = Unix.gettimeofday ();

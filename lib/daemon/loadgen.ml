@@ -185,8 +185,8 @@ type totals = {
   mutable t_done : int;
 }
 
-let handle_frame totals rtts c payload =
-  match Wire.decode payload with
+let handle_frame totals rtts c msg =
+  match msg with
   | Wire.Verdict { seq; status; verdicts } ->
     if seq < 0 || seq >= Array.length c.c_t_send || c.c_t_send.(seq) = 0.
     then failwith "loadgen: verdict for an unsent frame";
@@ -285,7 +285,7 @@ let stream cfg conns =
             Wire.Framer.feed c.c_framer scratch 0 n;
             let rec drain () =
               match Wire.Framer.next c.c_framer with
-              | Some payload -> handle_frame totals rtts c payload; drain ()
+              | Some msg -> handle_frame totals rtts c msg; drain ()
               | None -> ()
             in
             drain ()

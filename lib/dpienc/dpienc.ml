@@ -79,6 +79,10 @@ let mask_xor enc ~salt x =
 
 type mode = Exact | Probable
 
+let mode_byte = function Exact -> 0 | Probable -> 1
+
+let mode_of_byte = function 0 -> Some Exact | 1 -> Some Probable | _ -> None
+
 let salt_stride = function Exact -> 1 | Probable -> 2
 
 (* ---- wire format (Wire.version 3) ----

@@ -63,6 +63,13 @@ val mask_xor : string -> salt:int -> string -> string
 
 type mode = Exact | Probable
 
+(** The mode's byte, [Exact] 0 and [Probable] 1: the mode field of
+    [HELLO], [HELLO_OK] and a connection snapshot. *)
+val mode_byte : mode -> int
+
+(** [mode_of_byte b] — inverse of {!mode_byte} ([None] outside 0..1). *)
+val mode_of_byte : int -> mode option
+
 (** Sender-side encryptor with the counter table of §3.2. *)
 type sender
 

@@ -12,10 +12,7 @@ let obs_domains = Obs.gauge "bbx_exec_domains"
    timestamp rides in the message so it costs one clock read at push and
    one per drained batch; with both Obs and Trace disabled the sentinel
    [-1] skips the clock entirely. *)
-let obs_queue_wait =
-  Obs.histogram "bbx_exec_queue_wait_us"
-    ~buckets:[| 1; 5; 10; 25; 50; 100; 250; 500; 1000; 2500; 5000; 10000;
-                25000; 50000; 100000; 250000; 1000000 |]
+let obs_queue_wait = Obs.histogram "bbx_exec_queue_wait_us" ~buckets:Obs.us_buckets
 
 let stamp_ns () =
   if Obs.enabled () || Trace.enabled () then Trace.now_ns () else -1

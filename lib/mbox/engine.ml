@@ -2,6 +2,7 @@ open Bbx_dpienc
 open Bbx_rules
 open Bbx_tokenizer
 module Obs = Bbx_obs.Obs
+module Codec = Bbx_codec.Codec
 
 let obs_hits = Obs.counter "bbx_engine_keyword_hits_total"
 let obs_recoveries = Obs.counter "bbx_engine_key_recoveries_total"
@@ -14,13 +15,9 @@ let obs_dropped = Obs.counter "bbx_tier_records_dropped_total"
 let obs_evaluated = Obs.counter "bbx_engine_rules_evaluated_total"
 let obs_visited = Obs.counter "bbx_engine_candidates_visited_total"
 
-type detail = [ `Exact_hit | `Composite_match | `Regex_match | `Budget_exceeded ]
+type detail = Classify.detail
 
-let detail_name = function
-  | `Exact_hit -> "exact-hit"
-  | `Composite_match -> "composite-match"
-  | `Regex_match -> "regex-match"
-  | `Budget_exceeded -> "budget-exceeded"
+let detail_name = Classify.detail_name
 
 type verdict = { rule_idx : int; rule : Rule.t; detail : detail }
 
@@ -100,22 +97,6 @@ type config = { mode : Dpienc.mode; tier : Classify.protocol_class; budget : bud
 let default_config =
   { mode = Dpienc.Exact; tier = Classify.Protocol_III; budget = default_budget }
 
-(* Per-rule escalation state is two byte tables indexed by rule_idx
-   (previously two hashtables): [decided] holds 0 for undecided or
-   [detail_byte + 1]; [gates] holds 0/1 for the sticky keyword gate. *)
-let detail_byte = function
-  | `Exact_hit -> 0
-  | `Composite_match -> 1
-  | `Regex_match -> 2
-  | `Budget_exceeded -> 3
-
-let detail_of_byte = function
-  | 0 -> `Exact_hit
-  | 1 -> `Composite_match
-  | 2 -> `Regex_match
-  | 3 -> `Budget_exceeded
-  | b -> invalid_arg (Printf.sprintf "Engine: bad detail byte %d" b)
-
 (* Identity for footprint accounting: a shard charges each ruleset and
    key material once, however many of its connections borrow it. *)
 let next_id = Atomic.make 0
@@ -174,7 +155,8 @@ type t = {
   mutable recovered : string option;
   (* --- escalation state (all of it survives [reset]: probable cause and
      everything derived from it are connection-lifetime facts) --- *)
-  mutable decided : Bytes.t;                   (* rule_idx -> 0 | detail + 1 *)
+  mutable decided : Bytes.t;                   (* rule_idx -> 0 undecided, or
+                                                  Classify.detail_byte + 1 *)
   mutable gates : Bytes.t;                     (* rule_idx -> keyword gate
                                                   passed at some point *)
   mutable pending : string list;               (* sealed records, newest first,
@@ -669,7 +651,7 @@ let evaluate t rule_idx ~visited =
   let rs = t.keys.ruleset in
   let rule = rs.rules.(rule_idx) in
   let decide detail =
-    Bytes.set t.decided rule_idx (Char.chr (detail_byte detail + 1));
+    Bytes.set t.decided rule_idx (Char.chr (Classify.detail_byte detail + 1));
     Some { rule_idx; rule; detail }
   in
   match rs.classes.(rule_idx) with
@@ -750,7 +732,8 @@ let decided t =
     | 0 -> ()
     | b ->
       acc :=
-        { rule_idx = i; rule = t.keys.ruleset.rules.(i); detail = detail_of_byte (b - 1) }
+        { rule_idx = i; rule = t.keys.ruleset.rules.(i);
+          detail = Option.get (Classify.detail_of_byte (b - 1)) }
         :: !acc
   done;
   !acc
@@ -876,9 +859,9 @@ let footprint_bytes t =
 
 (* ---------- snapshot / restore ---------------------------------------- *)
 
-(* Binary connection snapshot (format v2), self-contained: the config,
-   the rules as their text form (the same [Rule.to_string]/
-   [Parser.parse_ruleset] roundtrip the daemon already relies on), one
+(* Binary connection snapshot (format v2, {!Bbx_codec.Codec}),
+   self-contained: the config, the rules as their text form
+   ([Parser.render_ruleset], the text a daemon announces), one
    record per chunk of the ruleset — its encryption, salt counter and hit
    offsets — so restore needs no enc-chunk oracle, and every piece of
    escalation state — sticky decisions and gates, recovered [k_ssl],
@@ -895,14 +878,13 @@ let snapshot t =
   let b = Buffer.create 4096 in
   let c = t.config in
   Codec.put_u8 b snapshot_version;
-  Codec.put_u8 b (match c.mode with Dpienc.Exact -> 0 | Dpienc.Probable -> 1);
+  Codec.put_u8 b (Dpienc.mode_byte c.mode);
   Codec.put_u8 b (Classify.rank c.tier);
   Codec.put_i64 b c.budget.max_plain_bytes;
   Codec.put_i64 b c.budget.max_scan_ms;
   Codec.put_str32 b t.direction;
   Codec.put_i64 b t.salt0;
-  Codec.put_str32 b
-    (String.concat "\n" (Array.to_list (Array.map Rule.to_string t.keys.ruleset.rules)));
+  Codec.put_str32 b (Parser.render_ruleset (Array.to_list t.keys.ruleset.rules));
   let counts = Bbx_detect.Detect.salt_counts t.detect in
   Codec.put_u32 b (Array.length t.keys.encs);
   Array.iteri
@@ -941,10 +923,8 @@ let restore blob =
     let version = Codec.get_u8 cur in
     if version <> snapshot_version then fail "unknown snapshot version %d" version;
     let mode =
-      match Codec.get_u8 cur with
-      | 0 -> Dpienc.Exact
-      | 1 -> Dpienc.Probable
-      | m -> fail "bad mode %d" m
+      let m = Codec.get_u8 cur in
+      match Dpienc.mode_of_byte m with Some mode -> mode | None -> fail "bad mode %d" m
     in
     let tier =
       match Classify.of_rank (Codec.get_u8 cur) with
@@ -964,7 +944,7 @@ let restore blob =
        forged count beyond the blob's remainder is rejected before the
        allocation it sizes *)
     let guard_count n per =
-      if n * per > String.length blob - cur.Codec.pos then fail "count exceeds blob"
+      if n * per > Codec.remaining cur then fail "count exceeds blob"
     in
     let n_chunks = Codec.get_u32 cur in
     if n_chunks <> Array.length rs.chunks then fail "chunk table size mismatch";
@@ -1064,4 +1044,4 @@ let restore blob =
     t
   with
   | t -> t
-  | exception Codec.Corrupt msg -> fail "%s" msg
+  | exception Codec.Malformed msg -> fail "%s" msg

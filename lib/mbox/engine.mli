@@ -25,10 +25,11 @@
     The engine runs at the {!config}'s tier: rules requiring a higher
     protocol than the configured tier are ignored entirely. *)
 
-(** How a verdict was reached — the wire-visible detail. *)
-type detail = [ `Exact_hit | `Composite_match | `Regex_match | `Budget_exceeded ]
+(** How a verdict was reached — the wire-visible detail,
+    {!Bbx_rules.Classify.detail}. *)
+type detail = Bbx_rules.Classify.detail
 
-(** Stable short name per detail: ["exact-hit"], ["composite-match"],
+(** {!Bbx_rules.Classify.detail_name}: ["exact-hit"], ["composite-match"],
     ["regex-match"], ["budget-exceeded"]. *)
 val detail_name : detail -> string
 
@@ -282,7 +283,9 @@ val footprint_bytes : t -> int
     sequence, recovered plaintext, prefilter progress and budget
     accounting.  [restore (snapshot t)] yields an engine observably
     identical to [t] — same future verdicts, stats and escalation
-    behaviour (pinned by the migration differential tests). *)
+    behaviour (pinned by the migration differential tests).  The image
+    is written and read by {!Bbx_codec.Codec}, the codec of the wire
+    frames. *)
 
 (** Serialise the complete per-connection state (format v2). *)
 val snapshot : t -> string

@@ -1,4 +1,5 @@
 module Obs = Bbx_obs.Obs
+module Codec = Bbx_codec.Codec
 
 (* Aggregate middlebox accounting, mirrored into the process-wide obs
    registry so `blindbox stats` / bench snapshots see middlebox activity
@@ -189,7 +190,7 @@ let parse_export ~mode blob =
     { engine; conn_blocked; conn_tokens; conn_verdicts }
   with
   | c -> c
-  | exception Codec.Corrupt msg ->
+  | exception Codec.Malformed msg ->
     invalid_arg ("Shard.parse_export: " ^ msg)
 
 (* Infallible by design: validation happened in {!parse_export} on the

@@ -12,12 +12,8 @@ let obs_migrations = Obs.counter "bbx_conn_migrations_total"
    (queue wait) and the Shard inspection itself (service).  These are the
    daemon-facing names the ROADMAP's queue-wait-vs-service question needs;
    the generic mailbox residency is bbx_exec_queue_wait_us in Pool. *)
-let us_buckets =
-  [| 1; 5; 10; 25; 50; 100; 250; 500; 1000; 2500; 5000; 10000; 25000;
-     50000; 100000; 250000; 1000000 |]
-
-let obs_queue_wait = Obs.histogram "bbx_daemon_queue_wait_us" ~buckets:us_buckets
-let obs_service = Obs.histogram "bbx_shard_service_us" ~buckets:us_buckets
+let obs_queue_wait = Obs.histogram "bbx_daemon_queue_wait_us" ~buckets:Obs.us_buckets
+let obs_service = Obs.histogram "bbx_shard_service_us" ~buckets:Obs.us_buckets
 
 let ph_queue = Trace.phase "queue_wait"
 let ph_service = Trace.phase "service"

@@ -28,7 +28,3 @@ let page_load link model scheme ~text_bytes ~binary_bytes =
         text +. binary +. (text *. model.token_wire_per_text_byte) )
   in
   link.rtt_s +. Float.max cpu (wire *. 8.0 /. link.bandwidth_bps)
-
-let page_load_page link model scheme page =
-  page_load link model scheme
-    ~text_bytes:(Page.text_bytes page) ~binary_bytes:(Page.binary_bytes page)

@@ -37,6 +37,3 @@ type scheme = Tls | Blindbox
 (** [page_load link model scheme ~text_bytes ~binary_bytes] in seconds. *)
 val page_load :
   link -> cost_model -> scheme -> text_bytes:int -> binary_bytes:int -> float
-
-(** [page_load_page link model scheme page] — same on a {!Page.t}. *)
-val page_load_page : link -> cost_model -> scheme -> Page.t -> float

@@ -108,6 +108,10 @@ let histogram name ~buckets =
        h)
     (function Histogram h -> Some h | _ -> None)
 
+let us_buckets =
+  [| 1; 5; 10; 25; 50; 100; 250; 500; 1000; 2500; 5000; 10000; 25000;
+     50000; 100000; 250000; 1000000 |]
+
 let observe h v =
   if Atomic.get on then begin
     let n = Array.length h.bounds in
@@ -120,8 +124,6 @@ let observe h v =
 
 let histogram_count h = Atomic.get h.h_count
 let histogram_sum h = Atomic.get h.h_sum
-let histogram_bounds h = Array.copy h.bounds
-let histogram_bucket_counts h = Array.map Atomic.get h.counts
 
 (* Upper-bound percentile estimate: the first bucket bound whose cumulative
    count reaches the quantile (the +Inf bucket reports the last finite
@@ -143,9 +145,6 @@ let percentile_of_counts ~bounds ~counts q =
     done;
     if Float.is_nan !result then 0.0 else !result
   end
-
-let histogram_percentile h q =
-  percentile_of_counts ~bounds:h.bounds ~counts:(Array.map Atomic.get h.counts) q
 
 let span name =
   register name

@@ -74,6 +74,10 @@ type histogram
     returns the existing histogram (its buckets win). *)
 val histogram : string -> buckets:int array -> histogram
 
+(** The 17 bucket bounds every microsecond latency histogram uses, 1 us
+    to 1 s. *)
+val us_buckets : int array
+
 (** [observe h v] bumps the first bucket with bound [>= v] ([+Inf] when
     none), plus the running sum and count. *)
 val observe : histogram -> int -> unit
@@ -81,26 +85,16 @@ val observe : histogram -> int -> unit
 val histogram_count : histogram -> int
 val histogram_sum : histogram -> int
 
-(** Snapshot of the finite upper bounds (ascending, [+Inf] excluded). *)
-val histogram_bounds : histogram -> int array
-
-(** Snapshot of per-bucket (non-cumulative) counts; length
-    [Array.length (histogram_bounds h) + 1], last cell is [+Inf]. *)
-val histogram_bucket_counts : histogram -> int array
-
 (** [percentile_of_counts ~bounds ~counts q] estimates the [q]-quantile
-    ([0 < q <= 1]) from a bucket snapshot shaped like
-    {!histogram_bounds}/{!histogram_bucket_counts}: it returns the first
+    ([0 < q <= 1]) from a bucket snapshot: [bounds] the finite upper
+    bounds, [counts] the per-bucket (non-cumulative) counts with the
+    [+Inf] bucket last.  It returns the first
     bucket bound whose cumulative count reaches the quantile — an upper
     bound, except for mass in the [+Inf] bucket which reports the last
     finite bound (a floor; the histogram holds no finer information).
     [0.0] when the counts are all zero.  Taking snapshots as arrays lets
     callers diff two snapshots to get interval percentiles. *)
 val percentile_of_counts : bounds:int array -> counts:int array -> float -> float
-
-(** [histogram_percentile h q] = {!percentile_of_counts} over the live
-    cells of [h]. *)
-val histogram_percentile : histogram -> float -> float
 
 (** {1 Spans}
 

@@ -48,30 +48,24 @@ let phase_name i =
 
 let fields = 5 (* phase, id, conn, start_ns, dur_ns *)
 
+(* events per domain *)
+let capacity = 8192
+
 type ring = {
   dom : int;
-  data : int array;             (* fields * cap *)
-  cap : int;
+  data : int array;             (* fields * capacity *)
   mutable next : int;           (* slot the next event lands in *)
-  mutable count : int;          (* live events, <= cap *)
+  mutable count : int;          (* live events, <= capacity *)
 }
-
-let default_capacity = Atomic.make 8192
-
-let set_capacity n =
-  if n < 1 then invalid_arg "Trace.set_capacity: capacity must be >= 1";
-  Atomic.set default_capacity n
 
 let rings_lock = Mutex.create ()
 let rings : ring list ref = ref []
 
 let dls_ring : ring Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
-      let cap = Atomic.get default_capacity in
       let r =
         { dom = (Domain.self () :> int);
-          data = Array.make (cap * fields) 0;
-          cap;
+          data = Array.make (capacity * fields) 0;
           next = 0;
           count = 0 }
       in
@@ -89,13 +83,9 @@ let record ph ~id ~conn ~start_ns ~dur_ns =
     r.data.(base + 2) <- conn;
     r.data.(base + 3) <- start_ns;
     r.data.(base + 4) <- dur_ns;
-    r.next <- (if r.next + 1 = r.cap then 0 else r.next + 1);
-    if r.count < r.cap then r.count <- r.count + 1
+    r.next <- (if r.next + 1 = capacity then 0 else r.next + 1);
+    if r.count < capacity then r.count <- r.count + 1
   end
-
-let record_since ph ~id ~conn ~start_ns =
-  if Atomic.get on then
-    record ph ~id ~conn ~start_ns ~dur_ns:(now_ns () - start_ns)
 
 (* ---- dumping ---- *)
 
@@ -114,9 +104,9 @@ let events () =
   Mutex.unlock rings_lock;
   List.concat_map
     (fun r ->
-       let first = if r.count < r.cap then 0 else r.next in
+       let first = if r.count < capacity then 0 else r.next in
        List.init r.count (fun i ->
-           let b = (first + i) mod r.cap * fields in
+           let b = (first + i) mod capacity * fields in
            { e_phase = r.data.(b);
              e_id = r.data.(b + 1);
              e_conn = r.data.(b + 2);

@@ -11,7 +11,7 @@
     Each domain lazily acquires its own ring on first record (registered
     in a process-wide list for {!events}); when a ring is full the oldest
     events are overwritten, which is exactly the flight-recorder contract:
-    dumping always shows the most recent [capacity] events per domain.
+    dumping always shows the most recent 8 192 events per domain.
 
     {b Dumping} merges every domain's ring, sorts by start time and
     renders either Chrome-trace-event JSON ({!dump_chrome} — loadable by
@@ -56,15 +56,6 @@ val now_ns : unit -> int
     when absent).  No-op when disabled. *)
 val record : phase -> id:int -> conn:int -> start_ns:int -> dur_ns:int -> unit
 
-(** [record_since ph ~id ~conn ~start_ns] = {!record} with
-    [dur_ns = now_ns () - start_ns]. *)
-val record_since : phase -> id:int -> conn:int -> start_ns:int -> unit
-
-(** [set_capacity n] sets the ring capacity (events per domain) used by
-    rings created {e after} the call; existing rings keep theirs.
-    Default 8192. *)
-val set_capacity : int -> unit
-
 (** {1 Dumping} *)
 
 type event = {
@@ -91,5 +82,5 @@ val dump_jsonl : unit -> string
     {!dump_chrome} otherwise. *)
 val save : path:string -> unit
 
-(** [reset ()] empties every ring (capacities and registrations stay). *)
+(** [reset ()] empties every ring (registrations stay). *)
 val reset : unit -> unit

@@ -17,10 +17,26 @@ let of_rank = function
   | 3 -> Some Protocol_III
   | _ -> None
 
-let class_name = function
-  | Protocol_I -> "exact"
-  | Protocol_II -> "composite"
-  | Protocol_III -> "decrypt"
+type detail = [ `Exact_hit | `Composite_match | `Regex_match | `Budget_exceeded ]
+
+let detail_name = function
+  | `Exact_hit -> "exact-hit"
+  | `Composite_match -> "composite-match"
+  | `Regex_match -> "regex-match"
+  | `Budget_exceeded -> "budget-exceeded"
+
+let detail_byte = function
+  | `Exact_hit -> 0
+  | `Composite_match -> 1
+  | `Regex_match -> 2
+  | `Budget_exceeded -> 3
+
+let detail_of_byte = function
+  | 0 -> Some `Exact_hit
+  | 1 -> Some `Composite_match
+  | 2 -> Some `Regex_match
+  | 3 -> Some `Budget_exceeded
+  | _ -> None
 
 let supported_by cls r = rank (classify r) <= rank cls
 

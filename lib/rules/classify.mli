@@ -15,8 +15,24 @@ val rank : protocol_class -> int
 (** [of_rank n] — inverse of {!rank} ([None] outside 1..3). *)
 val of_rank : int -> protocol_class option
 
-(** Short stable name per tier: ["exact"], ["composite"], ["decrypt"]. *)
-val class_name : protocol_class -> string
+(** How a rule-level verdict was reached: a Protocol I exact hit, a
+    Protocol II composite match, Protocol III regex confirmation over the
+    recovered stream, or escalation-budget exhaustion ("flagged, not
+    matched").  The middlebox engine decides it and the wire carries it. *)
+type detail = [ `Exact_hit | `Composite_match | `Regex_match | `Budget_exceeded ]
+
+(** Stable short name per detail: ["exact-hit"], ["composite-match"],
+    ["regex-match"], ["budget-exceeded"]. *)
+val detail_name : detail -> string
+
+(** The detail's byte, 0 to 3 in the order of {!detail}: a [VERDICT]
+    entry's detail byte and the engine's per-rule decision table both
+    use it. *)
+val detail_byte : detail -> int
+
+(** [detail_of_byte b] — inverse of {!detail_byte} ([None] outside
+    0..3). *)
+val detail_of_byte : int -> detail option
 
 (** [supported_by cls rule]: can a middlebox running protocol [cls]
     implement [rule]?  (III supports everything, II supports I and II...) *)

@@ -159,3 +159,5 @@ let parse_ruleset text =
   |> List.filter_map (fun line ->
       let line = String.trim line in
       if line = "" || line.[0] = '#' then None else Some (parse_rule line))
+
+let render_ruleset rules = String.concat "\n" (List.map Rule.to_string rules)

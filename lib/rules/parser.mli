@@ -14,3 +14,9 @@ val decode_content : string -> string
 (** [parse_ruleset text] parses one rule per non-empty, non-comment ([#])
     line. *)
 val parse_ruleset : string -> Rule.t list
+
+(** [render_ruleset rules] — one {!Rule.to_string} per line: the text a
+    daemon announces in [HELLO_OK], a client ships in [RULE_UPDATE] and a
+    connection snapshot carries.  [parse_ruleset (render_ruleset rules)]
+    gives back [rules]. *)
+val render_ruleset : Rule.t list -> string

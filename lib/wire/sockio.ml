@@ -17,15 +17,6 @@ let read fd buf off len = retry (fun () -> Unix.read fd buf off len)
 
 let write fd buf off len = retry (fun () -> Unix.write fd buf off len)
 
-let really_read fd buf off len =
-  let off = ref off and len = ref len in
-  while !len > 0 do
-    let n = read fd buf !off !len in
-    if n = 0 then raise End_of_file;
-    off := !off + n;
-    len := !len - n
-  done
-
 let really_write fd buf off len =
   let off = ref off and len = ref len in
   while !len > 0 do

@@ -24,10 +24,6 @@ val read : Unix.file_descr -> Bytes.t -> int -> int -> int
 (** [write fd buf off len] — [Unix.write] with [EINTR] retry. *)
 val write : Unix.file_descr -> Bytes.t -> int -> int -> int
 
-(** [really_read fd buf off len] reads exactly [len] bytes, looping over
-    short reads.  Raises [End_of_file] if the peer closes first. *)
-val really_read : Unix.file_descr -> Bytes.t -> int -> int -> unit
-
 (** [really_write fd buf off len] writes exactly [len] bytes, looping
     over short writes. *)
 val really_write : Unix.file_descr -> Bytes.t -> int -> int -> unit

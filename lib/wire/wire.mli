@@ -8,8 +8,11 @@
     where [payload.[0]] is the message type byte and the rest is the
     message body ({!decode} works on whole payloads; the 4-byte length
     prefix is handled by {!encode_frame_string} on the way out and
-    {!Framer} on the way in).  All integers are big-endian and unsigned
-    unless noted.  A connection's lifecycle is
+    {!Framer} on the way in).  Every field is written and read by
+    {!Bbx_codec.Codec}, the codec connection snapshots use too: integers
+    are big-endian and unsigned unless noted, and a 64-bit field whose
+    value lies outside OCaml's [int] range is refused.  A connection's
+    lifecycle is
 
     {v client                         server (blindboxd)
        HELLO{version,mode,salt0}  ->
@@ -57,7 +60,8 @@
     with an [ERROR] frame and close that one connection. *)
 
 (** Raised on any frame the decoder rejects: bad length, unknown type
-    byte, truncated body, trailing bytes, or an over-limit frame. *)
+    byte, truncated body, trailing bytes, a 64-bit field outside the
+    [int] range, or an over-limit frame.  It is {!Bbx_codec.Codec.Malformed}. *)
 exception Malformed of string
 
 (** Hard upper bound on a frame payload (16 MiB): anything longer is
@@ -70,11 +74,10 @@ val max_frame_bytes : int
     the detail byte, one 12-byte [HELLO] body). *)
 val version : int
 
-(** How a verdict was reached (the tiered engine's
-    {!Bbx_mbox.Engine.detail}): Protocol I exact hit, Protocol II
-    composite match, Protocol III regex confirmation over the recovered
-    stream, or escalation-budget exhaustion ("flagged, not matched"). *)
-type detail = [ `Exact_hit | `Composite_match | `Regex_match | `Budget_exceeded ]
+(** How a verdict was reached: {!Bbx_rules.Classify.detail}, whose
+    {!Bbx_rules.Classify.detail_byte} is a [VERDICT] entry's detail
+    byte. *)
+type detail = Bbx_rules.Classify.detail
 
 (** One rule-level verdict as reported over the wire: a [VERDICT] entry
     is [sid u32 · detail u8 · msg str16]. *)
@@ -164,9 +167,9 @@ type msg =
           The daemon validates the blob (mode must match, state must
           parse) and replies [SETUP_OK], or [ERROR{err_setup}]. *)
 
-(** [ERROR] codes: unparseable frame, message illegal in this connection
-    state, version/mode mismatch at HELLO, rule setup/update rejected,
-    server-side failure. *)
+(** [ERROR] codes: 1 unparseable frame or token records, 2 message
+    illegal in this connection state (or a bad salt0), 3 version/mode
+    mismatch at HELLO, 4 rule setup/update or snapshot import rejected. *)
 
 val err_malformed : int
 
@@ -175,8 +178,6 @@ val err_protocol : int
 val err_version : int
 
 val err_setup : int
-
-val err_internal : int
 
 (** The message's type byte, [payload.[0]]: 1 [HELLO] to 16
     [RECORD_STREAM], then 18 [CONN_EXPORT] to 20 [CONN_IMPORT].  Type 17
@@ -210,12 +211,14 @@ val decode : string -> msg
 module Framer : sig
   type t
 
-  val create : ?max_frame:int -> unit -> t
+  val create : unit -> t
 
   val feed : t -> bytes -> int -> int -> unit
 
-  (** Next complete frame payload, length prefix stripped. *)
-  val next : t -> string option
+  (** The next complete frame, decoded where it lies in the framer's
+      buffer: a payload is copied once, into the message's own strings.
+      The frame is consumed even when it raises {!Malformed}. *)
+  val next : t -> msg option
 
   (** Bytes buffered but not yet returned as frames. *)
   val buffered : t -> int

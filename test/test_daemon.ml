@@ -440,6 +440,47 @@ let version_one_hello_refused () =
         (status = Wire.Alerts && wire_sigs verdicts = [ (1, `Exact_hit) ]))
     (wires_for sender [ "alertkw1 still inspected" ])
 
+(* A HELLO whose salt0 bytes are 80 00 00 00 00 00 00 01 carries a
+   value outside the int range: the frame codec refuses it, so the
+   daemon answers err_malformed and closes that connection, while a
+   client established before it keeps its verdicts. *)
+let out_of_range_salt_refused () =
+  with_daemon @@ fun endpoint ->
+  let s = Client.establish endpoint ~mode:Dpienc.Exact ~salt0:0 ~seed:"kept" in
+  Fun.protect ~finally:(fun () -> Client.close s.Client.sc_client)
+  @@ fun () ->
+  let sender = Dpienc.sender_create Dpienc.Exact s.Client.sc_key ~salt0:0 in
+  let before, after =
+    match wires_for sender [ "alertkw1 before"; "otherkw2 after" ] with
+    | [ b; a ] -> (b, a)
+    | _ -> assert false
+  in
+  let alerts ~sid seq wire =
+    Client.send_records s.Client.sc_client ~seq wire;
+    let _, status, verdicts = Client.recv_verdict s.Client.sc_client in
+    status = Wire.Alerts && wire_sigs verdicts = [ (sid, `Exact_hit) ]
+  in
+  Alcotest.(check bool) "healthy client alerts before" true (alerts ~sid:1 0 before);
+  let hello =
+    Bytes.of_string
+      (Wire.encode_frame_string
+         (Wire.Hello { version = Wire.version; mode = Dpienc.Exact; salt0 = 1; features = 0 }))
+  in
+  (* length prefix 4 bytes, then type, version and mode: salt0 at byte 7 *)
+  Bytes.set hello 7 '\x80';
+  let t = Client.connect endpoint in
+  Fun.protect ~finally:(fun () -> Client.close t) @@ fun () ->
+  Sockio.write_string (Client.fd t) (Bytes.to_string hello);
+  Alcotest.(check int) "draws err_malformed" Wire.err_malformed
+    (match Client.recv_verdict t with
+     | exception Client.Server_error { code; _ } -> code
+     | _ -> -1);
+  Alcotest.(check bool) "its connection closes" true
+    (match Client.recv_verdict t with
+     | exception (End_of_file | Unix.Unix_error _) -> true
+     | _ -> false);
+  Alcotest.(check bool) "healthy client alerts after" true (alerts ~sid:2 1 after)
+
 (* ---------- rule tables ----------
 
    A RULE_SETUP or RULE_UPDATE table is valid only in the chunk order
@@ -949,7 +990,7 @@ let hello_ok_text_by_reference () =
   let scratch = Bytes.create 4096 in
   let rec frame c =
     match Wire.Framer.next (Client.framer c) with
-    | Some payload -> payload
+    | Some msg -> msg
     | None ->
       let n = Sockio.read (Client.fd c) scratch 0 (Bytes.length scratch) in
       if n = 0 then raise End_of_file;
@@ -957,7 +998,7 @@ let hello_ok_text_by_reference () =
       frame c
   in
   let hello_ok c =
-    match Wire.decode (frame c) with
+    match frame c with
     | Wire.Hello_ok { conn_id; mode; rules_text } ->
       Alcotest.(check bool) "exact mode" true (mode = Dpienc.Exact);
       (conn_id, rules_text)
@@ -1009,6 +1050,8 @@ let () =
             malformed_fuzz;
           Alcotest.test_case "a version-1 HELLO draws err_version" `Quick
             version_one_hello_refused;
+          Alcotest.test_case "an out-of-range HELLO salt0 draws err_malformed" `Quick
+            out_of_range_salt_refused;
           Alcotest.test_case "a RULE_SETUP table out of order draws err_setup" `Quick
             bad_setup_tables;
           Alcotest.test_case "a RULE_UPDATE table short a chunk draws err_setup" `Quick

@@ -809,6 +809,33 @@ let snapshot_tests =
              Alcotest.(check (list (pair int string))) ("verdicts for " ^ p)
                (details own) (details shared))
           [ "benign first"; "x=evilword"; "GET /?userquery=42' HTTP/1.1" ]);
+    Alcotest.test_case "golden: a Probable export blob, byte for byte" `Quick (fun () ->
+        (* one connection holding keyword hits, a recovered k_ssl,
+           recovered plaintext and a record still sealed: the digest pins
+           every field of the export format *)
+        let rules = [ pcre_rule 61; Rule.make ~sid:62 [ Rule.make_content "evilword" ] ] in
+        let sh = Shard.create { Engine.default_config with mode = Probable } in
+        Shard.register sh ~conn_id:7 ~salt0:0 ~direction
+          (Engine.keys (Engine.ruleset rules) ~enc_chunk);
+        let s = sender ~mode:Probable () in
+        let writer = mk_writer () in
+        let p1 = "GET /?userquery=42' evilword HTTP/1.1" and p2 = " still sealed" in
+        Shard.record_stream sh ~conn_id:7 (Record.seal writer ("T" ^ p1));
+        ignore (Shard.process_wire sh ~conn_id:7 (encrypt_payload ~k_ssl s p1)
+                : Engine.verdict list);
+        Shard.record_stream sh ~conn_id:7 (Record.seal writer ("T" ^ p2));
+        let e = Shard.engine sh ~conn_id:7 in
+        Alcotest.(check bool) "hits" true (Engine.hit_count e > 0);
+        Alcotest.(check (option string)) "recovered key" (Some k_ssl) (Engine.recovered_key e);
+        let blob = Shard.export_conn sh ~conn_id:7 in
+        Alcotest.(check string) "sha256"
+          "b5596ebf27bd8ea124833027dcb5a0034be921aa35e94220837a54dc4f881cd4"
+          (Bbx_crypto.Sha256.hexdigest blob);
+        (* the plaintext and the sealed record both travelled *)
+        let dst = Shard.create { Engine.default_config with mode = Probable } in
+        Shard.import_conn dst ~conn_id:7 blob;
+        Alcotest.(check (option string)) "stream after import" (Some (p1 ^ p2))
+          (Engine.decrypted_stream (Shard.engine dst ~conn_id:7)));
   ]
 
 (* Rule updates without a salt reset: a keyword the sender emitted before

@@ -203,6 +203,18 @@ let real_shape_tests =
                        ("GET /?q=" ^ w ^ " HTTP/1.1"))))
           rules;
         Alcotest.(check bool) "decrypt-class rules present" true (!seen > 0));
+    (* the text a daemon announces, a client ships in RULE_UPDATE and a
+       snapshot carries parses back to the very rules rendered *)
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:60 ~name:"parse_ruleset inverts render_ruleset"
+         QCheck.(triple bool small_nat (int_range 1 80))
+         (fun (et, seed, n) ->
+            let seed = string_of_int seed in
+            let rs =
+              if et then Datasets.generate ~seed Datasets.Emerging_threats ~n
+              else Datasets.real_shape ~seed ~n ()
+            in
+            Parser.parse_ruleset (Parser.render_ruleset rs) = rs));
   ]
 
 (* ---------- differential: backtracking solver vs exhaustive tuples ----------

@@ -82,7 +82,7 @@ let feed_in_pieces framer s piece =
 let drain framer =
   let rec go acc =
     match Wire.Framer.next framer with
-    | Some p -> go (p :: acc)
+    | Some msg -> go (msg :: acc)
     | None -> List.rev acc
   in
   go []
@@ -102,14 +102,13 @@ let unit_tests =
           (fun piece ->
             let framer = Wire.Framer.create () in
             feed_in_pieces framer stream piece;
-            let payloads = drain framer in
+            let msgs = drain framer in
             Alcotest.(check int) "frame count" (List.length samples)
-              (List.length payloads);
+              (List.length msgs);
             List.iter2
-              (fun msg p ->
-                Alcotest.(check bool) "frame decodes back" true
-                  (Wire.decode p = msg))
-              samples payloads;
+              (fun msg m ->
+                Alcotest.(check bool) "frame decodes back" true (m = msg))
+              samples msgs;
             Alcotest.(check int) "nothing buffered" 0 (Wire.Framer.buffered framer))
           [ 1; 2; 3; 7; 64; max_int ]);
     Alcotest.test_case "framer: partial frame stays buffered" `Quick (fun () ->
@@ -120,7 +119,7 @@ let unit_tests =
         Alcotest.(check bool) "no frame yet" true (Wire.Framer.next framer = None);
         Wire.Framer.feed framer b (Bytes.length b - 1) 1;
         Alcotest.(check bool) "now complete" true
-          (Wire.Framer.next framer = Some (payload_of Wire.Setup_ok)));
+          (Wire.Framer.next framer = Some Wire.Setup_ok));
     Alcotest.test_case "framer: over-limit length prefix raises early" `Quick (fun () ->
         let framer = Wire.Framer.create () in
         let b = Bytes.create 4 in
@@ -264,7 +263,31 @@ let unit_tests =
             ignore
               (Wire.hello_ok_head ~conn_id:0 ~mode:Bbx_dpienc.Dpienc.Exact
                  ~text_bytes:(at_cap + 1)
-               : string))) ]
+               : string)));
+    Alcotest.test_case "golden: the samples' frames, byte for byte" `Quick (fun () ->
+        (* one digest over every sample's frame: a codec change that moves
+           any byte of a valid frame shows here *)
+        Alcotest.(check string) "sha256"
+          "be7918ff4b22a88d94ad7d9aec689eac730019cc74ab71e1bf4ed076f02ddd15"
+          (Bbx_crypto.Sha256.hexdigest
+             (String.concat "" (List.map Wire.encode_frame_string samples))));
+    Alcotest.test_case "64-bit fields outside the int range are refused" `Quick (fun () ->
+        (* salt0 sits at payload bytes 3..10 of a HELLO, 1..8 of a
+           SALT_RESET, as 8 big-endian bytes *)
+        let hello =
+          Bytes.of_string
+            (payload_of
+               (Wire.Hello
+                  { version = Wire.version; mode = Bbx_dpienc.Dpienc.Exact; salt0 = 1;
+                    features = 0 }))
+        in
+        Bytes.set hello 3 '\x80';
+        rejects "HELLO salt0 80 00 00 00 00 00 00 01" (Bytes.to_string hello);
+        rejects "SALT_RESET salt0 40 00 00 00 00 00 00 00" "\x07\x40\x00\x00\x00\x00\x00\x00\x00";
+        (* the ends of the int range still travel *)
+        List.iter
+          (fun salt0 -> check_roundtrip (Wire.Salt_reset { salt0 }))
+          [ max_int; min_int; -1; 0 ]) ]
 
 (* ---------- qcheck ---------- *)
 
@@ -333,10 +356,10 @@ let qcheck_tests =
            let early = Wire.Framer.next framer in
            Wire.Framer.feed framer b cut (Bytes.length b - cut);
            (match early with
-            | Some p -> Wire.decode p = msg
+            | Some m -> m = msg
             | None ->
               (match Wire.Framer.next framer with
-               | Some p -> Wire.decode p = msg
+               | Some m -> m = msg
                | None -> false))));
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~count:500 ~name:"random garbage never escapes Malformed"
