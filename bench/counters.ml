@@ -20,8 +20,16 @@
    The detect rows run [Detect.process_stream] over the detect bench's
    smoke streams (200 keywords, 20 000 tokens; see [Detect.workload]):
    - detect-miss: index probe slots per lookup on the 0%-hit stream, from
-     the 1-in-64 sampled [bbx_detect_probe_len] histogram;
-   - detect-hit50: bytes allocated per token on the 50%-hit stream.
+     the 1-in-64 sampled [bbx_detect_probe_len] histogram (a miss the
+     index's filter answers is one slot);
+   - detect-hit50: bytes allocated per token on the 50%-hit stream;
+   and over two more streams, probe slots per lookup the same way:
+   - detect-miss-3k: benign-3k's delimiter stream through one detector
+     on the chunks of the 3 000 rules;
+   - parallel-smoke: the parallel bench's smoke trace (4 connections of
+     64 window-token packets, 50 rules) through [Shardpool]; run at 1 and
+     at 2 domains, which must read the same (exit 1 otherwise).  The
+     exact gate beside the wall-clock [parallel --smoke].
 
    The key rows price the sender, which expands one AES key per token
    value, and the middlebox's key material, which keeps only
@@ -197,26 +205,53 @@ let history rules ~payload ~targets =
        go ())
     targets
 
+(* Probe slots per sampled lookup over what [f] looks up. *)
+let probe_slots f =
+  let n0 = Obs.histogram_count obs_probe_len and s0 = Obs.histogram_sum obs_probe_len in
+  f ();
+  float_of_int (Obs.histogram_sum obs_probe_len - s0)
+  /. float_of_int (Obs.histogram_count obs_probe_len - n0)
+
+let process det wire =
+  ignore (Bbx_detect.Detect.process_stream det wire ~f:(fun _ ~embed_pos:_ -> ()) : int)
+
 (* Probe slots per sampled lookup on the miss stream, and bytes allocated
    per token on the 50%-hit stream. *)
 let detect_counters () =
   let n_tok = 20_000 in
   let encs, tkeys = Detect.workload ~n_kw:200 in
   let det = Bbx_detect.Detect.create ~mode:Dpienc.Exact ~salt0:0 encs in
-  let run wire =
-    ignore (Bbx_detect.Detect.process_stream det wire ~f:(fun _ ~embed_pos:_ -> ()) : int)
-  in
   let miss = Detect.stream ~tkeys ~n_tok 0.0 in
-  let n0 = Obs.histogram_count obs_probe_len and s0 = Obs.histogram_sum obs_probe_len in
-  run miss;
-  let probes =
-    float_of_int (Obs.histogram_sum obs_probe_len - s0)
-    /. float_of_int (Obs.histogram_count obs_probe_len - n0)
-  in
+  let probes = probe_slots (fun () -> process det miss) in
   let hit = Detect.stream ~tkeys ~n_tok 0.5 in
   Bbx_detect.Detect.reset det ~salt0:0;
-  let (), alloc = Bench_util.metered (fun () -> run hit) in
+  let (), alloc = Bench_util.metered (fun () -> process det hit) in
   (probes, alloc /. float_of_int n_tok)
+
+(* Probe slots per sampled lookup of benign-3k's delimiter stream through
+   a detector on the chunks of [rules], and the chunk count. *)
+let detect_3k_probe_slots rules =
+  let chunks = Engine.chunks (Engine.ruleset rules) in
+  let det = Bbx_detect.Detect.create ~mode:Dpienc.Exact ~salt0:0 (Array.map enc_chunk chunks) in
+  let sender = Dpienc.sender_create Dpienc.Exact key ~salt0:0 in
+  let wires =
+    let base = ref 0 in
+    Array.map
+      (fun p ->
+         let w = wire sender ~base:!base ~tokenization:delimiter p in
+         base := !base + String.length p;
+         w)
+      (benign_writes 200)
+  in
+  (probe_slots (fun () -> Array.iter (process det) wires), Array.length chunks)
+
+(* Probe slots per sampled lookup of the parallel bench's smoke trace
+   through [Shardpool] at [domains] worker domains.  Each connection's
+   detector samples its own lookups in delivery order, so the figure
+   cannot depend on the domain count. *)
+let parallel_probe_slots trace ~domains =
+  probe_slots (fun () ->
+      ignore (Parallel.run_once ~domains trace : float * Bbx_mbox.Shardpool.stats))
 
 (* A sender over [pool] (see the header): bytes allocated per token by
    its first salt period and by its second, and the token count of a
@@ -411,13 +446,31 @@ let run () =
     "  detect (200 keywords, 20 000 tokens): %.2f probe slots/lookup at 0%% hits, \
      %.1f B allocated/token at 50%% hits\n%!"
     probes hit_alloc;
+  let probes_3k, chunks_3k = detect_3k_probe_slots rules3k in
+  Printf.printf
+    "  detect (3 000 ET rules, %d chunks, benign-3k's delimiter stream): \
+     %.2f probe slots/lookup\n%!"
+    chunks_3k probes_3k;
+  let trace = Parallel.trace ~smoke:true in
+  let probes_d1 = parallel_probe_slots trace ~domains:1 in
+  let probes_d2 = parallel_probe_slots trace ~domains:2 in
+  Printf.printf
+    "  detect (parallel --smoke trace, %d connections): %.2f probe slots/lookup at \
+     1 domain, %.2f at 2\n%!"
+    (Array.length trace.Parallel.conns) probes_d1 probes_d2;
+  if probes_d1 <> probes_d2 then begin
+    Printf.printf "  FAIL: probe slots differ between 1 and 2 domains\n";
+    exit 1
+  end;
   let rows =
     [ { name = "benign-3k.rules_evaluated"; unit_ = "rules/delivery"; value = ev };
       { name = "benign-3k.candidates_visited"; unit_ = "candidates/delivery"; value = vis };
       { name = "benign-3k.verdicts_alloc_bytes"; unit_ = "B/delivery"; value = alloc } ]
     @ hist_rows
     @ [ { name = "detect-miss.probe_slots"; unit_ = "slots/lookup"; value = probes };
-        { name = "detect-hit50.alloc_bytes"; unit_ = "B/token"; value = hit_alloc } ]
+        { name = "detect-hit50.alloc_bytes"; unit_ = "B/token"; value = hit_alloc };
+        { name = "detect-miss-3k.probe_slots"; unit_ = "slots/lookup"; value = probes_3k };
+        { name = "parallel-smoke.probe_slots"; unit_ = "slots/lookup"; value = probes_d1 } ]
   in
   let html = html_writes "bench-counters/html" ~n:64 ~bytes:16_384 in
   let benign_600 = benign_writes 200 in

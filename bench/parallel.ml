@@ -52,9 +52,29 @@ let build_conns ~conns ~wires_per_conn ~chunks =
       in
       { cs_id = i; cs_enc_chunk = (fun c -> Hashtbl.find tbl c); cs_wires = wires })
 
+(* The delivery trace: [n_conns] connections of [wires_per_conn]
+   pre-encrypted window-token packets each, on generated Emerging Threats
+   rules.  [counters] gates the smoke trace's index probe slots. *)
+type trace = {
+  rules : Rule.t list;
+  n_chunks : int;
+  conns : conn_setup array;
+  wires_per_conn : int;
+}
+
+let trace ~smoke =
+  let n_conns = if smoke then 4 else 8 in
+  let wires_per_conn = if smoke then 64 else 128 in
+  let rules =
+    Datasets.generate Datasets.Emerging_threats ~n:(if smoke then 50 else 200)
+  in
+  let chunks = Bbx_mbox.Engine.distinct_chunks rules in
+  { rules; n_chunks = Array.length chunks;
+    conns = build_conns ~conns:n_conns ~wires_per_conn ~chunks; wires_per_conn }
+
 (* One measured run: fresh pool (register untimed), timed submit+drain of
    the round-robin interleaved trace, stats for the determinism check. *)
-let run_once ~domains ~rules ~conns ~wires_per_conn =
+let run_once ~domains { rules; conns; wires_per_conn; _ } =
   let ruleset = Bbx_mbox.Engine.ruleset rules in
   Bbx_mbox.Shardpool.with_pool ~domains Bbx_mbox.Engine.default_config (fun pool ->
       Array.iter
@@ -81,18 +101,13 @@ let run () =
     (if smoke then "Shardpool domain scaling (smoke)"
      else "Shardpool domain scaling at 1/2/4 domains");
   let cores = Domain.recommended_domain_count () in
-  let n_conns = if smoke then 4 else 8 in
-  let wires_per_conn = if smoke then 64 else 128 in
-  let rules =
-    Datasets.generate Datasets.Emerging_threats ~n:(if smoke then 50 else 200)
-  in
-  let chunks = Bbx_mbox.Engine.distinct_chunks rules in
-  let conns = build_conns ~conns:n_conns ~wires_per_conn ~chunks in
+  let tr = trace ~smoke in
+  let n_conns = Array.length tr.conns in
   let domain_counts = if smoke then [ 1; 2 ] else [ 1; 2; 4 ] in
   let rounds = 3 in
   Printf.printf
     "  workload: %d conns x %d wires of %d bytes (window tokens), %d chunks, %d cores\n%!"
-    n_conns wires_per_conn packet_bytes (Array.length chunks) cores;
+    n_conns tr.wires_per_conn packet_bytes tr.n_chunks cores;
 
   (* interleaved best-of rounds: each round measures every domain count,
      so machine-wide drift hits all configurations alike *)
@@ -101,7 +116,7 @@ let run () =
   for _round = 1 to rounds do
     List.iter
       (fun d ->
-         let dt, stats = run_once ~domains:d ~rules ~conns ~wires_per_conn in
+         let dt, stats = run_once ~domains:d tr in
          (match !stats_ref with
           | None -> stats_ref := Some stats
           | Some s0 ->

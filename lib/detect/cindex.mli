@@ -5,10 +5,18 @@
     every comparison is a pointer chase and every match-path re-key copies
     an O(log n) root path.  This index stores the same
     [cipher -> keyword_id] map in two preallocated [int] arrays (cipher
-    key and keyword id, parallel slots) with linear probing, so a
-    non-matching token costs one multiplicative hash plus a short scan
-    over contiguous memory, and a match re-keys in place — delete the old
-    cipher, insert the next-salt cipher — with zero allocation.
+    key and keyword id, parallel slots) with linear probing, and a match
+    re-keys in place — delete the old cipher, insert the next-salt
+    cipher — with zero allocation.
+
+    In front of the slots sits a filter of one byte per slot: a key's
+    byte is the one at its home slot, its bit is picked by 3 more bits of
+    its hash, and every live key's bit is set.  Nearly every token
+    Detect looks up is a miss, and a miss whose bit is clear is answered
+    from that byte alone, without reading the slot arrays; at most 1 in
+    8 misses passes the filter and probes the slots.  A removed key's bit
+    stays set (another key may share it) until removals outnumber the
+    live keys, when the filter is re-derived from the live slots.
 
     Deletion is backward-shift (Knuth 6.4): entries after the hole slide
     back to their preferred position, so no tombstones accumulate and
@@ -42,8 +50,9 @@ val capacity : t -> int
 val find : t -> int -> int
 
 (** [find_probe t key ~steps] is {!find}, additionally adding the number
-    of slots inspected (the probe length) to [steps].  The cell is
-    caller-preallocated so the instrumented lookup allocates nothing. *)
+    of slots inspected (the probe length) to [steps]; a miss the filter
+    answers counts as one.  The cell is caller-preallocated so the
+    instrumented lookup allocates nothing. *)
 val find_probe : t -> int -> steps:int ref -> int
 
 val mem : t -> int -> bool
@@ -61,7 +70,8 @@ val clear : t -> unit
 (** [iter t ~f] calls [f ~key ~id] for every live entry, in slot order. *)
 val iter : t -> f:(key:int -> id:int -> unit) -> unit
 
-(** [check_invariants t] verifies that every live entry is reachable by
-    probing from its home slot (no entry stranded behind an empty slot)
-    and that the stored count matches; used by the property tests. *)
+(** [check_invariants t] verifies that every live entry passes the
+    filter (no false negative) and is reachable by probing from its home
+    slot (no entry stranded behind an empty slot), and that the stored
+    count matches; used by the property tests. *)
 val check_invariants : t -> bool

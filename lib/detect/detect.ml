@@ -24,22 +24,20 @@ type keyword_id = int
 type event = { kw_id : keyword_id; offset : int; salt : int }
 
 (* Per-keyword state is indexed by keyword id: [encs] holds each
-   keyword's [AES_k(token)] (borrowed from the caller, never written),
-   [counts] the flat salt-counter table and [ciphers] the current 40-bit
-   index key per keyword.  [index] maps each current cipher back to its
-   keyword.  A keyword's next cipher is computed straight from its
-   [AES_k(token)] ([Dpienc.cipher]) when it is needed (build, match,
-   reset), so a detector holds no expanded key.  [probe_tick] and
-   [probe_steps] live on [t] (not at module level) so that detectors
-   owned by different domains — one per Shardpool shard — never share
-   mutable detection-path state. *)
+   keyword's [AES_k(token)] (borrowed from the caller, never written) and
+   [counts] the flat salt-counter table.  [index] maps each keyword's
+   current 40-bit cipher back to the keyword.  A keyword's next cipher is
+   computed straight from its [AES_k(token)] ([Dpienc.cipher]) when it is
+   needed (build, match, reset), so a detector holds no expanded key.
+   [probe_tick] and [probe_steps] live on [t] (not at module level) so
+   that detectors owned by different domains — one per Shardpool shard —
+   never share mutable detection-path state. *)
 type t = {
   mode : Dpienc.mode;
   stride : int;
   mutable salt0 : int;
   encs : string array;
   counts : int array;
-  ciphers : int array;
   index : Cindex.t;
   mutable probe_tick : int;
   probe_steps : int ref;
@@ -53,8 +51,7 @@ let[@inline] current_cipher t id = Dpienc.cipher t.encs.(id) ~salt:(current_salt
 let rebuild t =
   Cindex.clear t.index;
   for id = 0 to Array.length t.counts - 1 do
-    t.ciphers.(id) <- current_cipher t id;
-    Cindex.insert t.index t.ciphers.(id) id
+    Cindex.insert t.index (current_cipher t id) id
   done
 
 let create ?counts ~mode ~salt0 encs =
@@ -71,7 +68,7 @@ let create ?counts ~mode ~salt0 encs =
   in
   let t =
     { mode; stride = Dpienc.salt_stride mode; salt0;
-      encs; counts; ciphers = Array.make n 0;
+      encs; counts;
       index = Cindex.create ~capacity:n ();
       probe_tick = 0; probe_steps = ref 0 }
   in
@@ -80,7 +77,9 @@ let create ?counts ~mode ~salt0 encs =
 
 (* Streaming core: one index lookup per token; on a match the keyword is
    re-keyed to its next-salt ciphertext in place (remove + insert over
-   contiguous slots, zero allocation). *)
+   contiguous slots, zero allocation).  The binding to remove is the
+   token's own: [cipher -> found] was inserted when [found]'s cipher
+   became [cipher], and only this re-key or a rebuild moves it since. *)
 let process_token t ~cipher ~offset =
   let found =
     if Obs.enabled () then begin
@@ -101,10 +100,8 @@ let process_token t ~cipher ~offset =
     Obs.incr obs_matches;
     let salt = current_salt t found in
     t.counts.(found) <- t.counts.(found) + 1;
-    let next = current_cipher t found in
-    Cindex.remove t.index t.ciphers.(found);
-    Cindex.insert t.index next found;
-    t.ciphers.(found) <- next;
+    Cindex.remove t.index cipher;
+    Cindex.insert t.index (current_cipher t found) found;
     Some { kw_id = found; offset; salt }
   end
 
@@ -145,13 +142,16 @@ let salt_counts t = Array.copy t.counts
 
 let size t = Cindex.size t.index
 
-(* Approximate resident bytes of the per-connection half of the detector:
-   the counter/cipher arrays and the index.  The borrowed [encs] are
-   charged to their owner. *)
+(* Resident bytes of the per-connection half of the detector: the
+   counter array and the index, its two slot arrays and its filter of one
+   byte per slot (a [Bytes.t] is its bytes plus one, rounded up to whole
+   words, and a header word).  The fixed-size records are not charged;
+   the borrowed [encs] are charged to their owner. *)
 let word = Sys.word_size / 8
 
 let footprint_bytes t =
-  let n = Array.length t.counts in
-  let arrays = 2 * (n + 1) * word in
-  let index = 2 * (Cindex.capacity t.index + 1) * word in
-  arrays + index
+  let cap = Cindex.capacity t.index in
+  let counts = (Array.length t.counts + 1) * word in
+  let slots = 2 * (cap + 1) * word in
+  let filter = (((cap + word) / word) + 1) * word in
+  counts + slots + filter

@@ -10,8 +10,9 @@
     sender and middlebox counters in lock-step.
 
     The index is a flat open-addressing table over the 40-bit ciphertexts
-    ({!Cindex}): one multiplicative hash plus a short contiguous scan per
-    token, in-place re-keying with zero allocation.  The paper's AVL tree
+    ({!Cindex}): one multiplicative hash per token, a filter byte that
+    answers most misses and a short contiguous scan for the rest,
+    in-place re-keying with zero allocation.  The paper's AVL tree
     survives as a test and bench reference; [test_detect_index] checks
     the two event for event. *)
 
@@ -72,9 +73,10 @@ val reset : t -> salt0:int -> unit
 (** The live salt-counter table, one entry per keyword id (a copy). *)
 val salt_counts : t -> int array
 
-(** Approximate resident bytes of this detector's per-connection state:
-    the counter/cipher arrays and the index.  The borrowed keyword array
-    is charged to its owner. *)
+(** Resident bytes of this detector's per-connection state: the counter
+    array and the index (its two slot arrays and its filter of one byte
+    per slot), exactly; the detector's fixed-size records are not
+    charged.  The borrowed keyword array is charged to its owner. *)
 val footprint_bytes : t -> int
 
 (** Number of distinct index entries (= number of keywords, minus any

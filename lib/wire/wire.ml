@@ -320,7 +320,17 @@ module Framer = struct
     mutable pos : int;  (* consumed prefix *)
   }
 
-  let create () = { buf = Bytes.create 4096; len = 0; pos = 0 }
+  let initial_bytes = 4096
+
+  (* A drained buffer larger than this, and more than twice the frame
+     that drained it, was grown for an earlier, larger frame (a HELLO_OK,
+     a RULE_SETUP): it is replaced by a fresh [initial_bytes] one, so a
+     connection does not keep its largest frame's buffer.  A buffer its
+     frames still fill half of is kept, so a stream of large frames does
+     not regrow it for each. *)
+  let release_bytes = 65_536
+
+  let create () = { buf = Bytes.create initial_bytes; len = 0; pos = 0 }
 
   let compact t =
     if t.pos > 0 then begin
@@ -336,7 +346,7 @@ module Framer = struct
     if t.len + n > Bytes.length t.buf then begin
       compact t;
       if t.len + n > Bytes.length t.buf then begin
-        let cap = ref (max 4096 (Bytes.length t.buf)) in
+        let cap = ref (max initial_bytes (Bytes.length t.buf)) in
         while t.len + n > !cap do cap := !cap * 2 done;
         let bigger = Bytes.create !cap in
         Bytes.blit t.buf 0 bigger 0 t.len;
@@ -364,8 +374,12 @@ module Framer = struct
         t.pos <- t.pos + 4 + n;
         if t.pos = t.len then begin
           t.pos <- 0;
-          t.len <- 0
+          t.len <- 0;
+          let cap = Bytes.length t.buf in
+          if cap > release_bytes && cap > 2 * (4 + n) then
+            t.buf <- Bytes.create initial_bytes
         end;
+        (* [c] still reads the old buffer, which nothing writes *)
         Some (decode_cursor c)
       end
     end

@@ -62,9 +62,91 @@ let cindex_agrees ops =
        Cindex.check_invariants c
        && Cindex.size c = Hashtbl.length h
        && Hashtbl.fold (fun k v ok -> ok && Cindex.find c k = v) h true
+       (* every key of the op range the table lacks is a miss, whether
+          the filter or the slots answer it *)
+       && List.for_all
+            (fun k -> Hashtbl.mem h k || Cindex.find c k = -1)
+            (List.init 61 Fun.id)
        (* a key outside the op range is never present *)
        && Cindex.find c 1_000_003 = -1)
     ops
+
+(* Remove-heavy churn on 40-bit keys, Detect's key space.  A re-key
+   removes a live key and inserts a fresh one, as a Detect match does;
+   selectors pick the live key by position.  The filter is re-derived once
+   its stale bits outnumber the live keys, so 400-800 ops over at most a
+   few dozen live keys re-derive it several times. *)
+type churn = Add of int | Drop of int | Rekey of int * int
+
+let arb_churn =
+  let key40 = QCheck.Gen.int_bound ((1 lsl 40) - 1) in
+  let gen =
+    QCheck.Gen.(
+      pair
+        (list_size (int_range 1 32) key40)
+        (list_size (int_range 400 800)
+           (frequency
+              [ (6, map2 (fun s k -> Rekey (s, k)) nat key40);
+                (2, map (fun s -> Drop s) nat);
+                (2, map (fun k -> Add k) key40) ])))
+  in
+  let print (init, ops) =
+    Printf.sprintf "init=[%s] ops=[%s]"
+      (String.concat ";" (List.map string_of_int init))
+      (String.concat ";"
+         (List.map
+            (function
+              | Add k -> Printf.sprintf "a%d" k
+              | Drop s -> Printf.sprintf "d%d" s
+              | Rekey (s, k) -> Printf.sprintf "r%d>%d" s k)
+            ops))
+  in
+  QCheck.make ~print gen
+
+let cindex_churn_agrees (init, ops) =
+  let c = Cindex.create ~capacity:4 () in
+  let h = Hashtbl.create 64 in
+  let next_id = ref 0 and gone = ref [] in
+  let add k =
+    Cindex.insert c k !next_id;
+    Hashtbl.replace h k !next_id;
+    incr next_id
+  in
+  let drop s =
+    if Hashtbl.length h > 0 then begin
+      let live = Hashtbl.fold (fun k _ acc -> k :: acc) h [] in
+      let k = List.nth (List.sort compare live) (s mod List.length live) in
+      Cindex.remove c k;
+      Hashtbl.remove h k;
+      gone := k :: !gone
+    end
+  in
+  let agrees k =
+    Cindex.find c k = Option.value (Hashtbl.find_opt h k) ~default:(-1)
+  in
+  List.iter add init;
+  List.for_all
+    (fun op ->
+       (match op with
+        | Add k -> add k
+        | Drop s -> drop s
+        | Rekey (s, k) -> drop s; add k);
+       Cindex.check_invariants c
+       && Cindex.size c = Hashtbl.length h
+       && Hashtbl.fold (fun k _ ok -> ok && agrees k) h true
+       (* removed keys, whose filter bits may still be set, miss *)
+       && List.for_all agrees !gone
+       && agrees (List.length !gone lsl 20))
+    ops
+
+(* The filter layout that DESIGN.md §7 gives: the home slot is the top
+   log2 capacity bits of the 62-bit Fibonacci product, the filter bit the
+   next 3. *)
+let home_and_bit ~capacity key =
+  let rec log2 b n = if n <= 1 then b else log2 (b + 1) (n lsr 1) in
+  let h = (key * 0x4F1BBCDCBFA53E0B) land max_int in
+  let shift = 62 - log2 0 capacity in
+  (h lsr shift, (h lsr (shift - 3)) land 7)
 
 let cindex_tests =
   let prop name ?(count = 200) arb f =
@@ -102,6 +184,51 @@ let cindex_tests =
         Cindex.remove c 5;
         Alcotest.(check int) "gone" (-1) (Cindex.find c 5);
         Alcotest.(check int) "empty" 0 (Cindex.size c));
+    prop "matches Hashtbl on 40-bit keys under remove-heavy churn" ~count:100 arb_churn
+      cindex_churn_agrees;
+    Alcotest.test_case "a miss the filter answers is one probe step" `Quick (fun () ->
+        let c = Cindex.create () in
+        let capacity = Cindex.capacity c in
+        let key = 1 in
+        Cindex.insert c key 0;
+        let home, b = home_and_bit ~capacity key in
+        (* absent keys sharing [key]'s home slot, with another filter bit
+           and with the same one *)
+        let rec first p x = if p (home_and_bit ~capacity x) then x else first p (x + 1) in
+        let other = first (fun (h, b') -> h = home && b' <> b) 2 in
+        let same = first (fun (h, b') -> h = home && b' = b) 2 in
+        let probe k =
+          let steps = ref 0 in
+          let id = Cindex.find_probe c k ~steps in
+          (id, !steps)
+        in
+        Alcotest.(check (pair int int)) "filtered: one step, slots unread" (-1, 1) (probe other);
+        Alcotest.(check (pair int int)) "passes the filter: home slot, then the empty next"
+          (-1, 2) (probe same);
+        Alcotest.(check (pair int int)) "the key itself" (0, 1) (probe key));
+    Alcotest.test_case "re-keying churn re-derives the filter, no key lost" `Quick
+      (fun () ->
+        (* 100 live 40-bit keys and 10 000 re-keys: the filter is
+           re-derived after every 101 removals, ~99 times *)
+        let c = Cindex.create ~capacity:100 () in
+        let state = ref 1 in
+        let key40 () =
+          state := ((!state * 0x2545F4914F6CDD1D) + 1442695040888963407) land max_int;
+          !state lsr 22
+        in
+        let live = Array.init 100 (fun _ -> key40 ()) in
+        Array.iteri (fun id k -> Cindex.insert c k id) live;
+        for i = 1 to 10_000 do
+          let id = i mod 100 in
+          Cindex.remove c live.(id);
+          if Cindex.find c live.(id) <> -1 then
+            Alcotest.failf "re-key %d: the removed key still finds an id" i;
+          live.(id) <- key40 ();
+          Cindex.insert c live.(id) id
+        done;
+        Alcotest.(check bool) "invariants" true (Cindex.check_invariants c);
+        Alcotest.(check int) "size" 100 (Cindex.size c);
+        Array.iteri (fun id k -> Alcotest.(check int) "find" id (Cindex.find c k)) live);
   ]
 
 (* ---------- Detect vs the AVL detector ---------- *)
@@ -233,6 +360,25 @@ let detect_diff_tests =
         in
         check (module Flat);
         check (module Ref_detect));
+  ]
+
+let footprint_tests =
+  [ Alcotest.test_case "footprint_bytes charges counts, slots and filter exactly" `Quick
+      (fun () ->
+        (* what the heap holds beyond the borrowed keywords, less the
+           detector's fixed-size records: the same few words at any size *)
+        let word = Sys.word_size / 8 in
+        let unaccounted n =
+          let encs =
+            Array.init n (fun i -> token_enc key (t8 (Printf.sprintf "kw%06d" i)))
+          in
+          let d = Detect.create ~mode:Exact ~salt0:0 encs in
+          (word * (Obj.reachable_words (Obj.repr d) - Obj.reachable_words (Obj.repr encs)))
+          - Detect.footprint_bytes d
+        in
+        let small = unaccounted 20 in
+        Alcotest.(check int) "20 and 3 000 keywords" small (unaccounted 3000);
+        Alcotest.(check bool) "records only" true (small > 0 && small <= 32 * word));
   ]
 
 (* ---------- Shardpool vs an AVL detector replay ---------- *)
@@ -428,4 +574,5 @@ let () =
   Alcotest.run "detect_index"
     [ ("cindex", cindex_tests);
       ("detect-differential", detect_diff_tests);
+      ("detect-footprint", footprint_tests);
       ("shardpool-differential", pool_diff_tests) ]

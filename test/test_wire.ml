@@ -287,7 +287,48 @@ let unit_tests =
         (* the ends of the int range still travel *)
         List.iter
           (fun salt0 -> check_roundtrip (Wire.Salt_reset { salt0 }))
-          [ max_int; min_int; -1; 0 ]) ]
+          [ max_int; min_int; -1; 0 ]);
+    Alcotest.test_case "framer: a drained large buffer is let go" `Quick (fun () ->
+        (* a HELLO_OK the size of the 3 000-rule text, fed as a socket
+           delivers it, then small frames: the framer keeps no more than
+           a few KiB once the large frame is gone *)
+        let hello_ok =
+          Wire.Hello_ok
+            { conn_id = 7; mode = Bbx_dpienc.Dpienc.Exact;
+              rules_text = String.init 700_000 (fun i -> Char.chr (32 + (i mod 95))) }
+        in
+        let small i =
+          Wire.Token_stream { seq = i; records = String.make 596 (Char.chr (i land 0xff)) }
+        in
+        Alcotest.(check int) "605 B frames" 605
+          (String.length (Wire.encode_frame_string (small 0)));
+        let framer = Wire.Framer.create () in
+        feed_in_pieces framer (Wire.encode_frame_string hello_ok) 65_536;
+        Alcotest.(check bool) "HELLO_OK decodes" true (drain framer = [ hello_ok ]);
+        for i = 1 to 100 do
+          feed_in_pieces framer (Wire.encode_frame_string (small i)) 65_536;
+          Alcotest.(check bool) "small frame decodes" true (drain framer = [ small i ])
+        done;
+        let bytes = Obj.reachable_words (Obj.repr framer) * (Sys.word_size / 8) in
+        Alcotest.(check bool) (Printf.sprintf "%d B reachable, under 16 KiB" bytes) true
+          (bytes < 16_384));
+    Alcotest.test_case "framer: a stream of large frames keeps its buffer" `Quick
+      (fun () ->
+        (* window-token writes of 16 KiB make ~82 KB frames: each fills
+           more than half of the buffer they grew, which stays *)
+        let big i = Wire.Token_stream { seq = i; records = String.make 81_920 'r' } in
+        let framer = Wire.Framer.create () in
+        let reachable () = Obj.reachable_words (Obj.repr framer) in
+        feed_in_pieces framer (Wire.encode_frame_string (big 0)) 65_536;
+        Alcotest.(check bool) "first frame" true (drain framer = [ big 0 ]);
+        let grown = reachable () in
+        Alcotest.(check bool) "the grown buffer outlives the frame" true
+          (grown * (Sys.word_size / 8) > 81_920);
+        for i = 1 to 10 do
+          feed_in_pieces framer (Wire.encode_frame_string (big i)) 65_536;
+          Alcotest.(check bool) "frame decodes" true (drain framer = [ big i ]);
+          Alcotest.(check int) "same buffer" grown (reachable ())
+        done) ]
 
 (* ---------- qcheck ---------- *)
 
