@@ -76,7 +76,7 @@
    - wire-delim-probable: Probable mode, 64 generated 8 KiB HTML
      delimiter writes (the e2ebench probable-escalate shape).
 
-   Every allocation row reads [Bench_util.allocated_bytes] after a
+   Every allocation row reads [Obs.allocated_bytes] after a
    [Gc.minor ()], so each measured window starts from an empty minor
    heap.
 
@@ -113,14 +113,14 @@ let measured e =
   let r0 = Obs.counter_value obs_evaluated and c0 = Obs.counter_value obs_visited in
   Gc.minor ();
   let t0 = Bbx_obs.Trace.now_ns () in
-  let a0 = Bench_util.allocated_bytes () in
+  let a0 = Obs.allocated_bytes () in
   let vs = Engine.verdicts e in
-  let a1 = Bench_util.allocated_bytes () in
+  let a1 = Obs.allocated_bytes () in
   let t1 = Bbx_obs.Trace.now_ns () in
   ( vs,
     Obs.counter_value obs_evaluated - r0,
     Obs.counter_value obs_visited - c0,
-    int_of_float (a1 -. a0 -. Bench_util.alloc_overhead),
+    int_of_float (a1 -. a0 -. Obs.alloc_overhead),
     t1 - t0 )
 
 let wire sender ~base ~tokenization payload =
@@ -225,7 +225,7 @@ let detect_counters () =
   let probes = probe_slots (fun () -> process det miss) in
   let hit = Detect.stream ~tkeys ~n_tok 0.5 in
   Bbx_detect.Detect.reset det ~salt0:0;
-  let (), alloc = Bench_util.metered (fun () -> process det hit) in
+  let (), alloc = Obs.metered (fun () -> process det hit) in
   (probes, alloc /. float_of_int n_tok)
 
 (* Probe slots per sampled lookup of benign-3k's delimiter stream through
@@ -269,9 +269,9 @@ let sender_counts ~tokenization pool =
     n + Dpienc.sender_encrypt_into sender ?tokenization payload buf
   in
   let send_back p n = send n p in
-  let tokens, cold = Bench_util.metered (fun () -> Array.fold_left send 0 pool) in
+  let tokens, cold = Obs.metered (fun () -> Array.fold_left send 0 pool) in
   ignore (Dpienc.sender_reset sender : int);
-  let (_ : int), warm = Bench_util.metered (fun () -> Array.fold_right send_back pool 0) in
+  let (_ : int), warm = Obs.metered (fun () -> Array.fold_right send_back pool 0) in
   let per x = x /. float_of_int tokens in
   { cold = per cold; warm = per warm; tokens }
 
@@ -297,9 +297,9 @@ let keys_counters rules =
   let chunks = Engine.chunks rs in
   let encs = Hashtbl.create (Array.length chunks) in
   Array.iter (fun c -> Hashtbl.replace encs c (enc_chunk c)) chunks;
-  let keys, alloc = Bench_util.metered (fun () -> Engine.keys rs ~enc_chunk:(Hashtbl.find encs)) in
+  let keys, alloc = Obs.metered (fun () -> Engine.keys rs ~enc_chunk:(Hashtbl.find encs)) in
   let (_ : Engine.t), make_alloc =
-    Bench_util.metered (fun () ->
+    Obs.metered (fun () ->
         Engine.make Engine.default_config keys ~direction:"client->server" ~salt0:0)
   in
   let per x = x /. float_of_int (Array.length chunks) in
@@ -319,16 +319,16 @@ let setup_counters rules =
   and other = Parser.render_ruleset (List.tl rules) in
   let setup () = Client.pairs_for ~key (Client.rules_of_text text) in
   ignore (Client.rules_of_text other : Rule.t list);
-  let pairs, cold = Bench_util.metered setup in
-  let (_ : (string * string) array), warm = Bench_util.metered setup in
+  let pairs, cold = Obs.metered setup in
+  let (_ : (string * string) array), warm = Obs.metered setup in
   let frame = Wire.Hello_ok { conn_id = 1; mode = Dpienc.Exact; rules_text = text } in
   let framed, frame_alloc =
-    Bench_util.metered (fun () -> Wire.encode_frame_string frame)
+    Obs.metered (fun () -> Wire.encode_frame_string frame)
   in
   let framer = Wire.Framer.create () in
   Wire.Framer.feed framer (Bytes.unsafe_of_string framed) 0 (String.length framed);
   let (_ : Wire.msg option), decode_alloc =
-    Bench_util.metered (fun () -> Wire.Framer.next framer)
+    Obs.metered (fun () -> Wire.Framer.next framer)
   in
   let n = float_of_int (Array.length pairs) and text_bytes = float_of_int (String.length text) in
   ( warm /. n,
@@ -344,14 +344,14 @@ let garble_counters () =
   let circuit = Bbx_circuit.Aes_circuit.build_tower () in
   let drbg = Drbg.create "bench-counters/garble" in
   let (g, secrets), garble_alloc =
-    Bench_util.metered (fun () -> Bbx_garble.Garble.garble drbg circuit)
+    Obs.metered (fun () -> Bbx_garble.Garble.garble drbg circuit)
   in
   let labels =
     Bbx_garble.Garble.encode_inputs secrets
       (Bbx_circuit.Circuit.bits_of_string (String.make 16 'k' ^ String.make 16 'm'))
   in
   let (_ : bool array), eval_alloc =
-    Bench_util.metered (fun () -> Bbx_garble.Garble.eval circuit g labels)
+    Obs.metered (fun () -> Bbx_garble.Garble.eval circuit g labels)
   in
   let gates = Bbx_circuit.Circuit.gate_count circuit in
   (garble_alloc /. float_of_int gates, eval_alloc /. float_of_int gates, gates)

@@ -150,7 +150,7 @@ let run () =
     let alloc det =
       if needs_reset then det.reset ();
       let (), bytes =
-        Bench_util.metered (fun () -> ignore (det.stream wire ~f:(fun _ ~embed_pos:_ -> ()) : int))
+        Bbx_obs.Obs.metered (fun () -> ignore (det.stream wire ~f:(fun _ ~embed_pos:_ -> ()) : int))
       in
       bytes /. float_of_int n_tok
     in

@@ -5,7 +5,7 @@
    tokenization — the paper's worst case of one token per payload byte.
 
    Reports tokens/sec and GC-allocated bytes per token for both paths
-   (the exact meter of [Bench_util.metered]), so the streaming design's
+   (the exact meter of [Bbx_obs.Obs.metered]), so the streaming design's
    win is measured, not asserted.  `--smoke` runs a quick sanity pass
    (streaming and reference paths must produce identical wire bytes) for
    CI. *)
@@ -21,7 +21,7 @@ let packet_bytes = 1500
 let alloc_per_token ~reps ~tokens f =
   f ();
   (* warmup: first call populates counter tables / token keys *)
-  let (), bytes = Bench_util.metered (fun () -> for _ = 1 to reps do f () done) in
+  let (), bytes = Bbx_obs.Obs.metered (fun () -> for _ = 1 to reps do f () done) in
   bytes /. float_of_int (reps * tokens)
 
 let run () =

@@ -181,7 +181,7 @@ let run () =
       Session.inspect =
         { mode = Bbx_dpienc.Dpienc.Probable;
           tier = Classify.Protocol_III;
-          budget = { Engine.max_plain_bytes = 48; max_scan_ms = 0 } };
+          max_plain_bytes = 48 };
       rule_prep = Session.Direct }
   in
   List.iter

@@ -166,17 +166,11 @@ let tier_arg =
                needing a higher protocol than $(docv) are ignored.")
 
 let budget_bytes_arg =
-  Arg.(value & opt int Bbx_mbox.Engine.default_budget.Bbx_mbox.Engine.max_plain_bytes
+  Arg.(value & opt int Bbx_mbox.Engine.default_config.Bbx_mbox.Engine.max_plain_bytes
        & info [ "budget-bytes" ] ~docv:"BYTES"
          ~doc:"Per-flow cap on recovered plaintext retained for Protocol III \
                escalation (0 = unlimited).  A flow past its budget is flagged \
                (budget-exceeded verdict), not matched.")
-
-let budget_ms_arg =
-  Arg.(value & opt int 0
-       & info [ "budget-ms" ] ~docv:"MS"
-         ~doc:"Per-flow cap on regex-confirmation scan time in milliseconds \
-               (0 = unlimited, the default).")
 
 let mode_of probable = if probable then Dpienc.Probable else Dpienc.Exact
 
@@ -184,11 +178,10 @@ let tokenization_of window =
   if window then Dpienc.Window else Dpienc.Delimiter { short_units = false }
 
 let inspect_config_term =
-  let make probable tier max_plain_bytes max_scan_ms =
-    { Bbx_mbox.Engine.mode = mode_of probable; tier;
-      budget = { Bbx_mbox.Engine.max_plain_bytes; max_scan_ms } }
+  let make probable tier max_plain_bytes =
+    { Bbx_mbox.Engine.mode = mode_of probable; tier; max_plain_bytes }
   in
-  Term.(const make $ probable_arg $ tier_arg $ budget_bytes_arg $ budget_ms_arg)
+  Term.(const make $ probable_arg $ tier_arg $ budget_bytes_arg)
 
 let inspect_cmd =
   let run rules_path inspect window domains garbled setup_domains metrics =
@@ -440,8 +433,8 @@ let stats_cmd =
 (* ---- serve ---- *)
 
 let serve_cmd =
-  let run socket rules_path inspect domains high_water rebalance metrics_port
-      trace_out metrics =
+  let run socket rules_path inspect domains high_water metrics_port trace_out
+      metrics =
     with_metrics metrics @@ fun () ->
     let rules =
       match rules_path with
@@ -458,9 +451,8 @@ let serve_cmd =
       Option.map (fun p -> Bbx_daemon.Daemon.Tcp ("127.0.0.1", p)) metrics_port
     in
     let cfg =
-      Bbx_daemon.Daemon.config ~inspect ?domains ~high_water
-        ?rebalance_every:rebalance ?metrics:metrics_ep ?trace_out ~endpoint
-        ~rules ()
+      Bbx_daemon.Daemon.config ~inspect ?domains ~high_water ?metrics:metrics_ep
+        ?trace_out ~endpoint ~rules ()
     in
     let stopping = Atomic.make false in
     let on_signal _ = Atomic.set stopping true in
@@ -502,13 +494,6 @@ let serve_cmd =
            ~doc:"Per-connection output-buffer bytes before reads from a \
                  slow consumer pause.")
   in
-  let rebalance =
-    Arg.(value & opt (some float) None
-         & info [ "rebalance" ] ~docv:"SECS"
-           ~doc:"Rebalance monitored connections across shard domains every \
-                 $(docv) seconds (live migration through each connection's \
-                 FIFO mailbox; verdicts are unaffected).  Off by default.")
-  in
   let metrics_port =
     Arg.(value & opt (some int) None
          & info [ "metrics-port" ] ~docv:"PORT"
@@ -526,7 +511,7 @@ let serve_cmd =
   Cmd.v
     (Cmd.info "serve"
        ~doc:"Run blindboxd: the BlindBox middlebox as a network daemon")
-    Term.(const run $ socket $ rules $ inspect_config_term $ domains $ high_water $ rebalance $ metrics_port $ trace_out $ metrics_arg)
+    Term.(const run $ socket $ rules $ inspect_config_term $ domains $ high_water $ metrics_port $ trace_out $ metrics_arg)
 
 (* ---- trace ---- *)
 

@@ -75,19 +75,6 @@ let search t payload =
     payload;
   List.rev !acc
 
-let search_first t payload =
-  let n = String.length payload in
-  let rec go node i =
-    if i >= n then None
-    else begin
-      let node = t.next.(node).(Char.code payload.[i]) in
-      match t.outputs.(node) with
-      | p :: _ -> Some (p, i + 1)
-      | [] -> go node (i + 1)
-    end
-  in
-  go 0 0
-
 let count_matches t payload =
   let count = ref 0 in
   let node = ref 0 in

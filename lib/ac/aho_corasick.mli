@@ -17,9 +17,6 @@ val build : string array -> t
     order. *)
 val search : t -> string -> (int * int) list
 
-(** [search_first t payload] stops at the first hit. *)
-val search_first : t -> string -> (int * int) option
-
 (** [count_matches t payload] — number of occurrences, without building the
     list (for the throughput bench). *)
 val count_matches : t -> string -> int

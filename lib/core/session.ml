@@ -365,8 +365,6 @@ let update_rules t ?(remove_sids = []) rules =
   let kept = Array.length (Engine.chunks prev) - Array.length remove in
   (Array.length (Engine.chunks rs) - kept, stats)
 
-let add_rules t rules = update_rules t rules
-
 let send t payload =
   let record, wire, token_count = encrypt_delivery t ~tokenized:true payload in
   deliver t ~record ~wire ~token_count

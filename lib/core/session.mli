@@ -99,9 +99,6 @@ val update_rules :
   t -> ?remove_sids:int list -> Bbx_rules.Rule.t list ->
   int * Ruleprep.stats option
 
-(** [add_rules t rules] = [update_rules t rules] (pure addition). *)
-val add_rules : t -> Bbx_rules.Rule.t list -> int * Ruleprep.stats option
-
 type delivery = {
   plaintext : string;   (** payload as decrypted and validated by R *)
   verdicts : Bbx_mbox.Engine.verdict list;

@@ -1,6 +1,9 @@
-(* AES-128, FIPS-197.  The state is a flat 16-entry int array indexed by
-   [r + 4*c] (column-major), which coincides with the byte order of inputs,
-   outputs and round keys, so no transposition is ever needed.
+(* AES-128 encryption, FIPS-197.  The state is four 32-bit columns, each
+   packed little-endian (row 0 in the low byte), run through T-table
+   rounds.  Every caller only encrypts: CTR mode is its own inverse, and
+   DPIEnc, the DRBG and the garbling hash use the forward cipher alone.
+   The byte-wise FIPS-197 cipher is the test oracle ([Ref_aes] in the
+   test suite).
 
    The S-box is derived algebraically (GF(2^8) inversion + affine map) at
    module initialisation rather than pasted as a literal; the FIPS test
@@ -36,21 +39,6 @@ let sbox =
   Array.init 256 (fun x ->
       let y = gf_inv x in
       y lxor rotl8 y 1 lxor rotl8 y 2 lxor rotl8 y 3 lxor rotl8 y 4 lxor 0x63)
-
-let inv_sbox =
-  let t = Array.make 256 0 in
-  Array.iteri (fun i v -> t.(v) <- i) sbox;
-  t
-
-let xtime = Array.init 256 (fun v -> gf_mul v 2)
-
-(* InvMixColumns multiplier tables, hoisted like [xtime]: partially applying
-   [gf_mul] inside the column loop would allocate four closures per column
-   per block. *)
-let m9 = Array.init 256 (fun v -> gf_mul v 9)
-let m11 = Array.init 256 (fun v -> gf_mul v 11)
-let m13 = Array.init 256 (fun v -> gf_mul v 13)
-let m14 = Array.init 256 (fun v -> gf_mul v 14)
 
 (* T-tables: the fused SubBytes+ShiftRows+MixColumns round as four table
    lookups per output column (the classic software-AES optimisation).
@@ -155,82 +143,16 @@ let expand_into a slot s =
 
 (* A boxed key is a one-slot arena, for the callers where one key
    encrypts many blocks (the DPIEnc key, the record layer, the DRBG, the
-   garbling hash), plus the byte-order schedule [enc]: [||] until the
-   reference or decrypt path asks for it (see [enc_schedule]). *)
-type key = { kw : arena; mutable enc : int array }
+   garbling hash). *)
+type key = arena
 
 let expand_key s =
   if String.length s <> 16 then invalid_arg "Aes.expand_key: key must be 16 bytes";
   let kw = Array.make key_words 0 in
   expand_into kw 0 s;
-  { kw; enc = [||] }
+  kw
 
-let key_arena k = k.kw
-
-(* The byte-order schedule is only read by the reference oracle and the
-   decrypt path; the packed column words are authoritative.  Unpacking is
-   idempotent: a racing domain just writes an identical array. *)
-let enc_schedule k =
-  let e = k.enc in
-  if Array.length e > 0 then e
-  else begin
-    let w = Array.make 176 0 in
-    for i = 0 to 43 do
-      let v = k.kw.(i) in
-      let o = 4 * i in
-      w.(o) <- v land 0xff;
-      w.(o + 1) <- (v lsr 8) land 0xff;
-      w.(o + 2) <- (v lsr 16) land 0xff;
-      w.(o + 3) <- (v lsr 24) land 0xff
-    done;
-    k.enc <- w;
-    w
-  end
-
-let add_round_key st w round =
-  let off = 16 * round in
-  for i = 0 to 15 do st.(i) <- st.(i) lxor w.(off + i) done
-
-let sub_bytes st = for i = 0 to 15 do st.(i) <- sbox.(st.(i)) done
-let inv_sub_bytes st = for i = 0 to 15 do st.(i) <- inv_sbox.(st.(i)) done
-
-(* Row r of the state lives at indices r, r+4, r+8, r+12. *)
-let shift_rows st =
-  let t1 = st.(1) in
-  st.(1) <- st.(5); st.(5) <- st.(9); st.(9) <- st.(13); st.(13) <- t1;
-  let t2 = st.(2) and t6 = st.(6) in
-  st.(2) <- st.(10); st.(10) <- t2; st.(6) <- st.(14); st.(14) <- t6;
-  let t15 = st.(15) in
-  st.(15) <- st.(11); st.(11) <- st.(7); st.(7) <- st.(3); st.(3) <- t15
-
-let inv_shift_rows st =
-  let t13 = st.(13) in
-  st.(13) <- st.(9); st.(9) <- st.(5); st.(5) <- st.(1); st.(1) <- t13;
-  let t2 = st.(2) and t6 = st.(6) in
-  st.(2) <- st.(10); st.(10) <- t2; st.(6) <- st.(14); st.(14) <- t6;
-  let t3 = st.(3) in
-  st.(3) <- st.(7); st.(7) <- st.(11); st.(11) <- st.(15); st.(15) <- t3
-
-let mix_columns st =
-  for c = 0 to 3 do
-    let i = 4 * c in
-    let a0 = st.(i) and a1 = st.(i + 1) and a2 = st.(i + 2) and a3 = st.(i + 3) in
-    let all = a0 lxor a1 lxor a2 lxor a3 in
-    st.(i) <- a0 lxor all lxor xtime.(a0 lxor a1);
-    st.(i + 1) <- a1 lxor all lxor xtime.(a1 lxor a2);
-    st.(i + 2) <- a2 lxor all lxor xtime.(a2 lxor a3);
-    st.(i + 3) <- a3 lxor all lxor xtime.(a3 lxor a0)
-  done
-
-let inv_mix_columns st =
-  for c = 0 to 3 do
-    let i = 4 * c in
-    let a0 = st.(i) and a1 = st.(i + 1) and a2 = st.(i + 2) and a3 = st.(i + 3) in
-    st.(i) <- m14.(a0) lxor m11.(a1) lxor m13.(a2) lxor m9.(a3);
-    st.(i + 1) <- m9.(a0) lxor m14.(a1) lxor m11.(a2) lxor m13.(a3);
-    st.(i + 2) <- m13.(a0) lxor m9.(a1) lxor m14.(a2) lxor m11.(a3);
-    st.(i + 3) <- m11.(a0) lxor m13.(a1) lxor m9.(a2) lxor m14.(a3)
-  done
+let key_arena k = k
 
 (* One output column of a T-table round under round-key column [k]; [a],
    [x], [c'] and [d] are the input columns that ShiftRows brings to rows
@@ -254,36 +176,6 @@ let[@inline] tround tt w b round c a x c' d =
   kround tt (Array.unsafe_get w (b + (4 * round) + c)) a x c' d
 
 let[@inline] tfinal tt w b c a x c' d = kfinal tt (Array.unsafe_get w (b + 40 + c)) a x c' d
-
-(* Reference byte-wise implementation, kept as the test oracle for the
-   T-table path. *)
-let encrypt_state_reference k st =
-  let w = enc_schedule k in
-  add_round_key st w 0;
-  for round = 1 to 9 do
-    sub_bytes st; shift_rows st; mix_columns st; add_round_key st w round
-  done;
-  sub_bytes st; shift_rows st; add_round_key st w 10
-
-let decrypt_state k st =
-  let w = enc_schedule k in
-  add_round_key st w 10;
-  for round = 9 downto 1 do
-    inv_shift_rows st; inv_sub_bytes st; add_round_key st w round; inv_mix_columns st
-  done;
-  inv_shift_rows st; inv_sub_bytes st; add_round_key st w 0
-
-let encrypt_block_reference key src =
-  if String.length src <> 16 then invalid_arg "Aes.encrypt_block: need 16 bytes";
-  let st = Array.init 16 (fun i -> Char.code src.[i]) in
-  encrypt_state_reference key st;
-  String.init 16 (fun i -> Char.chr st.(i))
-
-let decrypt_block key src =
-  if String.length src <> 16 then invalid_arg "Aes.decrypt_block: need 16 bytes";
-  let st = Array.init 16 (fun i -> Char.code src.[i]) in
-  decrypt_state key st;
-  String.init 16 (fun i -> Char.chr st.(i))
 
 (* Allocation-free block paths: the state lives in four packed 32-bit
    columns in registers.  Bounds are checked once per call; the per-byte
@@ -374,7 +266,7 @@ let encrypt_block_into w slot ~src ~src_off ~dst ~dst_off =
 let encrypt_block key src =
   if String.length src <> 16 then invalid_arg "Aes.encrypt_block: need 16 bytes";
   let dst = Bytes.create 16 in
-  encrypt_block_into key.kw 0 ~src:(Bytes.unsafe_of_string src) ~src_off:0 ~dst ~dst_off:0;
+  encrypt_block_into key 0 ~src:(Bytes.unsafe_of_string src) ~src_off:0 ~dst ~dst_off:0;
   Bytes.unsafe_to_string dst
 
 (* Increment the low 64 bits of a counter block, big-endian. *)
@@ -393,7 +285,7 @@ let ctr_transform key ~nonce data =
   let ks = Bytes.create 16 in
   let nblocks = (len + 15) / 16 in
   for b = 0 to nblocks - 1 do
-    encrypt_block_into key.kw 0 ~src:counter ~src_off:0 ~dst:ks ~dst_off:0;
+    encrypt_block_into key 0 ~src:counter ~src_off:0 ~dst:ks ~dst_off:0;
     let off = 16 * b in
     for i = 0 to min 15 (len - off - 1) do
       Bytes.unsafe_set out (off + i)

@@ -1,4 +1,5 @@
-(** AES-128 block cipher (FIPS-197) and CTR mode.
+(** AES-128 encryption (FIPS-197) and CTR mode.  There is no decrypt
+    direction: every caller only encrypts.
 
     This is the workhorse of the whole system: DPIEnc keys AES with
     [AES_k(t)] and evaluates it on salts (§3.1 of the paper), the garbling
@@ -41,14 +42,6 @@ val key_arena : key -> arena
 (** [encrypt_block key src] encrypts one 16-byte block.  Raises
     [Invalid_argument] unless [String.length src = 16]. *)
 val encrypt_block : key -> string -> string
-
-(** [decrypt_block key src] inverts {!encrypt_block}. *)
-val decrypt_block : key -> string -> string
-
-(** [encrypt_block_reference] — the straightforward byte-wise
-    implementation, kept as the differential-test oracle for the T-table
-    fast path used by {!encrypt_block}. *)
-val encrypt_block_reference : key -> string -> string
 
 (** [encrypt_block_into arena slot ~src ~src_off ~dst ~dst_off] encrypts
     one block under the key at [slot], allocating nothing.  [src] and

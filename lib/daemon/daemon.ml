@@ -12,7 +12,6 @@ let obs_conns = Obs.gauge "bbx_daemon_connections"
 let obs_active = Obs.gauge "bbx_daemon_conns_active"
 let obs_exports = Obs.counter "bbx_daemon_conn_exports_total"
 let obs_imports = Obs.counter "bbx_daemon_conn_imports_total"
-let obs_rebalanced = Obs.counter "bbx_daemon_rebalanced_total"
 let obs_accepted = Obs.counter "bbx_daemon_accepted_total"
 let obs_frames_in = Obs.counter "bbx_daemon_frames_in_total"
 let obs_frames_out = Obs.counter "bbx_daemon_frames_out_total"
@@ -76,13 +75,11 @@ type config = {
   high_water : int;
   metrics : endpoint option;
   trace_out : string option;
-  rebalance_every : float option;
 }
 
 let config ?(inspect = Engine.default_config) ?domains ?(high_water = 1 lsl 20)
-    ?rebalance_every ?metrics ?trace_out ~endpoint ~rules () =
-  { endpoint; inspect; rules; domains; high_water; metrics; trace_out;
-    rebalance_every }
+    ?metrics ?trace_out ~endpoint ~rules () =
+  { endpoint; inspect; rules; domains; high_water; metrics; trace_out }
 
 (* The record-layer direction every daemon client seals its stream in. *)
 let direction = "client->server"
@@ -128,7 +125,6 @@ type t = {
                                     HELLO_OK, checked by RULE_SETUP, and
                                     borrowed by every registration *)
   mutable next_conn_id : int;
-  mutable last_rebalance : float;
   scratch : Bytes.t;
   (* live scrape plane: a second listener speaking just enough HTTP/1.0
      for GET /metrics; requests buffer here until the blank line *)
@@ -638,17 +634,6 @@ let serve_loop t stop =
                  | None -> ())))
       readable;
     flush_pool t;
-    (match t.cfg.rebalance_every with
-     | Some period ->
-       let now = Unix.gettimeofday () in
-       if now -. t.last_rebalance >= period then begin
-         t.last_rebalance <- now;
-         (* pending is empty (flush_pool just drained), so migration's
-            quiesce-per-move cost hits no in-flight delivery *)
-         let moved = Shardpool.rebalance t.pool in
-         if moved > 0 then Obs.add obs_rebalanced moved
-       end
-     | None -> ());
     List.iter
       (fun fd ->
          match Hashtbl.find_opt t.clients fd with
@@ -701,7 +686,6 @@ let init cfg =
     rules_text = Parser.render_ruleset cfg.rules;
     ruleset;
     next_conn_id = 0;
-    last_rebalance = Unix.gettimeofday ();
     scratch = Bytes.create 65536;
     metrics_fd;
     http = Hashtbl.create 8 }

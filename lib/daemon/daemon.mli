@@ -61,7 +61,7 @@ val endpoint_to_string : endpoint -> string
 type config = {
   endpoint : endpoint;
   inspect : Bbx_mbox.Engine.config;
-  (** the engines' mode, tier and Protocol III budget *)
+  (** the engines' mode, tier and Protocol III byte budget *)
   rules : Bbx_rules.Rule.t list;
   (** the ruleset announced in [HELLO_OK]; built once at start-up and
       borrowed by every registered connection *)
@@ -72,9 +72,6 @@ type config = {
   trace_out : string option;      (** enable the flight recorder and dump
                                       it here on teardown ([.jsonl] =
                                       JSONL, else Chrome trace JSON) *)
-  rebalance_every : float option; (** seconds between shard rebalances
-                                      ({!Bbx_mbox.Shardpool.rebalance});
-                                      [None] (default) disables *)
 }
 
 (** [config ~endpoint ~rules ()] with {!Bbx_mbox.Engine.default_config},
@@ -84,7 +81,6 @@ val config :
   ?inspect:Bbx_mbox.Engine.config ->
   ?domains:int ->
   ?high_water:int ->
-  ?rebalance_every:float ->
   ?metrics:endpoint ->
   ?trace_out:string ->
   endpoint:endpoint ->

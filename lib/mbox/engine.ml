@@ -32,10 +32,6 @@ let blocks fresh =
     (fun v -> v.rule.Rule.action = Rule.Drop && v.detail <> `Budget_exceeded)
     fresh
 
-type budget = { max_plain_bytes : int; max_scan_ms : int }
-
-let default_budget = { max_plain_bytes = 1 lsl 22; max_scan_ms = 0 }
-
 (* Per-chunk hit evidence: a growable int array of stream offsets in
    arrival order.  Arrival order is ascending on any well-formed stream,
    so membership ([content_candidates]) is a binary search; a client
@@ -92,10 +88,10 @@ let hitvec_mem hv off =
     !found
   end
 
-type config = { mode : Dpienc.mode; tier : Classify.protocol_class; budget : budget }
+type config = { mode : Dpienc.mode; tier : Classify.protocol_class; max_plain_bytes : int }
 
 let default_config =
-  { mode = Dpienc.Exact; tier = Classify.Protocol_III; budget = default_budget }
+  { mode = Dpienc.Exact; tier = Classify.Protocol_III; max_plain_bytes = 1 lsl 22 }
 
 (* Identity for footprint accounting: a shard charges each ruleset and
    key material once, however many of its connections borrow it. *)
@@ -170,7 +166,6 @@ type t = {
   mutable seen_pat : Bytes.t;                  (* prefilter pattern id -> seen
                                                   in the stream? *)
   mutable ac_scanned : int;                    (* [plain] prefix already swept *)
-  mutable scan_ns : int;                       (* cumulative confirm time *)
   mutable exhausted : bool;                    (* sticky: budget blown or
                                                   record stream undecryptable *)
   (* --- dirty rules: undecided in-tier rules whose inputs changed since
@@ -325,7 +320,6 @@ let make_on config keys ~direction ~salt0 detect =
     plain_cache = None;
     seen_pat = Bytes.make rs.npats '\000';
     ac_scanned = 0;
-    scan_ns = 0;
     exhausted = false;
     dirty = Bytes.make nrules '\000';
     dq = [||];
@@ -355,17 +349,14 @@ let keys_of t = t.keys
    and nothing else.  Decided and out-of-tier rules are never queued: no
    input change can alter their outcome. *)
 
-let push t rule_idx =
-  t.dq <- append t.dq t.dn rule_idx;
-  t.dn <- t.dn + 1
-
 let mark t rule_idx =
   if Bytes.get t.dirty rule_idx = '\000'
   && Bytes.get t.decided rule_idx = '\000'
   && Classify.rank t.keys.ruleset.classes.(rule_idx) <= Classify.rank t.config.tier
   then begin
     Bytes.set t.dirty rule_idx '\001';
-    push t rule_idx
+    t.dq <- append t.dq t.dn rule_idx;
+    t.dn <- t.dn + 1
   end
 
 (* the escalation state changed: every in-tier Protocol III rule *)
@@ -454,8 +445,8 @@ let record_stream t record =
          1-byte frame tag.  The byte budget applies to retained-but-sealed
          records too, or a never-escalating flow would buffer unboundedly. *)
       let est = max 0 (String.length record - Bbx_tls.Record.overhead - 1) in
-      if t.config.budget.max_plain_bytes > 0
-      && Buffer.length t.plain + t.pending_est + est > t.config.budget.max_plain_bytes
+      if t.config.max_plain_bytes > 0
+      && Buffer.length t.plain + t.pending_est + est > t.config.max_plain_bytes
       then begin
         (* Dropping a sealed record breaks the strict record-layer ordering
            for everything after it, so exhaustion is final. *)
@@ -539,8 +530,8 @@ let pump t =
                Buffer.add_string t.plain body;
                t.plain_cache <- None;
                Obs.add obs_plain_bytes (String.length body);
-               if t.config.budget.max_plain_bytes > 0
-               && Buffer.length t.plain > t.config.budget.max_plain_bytes
+               if t.config.max_plain_bytes > 0
+               && Buffer.length t.plain > t.config.max_plain_bytes
                then mark_exhausted t)
         batch;
       if Buffer.length t.plain > before then mark_decrypt t
@@ -560,18 +551,12 @@ let escalation t =
   else if t.hit_count > 0 then `Gated
   else `Idle
 
-(* Run the full-rule reference evaluation over the recovered stream,
-   charging the time against the scan budget when one is configured. *)
+(* Run the full-rule reference evaluation over the recovered stream.  Its
+   cost is bounded by its input: the byte budget caps the stream, and the
+   regex engine is linear in it. *)
 let confirm t rule =
   Obs.incr obs_confirms;
-  if t.config.budget.max_scan_ms <= 0 then Classify.matches_plaintext rule (plain_str t)
-  else begin
-    let t0 = Bbx_obs.Trace.now_ns () in
-    let r = Classify.matches_plaintext rule (plain_str t) in
-    t.scan_ns <- t.scan_ns + (Bbx_obs.Trace.now_ns () - t0);
-    if t.scan_ns > t.config.budget.max_scan_ms * 1_000_000 then mark_exhausted t;
-    r
-  end
+  Classify.matches_plaintext rule (plain_str t)
 
 (* Candidate start positions for one content, from its plan
    [|id; rel; ...|]: stream offsets [q >= 0] where every chunk [id] hit
@@ -682,47 +667,30 @@ let evaluate t rule_idx ~visited =
 (* Evaluate the queued rules in rule order and return the decisions this
    call made.  A full scan evaluates every undecided rule in rule order on
    every call; the queue holds exactly the rules whose outcome can differ
-   from their last evaluation, so the decisions are the same.  One
-   ordering effect survives: when a confirm blows the scan budget
-   mid-call, the rules after it see the exhausted flow in this call and
-   the rules before it in the next, so the ones after it that were not
-   queued are evaluated here too. *)
+   from their last evaluation, so the decisions are the same.  Evaluation
+   changes no rule's inputs (the flow is only exhausted by [record_stream]
+   and [pump], before the loop), so one pass in rule order is exact. *)
 let verdicts t =
   pump t;
   if t.dn = 0 then []
   else begin
     let visited = ref 0 and evaluated = ref 0 and out = ref [] in
-    let run rule_idx =
-      if Bytes.get t.dirty rule_idx = '\001' then begin
-        Bytes.set t.dirty rule_idx '\000';
-        if Bytes.get t.decided rule_idx = '\000' then begin
-          incr evaluated;
-          Option.iter (fun v -> out := v :: !out) (evaluate t rule_idx ~visited)
-        end
-      end
-    in
     for k = 0 to t.wn - 1 do Bytes.set t.walked t.wq.(k) '\000' done;
     t.wn <- 0;
-    let take () =
-      let order = Array.sub t.dq 0 t.dn in
-      t.dn <- 0;
-      Array.sort Int.compare order;
-      order
-    in
-    let flip = ref (-1) in
+    let order = Array.sub t.dq 0 t.dn in
+    t.dn <- 0;
+    Array.sort Int.compare order;
     Array.iter
-      (fun i ->
-         let was = t.exhausted in
-         run i;
-         if t.exhausted && not was then flip := i)
-      (take ());
-    if !flip >= 0 then
-      Array.iter (fun i -> if i > !flip then run i else push t i) (take ());
+      (fun rule_idx ->
+         Bytes.set t.dirty rule_idx '\000';
+         if Bytes.get t.decided rule_idx = '\000' then begin
+           incr evaluated;
+           Option.iter (fun v -> out := v :: !out) (evaluate t rule_idx ~visited)
+         end)
+      order;
     Obs.add obs_evaluated !evaluated;
     Obs.add obs_visited !visited;
-    if !flip >= 0 then
-      List.sort (fun a b -> Int.compare a.rule_idx b.rule_idx) !out
-    else List.rev !out
+    List.rev !out
   end
 
 let decided t =
@@ -798,7 +766,7 @@ let update t next =
    once the middlebox has lawfully recovered [k_ssl] a salt rotation does
    not un-recover it — plus everything downstream of it ([decided]
    verdicts, the sticky keyword gates, the retained/decrypted stream and
-   the budget accounting) and [hit_count], the monotonic obs-visible hit
+   its exhaustion) and [hit_count], the monotonic obs-visible hit
    accounting that callers delta across deliveries.  Queued rules stay
    queued: an escalation change recorded before the reset still has to
    reach them. *)
@@ -859,20 +827,21 @@ let footprint_bytes t =
 
 (* ---------- snapshot / restore ---------------------------------------- *)
 
-(* Binary connection snapshot (format v2, {!Bbx_codec.Codec}),
+(* Binary connection snapshot (format v3, {!Bbx_codec.Codec}),
    self-contained: the config, the rules as their text form
    ([Parser.render_ruleset], the text a daemon announces), one
    record per chunk of the ruleset — its encryption, salt counter and hit
    offsets — so restore needs no enc-chunk oracle, and every piece of
    escalation state — sticky decisions and gates, recovered [k_ssl],
    sealed pending records, record-layer sequence, recovered plaintext,
-   prefilter progress, budget accounting — so a restored engine is
-   observably identical to the original.  v1 carried a cipher-index byte
-   and is rejected.  [restore] raises [Invalid_argument] on any malformed
-   or inconsistent blob (callers validate front-side before handing state
-   to a worker domain). *)
+   prefilter progress, exhaustion — so a restored engine is observably
+   identical to the original.  v1 carried a cipher-index byte and v2 a
+   scan-time budget and the time spent; both are rejected.  [restore]
+   raises [Invalid_argument] on any malformed or inconsistent blob
+   (callers validate front-side before handing state to a worker
+   domain). *)
 
-let snapshot_version = 2
+let snapshot_version = 3
 
 let snapshot t =
   let b = Buffer.create 4096 in
@@ -880,8 +849,7 @@ let snapshot t =
   Codec.put_u8 b snapshot_version;
   Codec.put_u8 b (Dpienc.mode_byte c.mode);
   Codec.put_u8 b (Classify.rank c.tier);
-  Codec.put_i64 b c.budget.max_plain_bytes;
-  Codec.put_i64 b c.budget.max_scan_ms;
+  Codec.put_i64 b c.max_plain_bytes;
   Codec.put_str32 b t.direction;
   Codec.put_i64 b t.salt0;
   Codec.put_str32 b (Parser.render_ruleset (Array.to_list t.keys.ruleset.rules));
@@ -911,7 +879,6 @@ let snapshot t =
   Codec.put_str32 b (plain_str t);
   Codec.put_str32 b (Bytes.to_string t.seen_pat);
   Codec.put_i64 b t.ac_scanned;
-  Codec.put_i64 b t.scan_ns;
   Codec.put_bool b t.exhausted;
   Buffer.contents b
 
@@ -932,7 +899,6 @@ let restore blob =
       | None -> fail "bad tier"
     in
     let max_plain_bytes = Codec.get_i64 cur in
-    let max_scan_ms = Codec.get_i64 cur in
     let direction = Codec.get_str32 cur in
     let salt0 = Codec.get_i64 cur in
     let rules_text = Codec.get_str32 cur in
@@ -1007,11 +973,9 @@ let restore blob =
     let ac_scanned = Codec.get_i64 cur in
     if ac_scanned < 0 || ac_scanned > String.length plain then
       fail "scan cursor out of range";
-    let scan_ns = Codec.get_i64 cur in
-    if scan_ns < 0 then fail "negative scan time";
     let exhausted = Codec.get_bool cur in
     Codec.finish cur;
-    let config = { mode; tier; budget = { max_plain_bytes; max_scan_ms } } in
+    let config = { mode; tier; max_plain_bytes } in
     (* [Detect.create] validates the salt's parity and the counts *)
     let t =
       make_on config (keys_of_encs rs encs) ~direction ~salt0
@@ -1036,7 +1000,6 @@ let restore blob =
     t.plain_cache <- None;
     t.seen_pat <- Bytes.of_string seen_pat;
     t.ac_scanned <- ac_scanned;
-    t.scan_ns <- scan_ns;
     t.exhausted <- exhausted;
     (* the queue is not part of the image: evaluating every undecided rule
        once decides exactly what a full scan would *)

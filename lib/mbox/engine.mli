@@ -18,7 +18,7 @@
       recovers [k_ssl] from the paired ciphertext (probable cause),
       decrypts the retained record stream ({!record_stream}) and runs an
       Aho-Corasick prefilter plus full-rule regex confirmation over the
-      recovered plaintext, under per-flow byte/time budgets.  Budget
+      recovered plaintext, under a per-flow byte budget.  Budget
       exhaustion degrades to a [`Budget_exceeded] verdict ("flagged, not
       matched") for every rule whose encrypted-side keyword gate fired.
 
@@ -45,28 +45,24 @@ val via : detail -> [ `Exact_match | `Probable_cause ]
     that is a flag, not a match. *)
 val blocks : verdict list -> bool
 
-(** Per-flow escalation budgets.  [max_plain_bytes] caps retained +
-    decrypted stream bytes, [max_scan_ms] caps cumulative regex-confirm
-    time; [0] means unlimited for either.  Exceeding a budget is sticky
-    (record-layer decryption is strictly in-order, so a dropped record
-    makes the rest of the stream unrecoverable). *)
-type budget = { max_plain_bytes : int; max_scan_ms : int }
-
-(** 4 MiB of plaintext, no time cap. *)
-val default_budget : budget
-
 (** What an engine inspects and how far it escalates: the DPIEnc [mode]
     of the stream, the highest protocol [tier] executed (rules needing a
-    higher protocol are ignored) and the Protocol III [budget].  Built
+    higher protocol are ignored) and the Protocol III budget.  Built
     once — by the CLI, {!Blindbox.Session.config} or the daemon config —
-    and shared by every engine it configures. *)
+    and shared by every engine it configures.
+
+    [max_plain_bytes] caps a flow's retained and decrypted stream bytes
+    ([0] = unlimited).  Exceeding it is sticky (record-layer decryption
+    is strictly in-order, so a dropped record makes the rest of the
+    stream unrecoverable).  The cap also bounds every regex confirmation,
+    which is linear in the stream. *)
 type config = {
   mode : Bbx_dpienc.Dpienc.mode;
   tier : Bbx_rules.Classify.protocol_class;
-  budget : budget;
+  max_plain_bytes : int;
 }
 
-(** [Exact] mode, tier [Protocol_III], {!default_budget}. *)
+(** [Exact] mode, tier [Protocol_III], 4 MiB of plaintext. *)
 val default_config : config
 
 type t
@@ -231,7 +227,9 @@ val escalation : t -> [ `Idle | `Gated | `Unlocked | `Exhausted ]
     rules with a content on that chunk, and a change in the Protocol III
     state ([k_ssl] recovered, recovered plaintext grown, budget
     exhausted) only the in-tier Protocol III rules.  A delivery without
-    hits evaluates nothing.  The outcome equals a full scan of every
+    hits evaluates nothing.  The queue is evaluated in one pass:
+    evaluating a rule changes no rule's inputs, so the outcome is a
+    function of the stream alone and equals a full scan of every
     undecided rule in rule order (the test suite's oracle). *)
 val verdicts : t -> verdict list
 
@@ -261,8 +259,8 @@ val update : t -> keys -> unit
     is cleared; {!hit_count} (monotonic accounting), {!recovered_key}
     (probable cause is a connection-lifetime fact — a salt rotation does
     not un-recover [k_ssl]) and the whole escalation state downstream of
-    it (sticky decisions, keyword gates, the retained/decrypted stream,
-    budget accounting) deliberately survive. *)
+    it (sticky decisions, keyword gates, the retained/decrypted stream
+    and its exhaustion) deliberately survive. *)
 val reset : t -> salt0:int -> unit
 
 (** Approximate resident bytes of this connection's own engine state
@@ -280,14 +278,14 @@ val footprint_bytes : t -> int
     inspection state: config, ruleset (as text), chunk encryptions, salt epoch
     and per-keyword counters, hit evidence, sticky decisions and keyword
     gates, recovered [k_ssl], sealed pending records, record-layer
-    sequence, recovered plaintext, prefilter progress and budget
-    accounting.  [restore (snapshot t)] yields an engine observably
+    sequence, recovered plaintext, prefilter progress and exhaustion.
+    [restore (snapshot t)] yields an engine observably
     identical to [t] — same future verdicts, stats and escalation
     behaviour (pinned by the migration differential tests).  The image
     is written and read by {!Bbx_codec.Codec}, the codec of the wire
     frames. *)
 
-(** Serialise the complete per-connection state (format v2). *)
+(** Serialise the complete per-connection state (format v3). *)
 val snapshot : t -> string
 
 (** Rebuild an engine from {!snapshot} output, on a private ruleset and

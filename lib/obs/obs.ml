@@ -34,7 +34,7 @@ type span = {
   s_name : string;
   mutable s_count : int;
   mutable s_seconds : float;
-  mutable s_alloc : float;     (* GC-allocated bytes across all entries *)
+  mutable s_alloc : float;     (* bytes allocated across all entries *)
   s_owner : int Atomic.t;      (* domain holding the span open; -1 = closed *)
   mutable open_at : float;
   mutable open_alloc : float;
@@ -146,6 +146,33 @@ let percentile_of_counts ~bounds ~counts q =
     if Float.is_nan !result then 0.0 else !result
   end
 
+(* ---- allocation meter ---- *)
+
+(* Bytes allocated so far by the calling domain, exactly: minor words
+   plus words allocated directly in the major heap.  [Gc.allocated_bytes]
+   (OCaml 5.1) counts the words allocated since the last minor collection
+   at an eighth of their size, so a window with no minor collection in it
+   under-reads its minor-heap allocation up to eightfold;
+   [Gc.minor_words] counts them exactly. *)
+let allocated_bytes () =
+  let _, promoted, major = Gc.counters () in
+  (Gc.minor_words () +. major -. promoted) *. float_of_int (Sys.word_size / 8)
+
+(* Bytes [allocated_bytes] itself allocates between two reads. *)
+let alloc_overhead =
+  let a0 = allocated_bytes () in
+  let a1 = allocated_bytes () in
+  a1 -. a0
+
+let metered f =
+  Gc.minor ();
+  let a0 = allocated_bytes () in
+  let r = f () in
+  let a1 = allocated_bytes () in
+  (r, a1 -. a0 -. alloc_overhead)
+
+(* ---- spans ---- *)
+
 let span name =
   register name
     (fun () ->
@@ -169,17 +196,19 @@ let span_enter s =
     let me = (Domain.self () :> int) in
     let cur = Atomic.get s.s_owner in
     if cur = me || (cur = -1 && Atomic.compare_and_set s.s_owner (-1) me) then begin
-      (* re-enter on the owning domain restarts the span *)
-      s.open_alloc <- Gc.allocated_bytes ();
-      s.open_at <- Unix.gettimeofday ()
+      (* re-enter on the owning domain restarts the span; the meter is
+         read last on entry and first on exit, so the span's own
+         bookkeeping stays outside the window *)
+      s.open_at <- Unix.gettimeofday ();
+      s.open_alloc <- allocated_bytes ()
     end
     else incr span_conflicts
   end
 
 let span_exit s =
   if Atomic.get on && Atomic.get s.s_owner = (Domain.self () :> int) then begin
+    s.s_alloc <- s.s_alloc +. (allocated_bytes () -. s.open_alloc -. alloc_overhead);
     s.s_seconds <- s.s_seconds +. (Unix.gettimeofday () -. s.open_at);
-    s.s_alloc <- s.s_alloc +. (Gc.allocated_bytes () -. s.open_alloc);
     s.s_count <- s.s_count + 1;
     s.open_at <- -1.0;
     Atomic.set s.s_owner (-1)

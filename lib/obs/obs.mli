@@ -96,10 +96,26 @@ val histogram_sum : histogram -> int
     callers diff two snapshots to get interval percentiles. *)
 val percentile_of_counts : bounds:int array -> counts:int array -> float -> float
 
+(** {1 Allocation meter} *)
+
+(** Bytes allocated so far by the calling domain, exactly: minor words
+    plus words allocated directly in the major heap.  Unlike
+    [Gc.allocated_bytes] on OCaml 5.1, it does not under-read the words
+    allocated since the last minor collection. *)
+val allocated_bytes : unit -> float
+
+(** Bytes {!allocated_bytes} itself allocates between two reads;
+    subtract it from a window's difference. *)
+val alloc_overhead : float
+
+(** [metered f] is [f ()] and the bytes it allocated, read by
+    {!allocated_bytes} from an empty minor heap (after a [Gc.minor ()]). *)
+val metered : (unit -> 'a) -> 'a * float
+
 (** {1 Spans}
 
-    A span accumulates wall-clock seconds, GC-allocated bytes and an entry
-    count across [enter]/[exit] pairs.  Spans are not reentrant: the open
+    A span accumulates wall-clock seconds, allocated bytes (read by
+    {!allocated_bytes}) and an entry count across [enter]/[exit] pairs.  Spans are not reentrant: the open
     timestamp lives in the span slot itself so that entering costs no
     allocation. *)
 

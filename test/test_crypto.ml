@@ -8,8 +8,7 @@ let aes_tests =
   [ Alcotest.test_case "FIPS-197 appendix C.1" `Quick (fun () ->
         let key = Aes.expand_key (hex "000102030405060708090a0b0c0d0e0f") in
         let ct = Aes.encrypt_block key (hex "00112233445566778899aabbccddeeff") in
-        check_hex "ciphertext" "69c4e0d86a7b0430d8cdb78070b4c55a" ct;
-        check_hex "decrypt" "00112233445566778899aabbccddeeff" (Aes.decrypt_block key ct));
+        check_hex "ciphertext" "69c4e0d86a7b0430d8cdb78070b4c55a" ct);
     Alcotest.test_case "NIST SP800-38A ECB vector" `Quick (fun () ->
         let key = Aes.expand_key (hex "2b7e151628aed2a6abf7158809cf4f3c") in
         check_hex "block 1" "3ad77bb40d7a3660a89ecaf32466ef97"
@@ -279,18 +278,13 @@ let util_props =
     prop "u64 round trip" QCheck.(int_bound max_int) (fun v ->
         let v = v land ((1 lsl 62) - 1) in
         Util.read_u64_be (Util.u64_be v) 0 = v);
-    prop "aes enc/dec round trip" ~count:100 QCheck.(pair string string) (fun (ks, bs) ->
-        let pad s = (s ^ String.make 16 '\000') |> fun s -> String.sub s 0 16 in
-        let key = Aes.expand_key (pad ks) in
-        let block = pad bs in
-        Aes.decrypt_block key (Aes.encrypt_block key block) = block);
     prop "sha256 distinct on distinct inputs" QCheck.(pair string string) (fun (a, b) ->
         a = b || Sha256.digest a <> Sha256.digest b);
     prop "T-table AES equals reference AES" ~count:300 QCheck.(pair string string)
       (fun (ks, bs) ->
          let pad s = (s ^ String.make 16 '\000') |> fun s -> String.sub s 0 16 in
-         let key = Aes.expand_key (pad ks) in
-         Aes.encrypt_block key (pad bs) = Aes.encrypt_block_reference key (pad bs));
+         Aes.encrypt_block (Aes.expand_key (pad ks)) (pad bs)
+         = Bbx_oracle.Ref_aes.encrypt_block (pad ks) (pad bs));
   ]
 
 let () =

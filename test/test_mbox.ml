@@ -473,9 +473,8 @@ let tiered_tests =
              (Engine.detail_name v.Engine.detail)
          | vs -> Alcotest.fail (Printf.sprintf "expected 1 verdict, got %d" (List.length vs))));
     Alcotest.test_case "budget exhaustion flags, never matches" `Quick (fun () ->
-        let budget = { Engine.max_plain_bytes = 32; max_scan_ms = 0 } in
         let e =
-          mk_engine_with { Engine.default_config with mode = Probable; budget }
+          mk_engine_with { Engine.default_config with mode = Probable; max_plain_bytes = 32 }
             [ pcre_rule 32 ]
         in
         let s = sender ~mode:Probable () in
@@ -725,6 +724,12 @@ let snapshot_tests =
         rejects "bad version" ("\xff" ^ String.sub blob 1 (String.length blob - 1));
         rejects "v1 (cipher-index byte) format"
           ("\x01" ^ String.sub blob 1 (String.length blob - 1));
+        (* v2 carried a scan-time budget and the time spent *)
+        Alcotest.check_raises "v2 (scan-time budget) format"
+          (Invalid_argument "Engine.restore: unknown snapshot version 2")
+          (fun () ->
+             ignore (Engine.restore ("\x02" ^ String.sub blob 1 (String.length blob - 1))
+                     : Engine.t));
         rejects "trailing garbage" (blob ^ "x"));
     Alcotest.test_case "middlebox export/import: reporting and blocking travel"
       `Quick (fun () ->
@@ -829,7 +834,7 @@ let snapshot_tests =
         Alcotest.(check (option string)) "recovered key" (Some k_ssl) (Engine.recovered_key e);
         let blob = Shard.export_conn sh ~conn_id:7 in
         Alcotest.(check string) "sha256"
-          "b5596ebf27bd8ea124833027dcb5a0034be921aa35e94220837a54dc4f881cd4"
+          "0fafd027c9ddeb5a9365b7df4fa31c22e0a19f17435ec86b54fbbc28247ef404"
           (Bbx_crypto.Sha256.hexdigest blob);
         (* the plaintext and the sealed record both travelled *)
         let dst = Shard.create { Engine.default_config with mode = Probable } in

@@ -167,6 +167,26 @@ let span_tests =
           (Float.is_finite (Obs.span_seconds s)
            && Obs.span_seconds s >= 0.0
            && Obs.span_seconds s < 60.0));
+    Alcotest.test_case "span allocation is exact" `Quick (fun () ->
+        (* 1 000 conses are 24 000 B on a 64-bit host, whether or not a
+           minor collection falls inside the span *)
+        Obs.set_enabled true;
+        let conses () = ignore (Sys.opaque_identity (List.init 1000 Fun.id) : int list) in
+        let span_bytes ~collect body =
+          let s = Obs.span (fresh "alloc") in
+          Obs.span_enter s;
+          body ();
+          if collect then Gc.minor ();
+          Obs.span_exit s;
+          Obs.span_alloc_bytes s
+        in
+        let cons_bytes = float_of_int (1000 * 3 * (Sys.word_size / 8)) in
+        List.iter
+          (fun collect ->
+             let label = if collect then "with a minor GC" else "without a GC" in
+             Alcotest.(check (float 0.)) label cons_bytes
+               (span_bytes ~collect conses -. span_bytes ~collect ignore))
+          [ false; true ]);
   ]
 
 let contains hay needle =

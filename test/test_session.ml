@@ -148,7 +148,7 @@ let session_tests =
         let d0 = Session.send t "q=newthr8t" in
         Alcotest.(check int) "unknown keyword" 0 (List.length d0.Session.verdicts);
         (* RG ships an update *)
-        let fresh, _ = Session.add_rules t [ Rule.make ~sid:50 [ Rule.make_content "newthr8t" ] ] in
+        let fresh, _ = Session.update_rules t [ Rule.make ~sid:50 [ Rule.make_content "newthr8t" ] ] in
         Alcotest.(check int) "one fresh chunk" 1 fresh;
         let d1 = Session.send t "q=newthr8t again" in
         Alcotest.(check int) "now detected" 1 (List.length d1.Session.verdicts);
@@ -159,7 +159,7 @@ let session_tests =
         let t, _ = establish ~config:cfg_exact rules_basic in
         (* a new rule sharing the existing keyword adds no chunks *)
         let fresh, _ =
-          Session.add_rules t
+          Session.update_rules t
             [ Rule.make ~sid:51 [ Rule.make_content "attackkw"; Rule.make_content "otherkey" ] ]
         in
         Alcotest.(check int) "only the new keyword" 1 fresh);

@@ -126,10 +126,7 @@ let pairs vs = List.map (fun v -> (v.Engine.rule_idx, v.Engine.detail)) vs
 (* Replay one case through the engine and the oracle; [Check] compares
    both evaluators' fresh decisions and cumulative sets. *)
 let agrees c =
-  let config =
-    { Engine.mode = c.mode; tier = c.tier;
-      budget = { Engine.max_plain_bytes = c.max_plain_bytes; max_scan_ms = 0 } }
-  in
+  let config = { Engine.mode = c.mode; tier = c.tier; max_plain_bytes = c.max_plain_bytes } in
   let keys rules = Engine.keys (Engine.ruleset rules) ~enc_chunk in
   let e = ref (Engine.make config (keys c.rules) ~direction ~salt0:0) in
   let oracle = Verdict_oracle.create config c.rules in
@@ -205,10 +202,7 @@ let fixed_tests =
           [ Rule.make ~sid:1 ~pcre:"/zetakey1/" [];
             Rule.make ~sid:2 [ Rule.make_content "alphakey" ] ]
         in
-        let config =
-          { probable with budget = { Engine.max_plain_bytes = 16; max_scan_ms = 0 } }
-        in
-        let e = probable_engine ~config rules in
+        let e = probable_engine ~config:{ probable with max_plain_bytes = 16 } rules in
         let sender = sender_create Probable key ~salt0:0 in
         let writer = Record.create ~key:k_ssl ~direction () in
         let send base p =

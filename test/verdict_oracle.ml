@@ -10,8 +10,10 @@
    whether the flow is exhausted.  Protocol III confirmation is
    [Classify.matches_plaintext] over the recovered stream; the engine's
    Aho-Corasick prefilter is a necessary condition of it, so it has no
-   counterpart here.  Scan-time budgets are wall clock and out of
-   scope: drive both evaluators with [max_scan_ms = 0]. *)
+   counterpart here.  The byte budget exhausts a flow only before any
+   rule is evaluated (in [Engine.record_stream] and in the decryption
+   [Engine.verdicts] runs first), so no engine path is out of this
+   oracle's scope. *)
 
 open Bbx_rules
 module Engine = Bbx_mbox.Engine
